@@ -1,41 +1,63 @@
 """Deterministic multistart machinery shared by norms, radii, and probes.
 
-Work items are keyed by (seed, index) through numpy SeedSequence spawning, and
-results are merged by an associative max, so outcomes are identical for any
-thread count or schedule.  The thread cap comes from BOLLOBAS_LAB_THREADS.
+Restart batches run one after another.  Batch b draws from the b-th child of
+SeedSequence(seed), and results are merged by a first-wins max, so outcomes
+depend only on (seed, batch index).  All work runs in one thread;
+BOLLOBAS_LAB_THREADS is accepted and ignored.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from .spaces import INF, unit_phase
+from .spaces import INF, SumSpace, unit_phase
 
 
-def thread_count() -> int:
-    raw = os.environ.get("BOLLOBAS_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def best_of(results):
+    """The (value, ...) tuple with the largest value, the earliest among
+    ties; None entries are skipped, and None comes back when all are."""
+    best = None
+    for r in results:
+        if r is not None and (best is None or r[0] > best[0]):
+            best = r
+    return best
 
 
-def run_batches(worker, n_batches: int):
-    """worker(batch_index) -> result; merged in batch order regardless of the
-    execution schedule."""
-    threads = thread_count()
-    if threads == 1 or n_batches == 1:
-        return [worker(i) for i in range(n_batches)]
-    with ThreadPoolExecutor(max_workers=min(threads, n_batches)) as pool:
-        return list(pool.map(worker, range(n_batches)))
+def run_batches(seed: int, n_batches: int, batch):
+    """best_of(batch(rng_b) for b < n_batches), rng_b the generator of the
+    b-th SeedSequence(seed) child."""
+    return best_of(batch(np.random.Generator(np.random.PCG64(s)))
+                   for s in np.random.SeedSequence(seed).spawn(n_batches))
 
 
-def spawn_rngs(seed: int, count: int):
-    return [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(seed).spawn(count)]
+def random_polish(x, value_of, rng, space, iters: int, tries: int,
+                  step: float, min_step: float):
+    """Random-direction hill climb on the unit sphere of space.
+
+    Each round tries `tries` Gaussian steps of length scale `step` and keeps
+    every strict gain; a round without one halves the step, and the climb
+    stops once the step falls below min_step.  value_of(x) -> (value, aux);
+    returns (value, x, aux) at the final point.
+    """
+    val, aux = value_of(x)
+    for _ in range(iters):
+        moved = False
+        for _ in range(tries):
+            d = rng.normal(size=space.dim) + \
+                (1j * rng.normal(size=space.dim) if space.is_complex else 0.0)
+            cand = x + step * d
+            n = space.norm(cand)
+            if n == 0:
+                continue
+            cand = cand / n
+            v, a = value_of(cand)
+            if v > val + 1e-14:
+                x, val, aux, moved = cand, v, a, True
+        if not moved:
+            step *= 0.5
+            if step < min_step:
+                break
+    return val, x, aux
 
 
 def random_unit_rows(rng, count, dim, p, complex_field) -> np.ndarray:
@@ -128,7 +150,6 @@ def boyd_ascent(M: np.ndarray, p: float, q: float, X0: np.ndarray,
 
 def dual_align_vec(y: np.ndarray, space) -> np.ndarray:
     """u with ||u||_{dual} = 1 and <u, y> = ||y|| for a Space or SumSpace."""
-    from .spaces import SumSpace
     if isinstance(space, SumSpace):
         blocks = space.split(y)
         profile = np.array([c.norm(b) for c, b in zip(space.components, blocks)])
@@ -145,7 +166,6 @@ def dual_align_vec(y: np.ndarray, space) -> np.ndarray:
 
 def primal_align_vec(w: np.ndarray, space) -> np.ndarray:
     """Unit x maximizing Re <w, x> for a Space or SumSpace."""
-    from .spaces import SumSpace
     if isinstance(space, SumSpace):
         blocks = space.split(w)
         aligned = [primal_align_vec(b, c)

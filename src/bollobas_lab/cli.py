@@ -2,8 +2,12 @@
 
 Subcommands: norm, nu, member, probe, gallery, transfer, moduli.
 Operators come from JSON files or gallery URIs (gallery:G-BLOCK?dim=8&p=2).
-Outputs are JSON verdicts/results or CSV curves, deterministic per seed and
-independent of BOLLOBAS_LAB_THREADS.
+Outputs are JSON verdicts/results or CSV curves (probe always writes CSV;
+gallery and moduli take --format json|csv), deterministic per seed.  All
+work runs in one thread; BOLLOBAS_LAB_THREADS is accepted and ignored.
+
+JSON input is checked before use: a field of the wrong type or shape, or a
+NaN or infinite number, is a parse error.
 
 Exit codes: 0 ok, 2 parse error, 3 unsupported geometry / normalization,
 4 unknown entity, 5 claim failure.
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,11 +32,11 @@ from .membership import (diag_mixed_member, diag_norm_member,
 from .norm_attainment import operator_norm
 from .numerical_radius import numerical_radius
 from .operators import (Adjoint, Dense, Diagonal, Lift, OperatorExpr, RankOne,
-                        Scale)
+                        Scale, identity)
 from .probe import CSV_HEADER, ProbeBudget, eta_probe_norm, eta_probe_nu
 from .sequences import (BoundedTail, ConstantTail, SequenceSpec, ZeroTail,
                         geometric_tail, ratio_to_one_tail)
-from .spaces import INF, Space
+from .spaces import INF, Space, modulus_convexity
 from .sums import lift_nu_implies_norm, norm_implies_lift_nu
 
 EXIT_OK = 0
@@ -41,67 +46,100 @@ EXIT_UNKNOWN = 4
 EXIT_CLAIM = 5
 
 
+def _object(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    return d
+
+
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a JSON list, got {v!r}")
+    return v
+
+
+def _real(v) -> float:
+    try:
+        x = float(v)
+    except TypeError:
+        raise ValueError(f"expected a number, got {v!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
+
+
 def _scalar(v):
     if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return float(v)
+        if len(v) != 2:
+            raise ValueError(f"a complex scalar is [re, im], got {v!r}")
+        return complex(_real(v[0]), _real(v[1]))
+    return _real(v)
 
 
-def _parse_space(d: dict) -> Space:
-    p = d.get("p", 2.0)
-    p = INF if p in ("inf", "Infinity") else float(p)
-    return Space(p, int(d["dim"]), d.get("field", "real"))
+def _exponent(p) -> float:
+    return INF if p in ("inf", "Infinity", INF) else _real(p)
 
 
-def _parse_tail(d: dict):
+def _parse_space(d) -> Space:
+    d = _object(d, "space")
+    return Space(_exponent(d.get("p", 2.0)), int(_real(d["dim"])),
+                 d.get("field", "real"))
+
+
+def _parse_tail(d):
+    d = _object(d, "tail")
     kind = d.get("kind", "zero")
     if kind == "zero":
         return ZeroTail()
     if kind == "constant":
         return ConstantTail(_scalar(d["value"]))
     if kind == "geometric":
-        return geometric_tail(float(d["c"]), float(d["r"]))
+        return geometric_tail(_real(d["c"]), _real(d["r"]))
     if kind == "ratio-to-one":
         return ratio_to_one_tail()
     if kind == "bounded":
         vals = d.get("unimodular_values")
         return BoundedTail(
-            sup_modulus=float(d["sup_modulus"]),
+            sup_modulus=_real(d["sup_modulus"]),
             sup_attained=bool(d["sup_attained"]),
             unimodular_values=None if vals is None
-            else tuple(_scalar(v) for v in vals),
+            else tuple(_scalar(v) for v in _list(vals, "unimodular_values")),
             unimodular_finite=bool(d.get("unimodular_finite", True)),
-            sub_unit_sup=float(d.get("sub_unit_sup", 0.0)))
+            sub_unit_sup=_real(d.get("sub_unit_sup", 0.0)))
     raise ValueError(f"unknown tail kind {kind!r}")
 
 
-def _parse_seq(d: dict) -> SequenceSpec:
-    return SequenceSpec(prefix=tuple(_scalar(v) for v in d.get("prefix", [])),
-                        tail=_parse_tail(d.get("tail", {"kind": "zero"})))
+def _parse_seq(d) -> SequenceSpec:
+    d = _object(d, "sequence spec")
+    return SequenceSpec(
+        prefix=tuple(_scalar(v) for v in _list(d.get("prefix", []), "prefix")),
+        tail=_parse_tail(d.get("tail", {"kind": "zero"})))
 
 
-def parse_operator_json(d: dict) -> OperatorExpr:
-    kind = d["kind"]
+def _vector(v, what: str) -> np.ndarray:
+    return np.array([_scalar(x) for x in _list(v, what)])
+
+
+def parse_operator_json(d) -> OperatorExpr:
+    kind = _object(d, "operator")["kind"]
     if kind == "diagonal":
         space = _parse_space(d["space"])
         return Diagonal(_parse_seq(d), space)
     if kind == "dense":
         space = _parse_space(d["space"])
         cod = _parse_space(d["codomain"]) if "codomain" in d else space
-        M = np.array([[_scalar(v) for v in row] for row in d["matrix"]])
+        M = np.array([_vector(row, "matrix row")
+                      for row in _list(d["matrix"], "matrix")])
         return Dense(M, space, cod)
     if kind == "rank_one":
         space = _parse_space(d["space"])
         cod = _parse_space(d["codomain"]) if "codomain" in d else space
-        y = np.array([_scalar(v) for v in d["y"]])
-        xs = np.array([_scalar(v) for v in d["xstar"]])
-        return RankOne(y, xs, space, cod)
+        return RankOne(_vector(d["y"], "y"), _vector(d["xstar"], "xstar"),
+                       space, cod)
     if kind == "scale":
         return Scale(_scalar(d["scalar"]), parse_operator_json(d["child"]))
     if kind == "lift":
-        p = d["outer_p"]
-        p = INF if p in ("inf", "Infinity") else float(p)
-        return Lift(parse_operator_json(d["child"]), p)
+        return Lift(parse_operator_json(d["child"]), _exponent(d["outer_p"]))
     if kind == "adjoint":
         return Adjoint(parse_operator_json(d["child"]))
     raise ValueError(f"unknown operator kind {kind!r}")
@@ -185,7 +223,7 @@ def _parse_int_list(s: str):
     return [int(v) for v in s.split(",") if v]
 
 
-def _rebuild_at(entry: GalleryEntry, source: str, dim: int):
+def _rebuild_at(entry: GalleryEntry, dim: int):
     params = dict(entry.params)
     params.pop("dim", None)
     return gallery(entry.gid, dim, **{k: v for k, v in params.items()})
@@ -199,7 +237,7 @@ def cmd_probe(args) -> int:
     lines = [CSV_HEADER]
     for dim in dims:
         if entry is not None and dim != entry.params.get("dim"):
-            e2 = _rebuild_at(entry, args.operator, dim)
+            e2 = _rebuild_at(entry, dim)
             cur, cur_entry = e2.expr, e2
         elif entry is not None:
             cur, cur_entry = entry.expr, entry
@@ -264,10 +302,9 @@ def _parse_eta(s: str):
 
 def cmd_transfer(args) -> int:
     eta = _parse_eta(args.eta)
-    outer = INF if args.outer_p in ("inf", "Infinity") else float(args.outer_p)
+    outer = _exponent(args.outer_p)
     W = Space(args.w_p, args.dim)
     Z = Space(args.z_p, args.dim)
-    from .operators import identity
     T = identity(W) if args.w_p == args.z_p else None
     if args.direction == "nu-to-norm":
         res = lift_nu_implies_norm(T, outer, eta)
@@ -283,7 +320,6 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_moduli(args) -> int:
-    from .spaces import modulus_convexity
     space = Space(args.p, max(args.dim, 2))
     grid = _parse_float_list(args.eps)
     if args.format == "csv":
@@ -308,6 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
+
+    def output_format(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("norm", help="operator norm with certainty label")
@@ -347,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id")
     p.add_argument("--dims", required=True)
     common(p)
+    output_format(p)
     p.set_defaults(fn=cmd_gallery)
 
     p = sub.add_parser("transfer", help="direct-sum eta transfers")
@@ -366,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--eps", required=True)
     common(p)
+    output_format(p)
     p.set_defaults(fn=cmd_moduli)
 
     return ap

@@ -17,11 +17,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import UnknownGalleryError
-from .membership import functional_member
-from .numerical_radius import NuResult, NuStatesDescriptor
-from .norm_attainment import NormingSetDescriptor
-from .operators import (Dense, Diagonal, Lift, OperatorExpr, RankOne,
-                        functional, to_matrix)
+from .membership import (diag_norm_member, eta_const, functional_member,
+                         rank1_l1_eta)
+from .numerical_radius import (NuResult, NuStatesDescriptor, _multistart_nu,
+                               nu_attaining_states, numerical_radius)
+from .norm_attainment import (NormingSetDescriptor, _sum_space_norm,
+                              functional_norming_set, norming_set,
+                              operator_norm)
+from .operators import (Delift, Dense, Diagonal, Lift, OperatorExpr, RankOne,
+                        adjoint, functional, to_matrix)
+from .probe import ProbeBudget, eta_probe_norm, eta_probe_nu, validate_eta
 from .sequences import (BoundedTail, SequenceSpec, geometric_tail,
                         ratio_to_one_tail)
 from .spaces import INF, Space, StatePair, SumSpace, lp_norm, pair
@@ -109,20 +114,17 @@ def make_block(dim: int, p: float = 2.0) -> GalleryEntry:
                          symbolic=_block_symbolic())
 
     def c_norm(e, seed):
-        from .norm_attainment import operator_norm
         nr = operator_norm(e.expr)
         ok = nr.certainty == "exact" and abs(nr.value - 1.0) == 0.0
         return _check("norm-one-attained", ok, f"value={nr.value}")
 
     def c_norming(e, seed):
-        from .norm_attainment import norming_set
         ns = norming_set(e.expr)
         want = tuple(range(1, dim, 2))
         ok = ns.J == want if p < INF else set(ns.J) == set(want)
         return _check("norming-set-second-coordinates", ok, f"J={ns.J}")
 
     def c_witness_distance(e, seed):
-        from .norm_attainment import norming_set, operator_norm
         ns = norming_set(e.expr)
         x = _e(dim, dim - 2)             # first coordinate of the last block
         val = e.expr.domain.norm(e.expr(x))
@@ -133,26 +135,22 @@ def make_block(dim: int, p: float = 2.0) -> GalleryEntry:
                       f"value={val}, distance={d}")
 
     def c_member(e, seed):
-        from .membership import diag_norm_member
         v = diag_norm_member(e.symbolic, p if p < INF else "linf")
         return _check("membership-false", v.member is False, v.reason)
 
     def c_nu(e, seed):
-        from .numerical_radius import numerical_radius
         nr = numerical_radius(e.expr)
         return _check("nu-equals-norm-attained",
                       nr.certainty == "exact" and nr.value == 1.0,
                       f"nu={nr.value}")
 
     def c_probe_norm(e, seed):
-        from .probe import ProbeBudget, eta_probe_norm
         rep = eta_probe_norm(e.expr, 0.5, budget=ProbeBudget(32, 400),
                              seed=seed, extra_seeds=[_e(dim, dim - 2)])
         ok = rep.eta_hat <= 1.0 / (2 * N) + 1e-9
         return _check("probe-norm-decay", ok, f"eta_hat={rep.eta_hat}")
 
     def c_probe_nu(e, seed):
-        from .probe import ProbeBudget, eta_probe_nu
         x = _e(dim, dim - 2)
         xs = _duality_basis_state(x, Space(p, dim))
         rep = eta_probe_nu(e.expr, 0.5, budget=ProbeBudget(32, 400),
@@ -203,19 +201,16 @@ def make_rank1_c0(dim: int) -> GalleryEntry:
                       f"(Tx)(1)={y[0]}")
 
     def c_norm(e, seed):
-        from .norm_attainment import operator_norm
         nr = operator_norm(e.expr)
         ok = nr.certainty == "exact" and abs(nr.value - (1 - 0.5 ** dim)) < 1e-15
         return _check("norm-exact-below-one", ok, f"value={nr.value}")
 
     def c_adjoint(e, seed):
-        from .operators import adjoint
         out = adjoint(e.expr)(_e(dim, 0))
         return _check("adjoint-eval-e1", np.allclose(out, w, atol=1e-15),
                       "adjoint column matches the weights")
 
     def c_family(e, seed):
-        from .norm_attainment import functional_norming_set
         ns = functional_norming_set(w, space)
         m = dim - 1
         x = np.zeros(dim)
@@ -250,7 +245,6 @@ def make_rank1_l1(dim: int) -> GalleryEntry:
                                "averaging operator on l1")
 
     def c_norm(e, seed):
-        from .norm_attainment import operator_norm
         nr = operator_norm(e.expr)
         wit_ok = nr.witness is not None and \
             abs(space.norm(e.expr(nr.witness)) - 1.0) < 1e-12
@@ -259,15 +253,12 @@ def make_rank1_l1(dim: int) -> GalleryEntry:
                       and wit_ok, f"value={nr.value}")
 
     def c_norming(e, seed):
-        from .norm_attainment import norming_set
         ns = norming_set(e.expr)
         d = ns.distance(_e(dim, 2) if dim > 2 else _e(dim, 1))
         return _check("norming-orbit-e1", abs(d - 2.0) < 1e-12,
                       f"distance={d}")
 
     def c_validate(e, seed):
-        from .membership import rank1_l1_eta
-        from .probe import ProbeBudget, validate_eta
         r = rank1_l1_eta()
         rep = validate_eta(e.expr, r.eta, [k / 10 for k in range(1, 10)],
                            mode="norm", budget=ProbeBudget(32, 300),
@@ -276,7 +267,6 @@ def make_rank1_l1(dim: int) -> GalleryEntry:
                       f"rows={len(rep.rows)}")
 
     def c_repair(e, seed):
-        from .membership import rank1_l1_eta
         r = rank1_l1_eta()
         rng = np.random.Generator(np.random.PCG64(seed))
         ok = True
@@ -293,7 +283,6 @@ def make_rank1_l1(dim: int) -> GalleryEntry:
         return _check("repair-map", ok)
 
     def c_nu(e, seed):
-        from .numerical_radius import numerical_radius
         nr = numerical_radius(e.expr)
         wit = nr.witness
         val = abs(pair(wit.xstar, e.expr(wit.x)))
@@ -302,7 +291,6 @@ def make_rank1_l1(dim: int) -> GalleryEntry:
                       and abs(val - 1.0) < 1e-12, f"nu={nr.value}")
 
     def c_nu_witness_family(e, seed):
-        from .numerical_radius import nu_attaining_states
         desc = nu_attaining_states(e.expr)
         n0 = dim - 1
         z0 = np.zeros(dim)
@@ -312,7 +300,6 @@ def make_rank1_l1(dim: int) -> GalleryEntry:
                       f"dxstar={dxs}")
 
     def c_lifted(e, seed):
-        from .probe import ProbeBudget, eta_probe_nu
         lifted, attaining, seeds = lifted_rank1_l1(dim, 1.0)
         nu = NuResult(1.0, "exact", None, "lift-profile")
         rep = eta_probe_nu(lifted, 0.5, budget=ProbeBudget(32, 300),
@@ -412,7 +399,6 @@ def make_bidual(dim: int) -> GalleryEntry:
                                "truncation")
 
     def c_norm(e, seed):
-        from .norm_attainment import operator_norm
         nr = operator_norm(e.expr)
         ones = np.ones(dim)
         ok = nr.certainty == "exact" and abs(nr.value - 1.0) < 1e-12 and \
@@ -420,7 +406,6 @@ def make_bidual(dim: int) -> GalleryEntry:
         return _check("norm-one-at-ones", ok, f"value={nr.value}")
 
     def c_norming(e, seed):
-        from .norm_attainment import norming_set
         ns = norming_set(e.expr)
         m = dim - 1
         z = np.zeros(dim)
@@ -430,7 +415,6 @@ def make_bidual(dim: int) -> GalleryEntry:
                       f"distance={d}")
 
     def c_decay(e, seed):
-        from .probe import ProbeBudget, eta_probe_norm
         m = dim - 1
         z = np.zeros(dim)
         z[:m] = 1.0
@@ -479,14 +463,12 @@ def make_skew(dim: int, alpha: float = 1.0, ell: int = 2) -> GalleryEntry:
     J3 = list(range(dim - ell, dim))
 
     def c_norm(e, seed):
-        from .norm_attainment import operator_norm
         nr = operator_norm(e.expr)
         want = max(2.0, alpha)
         return _check("norm-is-two", abs(nr.value - want) < 1e-9,
                       f"value={nr.value}")
 
     def c_nu(e, seed):
-        from .numerical_radius import numerical_radius
         nr = numerical_radius(e.expr)
         ok = nr.certainty == "exact" and abs(nr.value - alpha) < 1e-12
         wit_ok = abs(abs(pair(nr.witness.xstar, e.expr(nr.witness.x)))
@@ -495,7 +477,6 @@ def make_skew(dim: int, alpha: float = 1.0, ell: int = 2) -> GalleryEntry:
                       f"nu={nr.value}")
 
     def c_states(e, seed):
-        from .numerical_radius import nu_attaining_states
         desc = nu_attaining_states(e.expr)
         B = desc.bases[0]
         span_ok = B.shape[1] == ell and \
@@ -504,7 +485,6 @@ def make_skew(dim: int, alpha: float = 1.0, ell: int = 2) -> GalleryEntry:
                       f"basis-dim={B.shape[1]}")
 
     def c_uniform(e, seed):
-        from .numerical_radius import nu_attaining_states
         desc = nu_attaining_states(e.expr)
         rng = np.random.Generator(np.random.PCG64(seed))
         ok = True
@@ -522,8 +502,6 @@ def make_skew(dim: int, alpha: float = 1.0, ell: int = 2) -> GalleryEntry:
         return _check("uniform-quadratic-eta", ok)
 
     def c_gap(e, seed):
-        from .norm_attainment import operator_norm
-        from .numerical_radius import numerical_radius
         return _check("nu-below-norm",
                       numerical_radius(e.expr).value <
                       operator_norm(e.expr).value - 0.5)
@@ -556,24 +534,20 @@ def make_shift(dim: int) -> GalleryEntry:
                                "while the norm stays one")
 
     def c_nu(e, seed):
-        from .numerical_radius import numerical_radius
         nr = numerical_radius(e.expr)
         want = np.cos(np.pi / (dim + 1))
         return _check("nu-cos-formula", abs(nr.value - want) < 1e-8,
                       f"nu={nr.value}, cos={want}")
 
     def c_norm(e, seed):
-        from .norm_attainment import operator_norm
         nr = operator_norm(e.expr)
         return _check("norm-one", abs(nr.value - 1.0) < 1e-12)
 
     def c_below(e, seed):
-        from .numerical_radius import numerical_radius
         return _check("radius-below-norm",
                       numerical_radius(e.expr).value < 1.0)
 
     def c_monotone(e, seed):
-        from .numerical_radius import numerical_radius
         if dim == 2:
             return _check("monotone-in-dim", True, "base case")
         prev = numerical_radius(make_shift(dim - 1).expr).value
@@ -673,14 +647,12 @@ def make_corner(dim: int, outer_p: float = 1.0) -> GalleryEntry:
         sp = StatePair(x, xs, space)
         sp.validate()
         val = abs(pair(xs, e.expr(x)))
-        from .numerical_radius import _multistart_nu
         ms = _multistart_nu(to_matrix(e.expr), space, 32, 120, seed)
         return _check("nu-one-attained",
                       abs(val - 1.0) < 1e-12 and ms.value <= 1.0 + 1e-9,
                       f"witness value={val}, search={ms.value}")
 
     def c_delift(e, seed):
-        from .operators import Delift
         D = Delift(e.expr)
         return _check("delift-zero", np.all(to_matrix(D) == 0.0))
 
@@ -710,7 +682,6 @@ def make_corner(dim: int, outer_p: float = 1.0) -> GalleryEntry:
         return _check("repair-bounds", ok, detail)
 
     def c_norm(e, seed):
-        from .norm_attainment import _sum_space_norm
         nr = _sum_space_norm(to_matrix(e.expr), space, space, 32, 120, seed)
         x = space.join([_e(dim, 0), np.zeros(dim)])
         won = space.norm(e.expr(x))
@@ -793,21 +764,17 @@ def make_diag_zstar(dim: int) -> GalleryEntry:
                                "truncation; only the basis orbit norms it")
 
     def c_norm(e, seed):
-        from .norm_attainment import operator_norm
         nr = operator_norm(e.expr)
         return _check("norm-one-at-e1",
                       nr.certainty == "exact" and nr.value == 1.0)
 
     def c_orbit(e, seed):
-        from .norm_attainment import norming_set
         ns = norming_set(e.expr)
         d = ns.distance(_e(dim, dim - 1))
         return _check("norming-orbit-distance-two", abs(d - 2.0) < 1e-12,
                       f"distance={d}")
 
     def c_no_const(e, seed):
-        from .membership import eta_const
-        from .probe import ProbeBudget, validate_eta
         c = 2.0 / dim                      # any constant below 1/dim-ish fails
         rep = validate_eta(e.expr, eta_const(c), [0.5], mode="norm",
                            budget=ProbeBudget(16, 200), seed=seed,
@@ -816,7 +783,6 @@ def make_diag_zstar(dim: int) -> GalleryEntry:
                       f"constant {c} violated as expected")
 
     def c_decay(e, seed):
-        from .probe import ProbeBudget, eta_probe_norm
         rep = eta_probe_norm(e.expr, 0.5, budget=ProbeBudget(16, 200),
                              seed=seed, extra_seeds=[_e(dim, dim - 1)])
         return _check("decay-one-over-dim", rep.eta_hat <= 1.0 / dim + 1e-12,
@@ -848,13 +814,11 @@ def make_func_linf(dim: int) -> GalleryEntry:
                                "everywhere")
 
     def c_norm(e, seed):
-        from .norm_attainment import operator_norm
         nr = operator_norm(e.expr)
         ok = nr.certainty == "exact" and abs(nr.value - 1.0) < 1e-12
         return _check("norm-one-at-ones", ok)
 
     def c_orbit(e, seed):
-        from .norm_attainment import norming_set
         ns = norming_set(e.expr)
         m = dim - 1
         z = np.zeros(dim)
@@ -864,7 +828,6 @@ def make_func_linf(dim: int) -> GalleryEntry:
                       f"distance={d}")
 
     def c_decay(e, seed):
-        from .probe import ProbeBudget, eta_probe_norm
         m = dim - 1
         z = np.zeros(dim)
         z[:m] = 1.0

@@ -17,13 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (boyd_ascent, generic_power_ascent, golden_max,
-                      primal_align_rows, random_unit_rows, run_batches,
-                      spawn_rngs)
+from ._search import (best_of, boyd_ascent, generic_power_ascent, golden_max,
+                      primal_align_rows, random_unit_rows, run_batches)
 from .errors import GeometryError, HeuristicRefusalError
 from .operators import (Adjoint, Delift, Dense, Diagonal, DirectSum, Lift,
                         OperatorExpr, RankOne, Scale, to_matrix)
-from .spaces import INF, Space, SumSpace, lp_norm, unit_phase
+from .spaces import INF, Space, SumSpace, lp_norm, random_unit, unit_phase
 
 SIGN_ENUM_MAX_DIM = 20
 PHASE_GRID = 64
@@ -199,44 +198,21 @@ def _phase_enumerate(M, dom, cod):
 
 
 def _multistart_norm(M, dom, cod, restarts, iters, seed):
-    rngs = spawn_rngs(seed, max(1, restarts // 16))
-
-    def worker(i):
-        X0 = random_unit_rows(rngs[i], 16, dom.dim, dom.p, dom.is_complex)
+    def batch(rng):
+        X0 = random_unit_rows(rng, 16, dom.dim, dom.p, dom.is_complex)
         return boyd_ascent(M, dom.p, cod.p, X0, iters=iters)
 
-    results = run_batches(worker, len(rngs))
-    k = int(np.argmax([r[0] for r in results]))
-    return float(results[k][0]), results[k][1]
+    val, x = run_batches(seed, max(1, restarts // 16), batch)
+    return float(val), x
 
 
 def _sum_space_norm(M, dom, cod, restarts, iters, seed):
-    rngs = spawn_rngs(seed, max(1, restarts // 8))
+    def batch(rng):
+        return best_of(generic_power_ascent(M, dom, cod, random_unit(dom, rng),
+                                            iters=iters) for _ in range(8))
 
-    def worker(i):
-        best_v, best_x = -1.0, None
-        for _ in range(8):
-            x0 = _random_sum_unit(rngs[i], dom)
-            v, x = generic_power_ascent(M, dom, cod, x0, iters=iters)
-            if v > best_v:
-                best_v, best_x = v, x
-        return best_v, best_x
-
-    results = run_batches(worker, len(rngs))
-    k = int(np.argmax([r[0] for r in results]))
-    return NormResult(float(results[k][0]), "heuristic", results[k][1],
-                      "sum-space-multistart")
-
-
-def _random_sum_unit(rng, space):
-    if isinstance(space, SumSpace):
-        blocks = [_random_sum_unit(rng, c) for c in space.components]
-        profile = rng.uniform(0.2, 1.0, len(blocks))
-        profile /= lp_norm(profile, space.outer_p)
-        return space.join([p * b for p, b in zip(profile, blocks)])
-    v = rng.normal(size=space.dim) + (1j * rng.normal(size=space.dim)
-                                      if space.is_complex else 0.0)
-    return (v / space.norm(v)).astype(space.dtype)
+    val, x = run_batches(seed, max(1, restarts // 8), batch)
+    return NormResult(float(val), "heuristic", x, "sum-space-multistart")
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,14 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import golden_max, run_batches, spawn_rngs
+from ._search import best_of, golden_max, random_polish, run_batches
 from .errors import GeometryError, HeuristicRefusalError
 from .norm_attainment import (operator_norm, subspace_sphere_distance,
                               support_distance)
 from .operators import (Adjoint, Dense, Diagonal, DirectSum, Lift, OperatorExpr,
                         RankOne, Scale, to_matrix)
 from .spaces import (INF, Space, StatePair, SumSpace, conjugate_exponent,
-                     duality_map, pair, unit_phase)
+                     duality_map, pair, random_unit, unit_phase)
 
 THETA_GRID = 256
 NU_TOL = 1e-10
@@ -248,11 +248,11 @@ def best_state_functional(y: np.ndarray, x: np.ndarray, space):
         xs[supp] = np.conj(unit_phase(x[supp]))
         center = complex((xs[supp] * y[supp]).sum())
         psi = center / abs(center) if center != 0 else 1.0
+        if not space.is_complex:
+            psi = psi.real                  # center is real: psi is +-1
         off = ~supp
         nz = off & (np.abs(y) > 0)
         xs[nz] = psi * np.conj(unit_phase(y[nz]))
-        if not space.is_complex:
-            xs = xs.real
         return abs(center) + float(np.abs(y[off]).sum()), xs.astype(space.dtype)
     peaks = np.nonzero(np.abs(np.abs(x) - 1.0) <= 1e-9)[0]
     vals = [abs(np.conj(unit_phase(x[n])) * y[n]) for n in peaks]
@@ -263,43 +263,15 @@ def best_state_functional(y: np.ndarray, x: np.ndarray, space):
 
 
 def _multistart_nu(M, space, restarts, iters, seed) -> NuResult:
-    from .norm_attainment import _random_sum_unit
-    rngs = spawn_rngs(seed, max(1, restarts // 8))
+    def value_of(x):
+        return face_sup(M @ x, x, space), None
 
-    def polish(x, rng):
-        val = face_sup(M @ x, x, space)
-        step = 0.5
-        for _ in range(iters):
-            moved = False
-            for _ in range(4):
-                d = rng.normal(size=space.dim) + \
-                    (1j * rng.normal(size=space.dim) if space.is_complex else 0)
-                cand = x + step * d
-                n = space.norm(cand)
-                if n == 0:
-                    continue
-                cand = cand / n
-                v = face_sup(M @ cand, cand, space)
-                if v > val + 1e-14:
-                    x, val, moved = cand, v, True
-            if not moved:
-                step *= 0.5
-                if step < 1e-9:
-                    break
-        return val, x
+    def batch(rng):
+        return best_of(random_polish(random_unit(space, rng), value_of, rng,
+                                     space, iters, tries=4, step=0.5,
+                                     min_step=1e-9) for _ in range(8))
 
-    def worker(i):
-        best = (-1.0, None)
-        for _ in range(8):
-            x0 = _random_sum_unit(rngs[i], space)
-            v, x = polish(x0, rngs[i])
-            if v > best[0]:
-                best = (v, x)
-        return best
-
-    results = run_batches(worker, len(rngs))
-    k = int(np.argmax([r[0] for r in results]))
-    val, x = results[k]
+    val, x, _ = run_batches(seed, max(1, restarts // 8), batch)
     wit = None
     if not isinstance(space, SumSpace):
         _, xs = best_state_functional(M @ x, x, space)

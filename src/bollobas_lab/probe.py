@@ -10,8 +10,12 @@ Feasibility is a hard filter through exact/lower-bound distance oracles, so
 reported witnesses are valid by construction.  Absence of good witnesses is
 only budget-relative; the report never claims a lower bound beyond that.
 
-Restart batches are keyed by (seed, batch index) and merged by max, so
-results are byte-identical for any BOLLOBAS_LAB_THREADS setting.
+Both probes seed from diagonal profiles, caller-supplied points and the
+feasibility boundary, then spend the budget in restart batches of 16 random
+starts (power ascent with pullback for norms, a random-direction polish for
+states).  The batches run one after another through _search.run_batches:
+batch b draws from the b-th SeedSequence(seed) child and the best feasible
+point wins, the earliest on ties, so a fixed seed fixes every output.
 """
 
 from __future__ import annotations
@@ -21,15 +25,17 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import run_batches, spawn_rngs
+from ._search import (best_of, dual_align_vec, generic_power_ascent,
+                      random_polish, run_batches)
 from .errors import GeometryError, HeuristicRefusalError, NotNormalizedError
+from .membership import _group_cap
 from .norm_attainment import (NormingSetDescriptor, NormResult, norming_set,
                               operator_norm)
 from .numerical_radius import (NuResult, NuStatesDescriptor,
                                best_state_functional, nu_attaining_states,
                                numerical_radius)
 from .operators import Diagonal, OperatorExpr, Scale, to_matrix
-from .spaces import INF, StatePair, SumSpace, pair
+from .spaces import INF, StatePair, SumSpace, pair, random_unit
 
 NORM_TOL = 1e-6
 FEAS_TOL = 1e-12
@@ -89,15 +95,10 @@ def _resolve_norm(T, norm_result, norming, assume_norm_one):
     return nr, desc
 
 
-def _random_start(rng, space):
-    from .norm_attainment import _random_sum_unit
-    return _random_sum_unit(rng, space)
-
-
 def _pullback(value_of, dist_of, x_hi, x_lo, eps, space, steps: int = 30):
     """Binary search along the normalized segment between a feasible anchor
     x_lo and an infeasible high-value point x_hi; returns the best feasible
-    point found."""
+    (value, distance, point) found, or None."""
     best = None
     lo, hi = 0.0, 1.0
     for _ in range(steps):
@@ -108,36 +109,42 @@ def _pullback(value_of, dist_of, x_hi, x_lo, eps, space, steps: int = 30):
             lo, hi = t, hi
             continue
         cand = cand / n
-        if dist_of(cand) >= eps - FEAS_TOL:
-            v = value_of(cand)
-            if best is None or v > best[0]:
-                best = (v, cand)
+        d = dist_of(cand)
+        if d >= eps - FEAS_TOL:
+            best = best_of([best, (value_of(cand), d, cand)])
             hi = t
         else:
             lo = t
     return best
 
 
-def _diag_norm_seeds(T, desc, eps):
-    """Profile-optimal feasible seeds for diagonal operators: they realize
-    the exact truncated modulus, which keeps eta_hat tight and monotone."""
+def _diag_profile(T):
+    """(space, j_idx, off_idx) for a (scaled) diagonal T: j_idx is the first
+    coordinate of J = {n : |alpha_n| = max}, off_idx the largest coordinate
+    off J.  None when T is not diagonal or J is everything."""
     inner = T
     scale = 1.0
     while isinstance(inner, Scale):
         scale *= abs(inner.scalar)
         inner = inner.child
     if not isinstance(inner, Diagonal):
-        return []
-    alphas = inner.alphas() * scale
-    mods = np.abs(alphas)
-    top = mods.max()
-    J = mods >= top * (1 - 1e-12)
+        return None
+    mods = np.abs(inner.alphas() * scale)
+    J = mods >= mods.max() * (1 - 1e-12)
     if J.all():
+        return None
+    return (inner.domain, int(np.argmax(J)),
+            int(np.argmax(np.where(J, -1.0, mods))))
+
+
+def _diag_norm_seeds(T, eps):
+    """Profile-optimal feasible seeds for diagonal operators: they realize
+    the exact truncated modulus, which keeps eta_hat tight and monotone."""
+    profile = _diag_profile(T)
+    if profile is None:
         return []
-    space = inner.domain
+    space, j_idx, off_idx = profile
     p = space.p
-    off_idx = int(np.argmax(np.where(J, -1.0, mods)))
-    j_idx = int(np.argmax(J))
     seeds = []
     if p == INF:
         x = np.zeros(space.dim, dtype=space.dtype)
@@ -222,24 +229,22 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
     def dist_of(x):
         return desc.distance(x)
 
-    candidates = []   # (value, distance, x)
+    candidates = []   # (value, distance, x), or None when infeasible
     max_dist_seen = 0.0
 
-    def consider(x, store=True):
+    def consider(x):
+        """(value, distance, x) when x is feasible, else None."""
         nonlocal max_dist_seen
         d = dist_of(x)
         max_dist_seen = max(max_dist_seen, d)
         if d >= eps - FEAS_TOL:
-            v = value_of(x)
-            if store:
-                candidates.append((v, d, x))
-            return True, d
-        return False, d
+            return (value_of(x), d, x)
+        return None
 
-    for s in _diag_norm_seeds(T, desc, eps):
-        consider(s)
+    for s in _diag_norm_seeds(T, eps):
+        candidates.append(consider(s))
     for s in extra_seeds:
-        consider(np.asarray(s, dtype=space.dtype))
+        candidates.append(consider(np.asarray(s, dtype=space.dtype)))
     seed_rng = np.random.Generator(np.random.PCG64(seed))
     if not desc.is_empty and not isinstance(space, SumSpace):
         try:
@@ -247,63 +252,45 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
         except Exception:
             bases = []
         for s in _boundary_seeds(space, dist_of, eps, bases, seed_rng):
-            consider(s)
+            candidates.append(consider(s))
 
-    n_batches = max(1, budget.restarts // 16)
-    rngs = spawn_rngs(seed, n_batches)
     iters = max(10, budget.iters // 100)
 
-    def worker(b):
-        rng = rngs[b]
-        best = None
-        local_max_dist = 0.0
-        anchor = None
+    def batch(rng):
+        # the anchor, the last feasible point, carries across the batch
+        best = anchor = None
         for _ in range(min(16, budget.restarts)):
-            x = _random_start(rng, space)
-            feas, d = consider(x, store=False)
-            local_max_dist = max(local_max_dist, d)
-            if feas:
-                v = value_of(x)
-                if best is None or v > best[0]:
-                    best = (v, d, x)
-                anchor = x
+            x = random_unit(space, rng)
+            c = consider(x)
+            if c is not None:
+                best, anchor = best_of([best, c]), x
             # ascent toward the unconstrained maximum, tracking feasibility
-            from ._search import generic_power_ascent
             for _ in range(iters):
                 _v, xn = generic_power_ascent(M, space, cod, x, iters=3)
                 if np.allclose(xn, x):
                     break
                 x = xn
-                feas, d = consider(x, store=False)
-                local_max_dist = max(local_max_dist, d)
-                if feas:
-                    v = value_of(x)
-                    if best is None or v > best[0]:
-                        best = (v, d, x)
-                    anchor = x
+                c = consider(x)
+                if c is not None:
+                    best, anchor = best_of([best, c]), x
                 elif anchor is not None:
-                    pb = _pullback(value_of, dist_of, x, anchor, eps, space)
-                    if pb is not None and (best is None or pb[0] > best[0]):
-                        best = (pb[0], dist_of(pb[1]), pb[1])
+                    best = best_of([best, _pullback(value_of, dist_of, x,
+                                                    anchor, eps, space)])
                     break
-        return best, local_max_dist
+        return best
 
-    results = run_batches(worker, n_batches)
-    for best, local_max in results:
-        max_dist_seen = max(max_dist_seen, local_max)
-        if best is not None:
-            candidates.append(best)
-
+    candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
     return _finalize("norm", eps, candidates, max_dist_seen, seed, budget)
 
 
 def _finalize(mode, eps, candidates, max_dist_seen, seed, budget):
-    if not candidates:
+    best = best_of(candidates)
+    if best is None:
         sentinel = max_dist_seen < eps - FEAS_TOL
         return ProbeReport(mode=mode, epsilon=eps, eta_hat=float("inf"),
                            sentinel=sentinel, best_value=-float("inf"),
                            witness=None, seed=seed, budget=budget)
-    vbest, dbest, xbest = max(candidates, key=lambda c: c[0])
+    vbest, dbest, xbest = best
     return ProbeReport(mode=mode, epsilon=eps,
                        eta_hat=max(0.0, 1.0 - vbest), sentinel=False,
                        best_value=vbest, witness=xbest,
@@ -315,8 +302,11 @@ def _finalize(mode, eps, candidates, max_dist_seen, seed, budget):
 # ---------------------------------------------------------------------------
 
 def aligned_state_functional(x, y, space):
-    """x* supporting x with <x*, y> realizing face_sup(y, x, space); exact for
-    flat spaces and two-block sums of flat blocks."""
+    """x* supporting x with <x*, y> close to face_sup(y, x, space).
+
+    Exact for flat spaces and for sums of blocks with 1 < p < inf.  Blocks
+    with p in {1, inf} are aligned one at a time, not jointly, so on such
+    sums the value can fall short of face_sup."""
     if not isinstance(space, SumSpace):
         _v, xs = best_state_functional(y, x, space)
         return xs
@@ -356,7 +346,6 @@ def aligned_state_functional(x, y, space):
         if prt is not None:
             out.append(prt)
         elif op == 1 and c.norm(by) > 0:
-            from ._search import dual_align_vec
             out.append(psi * dual_align_vec(by, c))
         else:
             out.append(np.zeros(c.dim, dtype=space.dtype))
@@ -394,26 +383,26 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
     max_dist_seen = 0.0
 
     def consider_pair(x, xs):
+        """(value, distance, pair) when (x, xs) is feasible, else None."""
         nonlocal max_dist_seen
         dx, dxs = desc.pair_distance(x, xs)
         d = max(dx, dxs)
         max_dist_seen = max(max_dist_seen, d)
         if d >= eps - FEAS_TOL:
-            v = pair_value(x, xs)
-            candidates.append((v, d, StatePair(x, xs, space)))
-            return True
-        return False
+            return (pair_value(x, xs), d, StatePair(x, xs, space))
+        return None
 
     for s in extra_seeds:
         if isinstance(s, StatePair):
-            consider_pair(s.x, s.xstar)
+            candidates.append(consider_pair(s.x, s.xstar))
         elif isinstance(s, tuple) and len(s) == 2:
-            consider_pair(np.asarray(s[0]), np.asarray(s[1]))
+            candidates.append(consider_pair(np.asarray(s[0]),
+                                            np.asarray(s[1])))
         else:
             x = np.asarray(s)
-            consider_pair(x, state_for(x))
+            candidates.append(consider_pair(x, state_for(x)))
     for s in _diag_nu_seeds(T, eps):
-        consider_pair(*s)
+        candidates.append(consider_pair(*s))
     seed_rng = np.random.Generator(np.random.PCG64(seed))
     if not desc.is_empty and not isinstance(space, SumSpace):
         def dist_of_state(x):
@@ -424,75 +413,35 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
         except Exception:
             bases = []
         for s in _boundary_seeds(space, dist_of_state, eps, bases, seed_rng):
-            consider_pair(s, state_for(s))
+            candidates.append(consider_pair(s, state_for(s)))
 
-    n_batches = max(1, budget.restarts // 16)
-    rngs = spawn_rngs(seed, n_batches)
     iters = max(10, budget.iters // 100)
 
-    def worker(b):
-        rng = rngs[b]
-        found = []
-        local_max = 0.0
-        for _ in range(min(16, budget.restarts)):
-            x = _random_start(rng, space)
-            step = 0.4
-            xs = state_for(x)
-            val = pair_value(x, xs)
-            for _ in range(iters):
-                moved = False
-                for _ in range(3):
-                    dvec = rng.normal(size=space.dim) + \
-                        (1j * rng.normal(size=space.dim)
-                         if space.is_complex else 0.0)
-                    cand = x + step * dvec
-                    n = space.norm(cand)
-                    if n == 0:
-                        continue
-                    cand = cand / n
-                    cs = state_for(cand)
-                    cv = pair_value(cand, cs)
-                    if cv > val + 1e-14:
-                        x, xs, val, moved = cand, cs, cv, True
-                if not moved:
-                    step *= 0.5
-                    if step < 1e-7:
-                        break
-            dx, dxs = desc.pair_distance(x, xs)
-            d = max(dx, dxs)
-            local_max = max(local_max, d)
-            if d >= eps - FEAS_TOL:
-                found.append((val, d, StatePair(x, xs, space)))
-        return found, local_max
+    def state_value(x):
+        xs = state_for(x)
+        return pair_value(x, xs), xs
 
-    results = run_batches(worker, n_batches)
-    for found, local_max in results:
-        max_dist_seen = max(max_dist_seen, local_max)
-        candidates.extend(found)
+    def polished_start(rng):
+        _v, x, xs = random_polish(random_unit(space, rng), state_value, rng,
+                                  space, iters, tries=3, step=0.4,
+                                  min_step=1e-7)
+        return consider_pair(x, xs)
 
+    def batch(rng):
+        return best_of(polished_start(rng)
+                       for _ in range(min(16, budget.restarts)))
+
+    candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
     return _finalize("nu", eps, candidates, max_dist_seen, seed, budget)
 
 
 def _diag_nu_seeds(T, eps):
     """Profile-optimal feasible state seeds for diagonal operators."""
-    inner = T
-    scale = 1.0
-    while isinstance(inner, Scale):
-        scale *= abs(inner.scalar)
-        inner = inner.child
-    if not isinstance(inner, Diagonal):
+    profile = _diag_profile(T)
+    if profile is None:
         return []
-    alphas = inner.alphas() * scale
-    mods = np.abs(alphas)
-    top = mods.max()
-    J = mods >= top * (1 - 1e-12)
-    if J.all():
-        return []
-    space = inner.domain
+    space, j_idx, off_idx = profile
     p = space.p
-    off_idx = int(np.argmax(np.where(J, -1.0, mods)))
-    j_idx = int(np.argmax(J))
-    from .membership import _group_cap
     m = _group_cap(p, eps)
     seeds = []
     x = np.zeros(space.dim, dtype=space.dtype)

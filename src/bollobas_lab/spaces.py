@@ -404,7 +404,16 @@ def modulus_convexity(space, eps: float) -> float:
 
 
 def random_unit(space, rng: np.random.Generator) -> np.ndarray:
-    """A deterministic-in-seed random unit vector of the space."""
+    """A deterministic-in-seed random unit vector of the space.
+
+    On a SumSpace each block is drawn in turn, then the block norms are set
+    by a profile drawn uniformly from [0.2, 1] and normalized in outer_p.
+    """
+    if isinstance(space, SumSpace):
+        blocks = [random_unit(c, rng) for c in space.components]
+        profile = rng.uniform(0.2, 1.0, len(blocks))
+        profile /= lp_norm(profile, space.outer_p)
+        return space.join([t * b for t, b in zip(profile, blocks)])
     if space.is_complex:
         v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     else:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError
+from .gallery import make_corner
 from .membership import EtaFunction
 from .numerical_radius import (NuStatesDescriptor, corner_profile_constant,
                                numerical_radius, _multistart_nu)
@@ -239,7 +240,6 @@ def corner_counterexample(outer_p: float, dim: int, seed: int = 0) -> CornerRepo
     """The corner operator attains radius one on the two-block Hilbert sum
     with quantified repair bounds, yet its squeeze-back is the zero
     operator."""
-    from .gallery import make_corner
     entry = make_corner(dim, outer_p)
     claims = entry.run_claims(seed)
     by_name = {c.name: c for c in claims}

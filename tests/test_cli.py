@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from bollobas_lab.cli import main
 from bollobas_lab.probe import CSV_HEADER
 
@@ -31,6 +33,34 @@ def test_malformed_json_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     code, _ = run_cli(["norm", str(bad)], capsys)
+    assert code == 2
+
+
+@pytest.mark.parametrize("command, text", [
+    ("norm", '{"kind": "dense", "space": {"p": 3, "dim": 2}, "matrix": 5}'),
+    ("norm", '{"kind": "diagonal", "space": {"p": 2, "dim": 2}, '
+             '"prefix": [[1]]}'),
+    ("norm", '[1, 2]'),
+    ("norm", '{"kind": "dense", "space": {"p": 3, "dim": 2}, '
+             '"matrix": [[Infinity, 0], [0, 1]]}'),
+    ("norm", '{"kind": "diagonal", "space": {"p": 2, "dim": 2}, '
+             '"prefix": [NaN, 0.5]}'),
+    ("member", '{"prefix": [1.0], "tail": {"kind": "constant", '
+               '"value": NaN}}'),
+], ids=["matrix-not-a-list", "one-part-complex", "top-level-list",
+        "infinite-entry", "nan-prefix", "nan-spec"])
+def test_bad_json_input_exit_two(tmp_path, capsys, command, text):
+    f = tmp_path / "input.json"
+    f.write_text(text)
+    args = ["norm", str(f)] if command == "norm" else \
+        ["member", "--spec", str(f), "--family", "2"]
+    code, out = run_cli(args, capsys)
+    assert code == 2 and out == ""
+
+
+def test_format_only_where_read(capsys):
+    code, _ = run_cli(["norm", "gallery:G-SHIFT?dim=3", "--format", "csv"],
+                      capsys)
     assert code == 2
 
 

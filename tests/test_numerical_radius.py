@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bollobas_lab.errors import GeometryError, HeuristicRefusalError
 from bollobas_lab.gallery import shift_matrix
-from bollobas_lab.numerical_radius import (corner_profile_constant,
+from bollobas_lab.numerical_radius import (best_state_functional,
+                                           corner_profile_constant,
                                            distance_to_nu_attaining,
                                            face_sup, nu_attaining_states,
                                            numerical_radius)
@@ -174,3 +177,17 @@ def test_face_sup_two_block():
     s_inf = SumSpace((Space(2, 2), Space(2, 2)), INF)
     x3 = s_inf.join([np.array([1.0, 0.0]), np.array([0.0, 0.3])])
     assert face_sup(y, x3, s_inf) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_best_state_functional_real_l1_stays_real():
+    # y has mass off supp(x), where the functional takes the phase psi
+    space = Space(1.0, 4)
+    x = np.array([0.5, 0.5, 0.0, 0.0])
+    y = np.array([1.0, 0.3, -0.2, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, xs = best_state_functional(y, x, space)
+    assert xs.dtype == np.float64
+    assert val == pytest.approx(face_sup(y, x, space), abs=1e-12)
+    assert abs(pair(xs, y)) == pytest.approx(val, abs=1e-12)
+    StatePair(x, xs, space).validate()
