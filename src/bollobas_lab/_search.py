@@ -218,3 +218,35 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-12, iters: int = 200):
             fd = f(d)
     xm = (a + b) / 2
     return xm, f(xm)
+
+
+def golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-12,
+                    iters: int = 200):
+    """golden_max on many rows at once: row i maximizes its own function on
+    [lo[i], hi[i]], and f(t, rows) evaluates row rows[j] at t[j].  A row
+    stops once its bracket is below tol, so it takes exactly the steps and
+    the values of golden_max on that row alone.  Returns (xm, f(xm))."""
+    invphi = (np.sqrt(5.0) - 1) / 2
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    every = np.arange(len(a))
+    fc, fd = f(c, every), f(d, every)
+    for _ in range(iters):
+        active = np.nonzero(~(b - a < tol))[0]
+        if not active.size:
+            break
+        left = fc[active] > fd[active]
+        L, R = active[left], active[~left]
+        # rows in L: b, d, fd = d, c, fc, then a new c
+        b[L], d[L], fd[L] = d[L], c[L], fc[L]
+        c[L] = b[L] - invphi * (b[L] - a[L])
+        # rows in R: a, c, fc = c, d, fd, then a new d
+        a[R], c[R], fc[R] = c[R], d[R], fd[R]
+        d[R] = a[R] + invphi * (b[R] - a[R])
+        if L.size:
+            fc[L] = f(c[L], L)
+        if R.size:
+            fd[R] = f(d[R], R)
+    xm = (a + b) / 2
+    return xm, f(xm, every)

@@ -18,11 +18,12 @@ from typing import Optional
 import numpy as np
 
 from ._search import (best_of, boyd_ascent, generic_power_ascent, golden_max,
-                      primal_align_rows, random_unit_rows, run_batches)
+                      golden_max_rows, primal_align_rows, random_unit_rows,
+                      run_batches)
 from .errors import GeometryError, HeuristicRefusalError
 from .operators import (Adjoint, Delift, Dense, Diagonal, DirectSum, Lift,
                         OperatorExpr, RankOne, Scale, to_matrix)
-from .spaces import INF, Space, SumSpace, lp_norm, random_unit, unit_phase
+from .spaces import INF, Space, SumSpace, lp_norm_rows, random_unit, unit_phase
 
 SIGN_ENUM_MAX_DIM = 20
 PHASE_GRID = 64
@@ -250,39 +251,46 @@ class NormingSetDescriptor:
     # -- exact distances ----------------------------------------------------
 
     def distance(self, x: np.ndarray) -> float:
+        return float(self.distance_rows(np.asarray(x)[None, :])[0])
+
+    def distance_rows(self, X: np.ndarray) -> np.ndarray:
+        """The exact distance of every row of X (R, dim) to the set, (R,)."""
+        X = np.asarray(X)
         if self.kind == "empty":
-            return float("inf")
+            return np.full(X.shape[0], np.inf)
         if self.kind == "support_constrained":
-            return support_distance(x, self.J, self.space)
+            return support_distance_rows(X, self.J, self.space)
         if self.kind == "coordinate_unimodular":
-            mods = np.abs(np.asarray(x)[list(self.J)])
-            return float(max(0.0, (1.0 - mods).min()))
+            return unimodular_distance_rows(X, self.J)
         if self.kind == "explicit_list":
-            return min(self._point_distance(x, np.asarray(v)) for v in self.points)
+            return np.minimum.reduce([self._point_distance_rows(X, np.asarray(v))
+                                      for v in self.points])
         if self.kind == "subspace":
-            return subspace_sphere_distance(x, self.basis)
+            return subspace_sphere_distance_rows(X, self.basis)
         raise GeometryError(f"unknown norming-set kind {self.kind}")
 
-    def _point_distance(self, x, v):
+    def _point_distance_rows(self, X, v):
         space = self.space
         mask = None if self.free_mask is None else np.asarray(self.free_mask)
 
-        def dist_for(phi):
-            d = x - phi * v
+        def dist_for(Xr, phi):
+            """phi: one phase for all rows, or one per row as (R, 1)."""
+            D = Xr - phi * v
             if mask is not None:
-                d = np.where(mask, 0.0, d)
-            return space.norm(d) if not isinstance(space, (Space, SumSpace)) \
-                else space.norm(d)
+                D = np.where(mask, 0.0, D)
+            return lp_norm_rows(np.asarray(D, dtype=space.dtype), space.p)
 
         if not self.phase_orbit:
-            return dist_for(1.0)
-        if not getattr(space, "is_complex", False):
-            return min(dist_for(1.0), dist_for(-1.0))
+            return dist_for(X, 1.0)
+        if not space.is_complex:
+            return np.minimum(dist_for(X, 1.0), dist_for(X, -1.0))
         ths = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        coarse = min(ths, key=lambda t: dist_for(np.exp(1j * t)))
-        t, _ = golden_max(lambda t: -dist_for(np.exp(1j * t)),
-                          coarse - 0.2, coarse + 0.2, tol=1e-13)
-        return dist_for(np.exp(1j * t))
+        grid = np.array([dist_for(X, np.exp(1j * t)) for t in ths])
+        coarse = ths[grid.argmin(axis=0)]
+        _t, neg = golden_max_rows(
+            lambda t, rows: -dist_for(X[rows], np.exp(1j * t)[:, None]),
+            coarse - 0.2, coarse + 0.2, tol=1e-13)
+        return -neg
 
     # -- sampling -----------------------------------------------------------
 
@@ -346,8 +354,8 @@ class UnionNormingSet(NormingSetDescriptor):
     def is_empty(self):
         return all(p.is_empty for p in self.parts)
 
-    def distance(self, x):
-        return min(p.distance(x) for p in self.parts)
+    def distance_rows(self, X):
+        return np.minimum.reduce([p.distance_rows(X) for p in self.parts])
 
     def sample(self, rng, count: int = 1):
         out = []
@@ -361,28 +369,55 @@ class UnionNormingSet(NormingSetDescriptor):
 
 
 def support_distance(x: np.ndarray, J, space) -> float:
-    """Exact distance from x to the unit vectors supported on J.
+    """Exact distance from x to the unit vectors supported on J."""
+    return float(support_distance_rows(np.asarray(x)[None, :], J, space)[0])
+
+
+def support_distance_rows(X: np.ndarray, J, space) -> np.ndarray:
+    """support_distance of every row of X.
 
     The nearest point is the radial rescaling of the J-restriction, for every
     p in [1, inf): dist^p = |1 - ||x_J|||^p + ||x_offJ||^p.
     """
-    x = np.asarray(x)
-    mask = np.zeros(x.shape[0], dtype=bool)
+    mask = np.zeros(X.shape[1], dtype=bool)
     mask[list(J)] = True
     p = space.p
-    A = lp_norm(x[mask], p)
-    off = lp_norm(x[~mask], p)
+    A = lp_norm_rows(X[:, mask], p)
+    off = lp_norm_rows(X[:, ~mask], p)
     if p == INF:
-        return max(abs(1.0 - A), off)
-    return (abs(1.0 - A) ** p + off ** p) ** (1.0 / p)
+        return np.maximum(np.abs(1.0 - A), off)
+    return np.float_power(np.float_power(np.abs(1.0 - A), p) +
+                          np.float_power(off, p), 1.0 / p)
+
+
+def unimodular_distance_rows(X: np.ndarray, J) -> np.ndarray:
+    """Distance of every row of a sup-norm X to the unit vectors with a
+    unimodular coordinate in J: the least 1 - |x(n)| over n in J."""
+    return np.maximum(0.0, (1.0 - np.abs(X[:, list(J)])).min(axis=1))
 
 
 def subspace_sphere_distance(x: np.ndarray, basis: np.ndarray) -> float:
     """Exact Hilbert distance from x to the unit sphere of span(basis)."""
-    P = basis @ (np.conj(basis.T) @ x)
-    a = np.linalg.norm(P)
-    res = np.linalg.norm(x - P)
-    return float(np.sqrt(res ** 2 + (1.0 - a) ** 2))
+    return float(subspace_sphere_distance_rows(np.asarray(x)[None, :],
+                                               basis)[0])
+
+
+def subspace_sphere_distance_rows(X: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """subspace_sphere_distance of every row of X.  The products run as one
+    stack of matrix-vector products and the norms as row-wise dots, so each
+    row rounds as the one-vector computation does."""
+    P = ((X[:, None, :] @ np.conj(basis)) @ basis.T)[:, 0, :]
+    a = np.sqrt(_row_dots(P))
+    res = np.sqrt(_row_dots(X - P))
+    return np.sqrt(np.float_power(res, 2.0) + np.float_power(1.0 - a, 2.0))
+
+
+def _row_dots(Y: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of every row, summed as np.linalg.norm
+    sums one vector (real and imaginary parts dotted separately)."""
+    Y = np.ascontiguousarray(Y)
+    parts = (Y.real, Y.imag) if np.iscomplexobj(Y) else (Y,)
+    return sum((V[:, None, :] @ V[:, :, None])[:, 0, 0] for V in parts)
 
 
 def hilbert_norm_modulus(M: np.ndarray, eps: float, tol: float = 1e-12):

@@ -22,14 +22,15 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import best_of, golden_max, random_polish, run_batches
+from ._search import (best_of, golden_max, golden_max_rows, random_polish,
+                      run_batches)
 from .errors import GeometryError, HeuristicRefusalError
-from .norm_attainment import (operator_norm, subspace_sphere_distance,
-                              support_distance)
+from .norm_attainment import (operator_norm, subspace_sphere_distance_rows,
+                              support_distance_rows, unimodular_distance_rows)
 from .operators import (Adjoint, Dense, Diagonal, DirectSum, Lift, OperatorExpr,
                         RankOne, Scale, to_matrix)
 from .spaces import (INF, Space, StatePair, SumSpace, conjugate_exponent,
-                     duality_map, pair, random_unit, unit_phase)
+                     duality_map, lp_norm_rows, pair, random_unit, unit_phase)
 
 THETA_GRID = 256
 NU_TOL = 1e-10
@@ -237,29 +238,88 @@ def face_sup(y: np.ndarray, x: np.ndarray, space) -> float:
 
 def best_state_functional(y: np.ndarray, x: np.ndarray, space):
     """(value, x*) achieving face_sup on a flat space."""
+    vals, XS = best_state_functional_rows(np.asarray(y)[None, :],
+                                          np.asarray(x)[None, :], space)
+    return float(vals[0]), XS[0]
+
+
+def best_state_functional_rows(Y: np.ndarray, X: np.ndarray, space):
+    """best_state_functional for every row pair (y, x) of Y and X (R, dim):
+    returns values (R,) and functionals (R, dim).  Each row rounds as the
+    one-row call does.  A sup-norm row without a peak coordinate gets value
+    0 and the zero functional."""
     p = space.p
+    X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
     if 1.0 < p < INF:
-        xs = duality_map(x, space)
-        return abs(pair(xs, y)), xs
+        X = X.astype(space.dtype, copy=False)
+        A = np.abs(X)
+        XS = np.zeros(X.shape, dtype=space.dtype)
+        nz = A > 0
+        XS[nz] = np.conj(X[nz]) * A[nz] ** (p - 2.0)
+        return _modulus((XS * Y).sum(axis=1)), XS
     if p == 1:
-        supp = np.abs(x) > 0
-        xs = np.zeros(space.dim, dtype=np.complex128 if space.is_complex
+        supp = np.abs(X) > 0
+        XS = np.zeros(X.shape, dtype=np.complex128 if space.is_complex
                       else np.float64)
-        xs[supp] = np.conj(unit_phase(x[supp]))
-        center = complex((xs[supp] * y[supp]).sum())
-        psi = center / abs(center) if center != 0 else 1.0
-        if not space.is_complex:
-            psi = psi.real                  # center is real: psi is +-1
+        XS[supp] = np.conj(unit_phase(X[supp]))
+        center = _masked_row_sums(XS * Y, supp)
+        h = _modulus(center)
+        psi = np.ones(len(X), dtype=XS.dtype)
+        hit = center != 0
+        if space.is_complex:
+            psi[hit] = _complex(center.real[hit] / h[hit],
+                                center.imag[hit] / h[hit])
+        else:
+            psi[hit] = center[hit] / h[hit]
         off = ~supp
-        nz = off & (np.abs(y) > 0)
-        xs[nz] = psi * np.conj(unit_phase(y[nz]))
-        return abs(center) + float(np.abs(y[off]).sum()), xs.astype(space.dtype)
-    peaks = np.nonzero(np.abs(np.abs(x) - 1.0) <= 1e-9)[0]
-    vals = [abs(np.conj(unit_phase(x[n])) * y[n]) for n in peaks]
-    k = peaks[int(np.argmax(vals))]
-    xs = np.zeros(space.dim, dtype=space.dtype)
-    xs[k] = np.conj(unit_phase(x[k]))
-    return float(max(vals)), xs
+        AY = np.abs(Y)
+        nz = off & (AY > 0)
+        if nz.any():
+            XS[nz] = (psi[:, None] * np.conj(unit_phase(Y)))[nz]
+        return h + _masked_row_sums(AY, off), XS.astype(space.dtype,
+                                                         copy=False)
+    U = np.conj(unit_phase(X))
+    if space.is_complex:
+        # component-wise, as the product of two complex scalars rounds
+        W = _complex(U.real * Y.real - U.imag * Y.imag,
+                     U.real * Y.imag + U.imag * Y.real)
+    else:
+        W = U * Y
+    peaks = np.abs(np.abs(X) - 1.0) <= 1e-9
+    mods = _modulus(W)
+    k = np.where(peaks, mods, -np.inf).argmax(axis=1)
+    rows = np.nonzero(peaks.any(axis=1))[0]
+    k = k[rows]
+    vals = np.zeros(len(X))
+    vals[rows] = mods[rows, k]
+    XS = np.zeros(X.shape, dtype=space.dtype)
+    XS[rows, k] = U[rows, k]
+    return vals, XS
+
+
+def _modulus(Z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, rounded as Python's abs(complex) (hypot) rounds."""
+    return np.hypot(Z.real, Z.imag) if np.iscomplexobj(Z) else np.abs(Z)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def _masked_row_sums(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Sum of V[i][mask[i]] for every row i.  Rows with the same number of
+    selected entries are summed as one packed block, so each sum rounds as
+    the sum of the selected entries alone does (zeros in between would
+    change numpy's pairwise grouping)."""
+    counts = mask.sum(axis=1)
+    out = np.zeros(len(V), dtype=V.dtype)
+    for k in set(counts.tolist()):
+        if k:
+            rows = counts == k
+            out[rows] = V[rows][mask[rows]].reshape(-1, k).sum(axis=1)
+    return out
 
 
 def _multistart_nu(M, space, restarts, iters, seed) -> NuResult:
@@ -285,11 +345,21 @@ def _multistart_nu(M, space, restarts, iters, seed) -> NuResult:
 
 class NuStatesDescriptor:
     """Interface: pair_distance gives certified componentwise lower bounds on
-    the distance to the nearest attaining pair; sample yields valid pairs."""
+    the distance to the nearest attaining pair; sample yields valid pairs.
+
+    Flat-space descriptors implement pair_distance_rows, of which
+    pair_distance is the one-row call; descriptors on sums override
+    pair_distance itself."""
 
     is_empty = False
 
     def pair_distance(self, x, xstar):
+        dx, dxs = self.pair_distance_rows(np.asarray(x)[None, :],
+                                          np.asarray(xstar)[None, :])[0]
+        return (float(dx), float(dxs))
+
+    def pair_distance_rows(self, X, XS):
+        """(dx, dxs) for every row pair of X and XS (R, dim), as (R, 2)."""
         raise NotImplementedError
 
     def sample(self, rng, count: int = 1):
@@ -297,6 +367,18 @@ class NuStatesDescriptor:
 
     def describe(self) -> dict:
         raise NotImplementedError
+
+
+def _no_pairs(n: int) -> np.ndarray:
+    return np.full((n, 2), np.inf)
+
+
+def _keep_nearer(best: np.ndarray, dx: np.ndarray, dxs: np.ndarray) -> None:
+    """Replace the rows of best (R, 2) whose max(dx, dxs) is strictly
+    smaller, so the first candidate wins ties."""
+    nearer = np.maximum(dx, dxs) < best.max(axis=1)
+    best[nearer, 0] = dx[nearer]
+    best[nearer, 1] = dxs[nearer]
 
 
 class DiagonalNuStates(NuStatesDescriptor):
@@ -307,24 +389,21 @@ class DiagonalNuStates(NuStatesDescriptor):
         self.space = space
         self.groups = phase_groups          # phase value -> tuple of indices
 
-    def pair_distance(self, x, xstar):
-        p = self.space.p
-        q = conjugate_exponent(p)
-        best = None
+    def pair_distance_rows(self, X, XS):
+        s = self.space
+        best = _no_pairs(len(X))
         for _lam, J in self.groups.items():
-            if p == INF:
-                dx = float(max(0.0, (1.0 - np.abs(np.asarray(x)[list(J)])).min()))
-                dxs = support_distance(xstar, J, self.space.dual())
-            elif p == 1:
-                dx = support_distance(x, J, self.space)
-                dxs = float(max(0.0,
-                                (1.0 - np.abs(np.asarray(xstar)[list(J)])).min()))
+            if s.p == INF:
+                dx = unimodular_distance_rows(X, J)
+                dxs = support_distance_rows(XS, J, s.dual())
+            elif s.p == 1:
+                dx = support_distance_rows(X, J, s)
+                dxs = unimodular_distance_rows(XS, J)
             else:
-                dx = support_distance(x, J, self.space)
-                dxs = support_distance(xstar, J, self.space.dual())
-            if best is None or max(dx, dxs) < max(best[0], best[1]):
-                best = (dx, dxs)
-        return best if best is not None else (float("inf"), float("inf"))
+                dx = support_distance_rows(X, J, s)
+                dxs = support_distance_rows(XS, J, s.dual())
+            _keep_nearer(best, dx, dxs)
+        return best
 
     def sample(self, rng, count: int = 1):
         out = []
@@ -372,14 +451,12 @@ class HilbertNuStates(NuStatesDescriptor):
         self.space = space
         self.bases = bases                  # list of orthonormal column bases
 
-    def pair_distance(self, x, xstar):
-        best = None
+    def pair_distance_rows(self, X, XS):
+        best = _no_pairs(len(X))
         for B in self.bases:
-            dx = subspace_sphere_distance(np.asarray(x), B)
-            dxs = subspace_sphere_distance(np.asarray(xstar), B)
-            if best is None or max(dx, dxs) < max(best[0], best[1]):
-                best = (dx, dxs)
-        return best if best is not None else (float("inf"), float("inf"))
+            _keep_nearer(best, subspace_sphere_distance_rows(X, B),
+                         subspace_sphere_distance_rows(XS, B))
+        return best
 
     def sample(self, rng, count: int = 1):
         out = []
@@ -409,39 +486,47 @@ class ExplicitNuStates(NuStatesDescriptor):
         self.free_x_masks = free_x_masks or [None] * len(self.pairs)
         self.free_xstar_masks = free_xstar_masks or [None] * len(self.pairs)
 
-    def pair_distance(self, x, xstar):
-        dual = self.space.dual()
-        best = None
+    def pair_distance_rows(self, X, XS):
+        space, dual = self.space, self.space.dual()
+        X, XS = np.asarray(X), np.asarray(XS)
+        best = _no_pairs(len(X))
 
-        def comp(phi, v, vs, fx, fxs):
-            dx_vec = np.asarray(x) - phi * v
-            dxs_vec = np.asarray(xstar) - np.conj(phi) * vs
+        def comp(rows, phi, v, vs, fx, fxs):
+            """(dx, dxs) of the rows against (phi v, conj(phi) vs); phi one
+            phase for all rows, or one per row as (R, 1)."""
+            dx_vec = X[rows] - phi * v
+            dxs_vec = XS[rows] - np.conj(phi) * vs
             if fx is not None:
                 dx_vec = np.where(fx, 0.0, dx_vec)
             if fxs is not None:
                 dxs_vec = np.where(fxs, 0.0, dxs_vec)
-            return self.space.norm(dx_vec), dual.norm(dxs_vec)
+            return (lp_norm_rows(np.asarray(dx_vec, dtype=space.dtype),
+                                 space.p),
+                    lp_norm_rows(np.asarray(dxs_vec, dtype=dual.dtype),
+                                 dual.p))
 
+        every = slice(None)
         for sp, fx, fxs in zip(self.pairs, self.free_x_masks,
                                self.free_xstar_masks):
             v, vs = sp.x, sp.xstar
             if not self.phase_orbit:
-                cands = [comp(1.0, v, vs, fx, fxs)]
-            elif not self.space.is_complex:
-                cands = [comp(1.0, v, vs, fx, fxs),
-                         comp(-1.0, v, vs, fx, fxs)]
+                cands = [comp(every, 1.0, v, vs, fx, fxs)]
+            elif not space.is_complex:
+                cands = [comp(every, 1.0, v, vs, fx, fxs),
+                         comp(every, -1.0, v, vs, fx, fxs)]
             else:
                 ths = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-                coarse = min(ths, key=lambda t:
-                             max(*comp(np.exp(1j * t), v, vs, fx, fxs)))
-                t, _ = golden_max(
-                    lambda t: -max(*comp(np.exp(1j * t), v, vs, fx, fxs)),
+                grid = np.array([np.maximum(*comp(every, np.exp(1j * t), v, vs,
+                                                  fx, fxs)) for t in ths])
+                coarse = ths[grid.argmin(axis=0)]
+                t, _ = golden_max_rows(
+                    lambda t, rows: -np.maximum(*comp(
+                        rows, np.exp(1j * t)[:, None], v, vs, fx, fxs)),
                     coarse - 0.2, coarse + 0.2, tol=1e-12)
-                cands = [comp(np.exp(1j * t), v, vs, fx, fxs)]
+                cands = [comp(every, np.exp(1j * t)[:, None], v, vs, fx, fxs)]
             for dx, dxs in cands:
-                if best is None or max(dx, dxs) < max(best[0], best[1]):
-                    best = (dx, dxs)
-        return best if best is not None else (float("inf"), float("inf"))
+                _keep_nearer(best, dx, dxs)
+        return best
 
     def sample(self, rng, count: int = 1):
         out = []
@@ -464,8 +549,8 @@ class ExplicitNuStates(NuStatesDescriptor):
 class EmptyNuStates(NuStatesDescriptor):
     is_empty = True
 
-    def pair_distance(self, x, xstar):
-        return (float("inf"), float("inf"))
+    def pair_distance_rows(self, X, XS):
+        return _no_pairs(len(X))
 
     def sample(self, rng, count: int = 1):
         raise GeometryError("cannot sample an empty attaining set")

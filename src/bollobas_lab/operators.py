@@ -39,6 +39,13 @@ class OperatorExpr:
         return _same_space(self.domain, self.codomain)
 
 
+def _finite(entries: np.ndarray, what: str) -> np.ndarray:
+    """entries, or GeometryError when one of them is NaN or infinite."""
+    if not np.isfinite(entries).all():
+        raise GeometryError(f"{what} has a non-finite entry")
+    return entries
+
+
 def _same_space(a, b) -> bool:
     if isinstance(a, SumSpace) and isinstance(b, SumSpace):
         return a.outer_p == b.outer_p and a.components == b.components
@@ -61,7 +68,7 @@ class Dense(OperatorExpr):
                 f"({self.cod.dim}, {self.dom.dim})")
         dtype = np.complex128 if (self.dom.is_complex or np.iscomplexobj(m)) \
             else np.float64
-        object.__setattr__(self, "matrix", m.astype(dtype))
+        object.__setattr__(self, "matrix", _finite(m.astype(dtype), "matrix"))
 
     @property
     def domain(self):
@@ -108,8 +115,9 @@ class RankOne(OperatorExpr):
     cod: object
 
     def __post_init__(self):
-        object.__setattr__(self, "y", self.cod.check(self.y))
-        object.__setattr__(self, "xstar", self.dom.dual().check(self.xstar))
+        object.__setattr__(self, "y", _finite(self.cod.check(self.y), "y"))
+        object.__setattr__(self, "xstar",
+                           _finite(self.dom.dual().check(self.xstar), "xstar"))
 
     @property
     def domain(self):

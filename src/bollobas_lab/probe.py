@@ -16,6 +16,13 @@ starts (power ascent with pullback for norms, a random-direction polish for
 states).  The batches run one after another through _search.run_batches:
 batch b draws from the b-th SeedSequence(seed) child and the best feasible
 point wins, the earliest on ties, so a fixed seed fixes every output.
+
+The boundary seeds on flat spaces are bisected as one row batch: every
+(base point, coordinate direction) pair is a row of one array, and each of
+the 40 bisection steps is one row-form distance call (distance_rows, or
+pair_distance_rows with best_state_functional_rows) over all rows.  The row
+forms round each row as the one-vector oracles do, so the seeds are those
+of one scalar bisection per pair.
 """
 
 from __future__ import annotations
@@ -32,10 +39,11 @@ from .membership import _group_cap
 from .norm_attainment import (NormingSetDescriptor, NormResult, norming_set,
                               operator_norm)
 from .numerical_radius import (NuResult, NuStatesDescriptor,
-                               best_state_functional, nu_attaining_states,
-                               numerical_radius)
+                               best_state_functional,
+                               best_state_functional_rows,
+                               nu_attaining_states, numerical_radius)
 from .operators import Diagonal, OperatorExpr, Scale, to_matrix
-from .spaces import INF, StatePair, SumSpace, pair, random_unit
+from .spaces import INF, StatePair, SumSpace, lp_norm_rows, pair, random_unit
 
 NORM_TOL = 1e-6
 FEAS_TOL = 1e-12
@@ -168,48 +176,40 @@ def _diag_norm_seeds(T, eps):
     return seeds
 
 
-def _boundary_seeds(space, dist_of, eps, base_points, rng, max_dirs: int = 48):
+def _boundary_seeds(space, dist_rows, eps, base_points, rng,
+                    max_dirs: int = 48):
     """Walk from attaining-set base points toward coordinate directions and
     bisect onto the feasibility boundary dist = eps; these seeds sit exactly
-    where the constrained maximum lives."""
-    seeds = []
-    dirs = []
+    where the constrained maximum lives.
+
+    Every (base, direction) pair is one row of a single array, bisected in
+    40 vector steps with its own bracket; dist_rows maps (R, dim) points to
+    (R,) distances.  Seeds come base-major, then by direction."""
     d = space.dim
     idx = list(range(d)) if d <= max_dirs else \
         sorted(rng.choice(d, size=max_dirs, replace=False).tolist())
-    for k in idx:
-        e = np.zeros(d, dtype=space.dtype)
-        e[k] = 1.0
-        dirs.append(e)
-        if not space.is_complex:
-            dirs.append(-e)
-    for base in base_points:
-        base = np.asarray(base, dtype=space.dtype)
-        for dvec in dirs:
-            if dist_of(dvec) < eps - FEAS_TOL:
-                continue
-            lo, hi = 0.0, 1.0
-            ok = False
-            for _ in range(40):
-                t = (lo + hi) / 2.0
-                cand = (1 - t) * base + t * dvec
-                n = space.norm(cand)
-                if n == 0:
-                    lo = t
-                    continue
-                cand = cand / n
-                if dist_of(cand) >= eps - FEAS_TOL:
-                    hi = t
-                    ok = True
-                else:
-                    lo = t
-            if ok:
-                t = hi
-                cand = (1 - t) * base + t * dvec
-                cand = cand / space.norm(cand)
-                if dist_of(cand) >= eps - FEAS_TOL:
-                    seeds.append(cand)
-    return seeds
+    E = np.eye(d, dtype=space.dtype)[idx]
+    dirs = E if space.is_complex else np.stack([E, -E], axis=1).reshape(-1, d)
+    dirs = dirs[dist_rows(dirs) >= eps - FEAS_TOL]
+    if not len(base_points) or not len(dirs):
+        return []
+    bases = np.asarray(base_points, dtype=space.dtype)
+    B = np.repeat(bases, len(dirs), axis=0)
+    D = np.tile(dirs, (len(bases), 1))
+    lo, hi = np.zeros(len(B)), np.ones(len(B))
+    seeds = np.zeros_like(B)
+    found = np.zeros(len(B), dtype=bool)
+    for _ in range(40):
+        t = (lo + hi) / 2.0
+        cand = (1 - t)[:, None] * B + t[:, None] * D
+        n = lp_norm_rows(cand, space.p)
+        live = n != 0
+        cand[live] /= n[live, None]
+        feas = live & (dist_rows(cand) >= eps - FEAS_TOL)
+        hi[feas], lo[~feas] = t[feas], t[~feas]
+        seeds[feas] = cand[feas]
+        found |= feas
+    return list(seeds[found])
 
 
 def eta_probe_norm(T: OperatorExpr, eps: float,
@@ -251,7 +251,8 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
             bases = desc.sample(seed_rng, 2)
         except Exception:
             bases = []
-        for s in _boundary_seeds(space, dist_of, eps, bases, seed_rng):
+        for s in _boundary_seeds(space, desc.distance_rows, eps, bases,
+                                 seed_rng):
             candidates.append(consider(s))
 
     iters = max(10, budget.iters // 100)
@@ -405,14 +406,12 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
         candidates.append(consider_pair(*s))
     seed_rng = np.random.Generator(np.random.PCG64(seed))
     if not desc.is_empty and not isinstance(space, SumSpace):
-        def dist_of_state(x):
-            dx, dxs = desc.pair_distance(x, state_for(x))
-            return max(dx, dxs)
         try:
             bases = [sp.x for sp in desc.sample(seed_rng, 2)]
         except Exception:
             bases = []
-        for s in _boundary_seeds(space, dist_of_state, eps, bases, seed_rng):
+        for s in _boundary_seeds(space, _state_dist_rows(desc, M, space), eps,
+                                 bases, seed_rng):
             candidates.append(consider_pair(s, state_for(s)))
 
     iters = max(10, budget.iters // 100)
@@ -433,6 +432,16 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
 
     candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
     return _finalize("nu", eps, candidates, max_dist_seen, seed, budget)
+
+
+def _state_dist_rows(desc, M, space):
+    """dist_rows of the nu probe on a flat space: each row x is paired with
+    its best state for M x, at the larger of the pair's two distances."""
+    def dist_rows(X):
+        Y = (M @ X[:, :, None])[:, :, 0]      # M @ x for every row x
+        _v, XS = best_state_functional_rows(Y, X, space)
+        return desc.pair_distance_rows(X, XS).max(axis=1)
+    return dist_rows
 
 
 def _diag_nu_seeds(T, eps):

@@ -14,13 +14,14 @@ an explicit entry rule.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotMaterializableError, NotNormalizedError
+from .errors import GeometryError, NotMaterializableError, NotNormalizedError
 
 #: entries this close to the unit circle are treated as exactly unimodular
 SNAP_TOL = 1e-12
@@ -30,6 +31,12 @@ def _snap(value):
     a = abs(value)
     if a > 0 and abs(a - 1.0) <= SNAP_TOL:
         return value / a
+    return value
+
+
+def _finite(value, what: str):
+    if not cmath.isfinite(complex(value)):
+        raise GeometryError(f"{what} must be finite, got {value!r}")
     return value
 
 
@@ -54,7 +61,8 @@ class ConstantTail:
     kind: str = field(default="constant", init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _snap(self.value))
+        object.__setattr__(self, "value",
+                           _snap(_finite(self.value, "constant tail value")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +117,8 @@ class SequenceSpec:
     tail: object = field(default_factory=ZeroTail)
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(_snap(v) for v in self.prefix))
+        object.__setattr__(self, "prefix", tuple(
+            _snap(_finite(v, "prefix entry")) for v in self.prefix))
 
     # -- symbolic structure -------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -100,7 +100,10 @@ class SumSpace:
         if len(fields) != 1:
             raise GeometryError("all components must share a scalar field")
 
-    @property
+    # the layout (dim, offsets) is computed once per instance; cached_property
+    # writes the instance __dict__ directly, which a frozen dataclass allows
+
+    @cached_property
     def dim(self) -> int:
         return sum(c.dim for c in self.components)
 
@@ -120,16 +123,20 @@ class SumSpace:
         return SumSpace(tuple(c.dual() for c in self.components),
                         conjugate_exponent(self.outer_p))
 
-    def offsets(self):
+    @cached_property
+    def _offsets(self) -> tuple:
         out, pos = [], 0
         for c in self.components:
             out.append((pos, pos + c.dim))
             pos += c.dim
-        return out
+        return tuple(out)
+
+    def offsets(self):
+        return list(self._offsets)
 
     def split(self, v: np.ndarray):
         v = self.check(v)
-        return [v[a:b] for a, b in self.offsets()]
+        return [v[a:b] for a, b in self._offsets]
 
     def join(self, blocks) -> np.ndarray:
         return np.concatenate([np.asarray(b, dtype=self.dtype) for b in blocks])
@@ -165,6 +172,25 @@ def lp_norm(v: np.ndarray, p: float) -> float:
     if m == 0.0:
         return 0.0
     return m * float(((a / m) ** p).sum()) ** (1.0 / p)
+
+
+def lp_norm_rows(X: np.ndarray, p: float) -> np.ndarray:
+    """lp_norm of every row of X, bit for bit: the same reductions over
+    C-ordered rows (numpy sums other layouts in another order), and the
+    final root through np.float_power, which rounds like Python's float
+    power (the vectorized `**` may differ from it in the last bit)."""
+    A = np.ascontiguousarray(np.abs(X))
+    if A.shape[1] == 0:
+        return np.zeros(A.shape[0])
+    if p == INF:
+        return A.max(axis=1)
+    if p == 1:
+        return A.sum(axis=1)
+    if p == 2:
+        return np.sqrt((A * A).sum(axis=1))
+    m = A.max(axis=1)
+    scaled = A / np.where(m == 0.0, 1.0, m)[:, None]
+    return m * np.float_power((scaled ** p).sum(axis=1), 1.0 / p)
 
 
 def pair(xstar: np.ndarray, x: np.ndarray):

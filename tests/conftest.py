@@ -6,6 +6,13 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+# pyproject's pythonpath setting reaches this process only; the tests that
+# start a fresh interpreter (CLI and determinism checks) inherit src/ here
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
 
 @pytest.fixture
 def rng():

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bollobas_lab.errors import GeometryError
 from bollobas_lab.operators import (Adjoint, Delift, Dense, Diagonal, DirectSum,
                                     Lift, RankOne, Scale, adjoint, apply,
                                     functional, identity, to_matrix)
-from bollobas_lab.sequences import SequenceSpec
+from bollobas_lab.sequences import ConstantTail, SequenceSpec
 from bollobas_lab.spaces import INF, Space, SumSpace, pair
 
 
@@ -14,6 +15,28 @@ def test_diagonal_eval():
     s = Space(2, 2)
     D = Diagonal(SequenceSpec((1.0, 0.5)), s)
     assert np.allclose(D(np.array([0.0, 1.0])), [0.0, 0.5])
+
+
+NAN, INF_ = float("nan"), float("inf")
+L1, L2 = Space(1, 2), Space(2, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Diagonal(SequenceSpec((NAN, 0.5)), L2),
+    lambda: SequenceSpec((1.0, -INF_)),
+    lambda: SequenceSpec((complex(1.0, NAN),)),
+    lambda: SequenceSpec((1.0,), ConstantTail(NAN)),
+    lambda: SequenceSpec((1.0,), ConstantTail(INF_)),
+    lambda: Dense(np.array([[INF_, 0.0], [0.0, 1.0]]), L1, L1),
+    lambda: Dense(np.array([[NAN, 0.0], [0.0, 1.0]]), L2, L2),
+    lambda: RankOne(np.array([1.0, NAN]), np.array([1.0, 0.0]), L2, L2),
+    lambda: RankOne(np.array([1.0, 0.0]), np.array([INF_, 0.0]), L2, L2),
+], ids=["diag-nan-prefix", "inf-prefix", "complex-nan-prefix",
+        "nan-constant-tail", "inf-constant-tail", "dense-inf-l1",
+        "dense-nan-l2", "rank-one-nan-y", "rank-one-inf-xstar"])
+def test_non_finite_inputs_raise_geometry_error(build):
+    with pytest.raises(GeometryError):
+        build()
 
 
 def test_rank_one_eval():

@@ -1,0 +1,227 @@
+"""Row forms of the distance oracles against their one-vector references.
+
+Every distance_rows, pair_distance_rows and best_state_functional_rows must
+agree with the scalar bodies kept in tests/_oracles.py, and the batched
+boundary-seed bisection must return the seeds of the scalar bisection, in
+the same order.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _oracles as oracle
+from bollobas_lab.norm_attainment import (NormingSetDescriptor,
+                                          UnionNormingSet, norming_set)
+from bollobas_lab.numerical_radius import (DiagonalNuStates, EmptyNuStates,
+                                           ExplicitNuStates, HilbertNuStates,
+                                           best_state_functional_rows,
+                                           nu_attaining_states)
+from bollobas_lab.operators import Diagonal, to_matrix
+from bollobas_lab.probe import _boundary_seeds, _state_dist_rows
+from bollobas_lab.sequences import ConstantTail, SequenceSpec
+from bollobas_lab.spaces import INF, Space, StatePair, duality_map
+
+TOL = 1e-12
+EXPONENTS = (1.0, 1.5, 2.0, 3.0, INF)
+
+cases = st.tuples(st.sampled_from(EXPONENTS), st.booleans(),
+                  st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+
+
+def _space(p, cx, dim):
+    return Space(p, dim, "complex" if cx else "real")
+
+
+def _gauss(rng, shape, cx):
+    g = rng.normal(size=shape)
+    return g + 1j * rng.normal(size=shape) if cx else g
+
+
+def _phases(rng, shape, cx):
+    if cx:
+        return np.exp(2j * np.pi * rng.uniform(size=shape))
+    return rng.choice([-1.0, 1.0], size=shape)
+
+
+def _rows(rng, space, count=6):
+    """Unit rows, a zero row, a sparse row, and a row with several exact
+    sup-norm peaks (|x(n)| = 1 exactly)."""
+    d, cx = space.dim, space.is_complex
+    X = _gauss(rng, (count, d), cx)
+    X /= np.array([space.norm(x) for x in X])[:, None]
+    zero = np.zeros((1, d), dtype=space.dtype)
+    sparse = np.zeros((1, d), dtype=space.dtype)
+    sparse[0, rng.choice(d, size=min(d, 3), replace=False)] = \
+        _gauss(rng, min(d, 3), cx)
+    peaks = _gauss(rng, (1, d), cx) * 0.3
+    hit = rng.choice(d, size=rng.integers(1, d + 1), replace=False)
+    peaks[0, hit] = _phases(rng, len(hit), cx)
+    return np.concatenate([X, zero, sparse, peaks]).astype(space.dtype)
+
+
+def _subset(rng, d):
+    return tuple(sorted(rng.choice(d, size=rng.integers(1, d + 1),
+                                   replace=False).tolist()))
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+
+
+def _norming_sets(rng, space):
+    p, d = space.p, space.dim
+    sets = [NormingSetDescriptor("empty"),
+            NormingSetDescriptor("support_constrained", space=space,
+                                 J=_subset(rng, d)),
+            NormingSetDescriptor("coordinate_unimodular", space=space,
+                                 J=_subset(rng, d))]
+    for orbit in (False, True):
+        pts = tuple(x for x in _rows(rng, space, 2)[:2])
+        free = rng.uniform(size=d) < 0.3
+        sets.append(NormingSetDescriptor("explicit_list", space=space,
+                                         points=pts, phase_orbit=orbit))
+        sets.append(NormingSetDescriptor(
+            "explicit_list", space=space, points=pts[:1], phase_orbit=orbit,
+            free_mask=free if free.any() else None))
+    if p == 2:
+        k = int(rng.integers(1, d + 1))
+        basis, _r = np.linalg.qr(_gauss(rng, (d, k), space.is_complex))
+        sets.append(NormingSetDescriptor("subspace", space=space,
+                                         basis=basis))
+    sets.append(UnionNormingSet(sets[1:3]))
+    return sets
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_distance_rows_match_scalar_oracle(case):
+    p, cx, dim, seed = case
+    rng = np.random.default_rng(seed)
+    space = _space(p, cx, dim)
+    X = _rows(rng, space)
+    for desc in _norming_sets(rng, space):
+        got = desc.distance_rows(X)
+        assert got.shape == (len(X),)
+        _close(got, [oracle.norming_distance(desc, x) for x in X])
+        _close(desc.distance(X[0]), got[0])
+
+
+def _nu_states(rng, space):
+    p, d, cx = space.p, space.dim, space.is_complex
+    groups = {}
+    for n in _subset(rng, d):
+        groups.setdefault(int(rng.integers(2)), []).append(n)
+    out = [EmptyNuStates(),
+           DiagonalNuStates(space, {k: tuple(v) for k, v in groups.items()})]
+    pairs, free_x, free_xs = [], [], []
+    for x in _rows(rng, space, 2)[:2]:
+        if 1 < p < INF:
+            xs = duality_map(x, space)
+        else:
+            xs = _gauss(rng, d, cx)
+        pairs.append(StatePair(x, xs.astype(space.dtype), space))
+        fx, fxs = rng.uniform(size=d) < 0.3, rng.uniform(size=d) < 0.3
+        free_x.append(fx if fx.any() else None)
+        free_xs.append(fxs if fxs.any() else None)
+    for orbit in (False, True):
+        out.append(ExplicitNuStates(space, pairs, phase_orbit=orbit))
+        out.append(ExplicitNuStates(space, pairs, phase_orbit=orbit,
+                                    free_x_masks=free_x,
+                                    free_xstar_masks=free_xs))
+    if p == 2:
+        bases = [np.linalg.qr(_gauss(rng, (d, int(rng.integers(1, d + 1))),
+                                     cx))[0] for _ in range(2)]
+        out.append(HilbertNuStates(space, bases))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_pair_distance_rows_match_scalar_oracle(case):
+    p, cx, dim, seed = case
+    rng = np.random.default_rng(seed)
+    space = _space(p, cx, dim)
+    X = _rows(rng, space)
+    XS = _rows(rng, space.dual())
+    for desc in _nu_states(rng, space):
+        got = desc.pair_distance_rows(X, XS)
+        assert got.shape == (len(X), 2)
+        want = np.array([oracle.nu_pair_distance(desc, x, xs)
+                         for x, xs in zip(X, XS)])
+        one = np.array([desc.pair_distance(X[0], XS[0])])
+        if cx and isinstance(desc, ExplicitNuStates) and desc.phase_orbit:
+            # the phase search minimizes max(dx, dxs); where one component
+            # dominates, rounding-level ties may move the other one
+            got, want, one = (a.max(axis=1) for a in (got, want, one))
+        _close(got, want)
+        _close(one[0], got[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_best_state_functional_rows_match_scalar_oracle(case):
+    p, cx, dim, seed = case
+    rng = np.random.default_rng(seed)
+    space = _space(p, cx, dim)
+    X = _rows(rng, space)
+    Y = _gauss(rng, X.shape, cx)
+    Y[-1] = 0.0                                 # a zero y as well
+    vals, XS = best_state_functional_rows(Y, X, space)
+    assert XS.dtype == space.dtype
+    for i, (y, x) in enumerate(zip(Y, X)):
+        if p == INF and not (np.abs(np.abs(x) - 1.0) <= 1e-9).any():
+            # no peak coordinate: the scalar body has no state to return
+            assert vals[i] == 0.0 and not XS[i].any()
+            continue
+        v, xs = oracle.best_state_functional(y, x, space)
+        _close(vals[i], v)
+        _close(XS[i], xs)
+
+
+def test_sup_norm_ties_keep_the_first_peak():
+    space = Space(INF, 4, "complex")
+    x = np.array([1.0, 0.2, -1.0, 1j])
+    y = np.array([2.0, 5.0, 2.0, -2j])
+    vals, XS = best_state_functional_rows(y[None, :], x[None, :], space)
+    assert vals[0] == 2.0
+    np.testing.assert_array_equal(XS[0], [1.0, 0, 0, 0])
+
+
+def _diagonal(p, cx, dim, rng):
+    """A norm-one diagonal with two unimodular phases and a sub-unit tail."""
+    head = tuple(_phases(rng, 2, cx).tolist())
+    spec = SequenceSpec(head + tuple(rng.uniform(0.2, 0.8, 2).tolist()),
+                        ConstantTail(0.5))
+    return Diagonal(spec, _space(p, cx, dim))
+
+
+@pytest.mark.parametrize("dim", [6, 60])
+@pytest.mark.parametrize("p,cx", [(1.0, False), (1.5, True), (2.0, False),
+                                  (3.0, False), (INF, True)])
+def test_boundary_seeds_match_scalar_bisection(p, cx, dim):
+    rng = np.random.default_rng(dim)
+    T = _diagonal(p, cx, dim, rng)
+    space, M = T.domain, to_matrix(T)
+    eps = 0.3
+    norm_desc = norming_set(T)
+    nu_desc = nu_attaining_states(T)
+
+    def nu_dist(x):
+        _v, xs = oracle.best_state_functional(M @ x, x, space)
+        return max(oracle.nu_pair_distance(nu_desc, x, xs))
+
+    probes = [(norm_desc.distance_rows,
+               lambda x: oracle.norming_distance(norm_desc, x),
+               norm_desc.sample(rng, 2)),
+              (_state_dist_rows(nu_desc, M, space), nu_dist,
+               [sp.x for sp in nu_desc.sample(rng, 2)])]
+    for dist_rows, dist_of, bases in probes:
+        got = _boundary_seeds(space, dist_rows, eps, bases,
+                              np.random.default_rng(7))
+        want = oracle.boundary_seeds(space, dist_of, eps, bases,
+                                     np.random.default_rng(7))
+        assert want and len(got) == len(want)
+        for g, w in zip(got, want):
+            _close(g, w)

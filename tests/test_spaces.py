@@ -159,3 +159,14 @@ def test_sum_space_norms():
     s2 = SumSpace((Space(2, 2), Space(2, 2)), INF)
     assert s2.norm(v) == pytest.approx(5.0)
     assert s.dual().outer_p == INF
+
+
+def test_sum_space_layout_is_computed_once():
+    s = SumSpace((Space(2, 2), Space(1, 3)), 2.0)
+    assert s.dim == 5 and s.offsets() == [(0, 2), (2, 5)]
+    assert {"dim", "_offsets"} <= set(vars(s))      # cached on the instance
+    s.offsets().append((5, 6))                      # callers get a copy
+    assert [b.tolist() for b in s.split(np.arange(5.0))] == \
+        [[0.0, 1.0], [2.0, 3.0, 4.0]]
+    assert s == SumSpace((Space(2, 2), Space(1, 3)), 2.0)
+    assert hash(s) == hash(SumSpace((Space(2, 2), Space(1, 3)), 2.0))
