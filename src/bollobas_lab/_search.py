@@ -123,11 +123,12 @@ def primal_align_rows(W: np.ndarray, p: float) -> np.ndarray:
 
 
 def boyd_ascent(M: np.ndarray, p: float, q: float, X0: np.ndarray,
-                iters: int = 300, tol: float = 1e-12):
+                iters: int = 300):
     """Nonlinear power iteration for ||M||_{lp -> lq}, batched over rows of X0.
 
-    Returns (best_value, best_x).  Monotone per restart; the merge takes the
-    best row, ties broken by the lowest row index.
+    Returns (best_value, best_x).  Monotone per restart: a row moves only
+    on a gain above 1e-12, and the ascent stops when no row gains; the merge
+    takes the best row, ties broken by the lowest row index.
     """
     X = normalize_rows(X0.astype(complex if np.iscomplexobj(M) or
                                  np.iscomplexobj(X0) else float), p)
@@ -138,7 +139,7 @@ def boyd_ascent(M: np.ndarray, p: float, q: float, X0: np.ndarray,
         W = U @ M
         Xn = primal_align_rows(W, p)
         new_vals = row_norms(Xn @ M.T, q)
-        improved = new_vals > vals + tol
+        improved = new_vals > vals + 1e-12
         if not improved.any():
             X, vals = Xn, np.maximum(new_vals, vals)
             break
@@ -178,9 +179,10 @@ def primal_align_vec(w: np.ndarray, space) -> np.ndarray:
 
 
 def generic_power_ascent(M: np.ndarray, dom, cod, x0: np.ndarray,
-                         iters: int = 300, tol: float = 1e-13):
+                         iters: int = 300):
     """Monotone norm ascent x <- argmax Re <M^T dual_align(Mx), .> for
-    arbitrary Space/SumSpace geometries.  Returns (value, x)."""
+    arbitrary Space/SumSpace geometries, stopping at the first step that
+    gains at most 1e-13.  Returns (value, x)."""
     n = dom.norm(x0)
     x = x0 / (n if n > 0 else 1.0)
     val = cod.norm(M @ x)
@@ -190,7 +192,7 @@ def generic_power_ascent(M: np.ndarray, dom, cod, x0: np.ndarray,
         w = u @ M
         xn = primal_align_vec(w, dom)
         vn = cod.norm(M @ xn)
-        if vn <= val + tol:
+        if vn <= val + 1e-13:
             if vn > val:
                 x, val = xn, vn
             break
@@ -198,14 +200,15 @@ def generic_power_ascent(M: np.ndarray, dom, cod, x0: np.ndarray,
     return float(val), x
 
 
-def golden_max(f, lo: float, hi: float, tol: float = 1e-12, iters: int = 200):
-    """Golden-section maximization of a unimodal scalar function."""
+def golden_max(f, lo: float, hi: float, tol: float = 1e-12):
+    """Golden-section maximization of a unimodal scalar function, for at
+    most 200 steps."""
     invphi = (np.sqrt(5.0) - 1) / 2
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(200):
         if b - a < tol:
             break
         if fc > fd:
@@ -220,8 +223,7 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-12, iters: int = 200):
     return xm, f(xm)
 
 
-def golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-12,
-                    iters: int = 200):
+def golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-12):
     """golden_max on many rows at once: row i maximizes its own function on
     [lo[i], hi[i]], and f(t, rows) evaluates row rows[j] at t[j].  A row
     stops once its bracket is below tol, so it takes exactly the steps and
@@ -232,7 +234,7 @@ def golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-12,
     d = a + invphi * (b - a)
     every = np.arange(len(a))
     fc, fd = f(c, every), f(d, every)
-    for _ in range(iters):
+    for _ in range(200):
         active = np.nonzero(~(b - a < tol))[0]
         if not active.size:
             break
@@ -250,3 +252,18 @@ def golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-12,
             fd[R] = f(d[R], R)
     xm = (a + b) / 2
     return xm, f(xm, every)
+
+
+def phase_orbit_min_rows(objective, tol: float):
+    """The least objective(phi, rows) -> (len(rows),) over unit phases
+    phi = e^{it}, for every row: first on a 64-point grid of t, with one
+    phase for all rows (rows = slice(None)), then by golden_max_rows within
+    0.2 of each row's best grid point, with one phase per row shaped (R, 1).
+    Returns (t, min), each (R,)."""
+    ths = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    grid = np.array([objective(np.exp(1j * t), slice(None)) for t in ths])
+    coarse = ths[grid.argmin(axis=0)]
+    t, neg = golden_max_rows(
+        lambda t, rows: -objective(np.exp(1j * t)[:, None], rows),
+        coarse - 0.2, coarse + 0.2, tol=tol)
+    return t, -neg

@@ -226,7 +226,7 @@ def _parse_int_list(s: str):
 def _rebuild_at(entry: GalleryEntry, dim: int):
     params = dict(entry.params)
     params.pop("dim", None)
-    return gallery(entry.gid, dim, **{k: v for k, v in params.items()})
+    return gallery(entry.gid, dim, **params)
 
 
 def cmd_probe(args) -> int:

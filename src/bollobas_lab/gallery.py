@@ -61,14 +61,9 @@ class GalleryEntry:
         return out
 
     def describe(self) -> dict:
-        return {"id": self.gid, "params": _jsonable_params(self.params),
+        return {"id": self.gid, "params": dict(self.params),
                 "claims": [name for name, _ in self.claims],
                 "notes": self.notes}
-
-
-def _jsonable_params(params):
-    return {k: (v if not isinstance(v, float) or v == v else v)
-            for k, v in params.items()}
 
 
 def _e(dim, i, dtype=np.float64):
@@ -152,7 +147,7 @@ def make_block(dim: int, p: float = 2.0) -> GalleryEntry:
 
     def c_probe_nu(e, seed):
         x = _e(dim, dim - 2)
-        xs = _duality_basis_state(x, Space(p, dim))
+        xs = x.copy()                    # the basis is self-dual
         rep = eta_probe_nu(e.expr, 0.5, budget=ProbeBudget(32, 400),
                            seed=seed, extra_seeds=[(x, xs)])
         ok = rep.eta_hat <= 1.0 / (2 * N) + 1e-9
@@ -166,11 +161,6 @@ def make_block(dim: int, p: float = 2.0) -> GalleryEntry:
                     ("probe-norm-decay", c_probe_norm),
                     ("probe-nu-decay", c_probe_nu)]
     return entry
-
-
-def _duality_basis_state(x, space):
-    """x* for a basis vector on any lp (the basis is self-dual)."""
-    return x.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ together with the expected value-slack decay and a guaranteed distance floor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -40,11 +41,6 @@ def family_key(family):
     if not (1.0 <= p < INF):
         raise GeometryError(f"lp family needs 1 <= p < inf, got {p}")
     return "lp", p
-
-
-def family_space(family, dim: int, complex_field: bool = False) -> Space:
-    _kind, p = family_key(family)
-    return Space(p, dim, "complex" if complex_field else "real")
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +115,9 @@ def _certificate(spec: SequenceSpec) -> dict:
 # witness generators for diagonal specs
 # ---------------------------------------------------------------------------
 
-def _truncated_J_mask(alphas: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _truncated_J_mask(alphas: np.ndarray) -> np.ndarray:
     mods = np.abs(alphas)
-    return mods >= mods.max() * (1 - tol)
+    return mods >= mods.max() * (1 - 1e-12)
 
 
 def _norm_witnesses(spec: SequenceSpec, kind: str) -> WitnessRecipe:
@@ -202,8 +198,9 @@ def _phase_pair_witnesses(spec: SequenceSpec, p: float) -> WitnessRecipe:
                          min_dim=len(spec.prefix) + 3)
 
 
-def _mixed_support_witnesses(spec: SequenceSpec, p: float) -> WitnessRecipe:
-    """Growing sup-norm indicators for the c0 -> lp predicate."""
+def _aligned_indicator(spec: SequenceSpec):
+    """generate(dim) for the sup-norm indicator of all but the last
+    materialized coordinate, aligned with the phases of spec."""
 
     def generate(dim: int):
         alphas = spec.materialize(dim)
@@ -214,6 +211,12 @@ def _mixed_support_witnesses(spec: SequenceSpec, p: float) -> WitnessRecipe:
         x[:m][~nz] = 1.0
         return [x]
 
+    return generate
+
+
+def _mixed_support_witnesses(spec: SequenceSpec, p: float) -> WitnessRecipe:
+    """Growing sup-norm indicators for the c0 -> lp predicate."""
+
     def slack_at(dim: int) -> float:
         alphas = np.abs(spec.materialize(dim))
         total = float((alphas ** p).sum()) ** (1.0 / p)
@@ -223,7 +226,7 @@ def _mixed_support_witnesses(spec: SequenceSpec, p: float) -> WitnessRecipe:
     return WitnessRecipe(kind="mixed-growing-indicator",
                          description="aligned indicator of all but the last "
                                      "materialized coordinate",
-                         generate=generate, slack_at=slack_at,
+                         generate=_aligned_indicator(spec), slack_at=slack_at,
                          distance_floor=1.0,
                          min_dim=len(spec.prefix) + 2)
 
@@ -408,7 +411,7 @@ def functional_member(f, family) -> Verdict:
     raise GeometryError(f"unsupported family for functionals: {family!r}")
 
 
-def _check_dual_norm_one(spec: SequenceSpec, q: float, tol: float = 1e-9):
+def _check_dual_norm_one(spec: SequenceSpec, q: float):
     if not spec.materializable():
         return
     probe_dim = max(len(spec.prefix) + 32, 64)
@@ -452,22 +455,13 @@ def _l1_functional_witnesses(spec: SequenceSpec) -> WitnessRecipe:
 
 
 def _linf_functional_witnesses(spec: SequenceSpec) -> WitnessRecipe:
-    def generate(dim: int):
-        alphas = spec.materialize(dim)
-        m = dim - 1
-        x = np.zeros(dim, dtype=alphas.dtype)
-        nz = np.abs(alphas[:m]) > 0
-        x[:m][nz] = np.conj(alphas[:m][nz] / np.abs(alphas[:m][nz]))
-        x[:m][~nz] = 1.0
-        return [x]
-
     def slack_at(dim: int) -> float:
         alphas = np.abs(spec.materialize(dim))
         return float(alphas[dim - 1:].sum()) / max(float(alphas.sum()), 1e-300)
 
     return WitnessRecipe(kind="growing-indicator",
                          description="aligned indicator of an initial block",
-                         generate=generate, slack_at=slack_at,
+                         generate=_aligned_indicator(spec), slack_at=slack_at,
                          distance_floor=1.0,
                          min_dim=len(spec.prefix) + 2)
 
@@ -573,20 +567,32 @@ def diag_norm_eta_floor(spec: SequenceSpec, family, eps: float):
         return min(eps, 1.0 - beta)
     if eps >= 2.0 ** (1.0 / p):
         return None
+    A = _norm_profile_mass(p, eps)
+    value = (A ** p + beta ** p * max(0.0, 1.0 - A ** p)) ** (1.0 / p)
+    return max(0.0, 1.0 - value)
 
-    def dist(A: float) -> float:
-        return ((1.0 - A) ** p + max(0.0, 1.0 - A ** p)) ** (1.0 / p)
 
+def _largest_feasible(ok) -> float:
+    """The largest t in [0, 1] with ok(t), for ok true at 0 and monotone, by
+    200 halvings of [0, 1] (converged to the last bit)."""
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if dist(mid) >= eps:
+        if ok(mid):
             lo = mid
         else:
             hi = mid
-    A = lo
-    value = (A ** p + beta ** p * max(0.0, 1.0 - A ** p)) ** (1.0 / p)
-    return max(0.0, 1.0 - value)
+    return lo
+
+
+def _norm_profile_mass(p: float, eps: float) -> float:
+    """The largest mass A on the norming coordinate of a two-coordinate
+    profile (A, (1 - A^p)^(1/p)) in lp, 1 <= p < inf, that stays eps-far
+    from the unit vectors supported there:
+    ((1 - A)^p + 1 - A^p)^(1/p) >= eps."""
+    return _largest_feasible(
+        lambda A: ((1.0 - A) ** p + max(0.0, 1.0 - A ** p)) ** (1.0 / p)
+        >= eps)
 
 
 def _group_cap(p: float, eps: float) -> float:
@@ -601,14 +607,7 @@ def _group_cap(p: float, eps: float) -> float:
         ds = ((1.0 - m ** (1.0 / q)) ** q + max(0.0, 1.0 - m)) ** (1.0 / q)
         return max(dx, ds)
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if d(mid) >= eps:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _largest_feasible(lambda m: d(m) >= eps)
 
 
 def diag_nu_eta_floor(spec: SequenceSpec, family, eps: float):
@@ -630,7 +629,6 @@ def diag_nu_eta_floor(spec: SequenceSpec, family, eps: float):
     # vertices of {0 <= m_l <= cap, w >= 0, sum = 1}: fill a subset of groups
     # to the cap, then one remaining variable takes the leftover
     for filled in range(0, n + 1):
-        import itertools
         for subset in itertools.combinations(range(n), filled):
             used = cap * filled
             if used > 1.0 + 1e-12:

@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from ._search import (best_of, boyd_ascent, generic_power_ascent, golden_max,
-                      golden_max_rows, primal_align_rows, random_unit_rows,
-                      run_batches)
+                      phase_orbit_min_rows, primal_align_rows,
+                      random_unit_rows, run_batches)
 from .errors import GeometryError, HeuristicRefusalError
 from .operators import (Adjoint, Delift, Dense, Diagonal, DirectSum, Lift,
                         OperatorExpr, RankOne, Scale, to_matrix)
@@ -103,10 +103,6 @@ def operator_norm(T: OperatorExpr, restarts: int = 64, iters: int = 400,
     raise TypeError(f"unknown operator node {type(T).__name__}")
 
 
-def _col_norm(M, cod):
-    return np.array([cod.norm(M[:, j]) for j in range(M.shape[1])])
-
-
 def _dense_norm(M, dom, cod, restarts, iters, seed) -> NormResult:
     if isinstance(dom, SumSpace) or isinstance(cod, SumSpace):
         return _sum_space_norm(M, dom, cod, restarts, iters, seed)
@@ -116,13 +112,13 @@ def _dense_norm(M, dom, cod, restarts, iters, seed) -> NormResult:
         wit = primal_align_rows(f[None, :], dom.p)[0] if val > 0 else None
         return NormResult(float(val), "exact", wit, "functional-dual-norm")
     if dom.p == 1:
-        cols = _col_norm(M, cod)
+        cols = lp_norm_rows(M.T, cod.p)
         j = int(cols.argmax())
         w = np.zeros(dom.dim, dtype=dom.dtype)
         w[j] = 1.0
         return NormResult(float(cols[j]), "exact", w, "l1-max-column")
     if cod.p == INF:
-        rows = np.array([dom.dual().norm(M[i]) for i in range(M.shape[0])])
+        rows = lp_norm_rows(M, dom.dual().p)
         i = int(rows.argmax())
         wit = primal_align_rows(M[i][None, :], dom.p)[0] if rows[i] > 0 else None
         return NormResult(float(rows[i]), "exact", wit, "sup-max-row")
@@ -140,15 +136,21 @@ def _dense_norm(M, dom, cod, restarts, iters, seed) -> NormResult:
     return NormResult(val, "heuristic", wit, "boyd-multistart")
 
 
-def _sign_enumerate(M, dom, cod):
+def _sign_chunks(M, dom, cod):
+    """Every sign vector of {-1, 1}^dim, in binary order and in chunks of at
+    most 2^14 rows, with the codomain norms of its images: (signs, vals)."""
     d = dom.dim
-    best_val, best_sign = -1.0, None
     chunk = 1 << min(d, 14)
     total = 1 << d
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         signs = (((idx[:, None] >> np.arange(d)) & 1) * 2.0 - 1.0)
-        vals = _batch_cod_norms(signs @ M.T, cod)
+        yield signs, _batch_cod_norms(signs @ M.T, cod)
+
+
+def _sign_enumerate(M, dom, cod):
+    best_val, best_sign = -1.0, None
+    for signs, vals in _sign_chunks(M, dom, cod):
         k = int(vals.argmax())
         if vals[k] > best_val:
             best_val, best_sign = float(vals[k]), signs[k]
@@ -273,24 +275,19 @@ class NormingSetDescriptor:
         space = self.space
         mask = None if self.free_mask is None else np.asarray(self.free_mask)
 
-        def dist_for(Xr, phi):
+        def dist_for(phi, rows):
             """phi: one phase for all rows, or one per row as (R, 1)."""
-            D = Xr - phi * v
+            D = X[rows] - phi * v
             if mask is not None:
                 D = np.where(mask, 0.0, D)
             return lp_norm_rows(np.asarray(D, dtype=space.dtype), space.p)
 
+        every = slice(None)
         if not self.phase_orbit:
-            return dist_for(X, 1.0)
+            return dist_for(1.0, every)
         if not space.is_complex:
-            return np.minimum(dist_for(X, 1.0), dist_for(X, -1.0))
-        ths = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        grid = np.array([dist_for(X, np.exp(1j * t)) for t in ths])
-        coarse = ths[grid.argmin(axis=0)]
-        _t, neg = golden_max_rows(
-            lambda t, rows: -dist_for(X[rows], np.exp(1j * t)[:, None]),
-            coarse - 0.2, coarse + 0.2, tol=1e-13)
-        return -neg
+            return np.minimum(dist_for(1.0, every), dist_for(-1.0, every))
+        return phase_orbit_min_rows(dist_for, tol=1e-13)[1]
 
     # -- sampling -----------------------------------------------------------
 
@@ -453,8 +450,7 @@ def norming_set(T: OperatorExpr, norm_result: Optional[NormResult] = None,
     if isinstance(T, Scale):
         return norming_set(T.child, None, tol)
     if isinstance(T, Lift):
-        inner = norming_set(T.child, None, tol)
-        return _lifted_descriptor(inner, T)
+        return LiftedNormingSet(norming_set(T.child, None, tol), T.sum_space)
     if isinstance(T, Diagonal):
         mods = np.abs(T.alphas())
         J = tuple(int(i) for i in np.nonzero(mods >= nr.value * (1 - tol))[0])
@@ -479,12 +475,12 @@ def norming_set(T: OperatorExpr, norm_result: Optional[NormResult] = None,
             basis = np.conj(Vh[keep]).T
             return NormingSetDescriptor("subspace", space=dom, basis=basis)
         if cod.p == INF:
-            rows = np.array([dom.dual().norm(M[i]) for i in range(M.shape[0])])
+            rows = lp_norm_rows(M, dom.dual().p)
             keep = np.nonzero(rows >= rows.max() * (1 - tol))[0]
             return UnionNormingSet([functional_norming_set(M[i], dom, tol)
                                     for i in keep])
         if dom.p == 1:
-            cols = _col_norm(M, cod)
+            cols = lp_norm_rows(M.T, cod.p)
             J = tuple(int(j) for j in
                       np.nonzero(cols >= cols.max() * (1 - tol))[0])
             if len(J) == 1:
@@ -500,11 +496,6 @@ def norming_set(T: OperatorExpr, norm_result: Optional[NormResult] = None,
             return NormingSetDescriptor("explicit_list", space=dom, points=pts)
     raise HeuristicRefusalError(
         f"no certified norming-set rule for {type(T).__name__} on this geometry")
-
-
-def _lifted_descriptor(inner: NormingSetDescriptor, T: Lift) -> NormingSetDescriptor:
-    s = T.sum_space
-    return LiftedNormingSet(inner, s)
 
 
 class LiftedNormingSet(NormingSetDescriptor):
@@ -576,17 +567,8 @@ def functional_norming_set(f: np.ndarray, dom: Space,
 
 
 def _enumerated_norming_points(M, dom, cod, value, tol):
-    d = dom.dim
-    pts = []
-    chunk = 1 << min(d, 14)
-    total = 1 << d
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        signs = (((idx[:, None] >> np.arange(d)) & 1) * 2.0 - 1.0)
-        vals = _batch_cod_norms(signs @ M.T, cod)
-        for k in np.nonzero(vals >= value * (1 - tol))[0]:
-            pts.append(signs[k])
-    return tuple(pts)
+    return tuple(signs[k] for signs, vals in _sign_chunks(M, dom, cod)
+                 for k in np.nonzero(vals >= value * (1 - tol))[0])
 
 
 def distance_to_norming_set(x: np.ndarray, T: OperatorExpr,

@@ -13,6 +13,13 @@ Geometry-specific exact routes:
 * sup-norm truncations: the transpose reduction of the l1 route;
 * lifted operators on two-block sums: nu = c(p) ||T|| with
   c(p) = (1/p)^(1/p) (1/q)^(1/q)  (c(1) = c(inf) = 1).
+
+Every other route, on flat spaces and on sums, maximizes the support-face
+value sup |<x*, y>| over the functionals x* supporting x, for y = T x.  Its
+one engine is best_state_functional(y, x, space), which returns that value
+and an x* attaining it: face_sup is its value, the nu probe's state
+(probe.aligned_state_functional) its functional, and
+best_state_functional_rows its row-batched form on flat spaces.
 """
 
 from __future__ import annotations
@@ -22,15 +29,15 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (best_of, golden_max, golden_max_rows, random_polish,
-                      run_batches)
+from ._search import (best_of, dual_align_vec, golden_max,
+                      phase_orbit_min_rows, random_polish, run_batches)
 from .errors import GeometryError, HeuristicRefusalError
 from .norm_attainment import (operator_norm, subspace_sphere_distance_rows,
                               support_distance_rows, unimodular_distance_rows)
 from .operators import (Adjoint, Dense, Diagonal, DirectSum, Lift, OperatorExpr,
                         RankOne, Scale, to_matrix)
 from .spaces import (INF, Space, StatePair, SumSpace, conjugate_exponent,
-                     duality_map, lp_norm_rows, pair, random_unit, unit_phase)
+                     duality_map, lp_norm_rows, random_unit, unit_phase)
 
 THETA_GRID = 256
 NU_TOL = 1e-10
@@ -157,90 +164,134 @@ def _linf_witness(M, space, i) -> StatePair:
 
 
 # ---------------------------------------------------------------------------
-# support-face machinery: sup of |<x*, y>| over functionals supporting x
+# the support-face engine: sup of |<x*, y>| over functionals supporting x
 # ---------------------------------------------------------------------------
 
-def _face_reachable(y: np.ndarray, x: np.ndarray, space):
-    """The reachable set {<x*, y> : x* supports x} for a flat space, as
-    ("disk", center, radius) or ("points", values)."""
-    p = space.p
-    if 1.0 < p < INF:
-        return ("disk", complex(pair(duality_map(x, space), y)), 0.0)
-    if p == 1:
-        supp = np.abs(x) > 0
-        center = complex((np.conj(unit_phase(x[supp])) * y[supp]).sum())
-        radius = float(np.abs(y[~supp]).sum())
-        return ("disk", center, radius)
-    peaks = np.abs(np.abs(x) - 1.0) <= 1e-9
-    vals = np.conj(unit_phase(x[peaks])) * y[peaks]
-    return ("points", [complex(v) for v in vals])
-
-
-def _set_sup(rep) -> float:
-    kind = rep[0]
-    if kind == "disk":
-        return abs(rep[1]) + rep[2]
-    return max(abs(v) for v in rep[1]) if rep[1] else 0.0
-
-
-def _minkowski(reps):
-    """Combine independent reachable sets additively; exact for disks and
-    small point sets."""
-    points = [0j]
-    radius = 0.0
-    for rep in reps:
-        if rep[0] == "disk":
-            points = [pt + rep[1] for pt in points]
-            radius += rep[2]
-        else:
-            if len(points) * max(len(rep[1]), 1) > 4096:
-                raise GeometryError(
-                    "support-face combination too large to stay exact")
-            points = [pt + v for pt in points for v in rep[1]]
-    return points, radius
-
-
 def face_sup(y: np.ndarray, x: np.ndarray, space) -> float:
-    """sup over x* supporting the unit vector x of |<x*, y>|; exact for flat
-    spaces and for sums of flat blocks."""
-    if not isinstance(space, SumSpace):
-        return _set_sup(_face_reachable(y, x, space))
-    blocks_x = space.split(x)
-    blocks_y = space.split(y)
-    norms = np.array([c.norm(b) for c, b in zip(space.components, blocks_x)])
-    op = space.outer_p
-    if op == INF:
-        best = 0.0
-        for c, bx, by, a in zip(space.components, blocks_x, blocks_y, norms):
-            if abs(a - 1.0) <= 1e-9:
-                best = max(best, _set_sup(_face_reachable(by, bx, c)))
-        return best
-    reps = []
-    if op == 1:
-        weights = np.ones_like(norms)
-    else:
-        weights = norms ** (op - 1.0)
-    for c, bx, by, a, w in zip(space.components, blocks_x, blocks_y,
-                               norms, weights):
-        if a == 0:
-            if op == 1:
-                reps.append(("disk", 0j, float(c.dual().norm(by))))
-            # smooth outer: massless blocks carry zero dual weight
-        else:
-            rep = _face_reachable(by, bx / a, c)
-            if rep[0] == "disk":
-                reps.append(("disk", w * rep[1], w * rep[2]))
-            else:
-                reps.append(("points", [w * v for v in rep[1]]))
-    points, radius = _minkowski(reps)
-    return max(abs(pt) for pt in points) + radius
+    """sup over x* supporting the unit vector x of |<x*, y>|: the value of
+    best_state_functional, which on a sum leaves x* unassembled."""
+    if isinstance(space, SumSpace):
+        return _sum_face(y, x, space)[0]
+    return best_state_functional(y, x, space)[0]
 
 
 def best_state_functional(y: np.ndarray, x: np.ndarray, space):
-    """(value, x*) achieving face_sup on a flat space."""
+    """(face_sup(y, x, space), x*) with x* supporting x and attaining it;
+    exact for flat spaces and for sums of flat blocks."""
+    if isinstance(space, SumSpace):
+        value, assemble = _sum_face(y, x, space)
+        return value, assemble()
     vals, XS = best_state_functional_rows(np.asarray(y)[None, :],
                                           np.asarray(x)[None, :], space)
     return float(vals[0]), XS[0]
+
+
+def _sum_face(y, x, space):
+    """(face_sup, assemble) on a sum, in one pass over the blocks.
+
+    Under outer p < inf the reachable set {<x*, y> : x* supports x} is a
+    Minkowski sum: each massed block adds its weighted duality-map center,
+    l1 disk or sup-norm peak set, and under outer 1 each massless block b
+    adds a disk of radius ||y_b||.  Its modulus peaks at the best Minkowski
+    point plus every radius; assemble() builds x* there, aligning every disk
+    with the phase psi of that point.  Under outer inf the set is the hull
+    of the peak blocks' sets, so the best peak block carries all of x*.
+    """
+    comps = space.components
+    blocks_x, blocks_y = space.split(x), space.split(y)
+    norms = np.array([c.norm(b) for c, b in zip(comps, blocks_x)])
+    op = space.outer_p
+    if op == INF:
+        out = [np.zeros(c.dim, dtype=space.dtype) for c in comps]
+        best, at = (0.0, None), None
+        for i, (c, bx, by, a) in enumerate(zip(comps, blocks_x, blocks_y,
+                                               norms)):
+            if abs(a - 1.0) <= 1e-9:
+                face = best_state_functional(by, bx, c)
+                if at is None or face[0] > best[0]:
+                    best, at = face, i
+        if at is not None:
+            out[at] = best[1]
+        return best[0], lambda: space.join(out)
+
+    weights = np.ones_like(norms) if op == 1 else norms ** (op - 1.0)
+    points, radius = [0j], 0.0
+    blocks = []             # (choices, build(choice, psi) -> block of x*)
+    for c, bx, by, a, w in zip(comps, blocks_x, blocks_y, norms, weights):
+        if a == 0:
+            r = c.norm(by) if op == 1 else 0.0
+            radius += r
+            blocks.append((1, _free_block(c, by, r, space.dtype)))
+            continue
+        xb = bx / a
+        if 1.0 < c.p < INF:
+            f = duality_map(xb, c)
+            center = w * complex((f * by).sum())
+            points = [pt + center for pt in points]
+            blocks.append((1, lambda j, psi, w=w, f=f: w * f))
+        elif c.p == 1:
+            supp = np.abs(xb) > 0
+            phases = np.conj(unit_phase(xb[supp]))
+            center = w * complex((phases * by[supp]).sum())
+            points = [pt + center for pt in points]
+            radius += w * float(np.abs(by[~supp]).sum())
+            blocks.append((1, _disk_block(supp, phases, by, w, space.dtype)))
+        else:
+            peaks = np.nonzero(np.abs(np.abs(xb) - 1.0) <= 1e-9)[0]
+            phases = np.conj(unit_phase(xb[peaks]))
+            vals = [w * complex(v) for v in phases * by[peaks]]
+            if len(points) * max(len(vals), 1) > 4096:
+                raise GeometryError(
+                    "support-face combination too large to stay exact")
+            points = [pt + v for pt in points for v in vals]
+            blocks.append((len(vals), _peak_block(c.dim, peaks, phases, w,
+                                                  space.dtype)))
+    mods = [abs(pt) for pt in points]
+    top = max(mods)
+
+    def assemble():
+        k = mods.index(top)
+        pt = complex(points[k])
+        # divided part by part, as the flat l1 face divides its center
+        psi = complex(pt.real / top, pt.imag / top) if top > 0 else 1.0
+        if not space.is_complex:
+            psi = psi.real
+        out = []
+        for choices, build in reversed(blocks):   # the last block varies fastest
+            k, j = divmod(k, choices)
+            out.append(build(j, psi))
+        return space.join(out[::-1])
+    return top + radius, assemble
+
+
+def _free_block(c, by, r, dtype):
+    """A massless block: psi times the functional norming y_b, or zero."""
+    def build(j, psi):
+        if r > 0:
+            return psi * dual_align_vec(by, c)
+        return np.zeros(c.dim, dtype=dtype)
+    return build
+
+
+def _disk_block(supp, phases, by, w, dtype):
+    """An l1 block: the phases of x on its support, psi conj(phase y) off
+    it, weighted."""
+    def build(j, psi):
+        g = np.zeros(len(by), dtype=dtype)
+        g[supp] = phases
+        free = ~supp & (np.abs(by) > 0)
+        g[free] = psi * np.conj(unit_phase(by[free]))
+        return w * g
+    return build
+
+
+def _peak_block(dim, peaks, phases, w, dtype):
+    """A sup-norm block: the chosen peak's phase, weighted."""
+    def build(j, psi):
+        g = np.zeros(dim, dtype=dtype)
+        g[peaks[j]] = w * phases[j]
+        return g
+    return build
 
 
 def best_state_functional_rows(Y: np.ndarray, X: np.ndarray, space):
@@ -332,11 +383,9 @@ def _multistart_nu(M, space, restarts, iters, seed) -> NuResult:
                                      min_step=1e-9) for _ in range(8))
 
     val, x, _ = run_batches(seed, max(1, restarts // 8), batch)
-    wit = None
-    if not isinstance(space, SumSpace):
-        _, xs = best_state_functional(M @ x, x, space)
-        wit = StatePair(x, xs, space)
-    return NuResult(float(val), "heuristic", wit, "state-multistart")
+    _, xs = best_state_functional(M @ x, x, space)
+    return NuResult(float(val), "heuristic", StatePair(x, xs, space),
+                    "state-multistart")
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +564,9 @@ class ExplicitNuStates(NuStatesDescriptor):
                 cands = [comp(every, 1.0, v, vs, fx, fxs),
                          comp(every, -1.0, v, vs, fx, fxs)]
             else:
-                ths = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-                grid = np.array([np.maximum(*comp(every, np.exp(1j * t), v, vs,
-                                                  fx, fxs)) for t in ths])
-                coarse = ths[grid.argmin(axis=0)]
-                t, _ = golden_max_rows(
-                    lambda t, rows: -np.maximum(*comp(
-                        rows, np.exp(1j * t)[:, None], v, vs, fx, fxs)),
-                    coarse - 0.2, coarse + 0.2, tol=1e-12)
+                t, _ = phase_orbit_min_rows(
+                    lambda phi, rows: np.maximum(*comp(rows, phi, v, vs, fx,
+                                                       fxs)), tol=1e-12)
                 cands = [comp(every, np.exp(1j * t)[:, None], v, vs, fx, fxs)]
             for dx, dxs in cands:
                 _keep_nearer(best, dx, dxs)

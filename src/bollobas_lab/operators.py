@@ -36,7 +36,7 @@ class OperatorExpr:
 
     @property
     def is_square(self) -> bool:
-        return _same_space(self.domain, self.codomain)
+        return self.domain == self.codomain
 
 
 def _finite(entries: np.ndarray, what: str) -> np.ndarray:
@@ -46,12 +46,14 @@ def _finite(entries: np.ndarray, what: str) -> np.ndarray:
     return entries
 
 
-def _same_space(a, b) -> bool:
-    if isinstance(a, SumSpace) and isinstance(b, SumSpace):
-        return a.outer_p == b.outer_p and a.components == b.components
-    if isinstance(a, Space) and isinstance(b, Space):
-        return a == b
-    return False
+def _check_field(entries, what: str, *spaces) -> None:
+    """GeometryError when an entry with a nonzero imaginary part meets a
+    real-field space: casting it to that field would drop the imaginary
+    part."""
+    if np.iscomplexobj(entries) and np.any(np.imag(entries) != 0) and \
+            not all(s.is_complex for s in spaces):
+        raise GeometryError(f"{what} has a complex entry, but the field of "
+                            "its domain or codomain is real")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +70,7 @@ class Dense(OperatorExpr):
                 f"({self.cod.dim}, {self.dom.dim})")
         dtype = np.complex128 if (self.dom.is_complex or np.iscomplexobj(m)) \
             else np.float64
+        _check_field(m, "matrix", self.dom, self.cod)
         object.__setattr__(self, "matrix", _finite(m.astype(dtype), "matrix"))
 
     @property
@@ -115,6 +118,8 @@ class RankOne(OperatorExpr):
     cod: object
 
     def __post_init__(self):
+        _check_field(self.y, "y", self.cod)
+        _check_field(self.xstar, "xstar", self.dom)
         object.__setattr__(self, "y", _finite(self.cod.check(self.y), "y"))
         object.__setattr__(self, "xstar",
                            _finite(self.dom.dual().check(self.xstar), "xstar"))
@@ -175,7 +180,7 @@ class Delift(OperatorExpr):
     def __post_init__(self):
         d = self.child.domain
         if not (isinstance(d, SumSpace) and len(d.components) == 2
-                and _same_space(d, self.child.codomain)):
+                and d == self.child.codomain):
             raise GeometryError("delift expects a square operator on a 2-block sum")
 
     @property
@@ -207,6 +212,9 @@ class DirectSum(OperatorExpr):
 class Scale(OperatorExpr):
     scalar: complex
     child: OperatorExpr
+
+    def __post_init__(self):
+        _check_field(self.scalar, "scalar", self.domain, self.codomain)
 
     @property
     def domain(self):

@@ -32,12 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (best_of, dual_align_vec, generic_power_ascent,
-                      random_polish, run_batches)
+from ._search import (best_of, generic_power_ascent, random_polish,
+                      run_batches)
 from .errors import GeometryError, HeuristicRefusalError, NotNormalizedError
-from .membership import _group_cap
-from .norm_attainment import (NormingSetDescriptor, NormResult, norming_set,
-                              operator_norm)
+from .membership import _group_cap, _norm_profile_mass
+from .norm_attainment import norming_set, operator_norm
 from .numerical_radius import (NuResult, NuStatesDescriptor,
                                best_state_functional,
                                best_state_functional_rows,
@@ -93,23 +92,22 @@ class ProbeReport:
 CSV_HEADER = "dim,epsilon,eta_hat,slack,distance,seed"
 
 
-def _resolve_norm(T, norm_result, norming, assume_norm_one):
-    nr = norm_result if norm_result is not None else operator_norm(T)
+def _resolve_norm(T):
+    nr = operator_norm(T)
     if not nr.is_certified():
         raise HeuristicRefusalError("probe refused: heuristic norm")
-    if not assume_norm_one and abs(nr.value - 1.0) > NORM_TOL:
+    if abs(nr.value - 1.0) > NORM_TOL:
         raise NotNormalizedError(f"probe needs ||T|| = 1, got {nr.value}")
-    desc = norming if norming is not None else norming_set(T, nr)
-    return nr, desc
+    return nr, norming_set(T, nr)
 
 
-def _pullback(value_of, dist_of, x_hi, x_lo, eps, space, steps: int = 30):
+def _pullback(value_of, dist_of, x_hi, x_lo, eps, space):
     """Binary search along the normalized segment between a feasible anchor
     x_lo and an infeasible high-value point x_hi; returns the best feasible
     (value, distance, point) found, or None."""
     best = None
     lo, hi = 0.0, 1.0
-    for _ in range(steps):
+    for _ in range(30):
         t = (lo + hi) / 2.0
         cand = (1 - t) * x_hi + t * x_lo
         n = space.norm(cand)
@@ -160,15 +158,7 @@ def _diag_norm_seeds(T, eps):
         x[off_idx] = 1.0
         seeds.append(x)
     else:
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            A = (lo + hi) / 2.0
-            d = ((1 - A) ** p + max(0.0, 1 - A ** p)) ** (1.0 / p)
-            if d >= eps:
-                lo = A
-            else:
-                hi = A
-        A = lo
+        A = _norm_profile_mass(p, eps)
         x = np.zeros(space.dim, dtype=space.dtype)
         x[j_idx] = A
         x[off_idx] = max(0.0, 1 - A ** p) ** (1.0 / p)
@@ -176,18 +166,18 @@ def _diag_norm_seeds(T, eps):
     return seeds
 
 
-def _boundary_seeds(space, dist_rows, eps, base_points, rng,
-                    max_dirs: int = 48):
+def _boundary_seeds(space, dist_rows, eps, base_points, rng):
     """Walk from attaining-set base points toward coordinate directions and
     bisect onto the feasibility boundary dist = eps; these seeds sit exactly
     where the constrained maximum lives.
 
     Every (base, direction) pair is one row of a single array, bisected in
     40 vector steps with its own bracket; dist_rows maps (R, dim) points to
-    (R,) distances.  Seeds come base-major, then by direction."""
+    (R,) distances.  Seeds come base-major, then by direction; above 48
+    dimensions, 48 directions drawn from rng stand for all of them."""
     d = space.dim
-    idx = list(range(d)) if d <= max_dirs else \
-        sorted(rng.choice(d, size=max_dirs, replace=False).tolist())
+    idx = list(range(d)) if d <= 48 else \
+        sorted(rng.choice(d, size=48, replace=False).tolist())
     E = np.eye(d, dtype=space.dtype)[idx]
     dirs = E if space.is_complex else np.stack([E, -E], axis=1).reshape(-1, d)
     dirs = dirs[dist_rows(dirs) >= eps - FEAS_TOL]
@@ -214,11 +204,9 @@ def _boundary_seeds(space, dist_rows, eps, base_points, rng,
 
 def eta_probe_norm(T: OperatorExpr, eps: float,
                    budget: Optional[ProbeBudget] = None, seed: int = 0,
-                   norm_result: Optional[NormResult] = None,
-                   norming: Optional[NormingSetDescriptor] = None,
-                   extra_seeds=(), assume_norm_one: bool = False) -> ProbeReport:
+                   extra_seeds=()) -> ProbeReport:
     budget = budget or ProbeBudget()
-    nr, desc = _resolve_norm(T, norm_result, norming, assume_norm_one)
+    nr, desc = _resolve_norm(T)
     space = T.domain
     cod = T.codomain
     M = to_matrix(T)
@@ -303,54 +291,9 @@ def _finalize(mode, eps, candidates, max_dist_seen, seed, budget):
 # ---------------------------------------------------------------------------
 
 def aligned_state_functional(x, y, space):
-    """x* supporting x with <x*, y> close to face_sup(y, x, space).
-
-    Exact for flat spaces and for sums of blocks with 1 < p < inf.  Blocks
-    with p in {1, inf} are aligned one at a time, not jointly, so on such
-    sums the value can fall short of face_sup."""
-    if not isinstance(space, SumSpace):
-        _v, xs = best_state_functional(y, x, space)
-        return xs
-    blocks_x = space.split(x)
-    blocks_y = space.split(y)
-    norms = np.array([c.norm(b) for c, b in zip(space.components, blocks_x)])
-    op = space.outer_p
-    if op == INF:
-        best, best_i, best_xs = -1.0, None, None
-        for i, (c, bx, by, a) in enumerate(zip(space.components, blocks_x,
-                                               blocks_y, norms)):
-            if abs(a - 1.0) <= 1e-9:
-                v, xs = best_state_functional(by, bx, c)
-                if v > best:
-                    best, best_i, best_xs = v, i, xs
-        out = [np.zeros(c.dim, dtype=space.dtype) for c in space.components]
-        if best_i is not None:
-            out[best_i] = best_xs
-        return space.join(out)
-    weights = np.ones_like(norms) if op == 1 else norms ** (op - 1.0)
-    # fixed centers first, then align free blocks to the total's phase
-    parts, centers = [], []
-    for c, bx, by, a, w in zip(space.components, blocks_x, blocks_y,
-                               norms, weights):
-        if a == 0:
-            parts.append(None)
-            centers.append(0j)
-        else:
-            v, xs = best_state_functional(by, bx / a, c)
-            xs = w * xs
-            parts.append(xs)
-            centers.append(complex((xs * by).sum()))
-    total = sum(centers)
-    psi = total / abs(total) if total != 0 else 1.0
-    out = []
-    for c, by, a, prt in zip(space.components, blocks_y, norms, parts):
-        if prt is not None:
-            out.append(prt)
-        elif op == 1 and c.norm(by) > 0:
-            out.append(psi * dual_align_vec(by, c))
-        else:
-            out.append(np.zeros(c.dim, dtype=space.dtype))
-    return space.join(out)
+    """The x* of best_state_functional(y, x, space): a functional supporting
+    x with |<x*, y>| = face_sup(y, x, space)."""
+    return best_state_functional(y, x, space)[1]
 
 
 def _resolve_nu(T, nu_result, attaining):

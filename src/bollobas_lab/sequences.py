@@ -40,10 +40,11 @@ def _finite(value, what: str):
     return value
 
 
-def _phase_key(value, digits: int = 9):
-    """Canonical hashable key for a unimodular scalar."""
+def _phase_key(value):
+    """Canonical hashable key for a unimodular scalar: its parts rounded to
+    9 digits."""
     z = complex(value)
-    return (round(z.real, digits), round(z.imag, digits))
+    return (round(z.real, 9), round(z.imag, 9))
 
 
 @dataclass(frozen=True)

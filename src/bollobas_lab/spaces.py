@@ -37,8 +37,27 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+class _Geometry:
+    """What Space and SumSpace share: the scalar field and the shape check."""
+
+    @property
+    def is_complex(self) -> bool:
+        return self.field == "complex"
+
+    @property
+    def dtype(self):
+        return np.complex128 if self.is_complex else np.float64
+
+    def check(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=self.dtype)
+        if v.shape != (self.dim,):
+            raise DimensionMismatchError(
+                f"expected vector of shape ({self.dim},), got {v.shape}")
+        return v
+
+
 @dataclass(frozen=True)
-class Space:
+class Space(_Geometry):
     """An lp^n geometry over the real or complex scalars.
 
     ``p = inf`` doubles as the finite truncation of c_0: the two coincide in
@@ -58,23 +77,8 @@ class Space:
         if self.field not in ("real", "complex"):
             raise GeometryError(f"field must be 'real' or 'complex', got {self.field!r}")
 
-    @property
-    def is_complex(self) -> bool:
-        return self.field == "complex"
-
-    @property
-    def dtype(self):
-        return np.complex128 if self.is_complex else np.float64
-
     def dual(self) -> "Space":
         return Space(conjugate_exponent(self.p), self.dim, self.field)
-
-    def check(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=self.dtype)
-        if v.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"expected vector of shape ({self.dim},), got {v.shape}")
-        return v
 
     def norm(self, v: np.ndarray) -> float:
         return lp_norm(self.check(v), self.p)
@@ -84,7 +88,7 @@ class Space:
 
 
 @dataclass(frozen=True)
-class SumSpace:
+class SumSpace(_Geometry):
     """A finite direct sum (W_1 + ... + W_k) normed by the outer_p norm of
     the component norms.  Vectors are stored flat, blocks concatenated."""
 
@@ -111,14 +115,6 @@ class SumSpace:
     def field(self) -> str:
         return self.components[0].field
 
-    @property
-    def is_complex(self) -> bool:
-        return self.field == "complex"
-
-    @property
-    def dtype(self):
-        return np.complex128 if self.is_complex else np.float64
-
     def dual(self) -> "SumSpace":
         return SumSpace(tuple(c.dual() for c in self.components),
                         conjugate_exponent(self.outer_p))
@@ -140,13 +136,6 @@ class SumSpace:
 
     def join(self, blocks) -> np.ndarray:
         return np.concatenate([np.asarray(b, dtype=self.dtype) for b in blocks])
-
-    def check(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=self.dtype)
-        if v.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"expected vector of shape ({self.dim},), got {v.shape}")
-        return v
 
     def norm(self, v: np.ndarray) -> float:
         profile = np.array([c.norm(b) for c, b in zip(self.components, self.split(v))])

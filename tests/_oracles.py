@@ -7,7 +7,9 @@ rotation grid for the complex Hilbert radius.
 The second half keeps the one-vector-at-a-time distance oracles, the flat
 best_state_functional and the scalar boundary-seed bisection as they were
 before the library moved to row forms; tests/test_rows.py checks the row
-forms against them.
+forms against them.  face_sup is the support-face value as it was computed
+before best_state_functional became its one engine, from explicit reachable
+sets; a massless block under outer 1 adds the disk of radius ||y_b||.
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ from bollobas_lab._search import golden_max
 from bollobas_lab.norm_attainment import UnionNormingSet
 from bollobas_lab.numerical_radius import (DiagonalNuStates, EmptyNuStates,
                                            ExplicitNuStates, HilbertNuStates)
-from bollobas_lab.spaces import INF, duality_map, lp_norm, pair, unit_phase
+from bollobas_lab.spaces import (INF, SumSpace, duality_map, lp_norm, pair,
+                                 unit_phase)
 
 
 def _normalize_rows(X, p):
@@ -412,3 +415,55 @@ def boundary_seeds(space, dist_of, eps, base_points, rng, max_dirs=48,
                 if dist_of(cand) >= eps - feas_tol:
                     seeds.append(cand)
     return seeds
+
+
+def _face_reachable(y, x, space):
+    """{<x*, y> : x* supports x} on a flat space, as ("disk", center, radius)
+    or ("points", values)."""
+    p = space.p
+    if 1.0 < p < INF:
+        return ("disk", complex(pair(duality_map(x, space), y)), 0.0)
+    if p == 1:
+        supp = np.abs(x) > 0
+        center = complex((np.conj(unit_phase(x[supp])) * y[supp]).sum())
+        return ("disk", center, float(np.abs(y[~supp]).sum()))
+    peaks = np.abs(np.abs(x) - 1.0) <= 1e-9
+    vals = np.conj(unit_phase(x[peaks])) * y[peaks]
+    return ("points", [complex(v) for v in vals])
+
+
+def _set_sup(rep):
+    if rep[0] == "disk":
+        return abs(rep[1]) + rep[2]
+    return max(abs(v) for v in rep[1]) if rep[1] else 0.0
+
+
+def face_sup(y, x, space):
+    """sup |<x*, y>| over x* supporting the unit vector x: a Minkowski sum
+    of the blocks' reachable sets (outer p < inf), or the best peak block
+    (outer inf)."""
+    if not isinstance(space, SumSpace):
+        return _set_sup(_face_reachable(y, x, space))
+    blocks_x, blocks_y = space.split(x), space.split(y)
+    norms = np.array([c.norm(b) for c, b in zip(space.components, blocks_x)])
+    op = space.outer_p
+    if op == INF:
+        return max([_set_sup(_face_reachable(by, bx, c))
+                    for c, bx, by, a in zip(space.components, blocks_x,
+                                            blocks_y, norms)
+                    if abs(a - 1.0) <= 1e-9], default=0.0)
+    weights = np.ones_like(norms) if op == 1 else norms ** (op - 1.0)
+    points, radius = [0j], 0.0
+    for c, bx, by, a, w in zip(space.components, blocks_x, blocks_y, norms,
+                               weights):
+        if a == 0:
+            if op == 1:
+                radius += c.norm(by)
+            continue
+        rep = _face_reachable(by, bx / a, c)
+        if rep[0] == "disk":
+            points = [pt + w * rep[1] for pt in points]
+            radius += w * rep[2]
+        else:
+            points = [pt + w * v for pt in points for v in rep[1]]
+    return max(abs(pt) for pt in points) + radius

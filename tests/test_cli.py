@@ -78,6 +78,16 @@ def test_unsupported_geometry_exit_three(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["norm", "nu"])
+def test_complex_matrix_on_real_field_exit_three(tmp_path, capsys, command):
+    # [0, 1] is the complex entry i on a real-field l1 space
+    f = tmp_path / "op.json"
+    f.write_text('{"kind": "dense", "space": {"p": 1, "dim": 2}, '
+                 '"matrix": [[[0, 1], 0], [0, 0.5]]}')
+    code, out = run_cli([command, str(f)], capsys)
+    assert code == 3 and out == ""
+
+
 def test_member_json_verdict(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"prefix": [1.0],

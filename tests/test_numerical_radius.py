@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bollobas_lab.errors import GeometryError, HeuristicRefusalError
 from bollobas_lab.gallery import shift_matrix
@@ -12,9 +14,11 @@ from bollobas_lab.numerical_radius import (best_state_functional,
                                            numerical_radius)
 from bollobas_lab.norm_attainment import operator_norm
 from bollobas_lab.operators import Dense, Diagonal, Lift, adjoint, identity
+from bollobas_lab.probe import aligned_state_functional
 from bollobas_lab.sequences import SequenceSpec
 from bollobas_lab.spaces import INF, Space, StatePair, SumSpace, pair
 
+from _oracles import face_sup as oracle_face_sup
 from _oracles import (l1_state_enumeration_nu, random_l1_states_nu,
                       sphere_multistart_nu_real_hilbert, theta_grid_nu_complex)
 
@@ -170,7 +174,7 @@ def test_face_sup_two_block():
     x = s.join([np.array([0.6, 0.0]), np.array([0.0, 0.4])])
     y = s.join([np.array([1.0, 1.0]), np.array([2.0, 0.0])])
     assert face_sup(y, x, s) == pytest.approx(1.0, abs=1e-12)
-    # massless second block contributes its dual norm as free radius
+    # massless second block contributes its norm as free radius
     x2 = s.join([np.array([1.0, 0.0]), np.zeros(2)])
     assert face_sup(y, x2, s) == pytest.approx(1.0 + 2.0, abs=1e-12)
     # sup-norm outer: only peak blocks count
@@ -191,3 +195,91 @@ def test_best_state_functional_real_l1_stays_real():
     assert val == pytest.approx(face_sup(y, x, space), abs=1e-12)
     assert abs(pair(xs, y)) == pytest.approx(val, abs=1e-12)
     StatePair(x, xs, space).validate()
+
+
+def _two_blocks(p):
+    return SumSpace((Space(p, 2), Space(p, 2)), 1.0)
+
+
+def test_face_sup_massless_block_radius():
+    # a massless block under outer 1 takes any functional of its dual ball,
+    # so it adds ||y_b|| (not the dual norm of y_b) to the supremum
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    assert face_sup(y, np.array([1.0, 0.3, 0.0, 0.0]), _two_blocks(INF)) \
+        == pytest.approx(1.0, abs=1e-12)
+    assert face_sup(y, np.array([1.0, 0.0, 0.0, 0.0]), _two_blocks(1.0)) \
+        == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p, x, y, want", [
+    (INF, [0.5, -0.5, 0.5, 0.5], [1.0, 0.9, -0.95, 0.1], 1.85),
+    (1.0, [0.5, 0.0, 0.5, 0.0], [1.0, 0.3, -0.2, 0.4], 1.5),
+], ids=["sup-blocks", "l1-blocks"])
+def test_best_state_functional_aligns_blocks_jointly(p, x, y, want):
+    # the sup-norm and l1 blocks must be aligned with one phase for the
+    # whole sum, not one block at a time
+    s = _two_blocks(p)
+    x, y = np.array(x), np.array(y)
+    xs = aligned_state_functional(x, y, s)      # the nu probe's state
+    StatePair(x, xs, s).validate()
+    assert abs(pair(xs, y)) == pytest.approx(want, abs=1e-12)
+    val, xs_engine = best_state_functional(y, x, s)
+    assert val == pytest.approx(want, abs=1e-12)
+    assert np.array_equal(xs_engine, xs) and face_sup(y, x, s) == val
+
+
+# entries are 0 or at least 1e-6 in modulus: below about 1e-154 the p = 2
+# norm squares into subnormals and x / ||x|| is no longer a unit vector
+_ENTRIES = st.one_of(st.sampled_from([-1.0, -0.5, -0.3, 0.0, 0.3, 0.5, 1.0]),
+                     st.floats(-1.0, 1.0).map(
+                         lambda v: v if abs(v) >= 1e-6 else 0.0))
+
+
+@st.composite
+def _sum_case(draw):
+    """(space, x, y): a unit x and any y on a sum of 1-3 blocks, some of
+    them zero in x or in y."""
+    field = draw(st.sampled_from(["real", "complex"]))
+    outer = draw(st.sampled_from([1.0, 1.5, INF]))
+    comps = tuple(Space(draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, INF])),
+                        draw(st.integers(1, 3)), field)
+                  for _ in range(draw(st.integers(1, 3))))
+    s = SumSpace(comps, outer)
+
+    def vector(zero_blocks):
+        parts = []
+        for c in comps:
+            v = np.array(draw(st.lists(_ENTRIES, min_size=c.dim,
+                                       max_size=c.dim)), dtype=s.dtype)
+            if field == "complex":
+                v = v + 1j * np.array(draw(st.lists(
+                    _ENTRIES, min_size=c.dim, max_size=c.dim)))
+            parts.append(np.zeros(c.dim, dtype=s.dtype)
+                         if zero_blocks and draw(st.booleans()) else v)
+        return s.join(parts)
+
+    x = vector(True)
+    if s.norm(x) == 0:
+        x[0] = 1.0
+    return s, x / s.norm(x), vector(True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sum_case())
+def test_best_state_functional_on_sums(case):
+    s, x, y = case
+    val, xs = best_state_functional(y, x, s)
+    StatePair(x, xs, s).validate()
+    assert abs(pair(xs, y)) == pytest.approx(val, abs=1e-12)
+    assert val == pytest.approx(oracle_face_sup(y, x, s), abs=1e-12)
+    assert face_sup(y, x, s) == val
+
+
+def test_multistart_nu_witness_on_sums():
+    s = SumSpace((Space(3.0, 2), Space(1.5, 2)), 2.0)
+    M = np.random.default_rng(5).normal(size=(4, 4))
+    nr = numerical_radius(Dense(M, s, s), restarts=8, iters=30, seed=1)
+    assert nr.method == "state-multistart"
+    nr.witness.validate()
+    assert abs(pair(nr.witness.xstar, M @ nr.witness.x)) == \
+        pytest.approx(nr.value, abs=1e-12)

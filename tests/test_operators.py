@@ -144,3 +144,28 @@ def test_lift_shape_guards():
     L = Lift(identity(s), 2.0)
     with pytest.raises(GeometryError):
         Lift(L, 2.0)                      # lifting a sum-space operator
+
+
+_REAL2, _COMPLEX2 = Space(2, 2), Space(2, 2, "complex")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Dense(np.array([[3j, 4.0]]), _REAL2, Space(2, 1)),
+    lambda: Dense(np.array([[1j, 0.0], [0.0, 1.0]]), _COMPLEX2, _REAL2),
+    lambda: RankOne(np.array([1j, 0.0]), np.array([1.0, 0.0]), _REAL2,
+                    _REAL2),
+    lambda: RankOne(np.array([1.0, 0.0]), np.array([0.0, 2j]), _REAL2,
+                    _REAL2),
+    lambda: Scale(1j, Diagonal(SequenceSpec((1.0, 0.5)), _REAL2)),
+], ids=["dense-real-domain", "dense-real-codomain", "rank-one-y",
+        "rank-one-xstar", "scale"])
+def test_complex_entry_on_real_field_rejected(build):
+    # casting to the real field would silently drop the imaginary part
+    with pytest.raises(GeometryError):
+        build()
+
+
+def test_complex_entries_with_zero_imaginary_part_accepted():
+    Dense(np.array([[3 + 0j, 4.0]]), _REAL2, Space(2, 1))
+    Scale(0.5 + 0j, Diagonal(SequenceSpec((1.0, 0.5)), _REAL2))
+    assert Scale(1j, identity(_COMPLEX2)).scalar == 1j
