@@ -4,13 +4,30 @@ Restart batches run one after another.  Batch b draws from the b-th child of
 SeedSequence(seed), and results are merged by a first-wins max, so outcomes
 depend only on (seed, batch index).  All work runs in one thread;
 BOLLOBAS_LAB_THREADS is accepted and ignored.
+
+Inside a batch the starts can run as the rows of one array, as the block
+power method of Higham and Tisseur (SIAM J. Matrix Anal. Appl. 21(4), 2000)
+iterates its starting vectors and as boyd_ascent does for flat dense norms:
+
+* power_ascent_rows steps R starts of the generic norm ascent at once, each
+  row with its own stop mask; generic_power_ascent is its one-row call.
+* polish_rows runs R random-direction climbs at once, each row with its own
+  step and gain mask, along trial directions from a caller-supplied source;
+  random_polish is its one-row call, drawing each round's directions when
+  the climb reaches the round.
+
+Products are stacks of matrix-vector products (matvec_rows, vecmat_rows),
+never one flat GEMM, and reductions run over C-ordered rows, so every row
+rounds as its one-row call does.  Geometries without a row form yet (sums:
+the support face, the alignment maps, the sum descriptors) go through
+per_row, which loops the one-vector body.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spaces import INF, SumSpace, unit_phase
+from .spaces import INF, SumSpace, random_unit, unit_phase
 
 
 def best_of(results):
@@ -23,6 +40,12 @@ def best_of(results):
     return best
 
 
+def first_best(values: np.ndarray) -> int:
+    """The index best_of picks among values (R,): the first largest, or the
+    first entry when it is NaN, since no value compares greater."""
+    return 0 if np.isnan(values[0]) else int(np.nanargmax(values))
+
+
 def run_batches(seed: int, n_batches: int, batch):
     """best_of(batch(rng_b) for b < n_batches), rng_b the generator of the
     b-th SeedSequence(seed) child."""
@@ -32,32 +55,142 @@ def run_batches(seed: int, n_batches: int, batch):
 
 def random_polish(x, value_of, rng, space, iters: int, tries: int,
                   step: float, min_step: float):
-    """Random-direction hill climb on the unit sphere of space.
-
-    Each round tries `tries` Gaussian steps of length scale `step` and keeps
-    every strict gain; a round without one halves the step, and the climb
-    stops once the step falls below min_step.  value_of(x) -> (value, aux);
-    returns (value, x, aux) at the final point.
+    """Random-direction hill climb on the unit sphere of space: the one-row
+    call of polish_rows, its directions drawn by drawn_directions.
+    value_of(x) -> (value, aux); returns (value, x, aux) at the final point.
     """
-    val, aux = value_of(x)
-    for _ in range(iters):
-        moved = False
-        for _ in range(tries):
-            d = rng.normal(size=space.dim) + \
-                (1j * rng.normal(size=space.dim) if space.is_complex else 0.0)
-            cand = x + step * d
-            n = space.norm(cand)
-            if n == 0:
-                continue
-            cand = cand / n
-            v, a = value_of(cand)
-            if v > val + 1e-14:
-                x, val, aux, moved = cand, v, a, True
-        if not moved:
-            step *= 0.5
-            if step < min_step:
+    def value_rows(X):
+        v, a = value_of(X[0])
+        aux = np.empty(1, dtype=object)
+        aux[0] = a
+        return np.array([v]), aux
+
+    vals, X, aux = polish_rows(np.asarray(x)[None, :], value_rows, space,
+                               drawn_directions(rng, tries, space), iters,
+                               tries, step, min_step)
+    return float(vals[0]), X[0], aux[0]
+
+
+def drawn_directions(rng, tries: int, space):
+    """The directions source of a one-row climb: each round's trial
+    directions are drawn from rng when the climb reaches the round, so a
+    climb that stops early draws no further."""
+    return lambda r, rows: gaussian_directions(rng, tries, space)[None]
+
+
+def gaussian_directions(rng, count: int, space) -> np.ndarray:
+    """count Gaussian directions (count, dim), drawn as count successive
+    draws of one direction each: the real part, then the imaginary part."""
+    if space.is_complex:
+        N = rng.normal(size=(count, 2, space.dim))
+        return N[:, 0] + 1j * N[:, 1]
+    return rng.normal(size=(count, space.dim))
+
+
+def polish_draws(rng, space, count: int, rounds: int, tries: int):
+    """The draws of count one-row climbs run one after another, none
+    stopping early: each start's random_unit, then its rounds x tries trial
+    directions.  Returns the starts (count, dim) and the directions
+    (count, rounds, tries, dim); a start that stops early leaves the rest
+    of its block unused."""
+    X0, D = [], []
+    for _ in range(count):
+        X0.append(random_unit(space, rng))
+        D.append(gaussian_directions(rng, rounds * tries, space))
+    return np.array(X0), np.array(D).reshape(count, rounds, tries, -1)
+
+
+def rounds_to_stop(step: float, min_step: float) -> int:
+    """The rounds without a gain after which polish_rows stops a row that
+    starts at step: the halvings that take step below min_step."""
+    k = 0
+    while step >= min_step:
+        step, k = step * 0.5, k + 1
+    return k
+
+
+def polish_rows(X, value_rows, space, directions, iters: int, tries: int,
+                step: float, min_step: float):
+    """random_polish on every row of X (R, dim) at once, each row with its
+    own step and its own gain mask.
+
+    Each round tries `tries` steps of length scale step along the round's
+    trial directions and keeps every strict gain (above 1e-14); a round
+    without one halves the row's step, and the row stops once its step
+    falls below min_step.  directions(r, rows) -> (len(rows), tries, dim)
+    gives the trial directions of round r for the listed rows;
+    value_rows(X) -> (values (R,), aux (R, ...) or None).  Every row rounds
+    as its one-row climb does.  Returns (values, X, aux) at the final
+    points.
+    """
+    X = np.asarray(X)
+    X = X.astype(np.result_type(X, space.dtype))
+    vals, aux = value_rows(X)
+    # the live rows' state, compacted; a row that stops is stored back
+    idx, Xl, vl = np.arange(len(X)), X.copy(), vals.copy()
+    al = None if aux is None else aux.copy()
+    sl = np.full(len(X), float(step))
+
+    def store(rows):
+        X[idx[rows]], vals[idx[rows]] = Xl[rows], vl[rows]
+        if aux is not None:
+            aux[idx[rows]] = al[rows]
+
+    for r in range(iters):
+        trials = sl[:, None, None] * directions(r, idx)
+        moved = np.zeros(len(idx), dtype=bool)
+        for t in range(tries):
+            C = Xl + trials[:, t]
+            n = space.norm_rows(C)
+            at = slice(None)
+            if np.count_nonzero(n) < len(n):    # a zero row is skipped
+                at = np.nonzero(n)[0]
+                if not len(at):
+                    continue
+                C, n = C[at], n[at]
+            C /= n[:, None]
+            v, a = value_rows(C)
+            gain = v > vl[at] + 1e-14
+            if np.count_nonzero(gain):
+                won = gain if isinstance(at, slice) else at[gain]
+                Xl[won], vl[won] = C[gain], v[gain]
+                if al is not None:
+                    al[won] = a[gain]
+                moved[won] = True
+        sl[~moved] *= 0.5
+        stop = ~moved & (sl < min_step)
+        if np.count_nonzero(stop):
+            store(stop)
+            keep = ~stop
+            idx, Xl, vl, sl = idx[keep], Xl[keep], vl[keep], sl[keep]
+            al = None if al is None else al[keep]
+            if not len(idx):
                 break
-    return val, x, aux
+    store(slice(None))
+    return vals, X, aux
+
+
+def per_row(f):
+    """The row form of a one-vector function: f applied to each row of its
+    array arguments in turn, the results stacked (a tuple result component
+    by component).  It stands in where a geometry has no row form yet."""
+    def rows(*arrays):
+        out = [f(*args) for args in zip(*arrays)]
+        if isinstance(out[0], tuple):
+            return tuple(np.array(c) for c in zip(*out))
+        return np.array(out)
+    return rows
+
+
+def matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for every row x of X.  A stack of matrix-vector products, never
+    one flat GEMM, so that each row rounds as M @ x does."""
+    return (M @ np.ascontiguousarray(X)[:, :, None])[:, :, 0]
+
+
+def vecmat_rows(U: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """u @ M for every row u of U, rounded as the one-vector product."""
+    return (np.ascontiguousarray(U)[:, None, :] @ M)[:, 0, :]
 
 
 def random_unit_rows(rng, count, dim, p, complex_field) -> np.ndarray:
@@ -178,26 +311,56 @@ def primal_align_vec(w: np.ndarray, space) -> np.ndarray:
     return primal_align_rows(w[None, :], space.p)[0]
 
 
+def dual_align_in(Y: np.ndarray, space) -> np.ndarray:
+    """dual_align_vec for every row of Y."""
+    if isinstance(space, SumSpace):
+        return per_row(lambda y: dual_align_vec(y, space))(Y)
+    return dual_align_rows(Y, space.p)
+
+
+def primal_align_in(W: np.ndarray, space) -> np.ndarray:
+    """primal_align_vec for every row of W."""
+    if isinstance(space, SumSpace):
+        return per_row(lambda w: primal_align_vec(w, space))(W)
+    return primal_align_rows(W, space.p)
+
+
 def generic_power_ascent(M: np.ndarray, dom, cod, x0: np.ndarray,
                          iters: int = 300):
     """Monotone norm ascent x <- argmax Re <M^T dual_align(Mx), .> for
-    arbitrary Space/SumSpace geometries, stopping at the first step that
-    gains at most 1e-13.  Returns (value, x)."""
-    n = dom.norm(x0)
-    x = x0 / (n if n > 0 else 1.0)
-    val = cod.norm(M @ x)
+    arbitrary Space/SumSpace geometries: the one-row call of
+    power_ascent_rows.  Returns (value, x)."""
+    vals, X = power_ascent_rows(M, dom, cod, np.asarray(x0)[None, :], iters)
+    return float(vals[0]), X[0]
+
+
+def power_ascent_rows(M: np.ndarray, dom, cod, X0: np.ndarray,
+                      iters: int = 300):
+    """generic_power_ascent on every row of X0 (R, dim) at once.
+
+    Each row is normalized, then steps x <- primal_align(M^T dual_align(Mx))
+    until a step gains at most 1e-13 (a last step that still gains is
+    kept), each row with its own stop mask, so every row takes the steps and
+    the rounding of its one-row ascent.  Returns (values (R,), X)."""
+    n = dom.norm_rows(X0)
+    X = X0 / np.where(n > 0, n, 1.0)[:, None]
+    vals = cod.norm_rows(matvec_rows(M, X))
+    live = np.arange(len(X))
     for _ in range(iters):
-        y = M @ x
-        u = dual_align_vec(y, cod)
-        w = u @ M
-        xn = primal_align_vec(w, dom)
-        vn = cod.norm(M @ xn)
-        if vn <= val + 1e-13:
-            if vn > val:
-                x, val = xn, vn
+        Xl = X[live]
+        U = dual_align_in(matvec_rows(M, Xl), cod)
+        Xn = primal_align_in(vecmat_rows(U, M), dom)
+        vn = cod.norm_rows(matvec_rows(M, Xn))
+        v = vals[live]
+        stop = vn <= v + 1e-13
+        take = ~stop | (vn > v)
+        if take.any():
+            X = X.astype(np.result_type(X, Xn), copy=False)
+            X[live[take]], vals[live[take]] = Xn[take], vn[take]
+        live = live[~stop]
+        if not live.size:
             break
-        x, val = xn, vn
-    return float(val), x
+    return vals, X
 
 
 def golden_max(f, lo: float, hi: float, tol: float = 1e-12):

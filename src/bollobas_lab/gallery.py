@@ -290,7 +290,7 @@ def make_rank1_l1(dim: int) -> GalleryEntry:
                       f"dxstar={dxs}")
 
     def c_lifted(e, seed):
-        lifted, attaining, seeds = lifted_rank1_l1(dim, 1.0)
+        lifted, attaining, seeds = lifted_rank1_l1(dim)
         nu = NuResult(1.0, "exact", None, "lift-profile")
         rep = eta_probe_nu(lifted, 0.5, budget=ProbeBudget(32, 300),
                            seed=seed, nu_result=nu, attaining=attaining,
@@ -312,13 +312,13 @@ def make_rank1_l1(dim: int) -> GalleryEntry:
 
 class LiftedRank1NuStates(NuStatesDescriptor):
     """Attaining pairs of the lifted normalized rank-one operator on the
-    two-block l1 sum: x = (s e_1, 0), x* = ((s, free), r ones), s, r = +-1."""
+    two-block l1 sum under outer 1: x = (s e_1, 0), x* = ((s, free), r ones),
+    s, r = +-1."""
 
-    def __init__(self, dim: int, outer_p: float):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.outer_p = outer_p
         blk = Space(1.0, dim)
-        self.space = SumSpace((blk, blk), outer_p)
+        self.space = SumSpace((blk, blk), 1.0)
 
     def pair_distance(self, x, xstar):
         s = self.space
@@ -328,16 +328,10 @@ class LiftedRank1NuStates(NuStatesDescriptor):
         for sgn in (1.0, -1.0):
             for r in (1.0, -1.0):
                 e1 = _e(self.dim, 0)
-                if self.outer_p == 1:
-                    dx = lp_norm(xb - sgn * e1, 1) + lp_norm(yb, 1)
-                else:
-                    dx = max(lp_norm(xb - sgn * e1, 1), 0.0)
+                dx = lp_norm(xb - sgn * e1, 1) + lp_norm(yb, 1)
                 dxs_x = max(0.0, abs(xsb[0] - sgn))
                 dxs_y = float(np.abs(ysb - r).max())
-                if self.outer_p == 1:       # dual is a sup of blocks
-                    dxs = max(dxs_x, dxs_y)
-                else:
-                    dxs = dxs_x + dxs_y
+                dxs = max(dxs_x, dxs_y)         # the dual is a sup of blocks
                 if best is None or max(dx, dxs) < max(best[0], best[1]):
                     best = (dx, dxs)
         return best
@@ -354,15 +348,15 @@ class LiftedRank1NuStates(NuStatesDescriptor):
         return out
 
     def describe(self):
-        return {"kind": "lifted-rank-one-pairs", "outer_p": self.outer_p}
+        return {"kind": "lifted-rank-one-pairs", "outer_p": 1.0}
 
 
-def lifted_rank1_l1(dim: int, outer_p: float = 1.0):
-    """The lifted normalized rank-one operator, its attaining descriptor, and
-    the finite-indicator witness seeds."""
+def lifted_rank1_l1(dim: int):
+    """The lifted normalized rank-one operator on the outer-1 sum, its
+    attaining descriptor, and the finite-indicator witness seeds."""
     base = make_rank1_l1(dim).expr
-    lifted = Lift(base, outer_p)
-    desc = LiftedRank1NuStates(dim, outer_p)
+    lifted = Lift(base, 1.0)
+    desc = LiftedRank1NuStates(dim)
     s = lifted.sum_space
     seeds = []
     n0 = dim - 1

@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (best_of, boyd_ascent, generic_power_ascent, golden_max,
-                      phase_orbit_min_rows, primal_align_rows,
-                      random_unit_rows, run_batches)
+from ._search import (boyd_ascent, first_best, golden_max, per_row,
+                      phase_orbit_min_rows, power_ascent_rows,
+                      primal_align_rows, random_unit_rows, run_batches)
 from .errors import GeometryError, HeuristicRefusalError
 from .operators import (Adjoint, Delift, Dense, Diagonal, DirectSum, Lift,
                         OperatorExpr, RankOne, Scale, to_matrix)
@@ -211,8 +211,10 @@ def _multistart_norm(M, dom, cod, restarts, iters, seed):
 
 def _sum_space_norm(M, dom, cod, restarts, iters, seed):
     def batch(rng):
-        return best_of(generic_power_ascent(M, dom, cod, random_unit(dom, rng),
-                                            iters=iters) for _ in range(8))
+        X0 = np.array([random_unit(dom, rng) for _ in range(8)])
+        vals, X = power_ascent_rows(M, dom, cod, X0, iters)
+        k = first_best(vals)
+        return float(vals[k]), X[k]
 
     val, x = run_batches(seed, max(1, restarts // 8), batch)
     return NormResult(float(val), "heuristic", x, "sum-space-multistart")
@@ -521,6 +523,10 @@ class LiftedNormingSet(NormingSetDescriptor):
         if s.outer_p == 1:
             return dw + nz
         return (dw ** s.outer_p + nz ** s.outer_p) ** (1.0 / s.outer_p)
+
+    def distance_rows(self, X):
+        """distance of every row; no row form yet, so one row at a time."""
+        return per_row(self.distance)(X)
 
     def sample(self, rng, count: int = 1):
         s = self.sum_space

@@ -19,7 +19,8 @@ value sup |<x*, y>| over the functionals x* supporting x, for y = T x.  Its
 one engine is best_state_functional(y, x, space), which returns that value
 and an x* attaining it: face_sup is its value, the nu probe's state
 (probe.aligned_state_functional) its functional, and
-best_state_functional_rows its row-batched form on flat spaces.
+best_state_functional_rows and face_sup_rows its row forms, which on sums
+loop the one-pair body.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (best_of, dual_align_vec, golden_max,
-                      phase_orbit_min_rows, random_polish, run_batches)
+from ._search import (best_of, drawn_directions, dual_align_vec, first_best,
+                      golden_max, matvec_rows, per_row, phase_orbit_min_rows,
+                      polish_draws, polish_rows, rounds_to_stop, run_batches)
 from .errors import GeometryError, HeuristicRefusalError
 from .norm_attainment import (operator_norm, subspace_sphere_distance_rows,
                               support_distance_rows, unimodular_distance_rows)
@@ -175,6 +177,13 @@ def face_sup(y: np.ndarray, x: np.ndarray, space) -> float:
     return best_state_functional(y, x, space)[0]
 
 
+def face_sup_rows(Y: np.ndarray, X: np.ndarray, space) -> np.ndarray:
+    """face_sup for every row pair (y, x) of Y and X (R, dim)."""
+    if isinstance(space, SumSpace):
+        return per_row(lambda y, x: face_sup(y, x, space))(Y, X)
+    return best_state_functional_rows(Y, X, space)[0]
+
+
 def best_state_functional(y: np.ndarray, x: np.ndarray, space):
     """(face_sup(y, x, space), x*) with x* supporting x and attaining it;
     exact for flat spaces and for sums of flat blocks."""
@@ -298,15 +307,21 @@ def best_state_functional_rows(Y: np.ndarray, X: np.ndarray, space):
     """best_state_functional for every row pair (y, x) of Y and X (R, dim):
     returns values (R,) and functionals (R, dim).  Each row rounds as the
     one-row call does.  A sup-norm row without a peak coordinate gets value
-    0 and the zero functional."""
+    0 and the zero functional.  Sums have no row form yet and loop the
+    one-pair body."""
+    if isinstance(space, SumSpace):
+        return per_row(lambda y, x: best_state_functional(y, x, space))(Y, X)
     p = space.p
     X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
     if 1.0 < p < INF:
         X = X.astype(space.dtype, copy=False)
         A = np.abs(X)
-        XS = np.zeros(X.shape, dtype=space.dtype)
         nz = A > 0
-        XS[nz] = np.conj(X[nz]) * A[nz] ** (p - 2.0)
+        if np.count_nonzero(nz) == nz.size:     # no zero entry to mask
+            XS = np.conj(X) * A ** (p - 2.0)
+        else:
+            XS = np.zeros(X.shape, dtype=space.dtype)
+            XS[nz] = np.conj(X[nz]) * A[nz] ** (p - 2.0)
         return _modulus((XS * Y).sum(axis=1)), XS
     if p == 1:
         supp = np.abs(X) > 0
@@ -373,16 +388,47 @@ def _masked_row_sums(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+# a polish of _multistart_nu stops after this many rounds without a gain
+_NU_STOP_ROUNDS = rounds_to_stop(0.5, 1e-9)
+
+
 def _multistart_nu(M, space, restarts, iters, seed) -> NuResult:
-    def value_of(x):
-        return face_sup(M @ x, x, space), None
+    """Batches of 8 random polishes of face_sup.  Where a start can stop
+    before its last round only by failing every round (iters at most one
+    more than the rounds a stop takes), the 8 starts run as rows on their
+    draws laid out as if none stopped early; should a start but the last
+    stop early after all, its successors' draws were misplaced, and the
+    batch runs again one polish at a time from the same generator state,
+    drawing lazily as it always does for longer budgets."""
+    def value_rows(X):
+        return face_sup_rows(matvec_rows(M, X), X, space), None
+
+    def polish(X0, directions):
+        vals, X, _ = polish_rows(X0, value_rows, space, directions, iters,
+                                 tries=4, step=0.5, min_step=1e-9)
+        k = first_best(vals)
+        return float(vals[k]), X[k]
 
     def batch(rng):
-        return best_of(random_polish(random_unit(space, rng), value_of, rng,
-                                     space, iters, tries=4, step=0.5,
-                                     min_step=1e-9) for _ in range(8))
+        if iters <= _NU_STOP_ROUNDS + 1:
+            state = rng.bit_generator.state
+            X0, D = polish_draws(rng, space, 8, iters, 4)
+            last = []
 
-    val, x, _ = run_batches(seed, max(1, restarts // 8), batch)
+            def directions(r, rows):
+                if r == iters - 1:
+                    last.append(rows)
+                return D[rows, r]
+
+            best = polish(X0, directions)
+            if last and np.array_equal(last[0][:7], np.arange(7)):
+                return best
+            rng.bit_generator.state = state
+        return best_of(polish(random_unit(space, rng)[None, :],
+                              drawn_directions(rng, 4, space))
+                       for _ in range(8))
+
+    val, x = run_batches(seed, max(1, restarts // 8), batch)
     _, xs = best_state_functional(M @ x, x, space)
     return NuResult(float(val), "heuristic", StatePair(x, xs, space),
                     "state-multistart")
@@ -397,8 +443,8 @@ class NuStatesDescriptor:
     the distance to the nearest attaining pair; sample yields valid pairs.
 
     Flat-space descriptors implement pair_distance_rows, of which
-    pair_distance is the one-row call; descriptors on sums override
-    pair_distance itself."""
+    pair_distance is the one-row call; descriptors on sums implement
+    pair_distance itself, and their pair_distance_rows loops it."""
 
     is_empty = False
 
@@ -409,7 +455,7 @@ class NuStatesDescriptor:
 
     def pair_distance_rows(self, X, XS):
         """(dx, dxs) for every row pair of X and XS (R, dim), as (R, 2)."""
-        raise NotImplementedError
+        return np.stack(per_row(self.pair_distance)(X, XS), axis=1)
 
     def sample(self, rng, count: int = 1):
         raise NotImplementedError

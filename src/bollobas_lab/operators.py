@@ -46,14 +46,18 @@ def _finite(entries: np.ndarray, what: str) -> np.ndarray:
     return entries
 
 
-def _check_field(entries, what: str, *spaces) -> None:
-    """GeometryError when an entry with a nonzero imaginary part meets a
-    real-field space: casting it to that field would drop the imaginary
-    part."""
-    if np.iscomplexobj(entries) and np.any(np.imag(entries) != 0) and \
-            not all(s.is_complex for s in spaces):
+def _on_field(entries, what: str, *spaces):
+    """entries on the scalar field of spaces.  Where one of the spaces is
+    real, complex entries with zero imaginary parts become real (a scalar
+    becomes a Python float), and an entry with a nonzero imaginary part
+    raises GeometryError: casting it would drop the imaginary part."""
+    if not np.iscomplexobj(entries) or all(s.is_complex for s in spaces):
+        return entries
+    if np.any(np.imag(entries) != 0):
         raise GeometryError(f"{what} has a complex entry, but the field of "
                             "its domain or codomain is real")
+    return float(np.real(entries)) if np.ndim(entries) == 0 \
+        else np.real(entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +72,9 @@ class Dense(OperatorExpr):
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match "
                 f"({self.cod.dim}, {self.dom.dim})")
+        m = _on_field(m, "matrix", self.dom, self.cod)
         dtype = np.complex128 if (self.dom.is_complex or np.iscomplexobj(m)) \
             else np.float64
-        _check_field(m, "matrix", self.dom, self.cod)
         object.__setattr__(self, "matrix", _finite(m.astype(dtype), "matrix"))
 
     @property
@@ -118,11 +122,11 @@ class RankOne(OperatorExpr):
     cod: object
 
     def __post_init__(self):
-        _check_field(self.y, "y", self.cod)
-        _check_field(self.xstar, "xstar", self.dom)
-        object.__setattr__(self, "y", _finite(self.cod.check(self.y), "y"))
+        y = _on_field(np.asarray(self.y), "y", self.cod)
+        xstar = _on_field(np.asarray(self.xstar), "xstar", self.dom)
+        object.__setattr__(self, "y", _finite(self.cod.check(y), "y"))
         object.__setattr__(self, "xstar",
-                           _finite(self.dom.dual().check(self.xstar), "xstar"))
+                           _finite(self.dom.dual().check(xstar), "xstar"))
 
     @property
     def domain(self):
@@ -214,7 +218,8 @@ class Scale(OperatorExpr):
     child: OperatorExpr
 
     def __post_init__(self):
-        _check_field(self.scalar, "scalar", self.domain, self.codomain)
+        object.__setattr__(self, "scalar", _on_field(
+            self.scalar, "scalar", self.domain, self.codomain))
 
     @property
     def domain(self):

@@ -12,10 +12,34 @@ only budget-relative; the report never claims a lower bound beyond that.
 
 Both probes seed from diagonal profiles, caller-supplied points and the
 feasibility boundary, then spend the budget in restart batches of 16 random
-starts (power ascent with pullback for norms, a random-direction polish for
-states).  The batches run one after another through _search.run_batches:
+starts.  The batches run one after another through _search.run_batches:
 batch b draws from the b-th SeedSequence(seed) child and the best feasible
 point wins, the earliest on ties, so a fixed seed fixes every output.
+
+Each batch is a row program over its starts, and returns what running the
+starts one after another returns, bit for bit:
+
+* norm: the starts are drawn in order, and their power-ascent paths are
+  stepped as rows (_ascent_paths).  A walk over the starts in order then
+  settles what the start-by-start loop would do: which points it considers,
+  where each start ends, and which anchor each pullback bisects toward; the
+  anchor, the last feasible point, carries across starts (_walk_paths).  All
+  pullbacks are then bisected as one array (_pullback_rows).
+* nu: each start's random_unit and its rounds x 3 trial directions are drawn
+  in the order of one polish after another (_search.polish_draws); the
+  starts are
+  polished together (_search.polish_rows), and their final pairs are
+  checked with one pair_distance_rows call.
+
+The pre-drawn layout is the stream of the start-by-start polish as long as
+no start stops early.  A polish halves its step of 0.4 on each round
+without a gain and stops below 1e-7, which takes 22 halvings, so a budget
+with iters < 2200 (at most 21 rounds) keeps that stream exactly, as the
+default budgets and every budget in the tests, demos and benchmark do.  A
+budget with iters >= 2200 gets a fixed block of directions per start:
+deterministic in (seed, batch), but a start that stops early leaves the
+rest of its block unused where the start-by-start polish passed its stream
+on to the next start.
 
 The boundary seeds on flat spaces are bisected as one row batch: every
 (base point, coordinate direction) pair is a row of one array, and each of
@@ -27,17 +51,18 @@ of one scalar bisection per pair.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ._search import (best_of, generic_power_ascent, random_polish,
-                      run_batches)
+from ._search import (best_of, first_best, matvec_rows, polish_draws,
+                      polish_rows, power_ascent_rows, run_batches)
 from .errors import GeometryError, HeuristicRefusalError, NotNormalizedError
 from .membership import _group_cap, _norm_profile_mass
 from .norm_attainment import norming_set, operator_norm
-from .numerical_radius import (NuResult, NuStatesDescriptor,
+from .numerical_radius import (NuResult, NuStatesDescriptor, _modulus,
                                best_state_functional,
                                best_state_functional_rows,
                                nu_attaining_states, numerical_radius)
@@ -99,29 +124,6 @@ def _resolve_norm(T):
     if abs(nr.value - 1.0) > NORM_TOL:
         raise NotNormalizedError(f"probe needs ||T|| = 1, got {nr.value}")
     return nr, norming_set(T, nr)
-
-
-def _pullback(value_of, dist_of, x_hi, x_lo, eps, space):
-    """Binary search along the normalized segment between a feasible anchor
-    x_lo and an infeasible high-value point x_hi; returns the best feasible
-    (value, distance, point) found, or None."""
-    best = None
-    lo, hi = 0.0, 1.0
-    for _ in range(30):
-        t = (lo + hi) / 2.0
-        cand = (1 - t) * x_hi + t * x_lo
-        n = space.norm(cand)
-        if n == 0:
-            lo, hi = t, hi
-            continue
-        cand = cand / n
-        d = dist_of(cand)
-        if d >= eps - FEAS_TOL:
-            best = best_of([best, (value_of(cand), d, cand)])
-            hi = t
-        else:
-            lo = t
-    return best
 
 
 def _diag_profile(T):
@@ -244,32 +246,139 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
             candidates.append(consider(s))
 
     iters = max(10, budget.iters // 100)
+    starts = min(16, budget.restarts)
+
+    def value_rows(X):
+        return cod.norm_rows(matvec_rows(M, X))
 
     def batch(rng):
-        # the anchor, the last feasible point, carries across the batch
-        best = anchor = None
-        for _ in range(min(16, budget.restarts)):
-            x = random_unit(space, rng)
-            c = consider(x)
-            if c is not None:
-                best, anchor = best_of([best, c]), x
-            # ascent toward the unconstrained maximum, tracking feasibility
-            for _ in range(iters):
-                _v, xn = generic_power_ascent(M, space, cod, x, iters=3)
-                if np.allclose(xn, x):
-                    break
-                x = xn
-                c = consider(x)
-                if c is not None:
-                    best, anchor = best_of([best, c]), x
-                elif anchor is not None:
-                    best = best_of([best, _pullback(value_of, dist_of, x,
-                                                    anchor, eps, space)])
-                    break
-        return best
+        nonlocal max_dist_seen
+        X0 = np.array([random_unit(space, rng) for _ in range(starts)])
+        P, D, counts = _ascent_paths(M, space, cod, X0, iters,
+                                     desc.distance_rows, eps)
+        events, pulls, farthest = _walk_paths(D, counts, eps)
+        max_dist_seen = max(max_dist_seen, farthest)
+        points = [ev for ev in events if isinstance(ev, tuple)]
+        rows, steps = np.array(points, dtype=int).reshape(-1, 2).T
+        vals = value_rows(P[rows, steps]) if points else []
+        found = {ev: (float(v), float(D[ev]), P[ev])
+                 for ev, v in zip(points, vals)}
+        if pulls:
+            hi, lo = (np.array(ends, dtype=int).T for ends in zip(*pulls))
+            backs = _pullback_rows(P[hi[0], hi[1]], P[lo[0], lo[1]], eps,
+                                   space, value_rows, desc.distance_rows)
+            found.update(enumerate(backs))
+        return best_of(found[ev] for ev in events)
 
     candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
     return _finalize("norm", eps, candidates, max_dist_seen, seed, budget)
+
+
+def _ascent_paths(M, space, cod, X0, steps, dist_rows, eps):
+    """The points the norm probe's starts visit, all starts as rows: point
+    k + 1 of a row is generic_power_ascent(point k, iters=3), until a step
+    is allclose to its point or `steps` steps are taken.  Returns the points
+    (R, K + 1, dim), their distances (R, K + 1) and the count of points of
+    each row; entries past a row's count are stale.
+
+    A row stops early once _walk_paths is sure to end its start at the
+    newest point or before: the point is infeasible and a feasible point
+    came before it, in this row or in an earlier one.  A row that meets an
+    infeasible point before any feasible point is known is unsure: a later
+    feasible point of an earlier row may end its start there, so its
+    further steps may lie past the walk's end.  Steps taken while an unsure
+    row is live run with floating-point warnings off, as the start-by-start
+    loop never took them."""
+    R = len(X0)
+    X, live = X0, np.arange(R)
+    dist = dist_rows(X0)
+    pts, dists, counts = [X0], [dist], np.ones(R, dtype=int)
+    seen = dist >= eps - FEAS_TOL           # a feasible point so far
+    unsure = np.zeros(R, dtype=bool)
+    for _ in range(steps):
+        with np.errstate(all="ignore") if unsure[live].any() \
+                else nullcontext():
+            Xn = power_ascent_rows(M, space, cod, X[live], iters=3)[1]
+            moved = ~np.isclose(Xn, X[live]).all(axis=1)
+            live, Xn = live[moved], Xn[moved]
+            if not live.size:
+                break
+            dist = np.full(R, np.nan)
+            dist[live] = dist_rows(Xn)
+        X = X.astype(np.result_type(X, Xn))
+        X[live] = Xn
+        pts.append(X)
+        dists.append(dist)
+        counts[live] += 1
+        feas = dist[live] >= eps - FEAS_TOL
+        own = seen[live]
+        seen[live] |= feas
+        earlier = (np.cumsum(seen) - seen)[live] > 0
+        unsure[live[~feas & ~own & ~earlier]] = True
+        done = (~feas & (own | earlier)) | (unsure[live] & earlier)
+        live = live[~done]
+        if not live.size:
+            break
+    return np.stack(pts, axis=1), np.stack(dists, axis=1), counts
+
+
+def _walk_paths(D, counts, eps):
+    """Replay the per-start loop of the norm probe over precomputed paths.
+
+    Each start considers its points in order.  A feasible point is a
+    candidate and becomes the anchor, which carries across starts; the
+    first infeasible point after the start's first one, once an anchor
+    exists, ends the start with a pullback toward the anchor.  Returns the
+    events in order, (row, step) for a candidate and j for the j-th
+    pullback, the pullbacks as ((row, step), anchor (row, step)) and the
+    largest distance considered."""
+    events, pulls, farthest, anchor = [], [], 0.0, None
+    for s, count in enumerate(counts.tolist()):
+        for k in range(count):
+            d = float(D[s, k])
+            farthest = max(farthest, d)
+            if d >= eps - FEAS_TOL:
+                events.append((s, k))
+                anchor = (s, k)
+            elif k and anchor is not None:
+                events.append(len(pulls))
+                pulls.append(((s, k), anchor))
+                break
+    return events, pulls, farthest
+
+
+def _pullback_rows(X_hi, X_lo, eps, space, value_rows, dist_rows):
+    """Binary search along the normalized segment from each infeasible
+    high-value point X_hi[i] toward its feasible anchor X_lo[i], every
+    segment a row, in 30 steps: the best feasible (value, distance, point)
+    of each row, the earliest on ties, or None."""
+    P = len(X_hi)
+    lo, hi = np.zeros(P), np.ones(P)
+    found = np.zeros(P, dtype=bool)
+    best_v, best_d = np.zeros(P), np.zeros(P)
+    best_x = np.zeros(X_hi.shape, dtype=np.result_type(X_hi, X_lo))
+    for _ in range(30):
+        t = (lo + hi) / 2.0
+        C = (1 - t)[:, None] * X_hi + t[:, None] * X_lo
+        n = space.norm_rows(C)
+        feas = n != 0
+        idx = np.nonzero(feas)[0]
+        if idx.size:
+            C = C[idx] / n[idx, None]
+            d = dist_rows(C)
+            ok = d >= eps - FEAS_TOL
+            feas[idx[~ok]] = False
+            if ok.any():
+                rows, C, d = idx[ok], C[ok], d[ok]
+                v = value_rows(C)
+                win = ~found[rows] | (v > best_v[rows])
+                rows = rows[win]
+                best_v[rows], best_d[rows], best_x[rows] = v[win], d[win], \
+                    C[win]
+                found[rows] = True
+        hi[feas], lo[~feas] = t[feas], t[~feas]
+    return [(float(best_v[i]), float(best_d[i]), best_x[i]) if found[i]
+            else None for i in range(P)]
 
 
 def _finalize(mode, eps, candidates, max_dist_seen, seed, budget):
@@ -358,20 +467,27 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
             candidates.append(consider_pair(s, state_for(s)))
 
     iters = max(10, budget.iters // 100)
+    starts = min(16, budget.restarts)
 
-    def state_value(x):
-        xs = state_for(x)
-        return pair_value(x, xs), xs
-
-    def polished_start(rng):
-        _v, x, xs = random_polish(random_unit(space, rng), state_value, rng,
-                                  space, iters, tries=3, step=0.4,
-                                  min_step=1e-7)
-        return consider_pair(x, xs)
+    def state_rows(X):
+        Y = matvec_rows(M, X)
+        XS = best_state_functional_rows(Y, X, space)[1]
+        return _modulus((XS * Y).sum(axis=1)), XS
 
     def batch(rng):
-        return best_of(polished_start(rng)
-                       for _ in range(min(16, budget.restarts)))
+        nonlocal max_dist_seen
+        X0, D = polish_draws(rng, space, starts, iters, 3)
+        vals, X, XS = polish_rows(X0, state_rows, space,
+                                  lambda r, rows: D[rows, r], iters, tries=3,
+                                  step=0.4, min_step=1e-7)
+        dx, dxs = desc.pair_distance_rows(X, XS).T
+        d = np.where(dxs > dx, dxs, dx)          # as Python max(dx, dxs)
+        max_dist_seen = float(np.fmax.reduce(d, initial=max_dist_seen))
+        feas = np.nonzero(d >= eps - FEAS_TOL)[0]
+        if not feas.size:
+            return None
+        i = feas[first_best(vals[feas])]
+        return (float(vals[i]), float(d[i]), StatePair(X[i], XS[i], space))
 
     candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
     return _finalize("nu", eps, candidates, max_dist_seen, seed, budget)
@@ -381,7 +497,7 @@ def _state_dist_rows(desc, M, space):
     """dist_rows of the nu probe on a flat space: each row x is paired with
     its best state for M x, at the larger of the pair's two distances."""
     def dist_rows(X):
-        Y = (M @ X[:, :, None])[:, :, 0]      # M @ x for every row x
+        Y = matvec_rows(M, X)
         _v, XS = best_state_functional_rows(Y, X, space)
         return desc.pair_distance_rows(X, XS).max(axis=1)
     return dist_rows

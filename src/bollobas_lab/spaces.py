@@ -83,6 +83,10 @@ class Space(_Geometry):
     def norm(self, v: np.ndarray) -> float:
         return lp_norm(self.check(v), self.p)
 
+    def norm_rows(self, X: np.ndarray) -> np.ndarray:
+        """norm of every row of X (R, dim), rounded as norm rounds."""
+        return lp_norm_rows(X, self.p)
+
     def describe(self) -> dict:
         return {"p": self.p, "dim": self.dim, "field": self.field}
 
@@ -141,6 +145,14 @@ class SumSpace(_Geometry):
         profile = np.array([c.norm(b) for c, b in zip(self.components, self.split(v))])
         return lp_norm(profile, self.outer_p)
 
+    def norm_rows(self, X: np.ndarray) -> np.ndarray:
+        """norm of every row of X (R, dim): the block norms by row, then
+        the outer norm of each row's profile, rounded as norm rounds."""
+        X = np.asarray(X)
+        profile = np.stack([c.norm_rows(X[:, a:b]) for c, (a, b)
+                            in zip(self.components, self._offsets)], axis=1)
+        return lp_norm_rows(profile, self.outer_p)
+
     def describe(self) -> dict:
         return {"outer_p": self.outer_p,
                 "components": [c.describe() for c in self.components]}
@@ -178,7 +190,10 @@ def lp_norm_rows(X: np.ndarray, p: float) -> np.ndarray:
     if p == 2:
         return np.sqrt((A * A).sum(axis=1))
     m = A.max(axis=1)
-    scaled = A / np.where(m == 0.0, 1.0, m)[:, None]
+    # np.where only when a row is zero: on short rows it costs more than
+    # the whole division
+    safe = m if np.count_nonzero(m) == len(m) else np.where(m == 0.0, 1.0, m)
+    scaled = A / safe[:, None]
     return m * np.float_power((scaled ** p).sum(axis=1), 1.0 / p)
 
 

@@ -10,16 +10,27 @@ before the library moved to row forms; tests/test_rows.py checks the row
 forms against them.  face_sup is the support-face value as it was computed
 before best_state_functional became its one engine, from explicit reachable
 sets; a massless block under outer 1 adds the disk of radius ||y_b||.
+
+The last part keeps the probes' restart batches and the sum-space norm and
+numerical-radius multistarts as they ran before the batched restart engine:
+one start after another, with the scalar random_polish,
+generic_power_ascent and pullback bisection.
+tests/test_restart_rows.py checks the row programs against them.
 """
 
 import numpy as np
 
-from bollobas_lab._search import golden_max
+from bollobas_lab._search import (best_of, dual_align_vec, golden_max,
+                                  primal_align_vec, run_batches)
 from bollobas_lab.norm_attainment import UnionNormingSet
+from bollobas_lab import probe
 from bollobas_lab.numerical_radius import (DiagonalNuStates, EmptyNuStates,
                                            ExplicitNuStates, HilbertNuStates)
-from bollobas_lab.spaces import (INF, SumSpace, duality_map, lp_norm, pair,
-                                 unit_phase)
+from bollobas_lab.numerical_radius import face_sup as engine_face_sup
+from bollobas_lab.operators import to_matrix
+from bollobas_lab.probe import FEAS_TOL, ProbeBudget
+from bollobas_lab.spaces import (INF, StatePair, SumSpace, duality_map,
+                                 lp_norm, pair, random_unit, unit_phase)
 
 
 def _normalize_rows(X, p):
@@ -467,3 +478,228 @@ def face_sup(y, x, space):
         else:
             points = [pt + w * v for pt in points for v in rep[1]]
     return max(abs(pt) for pt in points) + radius
+
+
+# ---------------------------------------------------------------------------
+# the probes' restart batches, one start at a time
+# ---------------------------------------------------------------------------
+
+def random_polish(x, value_of, rng, space, iters, tries, step, min_step):
+    """Random-direction hill climb on the unit sphere, one trial at a time;
+    returns (value, x, aux)."""
+    val, aux = value_of(x)
+    for _ in range(iters):
+        moved = False
+        for _ in range(tries):
+            d = rng.normal(size=space.dim) + \
+                (1j * rng.normal(size=space.dim) if space.is_complex else 0.0)
+            cand = x + step * d
+            n = space.norm(cand)
+            if n == 0:
+                continue
+            cand = cand / n
+            v, a = value_of(cand)
+            if v > val + 1e-14:
+                x, val, aux, moved = cand, v, a, True
+        if not moved:
+            step *= 0.5
+            if step < min_step:
+                break
+    return val, x, aux
+
+
+def generic_power_ascent(M, dom, cod, x0, iters=300):
+    """Monotone norm ascent on one vector, stopping at the first step that
+    gains at most 1e-13; returns (value, x)."""
+    n = dom.norm(x0)
+    x = x0 / (n if n > 0 else 1.0)
+    val = cod.norm(M @ x)
+    for _ in range(iters):
+        y = M @ x
+        u = dual_align_vec(y, cod)
+        w = u @ M
+        xn = primal_align_vec(w, dom)
+        vn = cod.norm(M @ xn)
+        if vn <= val + 1e-13:
+            if vn > val:
+                x, val = xn, vn
+            break
+        x, val = xn, vn
+    return float(val), x
+
+
+def multistart_nu(M, space, restarts, iters, seed):
+    """The search of numerical_radius._multistart_nu with its 8 polishes
+    run one after another: (value, x, None)."""
+    def value_of(x):
+        return engine_face_sup(M @ x, x, space), None
+
+    def batch(rng):
+        return best_of(random_polish(random_unit(space, rng), value_of, rng,
+                                     space, iters, tries=4, step=0.5,
+                                     min_step=1e-9) for _ in range(8))
+
+    return run_batches(seed, max(1, restarts // 8), batch)
+
+
+def sum_space_norm(M, dom, cod, restarts, iters, seed):
+    """norm_attainment._sum_space_norm with its 8 starts run one after
+    another: (value, x)."""
+    def batch(rng):
+        return best_of(generic_power_ascent(M, dom, cod, random_unit(dom, rng),
+                                            iters=iters) for _ in range(8))
+
+    return run_batches(seed, max(1, restarts // 8), batch)
+
+
+def pullback(value_of, dist_of, x_hi, x_lo, eps, space):
+    """Binary search along the normalized segment between a feasible anchor
+    x_lo and an infeasible point x_hi: the best feasible (value, distance,
+    point) found, or None."""
+    best = None
+    lo, hi = 0.0, 1.0
+    for _ in range(30):
+        t = (lo + hi) / 2.0
+        cand = (1 - t) * x_hi + t * x_lo
+        n = space.norm(cand)
+        if n == 0:
+            lo, hi = t, hi
+            continue
+        cand = cand / n
+        d = dist_of(cand)
+        if d >= eps - FEAS_TOL:
+            best = best_of([best, (value_of(cand), d, cand)])
+            hi = t
+        else:
+            lo = t
+    return best
+
+
+def eta_probe_norm(T, eps, budget=None, seed=0, extra_seeds=()):
+    """probe.eta_probe_norm with its restart batch run start by start."""
+    budget = budget or ProbeBudget()
+    _nr, desc = probe._resolve_norm(T)
+    space, cod, M = T.domain, T.codomain, to_matrix(T)
+
+    def value_of(x):
+        return cod.norm(M @ x)
+
+    candidates = []
+    max_dist_seen = 0.0
+
+    def consider(x):
+        nonlocal max_dist_seen
+        d = desc.distance(x)
+        max_dist_seen = max(max_dist_seen, d)
+        if d >= eps - FEAS_TOL:
+            return (value_of(x), d, x)
+        return None
+
+    for s in probe._diag_norm_seeds(T, eps):
+        candidates.append(consider(s))
+    for s in extra_seeds:
+        candidates.append(consider(np.asarray(s, dtype=space.dtype)))
+    seed_rng = np.random.Generator(np.random.PCG64(seed))
+    if not desc.is_empty and not isinstance(space, SumSpace):
+        try:
+            bases = desc.sample(seed_rng, 2)
+        except Exception:
+            bases = []
+        for s in probe._boundary_seeds(space, desc.distance_rows, eps,
+                                       bases, seed_rng):
+            candidates.append(consider(s))
+
+    iters = max(10, budget.iters // 100)
+
+    def batch(rng):
+        best = anchor = None
+        for _ in range(min(16, budget.restarts)):
+            x = random_unit(space, rng)
+            c = consider(x)
+            if c is not None:
+                best, anchor = best_of([best, c]), x
+            for _ in range(iters):
+                _v, xn = generic_power_ascent(M, space, cod, x, iters=3)
+                if np.allclose(xn, x):
+                    break
+                x = xn
+                c = consider(x)
+                if c is not None:
+                    best, anchor = best_of([best, c]), x
+                elif anchor is not None:
+                    best = best_of([best, pullback(value_of, desc.distance,
+                                                   x, anchor, eps, space)])
+                    break
+        return best
+
+    candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
+    return probe._finalize("norm", eps, candidates, max_dist_seen, seed,
+                           budget)
+
+
+def eta_probe_nu(T, eps, budget=None, seed=0, nu_result=None, attaining=None,
+                 extra_seeds=()):
+    """probe.eta_probe_nu with its restart batch run start by start."""
+    budget = budget or ProbeBudget()
+    _nr, desc = probe._resolve_nu(T, nu_result, attaining)
+    space, M = T.domain, to_matrix(T)
+
+    def pair_value(x, xs):
+        return abs(pair(xs, M @ x))
+
+    def state_for(x):
+        return probe.aligned_state_functional(x, M @ x, space)
+
+    candidates = []
+    max_dist_seen = 0.0
+
+    def consider_pair(x, xs):
+        nonlocal max_dist_seen
+        dx, dxs = desc.pair_distance(x, xs)
+        d = max(dx, dxs)
+        max_dist_seen = max(max_dist_seen, d)
+        if d >= eps - FEAS_TOL:
+            return (pair_value(x, xs), d, StatePair(x, xs, space))
+        return None
+
+    for s in extra_seeds:
+        if isinstance(s, StatePair):
+            candidates.append(consider_pair(s.x, s.xstar))
+        elif isinstance(s, tuple) and len(s) == 2:
+            candidates.append(consider_pair(np.asarray(s[0]),
+                                            np.asarray(s[1])))
+        else:
+            x = np.asarray(s)
+            candidates.append(consider_pair(x, state_for(x)))
+    for s in probe._diag_nu_seeds(T, eps):
+        candidates.append(consider_pair(*s))
+    seed_rng = np.random.Generator(np.random.PCG64(seed))
+    if not desc.is_empty and not isinstance(space, SumSpace):
+        try:
+            bases = [sp.x for sp in desc.sample(seed_rng, 2)]
+        except Exception:
+            bases = []
+        dist_rows = probe._state_dist_rows(desc, M, space)
+        for s in probe._boundary_seeds(space, dist_rows, eps, bases,
+                                       seed_rng):
+            candidates.append(consider_pair(s, state_for(s)))
+
+    iters = max(10, budget.iters // 100)
+
+    def state_value(x):
+        xs = state_for(x)
+        return pair_value(x, xs), xs
+
+    def polished_start(rng):
+        _v, x, xs = random_polish(random_unit(space, rng), state_value, rng,
+                                  space, iters, tries=3, step=0.4,
+                                  min_step=1e-7)
+        return consider_pair(x, xs)
+
+    def batch(rng):
+        return best_of(polished_start(rng)
+                       for _ in range(min(16, budget.restarts)))
+
+    candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
+    return probe._finalize("nu", eps, candidates, max_dist_seen, seed,
+                           budget)

@@ -134,7 +134,7 @@ def test_criterion_2_gallery_certificates():
     # every constant modulus candidate dies on the lifted column operator
     for const in (0.3, 0.05):
         dim = next(d for d in dims if 2.0 ** -(d - 1) < const)
-        lifted, attaining, seeds = lifted_rank1_l1(dim, 1.0)
+        lifted, attaining, seeds = lifted_rank1_l1(dim)
         rep = validate_eta(lifted, eta_const(const), [0.5], mode="nu",
                            budget=ProbeBudget(16, 100), seed=1,
                            nu_result=NuResult(1.0, "exact", None, "lift"),

@@ -52,7 +52,7 @@ def test_skew_matrix_shape():
 
 
 def test_lifted_rank1_witness_seeds():
-    lifted, desc, seeds = lifted_rank1_l1(8, 1.0)
+    lifted, desc, seeds = lifted_rank1_l1(8)
     (w, wstar), = seeds
     s = lifted.sum_space
     # the seed is a valid state with high value but dual distance one

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,3 +171,21 @@ def test_complex_entries_with_zero_imaginary_part_accepted():
     Dense(np.array([[3 + 0j, 4.0]]), _REAL2, Space(2, 1))
     Scale(0.5 + 0j, Diagonal(SequenceSpec((1.0, 0.5)), _REAL2))
     assert Scale(1j, identity(_COMPLEX2)).scalar == 1j
+
+
+def test_zero_imaginary_matrix_is_stored_real_on_real_fields():
+    T = Dense(np.array([[3 + 0j, 4.0]]), _REAL2, Space(2, 1))
+    assert T.matrix.dtype == np.float64
+    y = apply(T, np.array([1.0, 2.0]))
+    assert y.dtype == np.float64 and y.tolist() == [11.0]
+
+
+def test_zero_imaginary_scalar_is_stored_real_on_real_fields():
+    T = Scale(0.5 + 0j, Diagonal(SequenceSpec((1.0, 0.5)), _REAL2))
+    assert isinstance(T.scalar, float) and T.scalar == 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")            # no ComplexWarning
+        y = apply(T, np.array([2.0, 4.0]))
+    assert y.dtype == np.float64 and y.tolist() == [1.0, 1.0]
+    RankOne(np.array([1.0 + 0j, 0.0]), np.array([0.0, 2.0 + 0j]), _REAL2,
+            _REAL2)

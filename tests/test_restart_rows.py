@@ -1,0 +1,248 @@
+"""The probes' batched restart engine against the start-by-start batches.
+
+tests/_oracles.py keeps eta_probe_norm and eta_probe_nu as they ran before
+the restart batches became row programs: one start after another, with the
+scalar random_polish, generic_power_ascent and pullback bisection.  The row
+programs must reproduce their reports bit for bit, and raise no warning the
+old loops did not.  "batches only" runs switch the diagonal and boundary
+seeds off in both, so that the restart batches alone decide the report.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import _oracles as oracle
+from bollobas_lab import probe
+from bollobas_lab._search import generic_power_ascent, random_polish
+from bollobas_lab.gallery import lifted_rank1_l1
+from bollobas_lab.norm_attainment import _sum_space_norm, operator_norm
+from bollobas_lab.numerical_radius import (NuResult, _multistart_nu,
+                                           numerical_radius)
+from bollobas_lab.operators import Dense, Diagonal, Lift, RankOne, Scale
+from bollobas_lab.probe import ProbeBudget, eta_probe_norm, eta_probe_nu
+from bollobas_lab.sequences import ConstantTail, SequenceSpec, geometric_tail
+from bollobas_lab.spaces import INF, Space, StatePair, SumSpace, random_unit
+from bollobas_lab.sums import LiftNuStates
+
+EXPONENTS = (1.0, 1.5, 2.0, 3.0, INF)
+# dims 1-12 spread over the (p, field) grid, and 60
+DIMS = {(p, cx): (1 + (3 * i + 7 * cx) % 12, 60 if (i + cx) % 2 else 9)
+        for i, p in enumerate(EXPONENTS) for cx in (False, True)}
+GRID = [(p, cx, dim) for (p, cx), dims in DIMS.items() for dim in dims]
+
+
+def _bits(v):
+    if v is None:
+        return None
+    if isinstance(v, StatePair):
+        return (_bits(v.x), _bits(v.xstar))
+    a = np.asarray(v)
+    return (a.dtype.str, a.shape, a.tobytes())
+
+
+def _same_report(got, want):
+    for name in ("eta_hat", "best_value", "witness_distance"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert got.sentinel == want.sentinel
+    assert _bits(got.witness) == _bits(want.witness)
+
+
+def _run_both(new, old, *args, **kwargs):
+    """old's report, and new's under warnings-as-errors."""
+    want = old(*args, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = new(*args, **kwargs)
+    _same_report(got, want)
+    return got
+
+
+@pytest.fixture(params=[False, True], ids=["seeded", "batches-only"])
+def batches_only(request, monkeypatch):
+    if request.param:
+        for name in ("_diag_norm_seeds", "_diag_nu_seeds", "_boundary_seeds"):
+            monkeypatch.setattr(probe, name, lambda *a, **k: [])
+    return request.param
+
+
+def _space(p, cx, dim):
+    return Space(p, dim, "complex" if cx else "real")
+
+
+def _diagonal(space, rng):
+    """A norm-one diagonal: two unimodular entries and a sub-unit rest."""
+    phases = np.exp(2j * np.pi * rng.uniform(size=2)) if space.is_complex \
+        else rng.choice([-1.0, 1.0], size=2)
+    head = tuple(phases.tolist()) + tuple(rng.uniform(0.2, 0.9, 3).tolist())
+    spec = SequenceSpec(head[:space.dim], ConstantTail(0.5))
+    return Diagonal(spec, space)
+
+
+def _dense_norm_one(space, rng):
+    """A random dense operator scaled to norm one, where the norm route is
+    exact (l1 domain, sup codomain, Hilbert) and the norming set known."""
+    M = rng.normal(size=(space.dim, space.dim))
+    if space.is_complex:
+        M = M + 1j * rng.normal(size=M.shape)
+    T = Dense(M, space, space)
+    return Scale(1.0 / operator_norm(T).value, T)
+
+
+def _dense_nu_one(space, rng):
+    """A random dense operator scaled to numerical radius one, on the flat
+    geometries with a certified radius and attaining-state rule."""
+    M = rng.normal(size=(space.dim, space.dim))
+    if space.is_complex:
+        M = M + 1j * rng.normal(size=M.shape)
+    if space.p == 2 and not space.is_complex:
+        M = M + M.T
+    return Scale(1.0 / numerical_radius(Dense(M, space, space)).value,
+                 Dense(M, space, space))
+
+
+@pytest.mark.parametrize("p,cx,dim", GRID)
+def test_norm_probe_rows_match_start_by_start(p, cx, dim, batches_only):
+    rng = np.random.default_rng(int(dim * 10 + p * 3 if p < INF else dim))
+    space = _space(p, cx, dim)
+    ops = [_diagonal(space, rng)]
+    if 1 < dim <= 12 and (p in (1.0, 2.0) or p == INF and not cx):
+        ops.append(_dense_norm_one(space, rng))
+    if p < INF and dim <= 12:
+        f = rng.normal(size=dim) + (1j * rng.normal(size=dim) if cx else 0)
+        f = f / space.dual().norm(f)
+        ops.append(RankOne(np.eye(dim, dtype=space.dtype)[0], f, space,
+                           space))
+    for T, restarts, eps in zip(ops, (37, 5, 16), (0.2, 0.6, 0.4)):
+        _run_both(eta_probe_norm, oracle.eta_probe_norm, T, eps,
+                  budget=ProbeBudget(restarts, 300), seed=dim)
+
+
+@pytest.mark.parametrize("p,cx,dim", GRID)
+def test_nu_probe_rows_match_start_by_start(p, cx, dim, batches_only):
+    rng = np.random.default_rng(int(dim * 10 + p * 3 if p < INF else dim))
+    space = _space(p, cx, dim)
+    ops = [_diagonal(space, rng)]
+    if dim > 1 and p in (1.0, 2.0, INF) and dim <= 12:
+        ops.append(_dense_nu_one(space, rng))
+    for T, restarts, eps in zip(ops, (21, 40), (0.2, 0.6)):
+        _run_both(eta_probe_nu, oracle.eta_probe_nu, T, eps,
+                  budget=ProbeBudget(restarts, 300), seed=dim + 1)
+
+
+def test_nu_probe_rows_at_the_longest_exact_budget():
+    # iters = 2199 gives 21 polish rounds, the most a step of 0.4 can take
+    # without halving below 1e-7, so no start stops early
+    T = _diagonal(Space(3.0, 7, "complex"), np.random.default_rng(3))
+    _run_both(eta_probe_nu, oracle.eta_probe_nu, T, 0.3,
+              budget=ProbeBudget(16, 2199), seed=2)
+
+
+def test_norm_probe_rows_raise_no_warning_past_the_walk():
+    # fast geometric decay: a start the old loop ended early would ascend on
+    # toward images so small that an alignment step overflows
+    spec = SequenceSpec((complex(-1.0, 1.2246467991473532e-16),),
+                        geometric_tail(1.0, 0.3104983345650063))
+    T = Diagonal(spec, Space(2.0, 32, "complex"))
+    _run_both(eta_probe_norm, oracle.eta_probe_norm, T, 0.1,
+              budget=ProbeBudget(16, 200), seed=1988384925)
+
+
+def test_norm_probe_rows_on_a_lift(batches_only):
+    D = Diagonal(SequenceSpec((1.0, 0.9, 0.6, 0.3)), Space(3.0, 4))
+    for outer in (1.0, 2.0, INF):
+        for eps in (0.3, 0.7):
+            _run_both(eta_probe_norm, oracle.eta_probe_norm, Lift(D, outer),
+                      eps, budget=ProbeBudget(20, 300), seed=6)
+
+
+def test_nu_probe_rows_on_lifts(batches_only):
+    exact = NuResult(1.0, "exact", None, "lift-profile")
+    T, desc, seeds = lifted_rank1_l1(3)
+    _run_both(eta_probe_nu, oracle.eta_probe_nu, T, 0.5,
+              budget=ProbeBudget(32, 300), seed=7, nu_result=exact,
+              attaining=desc, extra_seeds=seeds)
+    rng = np.random.default_rng(5)
+    H = Space(2.0, 3)
+    M = rng.normal(size=(3, 3))
+    base = Scale(1.0 / np.linalg.norm(M, 2), Dense(M, H, H))
+    for outer in (1.0, INF):
+        _run_both(eta_probe_nu, oracle.eta_probe_nu, Lift(base, outer), 0.4,
+                  budget=ProbeBudget(19, 300), seed=8, nu_result=exact,
+                  attaining=LiftNuStates(base, outer))
+
+
+SUMS = [SumSpace((Space(3.0, 2), Space(1.5, 3)), 2.0),
+        SumSpace((Space(1.0, 2, "complex"), Space(INF, 2, "complex")), 1.0),
+        SumSpace((Space(2.0, 3), Space(2.0, 3)), INF)]
+
+
+@pytest.mark.parametrize("space", SUMS, ids=["sum-2", "sum-1-complex",
+                                             "sum-inf"])
+def test_sum_space_norm_rows_match_start_by_start(space):
+    rng = np.random.default_rng(13)
+    M = rng.normal(size=(space.dim, space.dim))
+    if space.is_complex:
+        M = M + 1j * rng.normal(size=M.shape)
+    for seed, restarts in ((3, 16), (4, 21)):
+        got = _sum_space_norm(M, space, space, restarts, 40, seed)
+        want = oracle.sum_space_norm(M, space, space, restarts, 40, seed)
+        assert repr(got.value) == repr(want[0])
+        assert _bits(got.witness) == _bits(want[1])
+
+
+@pytest.mark.parametrize("space", [Space(3.0, 4), Space(1.5, 3, "complex"),
+                                   SUMS[0], SUMS[1]],
+                         ids=["l3", "l1.5-complex", "sum-2", "sum-1-complex"])
+def test_multistart_nu_rows_match_start_by_start(space, monkeypatch):
+    # iters 30: the starts run as rows; 40: one at a time.  The zero matrix
+    # gives no gain, so every start stops early and the rows fall back to
+    # one polish at a time, except at iters 29, where stopping takes them
+    # to their last round
+    rng = np.random.default_rng(17)
+    M = rng.normal(size=(space.dim, space.dim))
+    if space.is_complex:
+        M = M + 1j * rng.normal(size=M.shape)
+    cases = [(M, 30), (M, 40), (0 * M, 30), (0 * M, 29)]
+
+    def check():
+        for A, iters in cases:
+            got = _multistart_nu(A, space, 16, iters, 5)
+            want = oracle.multistart_nu(A, space, 16, iters, 5)
+            assert repr(got.value) == repr(float(want[0]))
+            assert _bits(got.witness.x) == _bits(want[1])
+
+    check()
+    # rows at every budget: the starts that converge stop early, and the
+    # batch must fall back to one polish at a time from the same draws
+    monkeypatch.setitem(_multistart_nu.__globals__, "_NU_STOP_ROUNDS",
+                        10 ** 6)
+    cases = [(M, 120)]
+    check()
+
+
+@pytest.mark.parametrize("space", [
+    Space(3.0, 5), Space(1.0, 4, "complex"), Space(INF, 6)] + SUMS[:2],
+    ids=["l3", "l1-complex", "sup", "sum-2", "sum-1-complex"])
+def test_one_row_calls_match_the_scalar_bodies(space):
+    rng = np.random.default_rng(11)
+    M = rng.normal(size=(space.dim, space.dim))
+    if space.is_complex:
+        M = M + 1j * rng.normal(size=M.shape)
+    for k in range(4):
+        x0 = random_unit(space, rng)
+        got = generic_power_ascent(M, space, space, x0, iters=40)
+        want = oracle.generic_power_ascent(M, space, space, x0, iters=40)
+        assert repr(got[0]) == repr(want[0]) and _bits(got[1]) == \
+            _bits(want[1])
+
+        def value_of(x):
+            return abs(complex((M @ x)[0])), x[0]
+
+        got = random_polish(x0, value_of, np.random.default_rng(k), space,
+                            40, 3, 0.5, 1e-3)
+        want = oracle.random_polish(x0, value_of, np.random.default_rng(k),
+                                    space, 40, 3, 0.5, 1e-3)
+        assert repr(got[0]) == repr(want[0])
+        assert _bits(got[1]) == _bits(want[1]) and got[2] == want[2]

@@ -107,7 +107,7 @@ def test_pinned_probe_norm():
 
 
 def test_pinned_probe_nu():
-    T, desc, _seeds = lifted_rank1_l1(3, 1.0)
+    T, desc, _seeds = lifted_rank1_l1(3)
     rep = eta_probe_nu(T, 0.5, budget=BUD, seed=7,
                        nu_result=NuResult(1.0, "exact", None, "lift-profile"),
                        attaining=desc)
