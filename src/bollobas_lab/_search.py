@@ -18,8 +18,9 @@ iterates its starting vectors and as boyd_ascent does for flat dense norms:
 
 Products are stacks of matrix-vector products (matvec_rows, vecmat_rows),
 never one flat GEMM, and reductions run over C-ordered rows, so every row
-rounds as its one-row call does.  Geometries without a row form yet (sums:
-the support face, the alignment maps, the sum descriptors) go through
+rounds as its one-row call does.  What has no row form yet on sums (the
+alignment maps dual_align_in and primal_align_in, and the descriptors
+gallery.LiftedRank1NuStates and gallery.CornerNuStates) goes through
 per_row, which loops the one-vector body.
 """
 

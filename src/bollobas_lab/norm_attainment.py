@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (boyd_ascent, first_best, golden_max, per_row,
+from ._search import (boyd_ascent, first_best, golden_max,
                       phase_orbit_min_rows, power_ascent_rows,
                       primal_align_rows, random_unit_rows, run_batches)
 from .errors import GeometryError, HeuristicRefusalError
@@ -513,20 +513,21 @@ class LiftedNormingSet(NormingSetDescriptor):
     def is_empty(self):
         return self.inner.is_empty
 
-    def distance(self, x) -> float:
+    def distance_rows(self, X):
         s = self.sum_space
-        w, z = s.split(x)
-        dw = self.inner.distance(w)
-        nz = s.components[1].norm(z)
+        X = np.asarray(X, dtype=s.dtype)
+        d, cod = s.components[0].dim, s.components[1]
+        dw = self.inner.distance_rows(X[:, :d])
+        nz = lp_norm_rows(X[:, d:], cod.p)
         if s.outer_p == INF:
-            return max(dw, max(0.0, nz - 1.0))
+            over = nz - 1.0
+            over = np.where(over > 0.0, over, 0.0)
+            return np.where(over > dw, over, dw)
         if s.outer_p == 1:
             return dw + nz
-        return (dw ** s.outer_p + nz ** s.outer_p) ** (1.0 / s.outer_p)
-
-    def distance_rows(self, X):
-        """distance of every row; no row form yet, so one row at a time."""
-        return per_row(self.distance)(X)
+        p = s.outer_p
+        return np.float_power(np.float_power(dw, p) + np.float_power(nz, p),
+                              1.0 / p)
 
     def sample(self, rng, count: int = 1):
         s = self.sum_space

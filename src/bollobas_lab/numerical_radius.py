@@ -16,11 +16,11 @@ Geometry-specific exact routes:
 
 Every other route, on flat spaces and on sums, maximizes the support-face
 value sup |<x*, y>| over the functionals x* supporting x, for y = T x.  Its
-one engine is best_state_functional(y, x, space), which returns that value
-and an x* attaining it: face_sup is its value, the nu probe's state
-(probe.aligned_state_functional) its functional, and
-best_state_functional_rows and face_sup_rows its row forms, which on sums
-loop the one-pair body.
+one engine is best_state_functional_rows(Y, X, space), which returns that
+value and an x* attaining it for every row pair: face_sup_rows is its value,
+which on a sum leaves x* unassembled, the nu probe's state
+(probe.aligned_state_functional) its functional, and face_sup and
+best_state_functional its one-row calls.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (best_of, drawn_directions, dual_align_vec, first_best,
+from ._search import (best_of, drawn_directions, dual_align_rows, first_best,
                       golden_max, matvec_rows, per_row, phase_orbit_min_rows,
                       polish_draws, polish_rows, rounds_to_stop, run_batches)
-from .errors import GeometryError, HeuristicRefusalError
+from .errors import (DimensionMismatchError, GeometryError,
+                     HeuristicRefusalError)
 from .norm_attainment import (operator_norm, subspace_sphere_distance_rows,
                               support_distance_rows, unimodular_distance_rows)
 from .operators import (Adjoint, Dense, Diagonal, DirectSum, Lift, OperatorExpr,
@@ -170,147 +171,235 @@ def _linf_witness(M, space, i) -> StatePair:
 # ---------------------------------------------------------------------------
 
 def face_sup(y: np.ndarray, x: np.ndarray, space) -> float:
-    """sup over x* supporting the unit vector x of |<x*, y>|: the value of
-    best_state_functional, which on a sum leaves x* unassembled."""
-    if isinstance(space, SumSpace):
-        return _sum_face(y, x, space)[0]
-    return best_state_functional(y, x, space)[0]
+    """sup over x* supporting the unit vector x of |<x*, y>|: the one-row
+    call of face_sup_rows."""
+    return float(face_sup_rows(np.asarray(y)[None, :],
+                               np.asarray(x)[None, :], space)[0])
 
 
 def face_sup_rows(Y: np.ndarray, X: np.ndarray, space) -> np.ndarray:
-    """face_sup for every row pair (y, x) of Y and X (R, dim)."""
+    """face_sup for every row pair (y, x) of Y and X (R, dim): the values
+    of best_state_functional_rows, which on a sum leaves x* unassembled."""
     if isinstance(space, SumSpace):
-        return per_row(lambda y, x: face_sup(y, x, space))(Y, X)
+        return _sum_face_rows(Y, X, space, functionals=False)[0]
     return best_state_functional_rows(Y, X, space)[0]
 
 
 def best_state_functional(y: np.ndarray, x: np.ndarray, space):
     """(face_sup(y, x, space), x*) with x* supporting x and attaining it;
-    exact for flat spaces and for sums of flat blocks."""
-    if isinstance(space, SumSpace):
-        value, assemble = _sum_face(y, x, space)
-        return value, assemble()
+    exact for flat spaces and for sums of flat blocks.  The one-row call of
+    best_state_functional_rows."""
     vals, XS = best_state_functional_rows(np.asarray(y)[None, :],
                                           np.asarray(x)[None, :], space)
     return float(vals[0]), XS[0]
 
 
-def _sum_face(y, x, space):
-    """(face_sup, assemble) on a sum, in one pass over the blocks.
+def _sum_face_rows(Y, X, space, functionals: bool):
+    """(values (R,), functionals (R, dim) or None) of the support face on a
+    sum, for every row pair (y, x) of Y and X, in one pass over the blocks.
 
     Under outer p < inf the reachable set {<x*, y> : x* supports x} is a
     Minkowski sum: each massed block adds its weighted duality-map center,
     l1 disk or sup-norm peak set, and under outer 1 each massless block b
     adds a disk of radius ||y_b||.  Its modulus peaks at the best Minkowski
-    point plus every radius; assemble() builds x* there, aligning every disk
-    with the phase psi of that point.  Under outer inf the set is the hull
-    of the peak blocks' sets, so the best peak block carries all of x*.
+    point plus every radius; x* is built there, aligning every disk with the
+    phase psi of that point.  Under outer inf the set is the hull of the
+    peak blocks' sets, so the best peak block carries all of x*.
+
+    Every row rounds as its one-row call: block norms by lp_norm_rows, the
+    points summed in block order from 0, moduli by hypot, and among tied
+    points the first in the order of the peak indices, the last block
+    varying fastest.
     """
-    comps = space.components
-    blocks_x, blocks_y = space.split(x), space.split(y)
-    norms = np.array([c.norm(b) for c, b in zip(comps, blocks_x)])
-    op = space.outer_p
-    if op == INF:
-        out = [np.zeros(c.dim, dtype=space.dtype) for c in comps]
-        best, at = (0.0, None), None
-        for i, (c, bx, by, a) in enumerate(zip(comps, blocks_x, blocks_y,
-                                               norms)):
-            if abs(a - 1.0) <= 1e-9:
-                face = best_state_functional(by, bx, c)
-                if at is None or face[0] > best[0]:
-                    best, at = face, i
-        if at is not None:
-            out[at] = best[1]
-        return best[0], lambda: space.join(out)
+    dtype = space.dtype
+    X, Y = np.asarray(X, dtype=dtype), np.asarray(Y, dtype=dtype)
+    if X.ndim != 2 or X.shape[1] != space.dim or Y.shape != X.shape:
+        raise DimensionMismatchError(
+            f"expected rows of length {space.dim}, got {X.shape} and "
+            f"{Y.shape}")
+    blocks = [(c, a, X[:, a:b], Y[:, a:b])
+              for c, (a, b) in zip(space.components, space._offsets)]
+    N = np.empty((len(X), len(blocks)))
+    for i, (c, _a, bx, _by) in enumerate(blocks):
+        N[:, i] = lp_norm_rows(bx, c.p)
+    if space.outer_p == INF:
+        return _peak_block_face_rows(blocks, N, X.shape, dtype, functionals)
+    return _minkowski_face_rows(blocks, N, space.outer_p, X.shape, dtype,
+                                functionals)
 
-    weights = np.ones_like(norms) if op == 1 else norms ** (op - 1.0)
-    points, radius = [0j], 0.0
-    blocks = []             # (choices, build(choice, psi) -> block of x*)
-    for c, bx, by, a, w in zip(comps, blocks_x, blocks_y, norms, weights):
-        if a == 0:
-            r = c.norm(by) if op == 1 else 0.0
-            radius += r
-            blocks.append((1, _free_block(c, by, r, space.dtype)))
+
+def _peak_block_face_rows(blocks, N, shape, dtype, functionals):
+    """The outer-inf face: the best flat face among the blocks of norm one,
+    the first among ties; 0 and the zero functional when none has norm
+    one."""
+    R = len(N)
+    best, at = np.zeros(R), np.full(R, -1)
+    faces = []
+    for i, (c, a, bx, by) in enumerate(blocks):
+        rows = np.flatnonzero(np.abs(N[:, i] - 1.0) <= 1e-9)
+        if not rows.size:
             continue
-        xb = bx / a
+        vals, XS = best_state_functional_rows(by[rows], bx[rows], c)
+        win = (at[rows] < 0) | (vals > best[rows])
+        best[rows[win]], at[rows[win]] = vals[win], i
+        faces.append((i, a, c.dim, rows, XS))
+    if not functionals:
+        return best, None
+    out = np.zeros(shape, dtype=dtype)
+    for i, a, dim, rows, XS in faces:
+        mine = at[rows] == i
+        out[rows[mine], a:a + dim] = XS[mine]
+    return best, out
+
+
+def _minkowski_face_rows(blocks, N, op, shape, dtype, functionals):
+    """The outer p < inf face: the Minkowski points of every row, the best
+    one, and, when asked, x* assembled there."""
+    R = len(N)
+    W = np.ones_like(N) if op == 1 else N ** (op - 1.0)
+    any_massless = np.count_nonzero(N) < N.size
+    radius = 0.0
+    terms = []      # per block: its center (R,), or its peak values and mask
+    parts = []      # per block: what its part of x* is built from
+    for i, (c, _a, bx, by) in enumerate(blocks):
+        n, w, massless = N[:, i], W[:, i], None
+        if any_massless and np.count_nonzero(n) < R:
+            massless = n == 0
+            n = np.where(massless, 1.0, n)
+            if op == 1 and c.p != 1:    # the l1 disk below covers p = 1
+                radius = radius + np.where(massless, lp_norm_rows(by, c.p),
+                                           0.0)
+        XB = bx / n[:, None]
         if 1.0 < c.p < INF:
-            f = duality_map(xb, c)
-            center = w * complex((f * by).sum())
-            points = [pt + center for pt in points]
-            blocks.append((1, lambda j, psi, w=w, f=f: w * f))
+            A = np.abs(XB)
+            if np.count_nonzero(A) == A.size:   # no zero entry to mask
+                F = np.conj(XB) * A ** (c.p - 2.0)
+            else:
+                nz = A > 0
+                F = np.zeros(XB.shape, dtype=XB.dtype)
+                F[nz] = np.conj(XB[nz]) * A[nz] ** (c.p - 2.0)
+            # add.reduce is sum(axis=1) without the method's overhead
+            terms.append(w * np.add.reduce(F * by, axis=1))
+            parts.append((massless, F))
         elif c.p == 1:
-            supp = np.abs(xb) > 0
-            phases = np.conj(unit_phase(xb[supp]))
-            center = w * complex((phases * by[supp]).sum())
-            points = [pt + center for pt in points]
-            radius += w * float(np.abs(by[~supp]).sum())
-            blocks.append((1, _disk_block(supp, phases, by, w, space.dtype)))
+            # a massless row has no support, so its disk is the whole free
+            # disk: radius ||y_b||_1 under outer 1, weight 0 otherwise
+            supp = np.abs(XB) > 0
+            PH = np.conj(unit_phase(XB))
+            terms.append(w * _masked_row_sums(PH * by, supp))
+            radius = radius + w * _masked_row_sums(np.abs(by), ~supp)
+            parts.append((massless, (supp, PH)))
         else:
-            peaks = np.nonzero(np.abs(np.abs(xb) - 1.0) <= 1e-9)[0]
-            phases = np.conj(unit_phase(xb[peaks]))
-            vals = [w * complex(v) for v in phases * by[peaks]]
-            if len(points) * max(len(vals), 1) > 4096:
-                raise GeometryError(
-                    "support-face combination too large to stay exact")
-            points = [pt + v for pt in points for v in vals]
-            blocks.append((len(vals), _peak_block(c.dim, peaks, phases, w,
-                                                  space.dtype)))
-    mods = [abs(pt) for pt in points]
-    top = max(mods)
+            peaks = np.abs(np.abs(XB) - 1.0) <= 1e-9
+            PH = np.conj(unit_phase(XB))
+            terms.append((w[:, None] * (PH * by), peaks))
+            parts.append((massless, PH))
+    point, chosen = _best_points(terms, R, dtype)
+    top = _modulus(point)
+    values = top + radius
+    if not functionals:
+        return values, None
 
-    def assemble():
-        k = mods.index(top)
-        pt = complex(points[k])
-        # divided part by part, as the flat l1 face divides its center
-        psi = complex(pt.real / top, pt.imag / top) if top > 0 else 1.0
-        if not space.is_complex:
-            psi = psi.real
-        out = []
-        for choices, build in reversed(blocks):   # the last block varies fastest
-            k, j = divmod(k, choices)
-            out.append(build(j, psi))
-        return space.join(out[::-1])
-    return top + radius, assemble
+    # psi, the phase of the best point, divided part by part as the flat l1
+    # face divides its center
+    hit = top > 0
+    psi = np.ones(R, dtype=dtype)
+    if dtype == np.complex128:
+        psi[hit] = _complex(point.real[hit] / top[hit],
+                            point.imag[hit] / top[hit])
+    else:
+        psi[hit] = point[hit] / top[hit]
+    out = np.empty(shape, dtype=dtype)
+    sup = iter(chosen)
+    for i, ((c, a, _bx, by), (massless, part)) in enumerate(zip(blocks,
+                                                                parts)):
+        w = W[:, i, None]
+        if 1.0 < c.p < INF:
+            G = w * part
+        elif c.p == 1:
+            supp, PH = part
+            G = np.zeros(by.shape, dtype=dtype)
+            G[supp] = PH[supp]
+            free = ~supp & (np.abs(by) > 0)
+            if np.count_nonzero(free):
+                G[free] = (psi[:, None] * np.conj(unit_phase(by)))[free]
+            G = w * G
+        else:
+            pick = next(sup)
+            G = np.zeros(by.shape, dtype=dtype)
+            rows = np.flatnonzero(pick >= 0)
+            G[rows, pick[rows]] = W[rows, i] * part[rows, pick[rows]]
+        if massless is not None:
+            G[massless] = 0.0
+            if op == 1:
+                rows = np.flatnonzero(massless)
+                rows = rows[lp_norm_rows(by[rows], c.p) > 0]
+                G[rows] = psi[rows, None] * dual_align_rows(by[rows], c.p)
+        out[:, a:a + c.dim] = G
+    return values, out
 
 
-def _free_block(c, by, r, dtype):
-    """A massless block: psi times the functional norming y_b, or zero."""
-    def build(j, psi):
-        if r > 0:
-            return psi * dual_align_vec(by, c)
-        return np.zeros(c.dim, dtype=dtype)
-    return build
+def _best_points(terms, R, dtype):
+    """The first best Minkowski point of every row, and for each peak
+    block the index of its chosen peak coordinate (-1 for none).
 
-
-def _disk_block(supp, phases, by, w, dtype):
-    """An l1 block: the phases of x on its support, psi conj(phase y) off
-    it, weighted."""
-    def build(j, psi):
-        g = np.zeros(len(by), dtype=dtype)
-        g[supp] = phases
-        free = ~supp & (np.abs(by) > 0)
-        g[free] = psi * np.conj(unit_phase(by[free]))
-        return w * g
-    return build
-
-
-def _peak_block(dim, peaks, phases, w, dtype):
-    """A sup-norm block: the chosen peak's phase, weighted."""
-    def build(j, psi):
-        g = np.zeros(dim, dtype=dtype)
-        g[peaks[j]] = w * phases[j]
-        return g
-    return build
+    Points are summed in block order from 0, as the one-row face sums them.
+    A peak block makes one point for each of its peaks, so rows are taken
+    in groups with the same peak counts; within a group every row has the
+    same candidate points, laid out with the last block varying fastest,
+    and argmax takes the first best of them.  More than 4096 points in a
+    row raise GeometryError.
+    """
+    peak_terms = [t for t in terms if isinstance(t, tuple)]
+    if not peak_terms:
+        point = np.zeros(R, dtype=dtype)
+        for t in terms:
+            point += t
+        return point, []
+    counts = np.stack([pk.sum(axis=1) for _v, pk in peak_terms], axis=1)
+    size = np.ones(R, dtype=np.int64)
+    for k in counts.T:
+        size *= np.maximum(k, 1)
+        if np.count_nonzero(size > 4096):
+            raise GeometryError(
+                "support-face combination too large to stay exact")
+    point = np.empty(R, dtype=dtype)
+    chosen = np.full(counts.shape, -1)
+    for key in set(map(tuple, counts.tolist())):
+        rows = np.flatnonzero((counts == key).all(axis=1))
+        pts = np.zeros((len(rows), 1), dtype=dtype)
+        coords, j = [], 0
+        for t in terms:
+            if not isinstance(t, tuple):
+                pts = pts + t[rows, None]
+                continue
+            V, PK = t
+            k, j = key[j], j + 1
+            if k == 0:          # a massless block: no peak to choose
+                coords.append(None)
+                continue
+            sel = PK[rows]
+            vals = V[rows][sel].reshape(-1, k)
+            pts = (pts[:, :, None] + vals[:, None, :]).reshape(len(rows), -1)
+            coords.append(np.nonzero(sel)[1].reshape(-1, k))
+        best = _modulus(pts).argmax(axis=1)
+        point[rows] = pts[np.arange(len(rows)), best]
+        shape = [k for k in key if k]
+        picks = iter(np.unravel_index(best, shape) if shape else ())
+        for j, C in enumerate(coords):
+            if C is not None:
+                chosen[rows, j] = C[np.arange(len(rows)), next(picks)]
+    return point, list(chosen.T)
 
 
 def best_state_functional_rows(Y: np.ndarray, X: np.ndarray, space):
     """best_state_functional for every row pair (y, x) of Y and X (R, dim):
     returns values (R,) and functionals (R, dim).  Each row rounds as the
     one-row call does.  A sup-norm row without a peak coordinate gets value
-    0 and the zero functional.  Sums have no row form yet and loop the
-    one-pair body."""
+    0 and the zero functional.  On a sum the values and the functionals
+    come from one pass over the blocks of all rows (_sum_face_rows)."""
     if isinstance(space, SumSpace):
-        return per_row(lambda y, x: best_state_functional(y, x, space))(Y, X)
+        return _sum_face_rows(Y, X, space, functionals=True)
     p = space.p
     X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
     if 1.0 < p < INF:
@@ -442,9 +531,11 @@ class NuStatesDescriptor:
     """Interface: pair_distance gives certified componentwise lower bounds on
     the distance to the nearest attaining pair; sample yields valid pairs.
 
-    Flat-space descriptors implement pair_distance_rows, of which
-    pair_distance is the one-row call; descriptors on sums implement
-    pair_distance itself, and their pair_distance_rows loops it."""
+    Flat-space descriptors and sums.LiftNuStates implement
+    pair_distance_rows, of which pair_distance is the one-row call; the
+    other descriptors on sums (gallery.LiftedRank1NuStates and
+    gallery.CornerNuStates) implement pair_distance itself, and their
+    pair_distance_rows loops it."""
 
     is_empty = False
 

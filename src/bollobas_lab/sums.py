@@ -15,7 +15,7 @@ from .gallery import make_corner
 from .membership import EtaFunction
 from .numerical_radius import (NuStatesDescriptor, corner_profile_constant,
                                numerical_radius, _multistart_nu)
-from .norm_attainment import subspace_sphere_distance
+from .norm_attainment import _row_dots, subspace_sphere_distance_rows
 from .operators import Lift, OperatorExpr, identity, to_matrix
 from .spaces import (INF, Space, StatePair, SumSpace, conjugate_exponent,
                      modulus_convexity)
@@ -128,19 +128,19 @@ class LiftNuStates(NuStatesDescriptor):
         self.outer_p = outer_p
         self.space = SumSpace((T.domain, T.codomain), outer_p)
 
-    def pair_distance(self, x, xstar):
+    def pair_distance_rows(self, X, XS):
         s = self.space
-        x1, x2 = s.split(np.asarray(x))
-        xs1, xs2 = s.split(np.asarray(xstar))
-        dV = lambda v: subspace_sphere_distance(v, self.V1)
-        dU = lambda v: subspace_sphere_distance(v, self.U1)
+        d = s.components[0].dim
+        X, XS = np.asarray(X, dtype=s.dtype), np.asarray(XS, dtype=s.dtype)
+        dV = lambda V: subspace_sphere_distance_rows(V, self.V1)
+        dU = lambda V: subspace_sphere_distance_rows(V, self.U1)
         if self.outer_p == 1:
-            dx = dV(x1) + float(np.linalg.norm(x2))
-            dxs = max(dV(xs1), dU(xs2))
+            dx = dV(X[:, :d]) + _norm2_rows(X[:, d:])
+            dxs = _first_max(dV(XS[:, :d]), dU(XS[:, d:]))
         else:
-            dx = max(dV(x1), dU(x2))
-            dxs = float(np.linalg.norm(xs1)) + dU(xs2)
-        return dx, dxs
+            dx = _first_max(dV(X[:, :d]), dU(X[:, d:]))
+            dxs = _norm2_rows(XS[:, :d]) + dU(XS[:, d:])
+        return np.stack([dx, dxs], axis=1)
 
     def sample(self, rng, count: int = 1):
         out = []
@@ -166,6 +166,16 @@ class LiftNuStates(NuStatesDescriptor):
     def describe(self):
         return {"kind": "lift-pairs", "outer_p": self.outer_p,
                 "v1_dim": self.V1.shape[1]}
+
+
+def _norm2_rows(X):
+    """np.linalg.norm of every row, rounded as it rounds one vector."""
+    return np.sqrt(_row_dots(X))
+
+
+def _first_max(a, b):
+    """Python's max(a, b) elementwise: b only where it is strictly larger."""
+    return np.where(b > a, b, a)
 
 
 # ---------------------------------------------------------------------------

@@ -4,33 +4,40 @@ These deliberately avoid the library's own ascent code: projected gradient
 with explicit gradients, exhaustive extreme-point enumeration, and a dense
 rotation grid for the complex Hilbert radius.
 
-The second half keeps the one-vector-at-a-time distance oracles, the flat
-best_state_functional and the scalar boundary-seed bisection as they were
-before the library moved to row forms; tests/test_rows.py checks the row
-forms against them.  face_sup is the support-face value as it was computed
-before best_state_functional became its one engine, from explicit reachable
-sets; a massless block under outer 1 adds the disk of radius ||y_b||.
+The second half keeps the one-vector-at-a-time distance oracles (the flat
+kinds, LiftedNormingSet and LiftNuStates), the flat best_state_functional,
+the support face of a sum (sum_face) and the scalar boundary-seed
+bisection as they were before the library moved to row forms;
+tests/test_rows.py checks the row forms against them, to 1e-12 on flat
+spaces and bit for bit on sums.  face_sup is the support-face value as it
+was computed before best_state_functional became its one engine, from
+explicit reachable sets; a massless block under outer 1 adds the disk of
+radius ||y_b||.
 
 The last part keeps the probes' restart batches and the sum-space norm and
 numerical-radius multistarts as they ran before the batched restart engine:
 one start after another, with the scalar random_polish,
-generic_power_ascent and pullback bisection.
-tests/test_restart_rows.py checks the row programs against them.
+generic_power_ascent and pullback bisection, and with the support face of
+the one-vector oracles above (state_functional).  tests/test_restart_rows.py
+checks the row programs against them.
 """
 
 import numpy as np
 
 from bollobas_lab._search import (best_of, dual_align_vec, golden_max,
                                   primal_align_vec, run_batches)
+from bollobas_lab.errors import GeometryError
 from bollobas_lab.norm_attainment import UnionNormingSet
+from bollobas_lab.norm_attainment import \
+    subspace_sphere_distance as library_subspace_sphere_distance
 from bollobas_lab import probe
 from bollobas_lab.numerical_radius import (DiagonalNuStates, EmptyNuStates,
                                            ExplicitNuStates, HilbertNuStates)
-from bollobas_lab.numerical_radius import face_sup as engine_face_sup
 from bollobas_lab.operators import to_matrix
 from bollobas_lab.probe import FEAS_TOL, ProbeBudget
 from bollobas_lab.spaces import (INF, StatePair, SumSpace, duality_map,
                                  lp_norm, pair, random_unit, unit_phase)
+from bollobas_lab.sums import LiftNuStates
 
 
 def _normalize_rows(X, p):
@@ -260,7 +267,22 @@ def norming_distance(desc, x):
                    for v in desc.points)
     if desc.kind == "subspace":
         return subspace_sphere_distance(x, desc.basis)
+    if desc.kind == "lifted":
+        return lifted_norming_distance(desc, x)
     raise ValueError(f"unknown norming-set kind {desc.kind}")
+
+
+def lifted_norming_distance(desc, x):
+    """LiftedNormingSet.distance, one vector at a time."""
+    s = desc.sum_space
+    w, z = s.split(x)
+    dw = desc.inner.distance(w)
+    nz = s.components[1].norm(z)
+    if s.outer_p == INF:
+        return max(dw, max(0.0, nz - 1.0))
+    if s.outer_p == 1:
+        return dw + nz
+    return (dw ** s.outer_p + nz ** s.outer_p) ** (1.0 / s.outer_p)
 
 
 def _point_distance(desc, x, v):
@@ -285,8 +307,8 @@ def _point_distance(desc, x, v):
 
 
 def nu_pair_distance(desc, x, xstar):
-    """NuStatesDescriptor.pair_distance of the flat kinds, one pair at a
-    time."""
+    """NuStatesDescriptor.pair_distance of the flat kinds and of
+    LiftNuStates, one pair at a time."""
     if isinstance(desc, EmptyNuStates):
         return (float("inf"), float("inf"))
     if isinstance(desc, DiagonalNuStates):
@@ -301,7 +323,25 @@ def nu_pair_distance(desc, x, xstar):
         return best if best is not None else (float("inf"), float("inf"))
     if isinstance(desc, ExplicitNuStates):
         return _explicit_pair_distance(desc, x, xstar)
+    if isinstance(desc, LiftNuStates):
+        return lift_nu_pair_distance(desc, x, xstar)
     raise TypeError(f"no scalar oracle for {type(desc).__name__}")
+
+
+def lift_nu_pair_distance(desc, x, xstar):
+    """sums.LiftNuStates.pair_distance, one pair at a time."""
+    s = desc.space
+    x1, x2 = s.split(np.asarray(x))
+    xs1, xs2 = s.split(np.asarray(xstar))
+    dV = lambda v: library_subspace_sphere_distance(v, desc.V1)
+    dU = lambda v: library_subspace_sphere_distance(v, desc.U1)
+    if desc.outer_p == 1:
+        dx = dV(x1) + float(np.linalg.norm(x2))
+        dxs = max(dV(xs1), dU(xs2))
+    else:
+        dx = max(dV(x1), dU(x2))
+        dxs = float(np.linalg.norm(xs1)) + dU(xs2)
+    return dx, dxs
 
 
 def _diagonal_pair_distance(desc, x, xstar):
@@ -382,6 +422,125 @@ def best_state_functional(y, x, space):
     xs = np.zeros(space.dim, dtype=space.dtype)
     xs[k] = np.conj(unit_phase(x[k]))
     return float(max(vals)), xs
+
+
+def sum_face(y, x, space):
+    """(face_sup, assemble) on a sum, in one pass over the blocks of one
+    pair: the support face as numerical_radius computed it one vector at a
+    time, before its row form.
+
+    Under outer p < inf the reachable set {<x*, y> : x* supports x} is a
+    Minkowski sum: each massed block adds its weighted duality-map center,
+    l1 disk or sup-norm peak set, and under outer 1 each massless block b
+    adds a disk of radius ||y_b||.  Its modulus peaks at the best Minkowski
+    point plus every radius; assemble() builds x* there, aligning every disk
+    with the phase psi of that point.  Under outer inf the set is the hull
+    of the peak blocks' sets, so the best peak block carries all of x*.
+    """
+    comps = space.components
+    blocks_x, blocks_y = space.split(x), space.split(y)
+    norms = np.array([c.norm(b) for c, b in zip(comps, blocks_x)])
+    op = space.outer_p
+    if op == INF:
+        out = [np.zeros(c.dim, dtype=space.dtype) for c in comps]
+        best, at = (0.0, None), None
+        for i, (c, bx, by, a) in enumerate(zip(comps, blocks_x, blocks_y,
+                                               norms)):
+            if abs(a - 1.0) <= 1e-9:
+                face = best_state_functional(by, bx, c)
+                if at is None or face[0] > best[0]:
+                    best, at = face, i
+        if at is not None:
+            out[at] = best[1]
+        return best[0], lambda: space.join(out)
+
+    weights = np.ones_like(norms) if op == 1 else norms ** (op - 1.0)
+    points, radius = [0j], 0.0
+    blocks = []             # (choices, build(choice, psi) -> block of x*)
+    for c, bx, by, a, w in zip(comps, blocks_x, blocks_y, norms, weights):
+        if a == 0:
+            r = c.norm(by) if op == 1 else 0.0
+            radius += r
+            blocks.append((1, _free_block(c, by, r, space.dtype)))
+            continue
+        xb = bx / a
+        if 1.0 < c.p < INF:
+            f = duality_map(xb, c)
+            center = w * complex((f * by).sum())
+            points = [pt + center for pt in points]
+            blocks.append((1, lambda j, psi, w=w, f=f: w * f))
+        elif c.p == 1:
+            supp = np.abs(xb) > 0
+            phases = np.conj(unit_phase(xb[supp]))
+            center = w * complex((phases * by[supp]).sum())
+            points = [pt + center for pt in points]
+            radius += w * float(np.abs(by[~supp]).sum())
+            blocks.append((1, _disk_block(supp, phases, by, w, space.dtype)))
+        else:
+            peaks = np.nonzero(np.abs(np.abs(xb) - 1.0) <= 1e-9)[0]
+            phases = np.conj(unit_phase(xb[peaks]))
+            vals = [w * complex(v) for v in phases * by[peaks]]
+            if len(points) * max(len(vals), 1) > 4096:
+                raise GeometryError(
+                    "support-face combination too large to stay exact")
+            points = [pt + v for pt in points for v in vals]
+            blocks.append((len(vals), _peak_block(c.dim, peaks, phases, w,
+                                                  space.dtype)))
+    mods = [abs(pt) for pt in points]
+    top = max(mods)
+
+    def assemble():
+        k = mods.index(top)
+        pt = complex(points[k])
+        # divided part by part, as the flat l1 face divides its center
+        psi = complex(pt.real / top, pt.imag / top) if top > 0 else 1.0
+        if not space.is_complex:
+            psi = psi.real
+        out = []
+        for choices, build in reversed(blocks):   # the last block varies fastest
+            k, j = divmod(k, choices)
+            out.append(build(j, psi))
+        return space.join(out[::-1])
+    return top + radius, assemble
+
+
+def _free_block(c, by, r, dtype):
+    """A massless block: psi times the functional norming y_b, or zero."""
+    def build(j, psi):
+        if r > 0:
+            return psi * dual_align_vec(by, c)
+        return np.zeros(c.dim, dtype=dtype)
+    return build
+
+
+def _disk_block(supp, phases, by, w, dtype):
+    """An l1 block: the phases of x on its support, psi conj(phase y) off
+    it, weighted."""
+    def build(j, psi):
+        g = np.zeros(len(by), dtype=dtype)
+        g[supp] = phases
+        free = ~supp & (np.abs(by) > 0)
+        g[free] = psi * np.conj(unit_phase(by[free]))
+        return w * g
+    return build
+
+
+def _peak_block(dim, peaks, phases, w, dtype):
+    """A sup-norm block: the chosen peak's phase, weighted."""
+    def build(j, psi):
+        g = np.zeros(dim, dtype=dtype)
+        g[peaks[j]] = w * phases[j]
+        return g
+    return build
+
+
+def state_functional(y, x, space):
+    """(face value, x*) one pair at a time: sum_face on a sum, the flat
+    best_state_functional otherwise."""
+    if isinstance(space, SumSpace):
+        value, assemble = sum_face(y, x, space)
+        return value, assemble()
+    return best_state_functional(y, x, space)
 
 
 def boundary_seeds(space, dist_of, eps, base_points, rng, max_dirs=48,
@@ -532,7 +691,7 @@ def multistart_nu(M, space, restarts, iters, seed):
     """The search of numerical_radius._multistart_nu with its 8 polishes
     run one after another: (value, x, None)."""
     def value_of(x):
-        return engine_face_sup(M @ x, x, space), None
+        return state_functional(M @ x, x, space)[0], None
 
     def batch(rng):
         return best_of(random_polish(random_unit(space, rng), value_of, rng,
@@ -648,7 +807,7 @@ def eta_probe_nu(T, eps, budget=None, seed=0, nu_result=None, attaining=None,
         return abs(pair(xs, M @ x))
 
     def state_for(x):
-        return probe.aligned_state_functional(x, M @ x, space)
+        return state_functional(M @ x, x, space)[1]
 
     candidates = []
     max_dist_seen = 0.0

@@ -20,7 +20,8 @@ from bollobas_lab.gallery import lifted_rank1_l1
 from bollobas_lab.norm_attainment import _sum_space_norm, operator_norm
 from bollobas_lab.numerical_radius import (NuResult, _multistart_nu,
                                            numerical_radius)
-from bollobas_lab.operators import Dense, Diagonal, Lift, RankOne, Scale
+from bollobas_lab.operators import (Dense, Diagonal, Lift, RankOne, Scale,
+                                    identity, to_matrix)
 from bollobas_lab.probe import ProbeBudget, eta_probe_norm, eta_probe_nu
 from bollobas_lab.sequences import ConstantTail, SequenceSpec, geometric_tail
 from bollobas_lab.spaces import INF, Space, StatePair, SumSpace, random_unit
@@ -173,6 +174,20 @@ def test_nu_probe_rows_on_lifts(batches_only):
                   attaining=LiftNuStates(base, outer))
 
 
+def test_nu_probe_rows_on_complex_lifts(batches_only):
+    # LiftNuStates describes real lifts only; here it just has to be the
+    # same descriptor for both programs
+    exact = NuResult(1.0, "exact", None, "lift-profile")
+    rng = np.random.default_rng(9)
+    H = Space(2.0, 3, "complex")
+    M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    base = Scale(1.0 / np.linalg.norm(M, 2), Dense(M, H, H))
+    for outer in (1.0, INF):
+        _run_both(eta_probe_nu, oracle.eta_probe_nu, Lift(base, outer), 0.4,
+                  budget=ProbeBudget(19, 300), seed=4, nu_result=exact,
+                  attaining=LiftNuStates(base, outer))
+
+
 SUMS = [SumSpace((Space(3.0, 2), Space(1.5, 3)), 2.0),
         SumSpace((Space(1.0, 2, "complex"), Space(INF, 2, "complex")), 1.0),
         SumSpace((Space(2.0, 3), Space(2.0, 3)), INF)]
@@ -220,6 +235,22 @@ def test_multistart_nu_rows_match_start_by_start(space, monkeypatch):
                         10 ** 6)
     cases = [(M, 120)]
     check()
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_multistart_nu_on_a_psum_lift_matches_start_by_start(p):
+    # psum's search: the lifted identity on a p-sum of Hilbert blocks at
+    # iters 200, where the starts polish one at a time
+    lifted = Lift(identity(Space(2.0, 4)), p)
+    M, space = to_matrix(lifted), lifted.sum_space
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _multistart_nu(M, space, 16, 200, 3)
+    want = oracle.multistart_nu(M, space, 16, 200, 3)
+    assert repr(got.value) == repr(float(want[0]))
+    assert _bits(got.witness.x) == _bits(want[1])
+    _v, xs = oracle.state_functional(M @ want[1], want[1], space)
+    assert _bits(got.witness.xstar) == _bits(xs)
 
 
 @pytest.mark.parametrize("space", [

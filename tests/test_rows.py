@@ -3,8 +3,11 @@
 Every distance_rows, pair_distance_rows and best_state_functional_rows must
 agree with the scalar bodies kept in tests/_oracles.py, and the batched
 boundary-seed bisection must return the seeds of the scalar bisection, in
-the same order.
+the same order.  On sums the support face and the lift descriptors must
+agree with them bit for bit.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,16 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
-from bollobas_lab.norm_attainment import (NormingSetDescriptor,
+from bollobas_lab.errors import DimensionMismatchError, GeometryError
+from bollobas_lab.norm_attainment import (LiftedNormingSet,
+                                          NormingSetDescriptor,
                                           UnionNormingSet, norming_set)
 from bollobas_lab.numerical_radius import (DiagonalNuStates, EmptyNuStates,
                                            ExplicitNuStates, HilbertNuStates,
                                            best_state_functional_rows,
+                                           face_sup, face_sup_rows,
                                            nu_attaining_states)
-from bollobas_lab.operators import Diagonal, to_matrix
+from bollobas_lab.operators import Dense, Diagonal, Scale, to_matrix
 from bollobas_lab.probe import _boundary_seeds, _state_dist_rows
 from bollobas_lab.sequences import ConstantTail, SequenceSpec
-from bollobas_lab.spaces import INF, Space, StatePair, duality_map
+from bollobas_lab.spaces import INF, Space, StatePair, SumSpace, duality_map
+from bollobas_lab.sums import LiftNuStates
 
 TOL = 1e-12
 EXPONENTS = (1.0, 1.5, 2.0, 3.0, INF)
@@ -225,3 +232,167 @@ def test_boundary_seeds_match_scalar_bisection(p, cx, dim):
         assert want and len(got) == len(want)
         for g, w in zip(got, want):
             _close(g, w)
+
+
+# ---------------------------------------------------------------------------
+# sums: the support face and the lift descriptors, bit for bit
+# ---------------------------------------------------------------------------
+
+def _bits(v):
+    a = np.asarray(v)
+    return (a.dtype.str, a.shape, a.tobytes())
+
+
+def _value_bits(v):
+    return np.float64(v).tobytes()
+
+
+def _sum_block(rng, c, mode):
+    """One block of x: Gaussian, real-valued, with zero entries, zero
+    (massless), or, on a sup-norm block, several exact peaks."""
+    cx = c.is_complex
+    v = _gauss(rng, c.dim, cx)
+    if mode == "real":
+        v = v.real
+    elif mode == "zeros":
+        v[rng.uniform(size=c.dim) < 0.5] = 0.0
+    elif mode == "massless":
+        v = np.zeros(c.dim)
+    elif mode == "peaks" and c.p == INF:
+        hit = rng.uniform(size=c.dim) < 0.7
+        v = np.where(hit, _phases(rng, c.dim, cx), 0.3 * v)
+    return v.astype(c.dtype)
+
+
+def _sum_rows(rng, outer, cx):
+    """A sum of 1-3 blocks and rows (x, y) of mixed shapes: each row picks
+    its own massless blocks, zero entries and peak sets; some y are zero in
+    places or real-valued, and on a peak block some y repeat x's phases
+    (tied Minkowski points)."""
+    field = "complex" if cx else "real"
+    comps = tuple(Space(float(rng.choice(EXPONENTS)), int(rng.integers(1, 5)),
+                        field) for _ in range(rng.integers(1, 4)))
+    space = SumSpace(comps, outer)
+    X, Y = [], []
+    for _ in range(rng.integers(1, 7)):
+        modes = rng.choice(["gauss", "real", "zeros", "massless", "peaks"],
+                           size=len(comps))
+        x = space.join([_sum_block(rng, c, m) for c, m in zip(comps, modes)])
+        if space.norm(x) == 0:
+            x[0] = 1.0
+        x = x / space.norm(x)
+        y = _gauss(rng, space.dim, cx)
+        if rng.uniform() < 0.3:
+            y[rng.uniform(size=space.dim) < 0.5] = 0.0
+        if rng.uniform() < 0.2:
+            y = y.real.astype(space.dtype)
+        for c, (a, b), m in zip(comps, space.offsets(), modes):
+            if c.p == INF and m == "peaks" and rng.uniform() < 0.5:
+                y[a:b] = 2.0 * x[a:b]
+        X.append(x)
+        Y.append(y.astype(space.dtype))
+    return space, np.array(X), np.array(Y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1.0, 1.5, 3.0, INF]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_sum_face_rows_match_scalar_oracle(outer, cx, seed):
+    space, X, Y = _sum_rows(np.random.default_rng(seed), outer, cx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, XS = best_state_functional_rows(Y, X, space)
+        only = face_sup_rows(Y, X, space)
+        ones = [best_state_functional_rows(Y[i:i + 1], X[i:i + 1], space)
+                for i in range(len(X))]
+    assert XS.dtype == space.dtype and XS.shape == X.shape
+    for i, (y, x) in enumerate(zip(Y, X)):
+        value, assemble = oracle.sum_face(y, x, space)
+        assert _value_bits(vals[i]) == _value_bits(value)
+        assert _value_bits(only[i]) == _value_bits(value)
+        assert _bits(XS[i]) == _bits(assemble())
+        assert _value_bits(ones[i][0][0]) == _value_bits(vals[i])
+        assert _bits(ones[i][1][0]) == _bits(XS[i])
+
+
+def test_sum_face_rows_refuse_too_many_peak_points():
+    # two sup-norm blocks with every coordinate a peak: 64 x 64 = 4096
+    # Minkowski points stay exact, 65 x 65 do not, in any row of a call
+    def flat(dim):
+        space = SumSpace((Space(INF, dim), Space(INF, dim)), 1.0)
+        return space, np.full(2 * dim, 0.5), np.ones(2 * dim)
+
+    space, x, y = flat(64)
+    value, _ = oracle.sum_face(y, x, space)
+    assert face_sup_rows(y[None], x[None], space)[0] == value == 2.0
+    space, x, y = flat(65)
+    with pytest.raises(GeometryError):
+        oracle.sum_face(y, x, space)
+    single = x.copy()
+    single[1:65] = 0.25                 # one peak in the first block
+    with pytest.raises(GeometryError):
+        best_state_functional_rows(np.array([y, y]), np.array([single, x]),
+                                   space)
+    assert face_sup_rows(y[None], single[None], space)[0] == \
+        oracle.sum_face(y, single, space)[0]
+
+
+def test_sum_face_rows_check_shapes():
+    space = SumSpace((Space(2.0, 2), Space(1.0, 2)), 1.0)
+    for y, x in ((np.ones(3), np.ones(3)), (np.ones(4), np.ones((2, 4)))):
+        with pytest.raises(DimensionMismatchError):
+            face_sup_rows(np.atleast_2d(y), np.atleast_2d(x), space)
+    with pytest.raises(DimensionMismatchError):
+        face_sup(np.ones(3), np.ones(3), space)
+
+
+def _lift_operator(rng, dim, cx):
+    """A norm-one Hilbert operator, sometimes with a zero column."""
+    H = Space(2.0, dim, "complex" if cx else "real")
+    M = _gauss(rng, (dim, dim), cx)
+    if dim > 1 and rng.uniform() < 0.3:
+        M[:, 0] = 0.0
+    return Scale(1.0 / np.linalg.norm(M, 2), Dense(M, H, H))
+
+
+@settings(max_examples=20, deadline=None)
+@given(cases)
+def test_lift_descriptor_rows_match_scalar_oracle(case):
+    p, cx, dim, seed = case
+    rng = np.random.default_rng(seed)
+    dim = 1 + dim % 5
+    T = _lift_operator(rng, dim, cx)
+    for outer in (1.0, INF):
+        desc = LiftNuStates(T, outer)
+        X = _rows(rng, desc.space)
+        XS = _rows(rng, desc.space.dual())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = desc.pair_distance_rows(X, XS)
+        for i, (x, xs) in enumerate(zip(X, XS)):
+            want = oracle.lift_nu_pair_distance(desc, x, xs)
+            assert _bits(got[i]) == _bits(np.array(want, dtype=float))
+            assert _bits(got[i]) == _bits(np.array(desc.pair_distance(x, xs)))
+    inner_space = _space(p, cx, dim)
+    for outer in (1.0, 1.5, INF):
+        space = SumSpace((inner_space, Space(2.0, dim, inner_space.field)),
+                         outer)
+        for inner in _norming_sets(rng, inner_space):
+            desc = LiftedNormingSet(inner, space)
+            X = _rows(rng, space)
+            X[1:4, dim:] *= 0.1         # some rows near the norming set
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = desc.distance_rows(X)
+            # the flat phase-orbit distance of a complex explicit list on
+            # dim 1 rounds its phase products by the number of rows, so
+            # there its rows agree with the one-row calls to TOL only
+            shaped = cx and dim == 1 and inner.kind == "explicit_list" \
+                and inner.phase_orbit
+            for i, x in enumerate(X):
+                want = oracle.lifted_norming_distance(desc, x)
+                assert _value_bits(desc.distance(x)) == _value_bits(want)
+                if shaped:
+                    _close(got[i], want)
+                else:
+                    assert _value_bits(got[i]) == _value_bits(want)
