@@ -18,17 +18,16 @@ iterates its starting vectors and as boyd_ascent does for flat dense norms:
 
 Products are stacks of matrix-vector products (matvec_rows, vecmat_rows),
 never one flat GEMM, and reductions run over C-ordered rows, so every row
-rounds as its one-row call does.  What has no row form yet on sums (the
-alignment maps dual_align_in and primal_align_in, and the descriptors
-gallery.LiftedRank1NuStates and gallery.CornerNuStates) goes through
-per_row, which loops the one-vector body.
+rounds as its one-row call does.  The alignment maps have row forms on flat
+spaces and on sums alike (dual_align_in, primal_align_in), of which
+dual_align_vec and primal_align_vec are the one-row calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spaces import INF, SumSpace, random_unit, unit_phase
+from .spaces import INF, SumSpace, block_rows, random_unit, unit_phase
 
 
 def best_of(results):
@@ -171,18 +170,6 @@ def polish_rows(X, value_rows, space, directions, iters: int, tries: int,
     return vals, X, aux
 
 
-def per_row(f):
-    """The row form of a one-vector function: f applied to each row of its
-    array arguments in turn, the results stacked (a tuple result component
-    by component).  It stands in where a geometry has no row form yet."""
-    def rows(*arrays):
-        out = [f(*args) for args in zip(*arrays)]
-        if isinstance(out[0], tuple):
-            return tuple(np.array(c) for c in zip(*out))
-        return np.array(out)
-    return rows
-
-
 def matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """M @ x for every row x of X.  A stack of matrix-vector products, never
     one flat GEMM, so that each row rounds as M @ x does."""
@@ -284,46 +271,49 @@ def boyd_ascent(M: np.ndarray, p: float, q: float, X0: np.ndarray,
 
 
 def dual_align_vec(y: np.ndarray, space) -> np.ndarray:
-    """u with ||u||_{dual} = 1 and <u, y> = ||y|| for a Space or SumSpace."""
-    if isinstance(space, SumSpace):
-        blocks = space.split(y)
-        profile = np.array([c.norm(b) for c, b in zip(space.components, blocks)])
-        w = dual_align_rows(profile[None, :].astype(float), space.outer_p)[0]
-        out = []
-        for c, b, wi in zip(space.components, blocks, w):
-            if c.norm(b) == 0 or wi == 0:
-                out.append(np.zeros(c.dim, dtype=c.dtype))
-            else:
-                out.append(wi.real * dual_align_vec(b, c))
-        return space.join(out)
-    return dual_align_rows(y[None, :], space.p)[0]
+    """u with ||u||_{dual} = 1 and <u, y> = ||y|| for a Space or SumSpace:
+    the one-row call of dual_align_in."""
+    return dual_align_in(np.asarray(y)[None, :], space)[0]
 
 
 def primal_align_vec(w: np.ndarray, space) -> np.ndarray:
-    """Unit x maximizing Re <w, x> for a Space or SumSpace."""
-    if isinstance(space, SumSpace):
-        blocks = space.split(w)
-        aligned = [primal_align_vec(b, c)
-                   for c, b in zip(space.components, blocks)]
-        gains = np.array([max(np.real((b * a).sum()), 0.0)
-                          for b, a in zip(blocks, aligned)])
-        t = primal_align_rows(gains[None, :].astype(float), space.outer_p)[0]
-        return space.join([ti.real * a for ti, a in zip(t, aligned)])
-    return primal_align_rows(w[None, :], space.p)[0]
+    """Unit x maximizing Re <w, x> for a Space or SumSpace: the one-row
+    call of primal_align_in."""
+    return primal_align_in(np.asarray(w)[None, :], space)[0]
 
 
 def dual_align_in(Y: np.ndarray, space) -> np.ndarray:
-    """dual_align_vec for every row of Y."""
-    if isinstance(space, SumSpace):
-        return per_row(lambda y: dual_align_vec(y, space))(Y)
-    return dual_align_rows(Y, space.p)
+    """dual_align_vec for every row of Y.  On a sum each block is aligned
+    in its component and weighted by the outer alignment of the row's block
+    profile; a block of norm 0 or weight 0 stays zero."""
+    if not isinstance(space, SumSpace):
+        return dual_align_rows(Y, space.p)
+    Y = np.asarray(Y, dtype=space.dtype)
+    N = space.profile_rows(Y)
+    W = dual_align_rows(N, space.outer_p)
+    out = np.zeros(Y.shape, dtype=space.dtype)
+    for i, (c, (a, b)) in enumerate(zip(space.components, space._offsets)):
+        rows = np.flatnonzero((N[:, i] != 0) & (W[:, i] != 0))
+        if rows.size:
+            out[rows, a:b] = W[rows, i, None] * dual_align_in(Y[rows, a:b], c)
+    return out
 
 
 def primal_align_in(W: np.ndarray, space) -> np.ndarray:
-    """primal_align_vec for every row of W."""
-    if isinstance(space, SumSpace):
-        return per_row(lambda w: primal_align_vec(w, space))(W)
-    return primal_align_rows(W, space.p)
+    """primal_align_vec for every row of W.  On a sum each block is aligned
+    in its component and scaled by the outer alignment of the row's gains
+    max(Re <w_b, x_b>, 0)."""
+    if not isinstance(space, SumSpace):
+        return primal_align_rows(W, space.p)
+    W = np.asarray(W, dtype=space.dtype)
+    X = np.empty(W.shape, dtype=space.dtype)
+    for c, (a, b) in zip(space.components, space._offsets):
+        X[:, a:b] = primal_align_in(W[:, a:b], c)
+    gains = block_rows(W * X, space._offsets,
+                       [lambda B: np.real(B.sum(axis=1))]
+                       * len(space.components))
+    T = primal_align_rows(np.maximum(gains, 0.0), space.outer_p)
+    return X * np.repeat(T, [c.dim for c in space.components], axis=1)
 
 
 def generic_power_ascent(M: np.ndarray, dom, cod, x0: np.ndarray,

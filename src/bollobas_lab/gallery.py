@@ -19,11 +19,12 @@ import numpy as np
 from .errors import UnknownGalleryError
 from .membership import (diag_norm_member, eta_const, functional_member,
                          rank1_l1_eta)
-from .numerical_radius import (NuResult, NuStatesDescriptor, _multistart_nu,
+from .numerical_radius import (BlockPairStates, NuResult, _multistart_nu,
                                nu_attaining_states, numerical_radius)
 from .norm_attainment import (NormingSetDescriptor, _sum_space_norm,
-                              functional_norming_set, norming_set,
-                              operator_norm)
+                              ball_rows, functional_norming_set,
+                              hilbert_norm_rows, norming_set, operator_norm,
+                              point_rows)
 from .operators import (Delift, Dense, Diagonal, Lift, OperatorExpr, RankOne,
                         adjoint, functional, to_matrix)
 from .probe import ProbeBudget, eta_probe_norm, eta_probe_nu, validate_eta
@@ -310,7 +311,7 @@ def make_rank1_l1(dim: int) -> GalleryEntry:
     return entry
 
 
-class LiftedRank1NuStates(NuStatesDescriptor):
+class LiftedRank1NuStates(BlockPairStates):
     """Attaining pairs of the lifted normalized rank-one operator on the
     two-block l1 sum under outer 1: x = (s e_1, 0), x* = ((s, free), r ones),
     s, r = +-1."""
@@ -318,23 +319,13 @@ class LiftedRank1NuStates(NuStatesDescriptor):
     def __init__(self, dim: int):
         self.dim = dim
         blk = Space(1.0, dim)
-        self.space = SumSpace((blk, blk), 1.0)
-
-    def pair_distance(self, x, xstar):
-        s = self.space
-        xb, yb = s.split(np.asarray(x))
-        xsb, ysb = s.split(np.asarray(xstar))
-        best = None
-        for sgn in (1.0, -1.0):
-            for r in (1.0, -1.0):
-                e1 = _e(self.dim, 0)
-                dx = lp_norm(xb - sgn * e1, 1) + lp_norm(yb, 1)
-                dxs_x = max(0.0, abs(xsb[0] - sgn))
-                dxs_y = float(np.abs(ysb - r).max())
-                dxs = max(dxs_x, dxs_y)         # the dual is a sup of blocks
-                if best is None or max(dx, dxs) < max(best[0], best[1]):
-                    best = (dx, dxs)
-        return best
+        l1, sup = blk.norm_rows, blk.dual().norm_rows
+        e1, free = _e(dim, 0), np.arange(dim) > 0
+        options = [([point_rows(sgn * e1, l1, None), l1],
+                    [point_rows(sgn * e1, sup, free),
+                     point_rows(r * np.ones(dim), sup, None)])
+                   for sgn in (1.0, -1.0) for r in (1.0, -1.0)]
+        super().__init__(SumSpace((blk, blk), 1.0), options)
 
     def sample(self, rng, count: int = 1):
         out = []
@@ -550,7 +541,7 @@ def make_shift(dim: int) -> GalleryEntry:
 # G-CORNER: the first-coordinate corner operator on a two-block Hilbert sum
 # ---------------------------------------------------------------------------
 
-class CornerNuStates(NuStatesDescriptor):
+class CornerNuStates(BlockPairStates):
     """Attaining pairs of the corner operator: (x, y) = (s e_1, free-or-zero),
     (x*, y*) = (s e_1, free-or-zero), with the free block set by the outer
     norm (y free in the ball for outer inf; y* free for outer one)."""
@@ -559,28 +550,13 @@ class CornerNuStates(NuStatesDescriptor):
         self.dim = dim
         self.outer_p = outer_p
         blk = Space(2.0, dim)
-        self.space = SumSpace((blk, blk), outer_p)
-
-    def pair_distance(self, x, xstar):
-        s = self.space
-        xb, yb = s.split(np.asarray(x))
-        xsb, ysb = s.split(np.asarray(xstar))
-        best = None
-        e1 = _e(self.dim, 0)
+        zero, ball = hilbert_norm_rows, ball_rows(hilbert_norm_rows)
+        options = []
         for sgn in (1.0, -1.0):
-            dxx = float(np.linalg.norm(xb - sgn * e1))
-            dyy = float(np.linalg.norm(yb))
-            dsx = float(np.linalg.norm(xsb - sgn * e1))
-            dsy = float(np.linalg.norm(ysb))
-            if self.outer_p == 1:
-                dx = dxx + dyy
-                dxs = max(dsx, max(0.0, dsy - 1.0))   # y* free in the ball
-            else:
-                dx = max(dxx, max(0.0, dyy - 1.0))    # y free in the ball
-                dxs = dsx + dsy
-            if best is None or max(dx, dxs) < max(best[0], best[1]):
-                best = (dx, dxs)
-        return best
+            e = point_rows(sgn * _e(dim, 0), hilbert_norm_rows, None)
+            options.append(([e, zero], [e, ball]) if outer_p == 1
+                           else ([e, ball], [e, zero]))
+        super().__init__(SumSpace((blk, blk), outer_p), options)
 
     def sample(self, rng, count: int = 1):
         out = []

@@ -23,7 +23,8 @@ from ._search import (boyd_ascent, first_best, golden_max,
 from .errors import GeometryError, HeuristicRefusalError
 from .operators import (Adjoint, Delift, Dense, Diagonal, DirectSum, Lift,
                         OperatorExpr, RankOne, Scale, to_matrix)
-from .spaces import INF, Space, SumSpace, lp_norm_rows, random_unit, unit_phase
+from .spaces import (INF, Space, SumSpace, block_rows, lp_norm_rows,
+                     random_unit, unit_phase)
 
 SIGN_ENUM_MAX_DIM = 20
 PHASE_GRID = 64
@@ -406,17 +407,57 @@ def subspace_sphere_distance_rows(X: np.ndarray, basis: np.ndarray) -> np.ndarra
     stack of matrix-vector products and the norms as row-wise dots, so each
     row rounds as the one-vector computation does."""
     P = ((X[:, None, :] @ np.conj(basis)) @ basis.T)[:, 0, :]
-    a = np.sqrt(_row_dots(P))
-    res = np.sqrt(_row_dots(X - P))
+    a = hilbert_norm_rows(P)
+    res = hilbert_norm_rows(X - P)
     return np.sqrt(np.float_power(res, 2.0) + np.float_power(1.0 - a, 2.0))
 
 
-def _row_dots(Y: np.ndarray) -> np.ndarray:
-    """The squared Euclidean norm of every row, summed as np.linalg.norm
-    sums one vector (real and imaginary parts dotted separately)."""
-    Y = np.ascontiguousarray(Y)
-    parts = (Y.real, Y.imag) if np.iscomplexobj(Y) else (Y,)
-    return sum((V[:, None, :] @ V[:, :, None])[:, 0, 0] for V in parts)
+def hilbert_norm_rows(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of every row, rounded as it rounds one vector: the
+    squares summed as its dot products sum them (real and imaginary parts
+    dotted separately)."""
+    X = np.ascontiguousarray(X)
+    parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
+    return np.sqrt(sum((V[:, None, :] @ V[:, :, None])[:, 0, 0]
+                       for V in parts))
+
+
+def block_product_rows(X: np.ndarray, space: SumSpace, parts) -> np.ndarray:
+    """The distance of every row of X (R, dim) to a product of per-block
+    sets of the sum (the attaining sets on sums): parts[i](B) -> (R,) is the
+    distance of the rows' i-th blocks B to the i-th set.  The distances
+    combine in block order by the outer norm: a sum under outer 1, the first
+    largest under outer inf, the outer_p norm of the profile otherwise."""
+    D = block_rows(np.asarray(X, dtype=space.dtype), space._offsets, parts)
+    p = space.outer_p
+    terms = D.T if p in (1, INF) else np.float_power(D.T, p)
+    out = terms[0]
+    for t in terms[1:]:
+        out = np.where(t > out, t, out) if p == INF else out + t
+    return out if p in (1, INF) else np.float_power(out, 1.0 / p)
+
+
+def point_rows(v: np.ndarray, norm_rows, free):
+    """The block distance to the point v in norm_rows, ignoring the
+    coordinates of the mask free (None for none)."""
+    def rows(B):
+        D = B - v
+        return norm_rows(D if free is None else np.where(free, 0.0, D))
+    return rows
+
+
+def sphere_rows(basis: np.ndarray):
+    """The block distance to the unit sphere of span(basis) (Hilbert)."""
+    return lambda B: subspace_sphere_distance_rows(B, basis)
+
+
+def ball_rows(norm_rows):
+    """The block distance to the unit ball of norm_rows: max(||b|| - 1, 0).
+    The block distance to zero is norm_rows itself."""
+    def rows(B):
+        over = norm_rows(B) - 1.0
+        return np.where(over > 0.0, over, 0.0)
+    return rows
 
 
 def hilbert_norm_modulus(M: np.ndarray, eps: float, tol: float = 1e-12):
@@ -507,30 +548,19 @@ class LiftedNormingSet(NormingSetDescriptor):
     def __init__(self, inner: NormingSetDescriptor, sum_space: SumSpace):
         super().__init__("lifted", space=sum_space)
         self.inner = inner
-        self.sum_space = sum_space
+        z = sum_space.components[1].norm_rows
+        self.parts = [inner.distance_rows,
+                      ball_rows(z) if sum_space.outer_p == INF else z]
 
     @property
     def is_empty(self):
         return self.inner.is_empty
 
     def distance_rows(self, X):
-        s = self.sum_space
-        X = np.asarray(X, dtype=s.dtype)
-        d, cod = s.components[0].dim, s.components[1]
-        dw = self.inner.distance_rows(X[:, :d])
-        nz = lp_norm_rows(X[:, d:], cod.p)
-        if s.outer_p == INF:
-            over = nz - 1.0
-            over = np.where(over > 0.0, over, 0.0)
-            return np.where(over > dw, over, dw)
-        if s.outer_p == 1:
-            return dw + nz
-        p = s.outer_p
-        return np.float_power(np.float_power(dw, p) + np.float_power(nz, p),
-                              1.0 / p)
+        return block_product_rows(X, self.space, self.parts)
 
     def sample(self, rng, count: int = 1):
-        s = self.sum_space
+        s = self.space
         out = []
         for w in self.inner.sample(rng, count):
             z = np.zeros(s.components[1].dim, dtype=s.dtype)

@@ -31,11 +31,12 @@ from typing import Optional
 import numpy as np
 
 from ._search import (best_of, drawn_directions, dual_align_rows, first_best,
-                      golden_max, matvec_rows, per_row, phase_orbit_min_rows,
+                      golden_max, matvec_rows, phase_orbit_min_rows,
                       polish_draws, polish_rows, rounds_to_stop, run_batches)
 from .errors import (DimensionMismatchError, GeometryError,
                      HeuristicRefusalError)
-from .norm_attainment import (operator_norm, subspace_sphere_distance_rows,
+from .norm_attainment import (block_product_rows, operator_norm,
+                              subspace_sphere_distance_rows,
                               support_distance_rows, unimodular_distance_rows)
 from .operators import (Adjoint, Dense, Diagonal, DirectSum, Lift, OperatorExpr,
                         RankOne, Scale, to_matrix)
@@ -219,9 +220,7 @@ def _sum_face_rows(Y, X, space, functionals: bool):
             f"{Y.shape}")
     blocks = [(c, a, X[:, a:b], Y[:, a:b])
               for c, (a, b) in zip(space.components, space._offsets)]
-    N = np.empty((len(X), len(blocks)))
-    for i, (c, _a, bx, _by) in enumerate(blocks):
-        N[:, i] = lp_norm_rows(bx, c.p)
+    N = space.profile_rows(X)
     if space.outer_p == INF:
         return _peak_block_face_rows(blocks, N, X.shape, dtype, functionals)
     return _minkowski_face_rows(blocks, N, space.outer_p, X.shape, dtype,
@@ -531,11 +530,9 @@ class NuStatesDescriptor:
     """Interface: pair_distance gives certified componentwise lower bounds on
     the distance to the nearest attaining pair; sample yields valid pairs.
 
-    Flat-space descriptors and sums.LiftNuStates implement
-    pair_distance_rows, of which pair_distance is the one-row call; the
-    other descriptors on sums (gallery.LiftedRank1NuStates and
-    gallery.CornerNuStates) implement pair_distance itself, and their
-    pair_distance_rows loops it."""
+    Every descriptor implements pair_distance_rows(X, XS), the (dx, dxs)
+    of every row pair of X and XS (R, dim) as (R, 2), and pair_distance is
+    its one-row call.  The descriptors on sums are BlockPairStates."""
 
     is_empty = False
 
@@ -543,10 +540,6 @@ class NuStatesDescriptor:
         dx, dxs = self.pair_distance_rows(np.asarray(x)[None, :],
                                           np.asarray(xstar)[None, :])[0]
         return (float(dx), float(dxs))
-
-    def pair_distance_rows(self, X, XS):
-        """(dx, dxs) for every row pair of X and XS (R, dim), as (R, 2)."""
-        return np.stack(per_row(self.pair_distance)(X, XS), axis=1)
 
     def sample(self, rng, count: int = 1):
         raise NotImplementedError
@@ -725,6 +718,25 @@ class ExplicitNuStates(NuStatesDescriptor):
     def describe(self):
         return {"kind": "explicit_pairs", "count": len(self.pairs),
                 "phase_orbit": self.phase_orbit}
+
+
+class BlockPairStates(NuStatesDescriptor):
+    """Attaining pairs on a sum as a finite union of options, each a product
+    of per-block sets: an option is (x parts, x* parts), block distances as
+    norm_attainment.block_product_rows takes them, the x* parts on
+    space.dual().  The nearest option wins, the first among ties."""
+
+    def __init__(self, space: SumSpace, options):
+        self.space = space
+        self.options = options
+        self._dual = space.dual()
+
+    def pair_distance_rows(self, X, XS):
+        best = _no_pairs(len(X))
+        for x_parts, xs_parts in self.options:
+            _keep_nearer(best, block_product_rows(X, self.space, x_parts),
+                         block_product_rows(XS, self._dual, xs_parts))
+        return best
 
 
 class EmptyNuStates(NuStatesDescriptor):

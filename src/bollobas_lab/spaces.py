@@ -142,20 +142,30 @@ class SumSpace(_Geometry):
         return np.concatenate([np.asarray(b, dtype=self.dtype) for b in blocks])
 
     def norm(self, v: np.ndarray) -> float:
-        profile = np.array([c.norm(b) for c, b in zip(self.components, self.split(v))])
-        return lp_norm(profile, self.outer_p)
+        return float(self.norm_rows(self.check(v)[None, :])[0])
 
     def norm_rows(self, X: np.ndarray) -> np.ndarray:
-        """norm of every row of X (R, dim): the block norms by row, then
-        the outer norm of each row's profile, rounded as norm rounds."""
-        X = np.asarray(X)
-        profile = np.stack([c.norm_rows(X[:, a:b]) for c, (a, b)
-                            in zip(self.components, self._offsets)], axis=1)
-        return lp_norm_rows(profile, self.outer_p)
+        """norm of every row of X (R, dim): the outer norm of each row's
+        block profile; norm is its checked one-row call."""
+        return lp_norm_rows(self.profile_rows(X), self.outer_p)
+
+    def profile_rows(self, X: np.ndarray) -> np.ndarray:
+        """The block norms of every row of X (R, dim), as (R, k)."""
+        return block_rows(np.asarray(X), self._offsets,
+                          [c.norm_rows for c in self.components])
 
     def describe(self) -> dict:
         return {"outer_p": self.outer_p,
                 "components": [c.describe() for c in self.components]}
+
+
+def block_rows(X: np.ndarray, offsets, fns) -> np.ndarray:
+    """The (R, k) profile whose column i is fns[i](X[:, a:b]) for the i-th
+    block (a, b) of offsets, filled in place."""
+    out = np.empty((len(X), len(offsets)))
+    for i, ((a, b), f) in enumerate(zip(offsets, fns)):
+        out[:, i] = f(X[:, a:b])
+    return out
 
 
 def lp_norm(v: np.ndarray, p: float) -> float:

@@ -13,9 +13,9 @@ import numpy as np
 from .errors import GeometryError
 from .gallery import make_corner
 from .membership import EtaFunction
-from .numerical_radius import (NuStatesDescriptor, corner_profile_constant,
+from .numerical_radius import (BlockPairStates, corner_profile_constant,
                                numerical_radius, _multistart_nu)
-from .norm_attainment import _row_dots, subspace_sphere_distance_rows
+from .norm_attainment import hilbert_norm_rows, sphere_rows
 from .operators import Lift, OperatorExpr, identity, to_matrix
 from .spaces import (INF, Space, StatePair, SumSpace, conjugate_exponent,
                      modulus_convexity)
@@ -110,72 +110,50 @@ def norm_implies_lift_nu(T: OperatorExpr, outer_p: float,
 # attaining states of lifted Hilbert-component operators (for validation)
 # ---------------------------------------------------------------------------
 
-class LiftNuStates(NuStatesDescriptor):
-    """Attaining pairs of Lift(T) for a real-Hilbert-component norm-one T,
-    in terms of the top right-singular sphere V1 and its image U1 = T(V1):
+class LiftNuStates(BlockPairStates):
+    """Attaining pairs of Lift(T) for a norm-one T between Hilbert
+    components, in terms of the top right-singular sphere span(conj(V1))
+    and its image U1 = T(conj(V1)):
 
-    outer 1:   x = (w, 0),    x* = (w, s T w)
-    outer inf: x = (w, T w),  x* = (0, T w)
-    with w a unit vector of V1 and s = +-1.
+    outer 1:   x = (w, 0),      x* = (conj(w), s conj(T w))
+    outer inf: x = (w, s T w),  x* = (0, conj(s T w))
+    with w a unit vector of span(conj(V1)) and s unimodular.
     """
 
-    def __init__(self, T: OperatorExpr, outer_p: float, tol: float = 1e-9):
-        M = to_matrix(T)
-        U, S, Vh = np.linalg.svd(M)
-        keep = S >= S[0] * (1 - tol)
-        self.V1 = Vh[keep].T
-        self.U1 = U[:, keep]
+    def __init__(self, T: OperatorExpr, outer_p: float):
+        U, S, Vh = np.linalg.svd(to_matrix(T))
+        keep = S >= S[0] * (1 - 1e-9)
+        self.V1 = Vh[:len(S)][keep].T
+        self.U1 = U[:, :len(S)][:, keep]
         self.outer_p = outer_p
-        self.space = SumSpace((T.domain, T.codomain), outer_p)
-
-    def pair_distance_rows(self, X, XS):
-        s = self.space
-        d = s.components[0].dim
-        X, XS = np.asarray(X, dtype=s.dtype), np.asarray(XS, dtype=s.dtype)
-        dV = lambda V: subspace_sphere_distance_rows(V, self.V1)
-        dU = lambda V: subspace_sphere_distance_rows(V, self.U1)
-        if self.outer_p == 1:
-            dx = dV(X[:, :d]) + _norm2_rows(X[:, d:])
-            dxs = _first_max(dV(XS[:, :d]), dU(XS[:, d:]))
+        dV, dU = sphere_rows(np.conj(self.V1)), sphere_rows(self.U1)
+        dVs, dUs = sphere_rows(self.V1), sphere_rows(np.conj(self.U1))
+        if outer_p == 1:
+            option = ([dV, hilbert_norm_rows], [dVs, dUs])
         else:
-            dx = _first_max(dV(X[:, :d]), dU(X[:, d:]))
-            dxs = _norm2_rows(XS[:, :d]) + dU(XS[:, d:])
-        return np.stack([dx, dxs], axis=1)
+            option = ([dV, dU], [hilbert_norm_rows, dUs])
+        super().__init__(SumSpace((T.domain, T.codomain), outer_p), [option])
 
     def sample(self, rng, count: int = 1):
         out = []
         for _ in range(count):
             c = rng.normal(size=self.V1.shape[1])
-            w = self.V1 @ c
+            w = np.conj(self.V1) @ c
             w /= np.linalg.norm(w)
-            Tw = self._image(w)
+            # T acts isometrically from span(conj(V1)) onto span(U1)
+            Tw = self.U1 @ (self.V1.T @ w)
             if self.outer_p == 1:
                 x = self.space.join([w, np.zeros(len(Tw))])
-                xs = self.space.join([w, Tw])
+                xs = self.space.join([np.conj(w), np.conj(Tw)])
             else:
                 x = self.space.join([w, Tw])
-                xs = self.space.join([np.zeros(len(w)), Tw])
+                xs = self.space.join([np.zeros(len(w)), np.conj(Tw)])
             out.append(StatePair(x, xs, self.space))
         return out
-
-    def _image(self, w):
-        # T acts isometrically from V1 onto U1
-        coeff = self.V1.T @ w
-        return self.U1 @ coeff
 
     def describe(self):
         return {"kind": "lift-pairs", "outer_p": self.outer_p,
                 "v1_dim": self.V1.shape[1]}
-
-
-def _norm2_rows(X):
-    """np.linalg.norm of every row, rounded as it rounds one vector."""
-    return np.sqrt(_row_dots(X))
-
-
-def _first_max(a, b):
-    """Python's max(a, b) elementwise: b only where it is strictly larger."""
-    return np.where(b > a, b, a)
 
 
 # ---------------------------------------------------------------------------

@@ -4,28 +4,31 @@ These deliberately avoid the library's own ascent code: projected gradient
 with explicit gradients, exhaustive extreme-point enumeration, and a dense
 rotation grid for the complex Hilbert radius.
 
-The second half keeps the one-vector-at-a-time distance oracles (the flat
-kinds, LiftedNormingSet and LiftNuStates), the flat best_state_functional,
-the support face of a sum (sum_face) and the scalar boundary-seed
-bisection as they were before the library moved to row forms;
-tests/test_rows.py checks the row forms against them, to 1e-12 on flat
-spaces and bit for bit on sums.  face_sup is the support-face value as it
-was computed before best_state_functional became its one engine, from
-explicit reachable sets; a massless block under outer 1 adds the disk of
-radius ||y_b||.
+The second half keeps the one-vector-at-a-time bodies the library replaced
+by row forms: the distance oracles (the flat kinds, and on sums
+LiftedNormingSet, LiftNuStates, LiftedRank1NuStates and CornerNuStates,
+each written out by hand), the flat best_state_functional, the support face
+of a sum (sum_face), the norm of a sum and its alignment maps (sum_norm,
+dual_align_vec, primal_align_vec, recursive over the blocks), and the
+scalar boundary-seed bisection.  tests/test_rows.py checks the row forms
+against them, to 1e-12 on flat spaces and bit for bit on sums.  face_sup is
+the support-face value as it was computed before best_state_functional
+became its one engine, from explicit reachable sets; a massless block under
+outer 1 adds the disk of radius ||y_b||.
 
 The last part keeps the probes' restart batches and the sum-space norm and
 numerical-radius multistarts as they ran before the batched restart engine:
 one start after another, with the scalar random_polish,
-generic_power_ascent and pullback bisection, and with the support face of
-the one-vector oracles above (state_functional).  tests/test_restart_rows.py
-checks the row programs against them.
+generic_power_ascent and pullback bisection, and on sums with the norms,
+alignment maps, support face and attaining-pair distances of the
+one-vector oracles above.  tests/test_restart_rows.py checks the row
+programs against them.
 """
 
 import numpy as np
 
-from bollobas_lab._search import (best_of, dual_align_vec, golden_max,
-                                  primal_align_vec, run_batches)
+from bollobas_lab._search import (best_of, dual_align_rows, golden_max,
+                                  primal_align_rows, run_batches)
 from bollobas_lab.errors import GeometryError
 from bollobas_lab.norm_attainment import UnionNormingSet
 from bollobas_lab.norm_attainment import \
@@ -37,6 +40,7 @@ from bollobas_lab.operators import to_matrix
 from bollobas_lab.probe import FEAS_TOL, ProbeBudget
 from bollobas_lab.spaces import (INF, StatePair, SumSpace, duality_map,
                                  lp_norm, pair, random_unit, unit_phase)
+from bollobas_lab.gallery import CornerNuStates, LiftedRank1NuStates
 from bollobas_lab.sums import LiftNuStates
 
 
@@ -274,7 +278,7 @@ def norming_distance(desc, x):
 
 def lifted_norming_distance(desc, x):
     """LiftedNormingSet.distance, one vector at a time."""
-    s = desc.sum_space
+    s = desc.space
     w, z = s.split(x)
     dw = desc.inner.distance(w)
     nz = s.components[1].norm(z)
@@ -307,8 +311,8 @@ def _point_distance(desc, x, v):
 
 
 def nu_pair_distance(desc, x, xstar):
-    """NuStatesDescriptor.pair_distance of the flat kinds and of
-    LiftNuStates, one pair at a time."""
+    """NuStatesDescriptor.pair_distance of the flat kinds and of the sum
+    descriptors, one pair at a time."""
     if isinstance(desc, EmptyNuStates):
         return (float("inf"), float("inf"))
     if isinstance(desc, DiagonalNuStates):
@@ -325,6 +329,10 @@ def nu_pair_distance(desc, x, xstar):
         return _explicit_pair_distance(desc, x, xstar)
     if isinstance(desc, LiftNuStates):
         return lift_nu_pair_distance(desc, x, xstar)
+    if isinstance(desc, LiftedRank1NuStates):
+        return lifted_rank1_pair_distance(desc, x, xstar)
+    if isinstance(desc, CornerNuStates):
+        return corner_pair_distance(desc, x, xstar)
     raise TypeError(f"no scalar oracle for {type(desc).__name__}")
 
 
@@ -333,15 +341,61 @@ def lift_nu_pair_distance(desc, x, xstar):
     s = desc.space
     x1, x2 = s.split(np.asarray(x))
     xs1, xs2 = s.split(np.asarray(xstar))
-    dV = lambda v: library_subspace_sphere_distance(v, desc.V1)
-    dU = lambda v: library_subspace_sphere_distance(v, desc.U1)
+    # complex T: x1 lies in span(conj(V1)), x2* in span(conj(U1))
+    V1x, U1xs = desc.V1, desc.U1
+    if s.is_complex:
+        V1x, U1xs = np.conj(V1x), np.conj(U1xs)
+    d = library_subspace_sphere_distance
     if desc.outer_p == 1:
-        dx = dV(x1) + float(np.linalg.norm(x2))
-        dxs = max(dV(xs1), dU(xs2))
+        dx = d(x1, V1x) + float(np.linalg.norm(x2))
+        dxs = max(d(xs1, desc.V1), d(xs2, U1xs))
     else:
-        dx = max(dV(x1), dU(x2))
-        dxs = float(np.linalg.norm(xs1)) + dU(xs2)
+        dx = max(d(x1, V1x), d(x2, desc.U1))
+        dxs = float(np.linalg.norm(xs1)) + d(xs2, U1xs)
     return dx, dxs
+
+
+def lifted_rank1_pair_distance(desc, x, xstar):
+    """gallery.LiftedRank1NuStates.pair_distance, one pair at a time."""
+    s = desc.space
+    xb, yb = s.split(np.asarray(x))
+    xsb, ysb = s.split(np.asarray(xstar))
+    best = None
+    for sgn in (1.0, -1.0):
+        for r in (1.0, -1.0):
+            e1 = np.zeros(desc.dim)
+            e1[0] = 1.0
+            dx = lp_norm(xb - sgn * e1, 1) + lp_norm(yb, 1)
+            dxs_x = max(0.0, abs(xsb[0] - sgn))
+            dxs_y = float(np.abs(ysb - r).max())
+            dxs = max(dxs_x, dxs_y)         # the dual is a sup of blocks
+            if best is None or max(dx, dxs) < max(best[0], best[1]):
+                best = (dx, dxs)
+    return best
+
+
+def corner_pair_distance(desc, x, xstar):
+    """gallery.CornerNuStates.pair_distance, one pair at a time."""
+    s = desc.space
+    xb, yb = s.split(np.asarray(x))
+    xsb, ysb = s.split(np.asarray(xstar))
+    best = None
+    e1 = np.zeros(desc.dim)
+    e1[0] = 1.0
+    for sgn in (1.0, -1.0):
+        dxx = float(np.linalg.norm(xb - sgn * e1))
+        dyy = float(np.linalg.norm(yb))
+        dsx = float(np.linalg.norm(xsb - sgn * e1))
+        dsy = float(np.linalg.norm(ysb))
+        if desc.outer_p == 1:
+            dx = dxx + dyy
+            dxs = max(dsx, max(0.0, dsy - 1.0))   # y* free in the ball
+        else:
+            dx = max(dxx, max(0.0, dyy - 1.0))    # y free in the ball
+            dxs = dsx + dsy
+        if best is None or max(dx, dxs) < max(best[0], best[1]):
+            best = (dx, dxs)
+    return best
 
 
 def _diagonal_pair_distance(desc, x, xstar):
@@ -543,6 +597,48 @@ def state_functional(y, x, space):
     return best_state_functional(y, x, space)
 
 
+def space_norm(v, space):
+    """SumSpace.norm one vector at a time: the outer norm of the block
+    norms, recursive over the blocks; Space.norm on a flat space."""
+    if not isinstance(space, SumSpace):
+        return space.norm(v)
+    profile = np.array([space_norm(b, c)
+                        for c, b in zip(space.components, space.split(v))])
+    return lp_norm(profile, space.outer_p)
+
+
+def dual_align_vec(y, space):
+    """_search.dual_align_vec one vector at a time: u with ||u||_dual = 1
+    and <u, y> = ||y||, recursive over the blocks of a sum."""
+    if isinstance(space, SumSpace):
+        blocks = space.split(y)
+        profile = np.array([space_norm(b, c)
+                            for c, b in zip(space.components, blocks)])
+        w = dual_align_rows(profile[None, :].astype(float), space.outer_p)[0]
+        out = []
+        for c, b, wi in zip(space.components, blocks, w):
+            if space_norm(b, c) == 0 or wi == 0:
+                out.append(np.zeros(c.dim, dtype=c.dtype))
+            else:
+                out.append(wi.real * dual_align_vec(b, c))
+        return space.join(out)
+    return dual_align_rows(y[None, :], space.p)[0]
+
+
+def primal_align_vec(w, space):
+    """_search.primal_align_vec one vector at a time: unit x maximizing
+    Re <w, x>, recursive over the blocks of a sum."""
+    if isinstance(space, SumSpace):
+        blocks = space.split(w)
+        aligned = [primal_align_vec(b, c)
+                   for c, b in zip(space.components, blocks)]
+        gains = np.array([max(np.real((b * a).sum()), 0.0)
+                          for b, a in zip(blocks, aligned)])
+        t = primal_align_rows(gains[None, :].astype(float), space.outer_p)[0]
+        return space.join([ti.real * a for ti, a in zip(t, aligned)])
+    return primal_align_rows(w[None, :], space.p)[0]
+
+
 def boundary_seeds(space, dist_of, eps, base_points, rng, max_dirs=48,
                    feas_tol=1e-12):
     """The probe's boundary seeds by one scalar bisection per (base,
@@ -568,7 +664,7 @@ def boundary_seeds(space, dist_of, eps, base_points, rng, max_dirs=48,
             for _ in range(40):
                 t = (lo + hi) / 2.0
                 cand = (1 - t) * base + t * dvec
-                n = space.norm(cand)
+                n = space_norm(cand, space)
                 if n == 0:
                     lo = t
                     continue
@@ -581,7 +677,7 @@ def boundary_seeds(space, dist_of, eps, base_points, rng, max_dirs=48,
             if ok:
                 t = hi
                 cand = (1 - t) * base + t * dvec
-                cand = cand / space.norm(cand)
+                cand = cand / space_norm(cand, space)
                 if dist_of(cand) >= eps - feas_tol:
                     seeds.append(cand)
     return seeds
@@ -653,7 +749,7 @@ def random_polish(x, value_of, rng, space, iters, tries, step, min_step):
             d = rng.normal(size=space.dim) + \
                 (1j * rng.normal(size=space.dim) if space.is_complex else 0.0)
             cand = x + step * d
-            n = space.norm(cand)
+            n = space_norm(cand, space)
             if n == 0:
                 continue
             cand = cand / n
@@ -670,15 +766,15 @@ def random_polish(x, value_of, rng, space, iters, tries, step, min_step):
 def generic_power_ascent(M, dom, cod, x0, iters=300):
     """Monotone norm ascent on one vector, stopping at the first step that
     gains at most 1e-13; returns (value, x)."""
-    n = dom.norm(x0)
+    n = space_norm(x0, dom)
     x = x0 / (n if n > 0 else 1.0)
-    val = cod.norm(M @ x)
+    val = space_norm(M @ x, cod)
     for _ in range(iters):
         y = M @ x
         u = dual_align_vec(y, cod)
         w = u @ M
         xn = primal_align_vec(w, dom)
-        vn = cod.norm(M @ xn)
+        vn = space_norm(M @ xn, cod)
         if vn <= val + 1e-13:
             if vn > val:
                 x, val = xn, vn
@@ -720,7 +816,7 @@ def pullback(value_of, dist_of, x_hi, x_lo, eps, space):
     for _ in range(30):
         t = (lo + hi) / 2.0
         cand = (1 - t) * x_hi + t * x_lo
-        n = space.norm(cand)
+        n = space_norm(cand, space)
         if n == 0:
             lo, hi = t, hi
             continue
@@ -741,7 +837,7 @@ def eta_probe_norm(T, eps, budget=None, seed=0, extra_seeds=()):
     space, cod, M = T.domain, T.codomain, to_matrix(T)
 
     def value_of(x):
-        return cod.norm(M @ x)
+        return space_norm(M @ x, cod)
 
     candidates = []
     max_dist_seen = 0.0
@@ -814,7 +910,7 @@ def eta_probe_nu(T, eps, budget=None, seed=0, nu_result=None, attaining=None,
 
     def consider_pair(x, xs):
         nonlocal max_dist_seen
-        dx, dxs = desc.pair_distance(x, xs)
+        dx, dxs = nu_pair_distance(desc, x, xs)
         d = max(dx, dxs)
         max_dist_seen = max(max_dist_seen, d)
         if d >= eps - FEAS_TOL:

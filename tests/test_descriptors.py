@@ -4,7 +4,8 @@ A norming-set descriptor gives the distance of x to a set S, and an
 attaining-state descriptor the pair (dx, dxs) of the nearest of its options,
 each component the distance of x or x* to that option's part.  So
 
-* the distance is 0 on the descriptor's own sample() points, and
+* the distance is 0 on the descriptor's own sample() points, which are
+  state pairs (the explicit kinds here list arbitrary pairs), and
 * the distance is 1-Lipschitz: |d(x) - d(x')| <= ||x - x'||, and for pairs
   max(dx, dxs) moves by at most max(||x - x'||, ||x* - x*'||_dual).
 """
@@ -86,18 +87,18 @@ def _norming_set(kind, rng, cx, dim):
                                 free_mask=free)
 
 
-def _norm_one_hilbert(rng, dim, cx):
-    H = Space(2.0, dim, "complex" if cx else "real")
-    M = _gauss(rng, (dim, dim), cx)
-    return Scale(1.0 / np.linalg.norm(M, 2), Dense(M, H, H))
+def _norm_one_hilbert(rng, dim, cod_dim, cx):
+    field = "complex" if cx else "real"
+    M = _gauss(rng, (cod_dim, dim), cx)
+    return Scale(1.0 / np.linalg.norm(M, 2),
+                 Dense(M, Space(2.0, dim, field), Space(2.0, cod_dim, field)))
 
 
 def _nu_states(kind, rng, cx, dim):
     field = "complex" if cx else "real"
     if kind == "lift":
-        # LiftNuStates describes the lifts of real Hilbert operators
-        return LiftNuStates(_norm_one_hilbert(rng, dim, False),
-                            float(rng.choice([1.0, INF])))
+        T = _norm_one_hilbert(rng, dim, int(rng.integers(1, dim + 2)), cx)
+        return LiftNuStates(T, float(rng.choice([1.0, INF])))
     if kind == "lifted_rank1":
         return LiftedRank1NuStates(dim)
     if kind == "corner":
@@ -161,6 +162,8 @@ def test_nu_pair_distance_is_zero_on_samples_and_1_lipschitz(kind, case):
     desc = _nu_states(kind, rng, cx, dim)
     space, dual = desc.space, desc.space.dual()
     for sp in desc.sample(rng, 3):
+        if not kind.startswith("explicit"):     # those list arbitrary pairs
+            sp.validate()
         assert max(desc.pair_distance(sp.x, sp.xstar)) <= TOL
         X = _moves(rng, space, np.asarray(sp.x, dtype=space.dtype), 6)
         XS = _moves(rng, dual, np.asarray(sp.xstar, dtype=space.dtype), 6)

@@ -175,8 +175,8 @@ def test_nu_probe_rows_on_lifts(batches_only):
 
 
 def test_nu_probe_rows_on_complex_lifts(batches_only):
-    # LiftNuStates describes real lifts only; here it just has to be the
-    # same descriptor for both programs
+    # the start-by-start batches measure LiftNuStates by the scalar
+    # oracle, complex blocks included
     exact = NuResult(1.0, "exact", None, "lift-profile")
     rng = np.random.default_rng(9)
     H = Space(2.0, 3, "complex")

@@ -3,8 +3,8 @@
 Every distance_rows, pair_distance_rows and best_state_functional_rows must
 agree with the scalar bodies kept in tests/_oracles.py, and the batched
 boundary-seed bisection must return the seeds of the scalar bisection, in
-the same order.  On sums the support face and the lift descriptors must
-agree with them bit for bit.
+the same order.  On sums the support face, the alignment maps, the norm and
+the attaining-set descriptors must agree with them bit for bit.
 """
 
 import warnings
@@ -15,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
+from bollobas_lab._search import (dual_align_in, dual_align_vec,
+                                  primal_align_in, primal_align_vec)
 from bollobas_lab.errors import DimensionMismatchError, GeometryError
+from bollobas_lab.gallery import CornerNuStates, LiftedRank1NuStates
 from bollobas_lab.norm_attainment import (LiftedNormingSet,
                                           NormingSetDescriptor,
                                           UnionNormingSet, norming_set)
@@ -347,12 +350,15 @@ def test_sum_face_rows_check_shapes():
 
 
 def _lift_operator(rng, dim, cx):
-    """A norm-one Hilbert operator, sometimes with a zero column."""
-    H = Space(2.0, dim, "complex" if cx else "real")
-    M = _gauss(rng, (dim, dim), cx)
+    """A norm-one Hilbert operator into a codomain of dim 1 to dim + 1,
+    sometimes with a zero column."""
+    field = "complex" if cx else "real"
+    cod = int(rng.integers(1, dim + 2))
+    M = _gauss(rng, (cod, dim), cx)
     if dim > 1 and rng.uniform() < 0.3:
         M[:, 0] = 0.0
-    return Scale(1.0 / np.linalg.norm(M, 2), Dense(M, H, H))
+    return Scale(1.0 / np.linalg.norm(M, 2),
+                 Dense(M, Space(2.0, dim, field), Space(2.0, cod, field)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -396,3 +402,63 @@ def test_lift_descriptor_rows_match_scalar_oracle(case):
                     _close(got[i], want)
                 else:
                     assert _value_bits(got[i]) == _value_bits(want)
+
+
+def _near_pairs(rng, desc):
+    """Row pairs around the descriptor's samples: the samples themselves,
+    steps of several scales from them, a sample's x with another's x* (the
+    options' signs disagree), and the zero pair (every option ties)."""
+    space = desc.space
+    pairs = desc.sample(rng, 4)
+    X = np.array([sp.x for sp in pairs])
+    XS = np.array([sp.xstar for sp in pairs])
+    scales = rng.choice([1e-3, 0.1, 1.0], size=(8, 1))
+    steps = scales * rng.normal(size=(2, 8, space.dim))
+    X = np.concatenate([X, X[rng.integers(4, size=8)] + steps[0], X,
+                        np.zeros((1, space.dim))])
+    XS = np.concatenate([XS, XS[rng.integers(4, size=8)] + steps[1],
+                         XS[::-1], np.zeros((1, space.dim))])
+    return X, XS
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_gallery_pair_descriptor_rows_match_scalar_oracle(dim, seed):
+    rng = np.random.default_rng(seed)
+    for desc, scalar in ((LiftedRank1NuStates(dim),
+                          oracle.lifted_rank1_pair_distance),
+                         (CornerNuStates(dim, 1.0), oracle.corner_pair_distance),
+                         (CornerNuStates(dim, INF), oracle.corner_pair_distance)):
+        X, XS = _near_pairs(rng, desc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = desc.pair_distance_rows(X, XS)
+            ones = [desc.pair_distance(x, xs) for x, xs in zip(X, XS)]
+        for i, (x, xs) in enumerate(zip(X, XS)):
+            want = _bits(np.array(scalar(desc, x, xs), dtype=float))
+            assert _bits(got[i]) == want
+            assert _bits(np.array(ones[i])) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1.0, 1.5, INF]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_sum_alignment_rows_match_scalar_oracle(outer, cx, seed):
+    # unit rows with massless blocks and zero entries, Gaussian rows with
+    # zeros in places, and the zero row
+    space, X, Y = _sum_rows(np.random.default_rng(seed), outer, cx)
+    Z = np.concatenate([X, Y, np.zeros((1, space.dim), dtype=space.dtype)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        U, P = dual_align_in(Z, space), primal_align_in(Z, space)
+        N = space.norm_rows(Z)
+        ones = [(dual_align_vec(z, space), primal_align_vec(z, space),
+                 space.norm(z)) for z in Z]
+    assert U.dtype == P.dtype == space.dtype
+    for i, z in enumerate(Z):
+        u = _bits(oracle.dual_align_vec(z, space))
+        x = _bits(oracle.primal_align_vec(z, space))
+        n = _value_bits(oracle.space_norm(z, space))
+        assert _bits(U[i]) == _bits(ones[i][0]) == u
+        assert _bits(P[i]) == _bits(ones[i][1]) == x
+        assert _value_bits(N[i]) == _value_bits(ones[i][2]) == n
