@@ -12,9 +12,9 @@ iterates its starting vectors and as boyd_ascent does for flat dense norms:
 * power_ascent_rows steps R starts of the generic norm ascent at once, each
   row with its own stop mask; generic_power_ascent is its one-row call.
 * polish_rows runs R random-direction climbs at once, each row with its own
-  step and gain mask, along trial directions from a caller-supplied source;
-  random_polish is its one-row call, drawing each round's directions when
-  the climb reaches the round.
+  step and gain mask, along trial directions from a caller-supplied source.
+  Its callers draw them in one layout, polish_draws: a fixed block of
+  directions per start, drawn before any climb runs.
 
 Products are stacks of matrix-vector products (matvec_rows, vecmat_rows),
 never one flat GEMM, and reductions run over C-ordered rows, so every row
@@ -53,31 +53,6 @@ def run_batches(seed: int, n_batches: int, batch):
                    for s in np.random.SeedSequence(seed).spawn(n_batches))
 
 
-def random_polish(x, value_of, rng, space, iters: int, tries: int,
-                  step: float, min_step: float):
-    """Random-direction hill climb on the unit sphere of space: the one-row
-    call of polish_rows, its directions drawn by drawn_directions.
-    value_of(x) -> (value, aux); returns (value, x, aux) at the final point.
-    """
-    def value_rows(X):
-        v, a = value_of(X[0])
-        aux = np.empty(1, dtype=object)
-        aux[0] = a
-        return np.array([v]), aux
-
-    vals, X, aux = polish_rows(np.asarray(x)[None, :], value_rows, space,
-                               drawn_directions(rng, tries, space), iters,
-                               tries, step, min_step)
-    return float(vals[0]), X[0], aux[0]
-
-
-def drawn_directions(rng, tries: int, space):
-    """The directions source of a one-row climb: each round's trial
-    directions are drawn from rng when the climb reaches the round, so a
-    climb that stops early draws no further."""
-    return lambda r, rows: gaussian_directions(rng, tries, space)[None]
-
-
 def gaussian_directions(rng, count: int, space) -> np.ndarray:
     """count Gaussian directions (count, dim), drawn as count successive
     draws of one direction each: the real part, then the imaginary part."""
@@ -88,31 +63,24 @@ def gaussian_directions(rng, count: int, space) -> np.ndarray:
 
 
 def polish_draws(rng, space, count: int, rounds: int, tries: int):
-    """The draws of count one-row climbs run one after another, none
-    stopping early: each start's random_unit, then its rounds x tries trial
-    directions.  Returns the starts (count, dim) and the directions
-    (count, rounds, tries, dim); a start that stops early leaves the rest
-    of its block unused."""
-    X0, D = [], []
-    for _ in range(count):
-        X0.append(random_unit(space, rng))
-        D.append(gaussian_directions(rng, rounds * tries, space))
-    return np.array(X0), np.array(D).reshape(count, rounds, tries, -1)
-
-
-def rounds_to_stop(step: float, min_step: float) -> int:
-    """The rounds without a gain after which polish_rows stops a row that
-    starts at step: the halvings that take step below min_step."""
-    k = 0
-    while step >= min_step:
-        step, k = step * 0.5, k + 1
-    return k
+    """The draws of count climbs, start by start: each start's random_unit,
+    then its block of rounds x tries trial directions.  Returns the starts
+    (count, dim) and the directions (count, rounds, tries, dim), which hold
+    count * rounds * tries * dim scalars of space.dtype; a start that stops
+    early leaves the rest of its block unused."""
+    X0 = np.empty((count, space.dim), dtype=space.dtype)
+    D = np.empty((count, rounds, tries, space.dim), dtype=space.dtype)
+    for i in range(count):
+        X0[i] = random_unit(space, rng)
+        D[i] = gaussian_directions(rng, rounds * tries,
+                                   space).reshape(rounds, tries, -1)
+    return X0, D
 
 
 def polish_rows(X, value_rows, space, directions, iters: int, tries: int,
                 step: float, min_step: float):
-    """random_polish on every row of X (R, dim) at once, each row with its
-    own step and its own gain mask.
+    """Random-direction hill climbs on the unit sphere of space, one per row
+    of X (R, dim), each row with its own step and its own gain mask.
 
     Each round tries `tries` steps of length scale step along the round's
     trial directions and keeps every strict gain (above 1e-14); a round

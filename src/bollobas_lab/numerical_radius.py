@@ -30,9 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (best_of, drawn_directions, dual_align_rows, first_best,
-                      golden_max, matvec_rows, phase_orbit_min_rows,
-                      polish_draws, polish_rows, rounds_to_stop, run_batches)
+from ._search import (dual_align_rows, first_best, golden_max, matvec_rows,
+                      phase_orbit_min_rows, polish_draws, polish_rows,
+                      run_batches)
 from .errors import (DimensionMismatchError, GeometryError,
                      HeuristicRefusalError)
 from .norm_attainment import (block_product_rows, operator_norm,
@@ -41,7 +41,7 @@ from .norm_attainment import (block_product_rows, operator_norm,
 from .operators import (Adjoint, Dense, Diagonal, DirectSum, Lift, OperatorExpr,
                         RankOne, Scale, to_matrix)
 from .spaces import (INF, Space, StatePair, SumSpace, conjugate_exponent,
-                     duality_map, lp_norm_rows, random_unit, unit_phase)
+                     duality_map, lp_norm_rows, unit_phase)
 
 THETA_GRID = 256
 NU_TOL = 1e-10
@@ -476,45 +476,20 @@ def _masked_row_sums(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-# a polish of _multistart_nu stops after this many rounds without a gain
-_NU_STOP_ROUNDS = rounds_to_stop(0.5, 1e-9)
-
-
 def _multistart_nu(M, space, restarts, iters, seed) -> NuResult:
-    """Batches of 8 random polishes of face_sup.  Where a start can stop
-    before its last round only by failing every round (iters at most one
-    more than the rounds a stop takes), the 8 starts run as rows on their
-    draws laid out as if none stopped early; should a start but the last
-    stop early after all, its successors' draws were misplaced, and the
-    batch runs again one polish at a time from the same generator state,
-    drawing lazily as it always does for longer budgets."""
+    """Batches of 8 random polishes of face_sup, run as the rows of one
+    polish_rows call on their polish_draws blocks (8 x iters x 4 x dim
+    scalars), as the nu probe runs its batches; the first best row wins."""
     def value_rows(X):
         return face_sup_rows(matvec_rows(M, X), X, space), None
 
-    def polish(X0, directions):
-        vals, X, _ = polish_rows(X0, value_rows, space, directions, iters,
-                                 tries=4, step=0.5, min_step=1e-9)
+    def batch(rng):
+        X0, D = polish_draws(rng, space, 8, iters, 4)
+        vals, X, _ = polish_rows(X0, value_rows, space,
+                                 lambda r, rows: D[rows, r], iters, tries=4,
+                                 step=0.5, min_step=1e-9)
         k = first_best(vals)
         return float(vals[k]), X[k]
-
-    def batch(rng):
-        if iters <= _NU_STOP_ROUNDS + 1:
-            state = rng.bit_generator.state
-            X0, D = polish_draws(rng, space, 8, iters, 4)
-            last = []
-
-            def directions(r, rows):
-                if r == iters - 1:
-                    last.append(rows)
-                return D[rows, r]
-
-            best = polish(X0, directions)
-            if last and np.array_equal(last[0][:7], np.arange(7)):
-                return best
-            rng.bit_generator.state = state
-        return best_of(polish(random_unit(space, rng)[None, :],
-                              drawn_directions(rng, 4, space))
-                       for _ in range(8))
 
     val, x = run_batches(seed, max(1, restarts // 8), batch)
     _, xs = best_state_functional(M @ x, x, space)

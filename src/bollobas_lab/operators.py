@@ -39,13 +39,6 @@ class OperatorExpr:
         return self.domain == self.codomain
 
 
-def _finite(entries: np.ndarray, what: str) -> np.ndarray:
-    """entries, or GeometryError when one of them is NaN or infinite."""
-    if not np.isfinite(entries).all():
-        raise GeometryError(f"{what} has a non-finite entry")
-    return entries
-
-
 def _on_field(entries, what: str, *spaces):
     """entries on the scalar field of spaces.  Where one of the spaces is
     real, complex entries with zero imaginary parts become real (a scalar
@@ -75,7 +68,10 @@ class Dense(OperatorExpr):
         m = _on_field(m, "matrix", self.dom, self.cod)
         dtype = np.complex128 if (self.dom.is_complex or np.iscomplexobj(m)) \
             else np.float64
-        object.__setattr__(self, "matrix", _finite(m.astype(dtype), "matrix"))
+        m = m.astype(dtype)
+        if not np.isfinite(m).all():
+            raise GeometryError("matrix has a non-finite entry")
+        object.__setattr__(self, "matrix", m)
 
     @property
     def domain(self):
@@ -124,9 +120,8 @@ class RankOne(OperatorExpr):
     def __post_init__(self):
         y = _on_field(np.asarray(self.y), "y", self.cod)
         xstar = _on_field(np.asarray(self.xstar), "xstar", self.dom)
-        object.__setattr__(self, "y", _finite(self.cod.check(y), "y"))
-        object.__setattr__(self, "xstar",
-                           _finite(self.dom.dual().check(xstar), "xstar"))
+        object.__setattr__(self, "y", self.cod.check(y))
+        object.__setattr__(self, "xstar", self.dom.dual().check(xstar))
 
     @property
     def domain(self):

@@ -25,21 +25,17 @@ starts one after another returns, bit for bit:
   where each start ends, and which anchor each pullback bisects toward; the
   anchor, the last feasible point, carries across starts (_walk_paths).  All
   pullbacks are then bisected as one array (_pullback_rows).
-* nu: each start's random_unit and its rounds x 3 trial directions are drawn
-  in the order of one polish after another (_search.polish_draws); the
-  starts are
-  polished together (_search.polish_rows), and their final pairs are
+* nu: each start's random_unit and its block of rounds x 3 trial
+  directions are drawn start by start (_search.polish_draws); the starts
+  are polished together (_search.polish_rows), and their final pairs are
   checked with one pair_distance_rows call.
 
-The pre-drawn layout is the stream of the start-by-start polish as long as
-no start stops early.  A polish halves its step of 0.4 on each round
-without a gain and stops below 1e-7, which takes 22 halvings, so a budget
-with iters < 2200 (at most 21 rounds) keeps that stream exactly, as the
-default budgets and every budget in the tests, demos and benchmark do.  A
-budget with iters >= 2200 gets a fixed block of directions per start:
-deterministic in (seed, batch), but a start that stops early leaves the
-rest of its block unused where the start-by-start polish passed its stream
-on to the next start.
+The block is the layout at every budget: a start that stops early leaves
+the rest of its block unused.  A polish halves its step of 0.4 on each
+round without a gain and stops below 1e-7, which takes 22 halvings, so
+below iters = 2200 (at most 21 rounds) no start stops early, and the blocks
+are also the stream of polishes that draw each round's directions when
+they reach it, one start after another.
 
 The boundary seeds on flat spaces are bisected as one row batch: every
 (base point, coordinate direction) pair is a row of one array, and each of

@@ -38,7 +38,8 @@ def conjugate_exponent(p: float) -> float:
 
 
 class _Geometry:
-    """What Space and SumSpace share: the scalar field and the shape check."""
+    """What Space and SumSpace share: the scalar field and the check of a
+    vector's shape and finiteness."""
 
     @property
     def is_complex(self) -> bool:
@@ -53,6 +54,8 @@ class _Geometry:
         if v.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"expected vector of shape ({self.dim},), got {v.shape}")
+        if not np.isfinite(v).all():
+            raise GeometryError("vector has a non-finite entry")
         return v
 
 

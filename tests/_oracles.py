@@ -21,7 +21,11 @@ numerical-radius multistarts as they ran before the batched restart engine:
 one start after another, with the scalar random_polish,
 generic_power_ascent and pullback bisection, and on sums with the norms,
 alignment maps, support face and attaining-pair distances of the
-one-vector oracles above.  tests/test_restart_rows.py checks the row
+one-vector oracles above.  A polished start first draws its block, its
+random_unit and then every trial direction of every round
+(polish_block), and the scalar climb reads the block in order; a climb
+that stops early leaves the rest of its block unused, and the next start
+draws after the whole block.  tests/test_restart_rows.py checks the row
 programs against them.
 """
 
@@ -739,15 +743,29 @@ def face_sup(y, x, space):
 # the probes' restart batches, one start at a time
 # ---------------------------------------------------------------------------
 
-def random_polish(x, value_of, rng, space, iters, tries, step, min_step):
-    """Random-direction hill climb on the unit sphere, one trial at a time;
-    returns (value, x, aux)."""
+def direction_block(rng, space, rounds, tries):
+    """rounds lists of tries trial directions, each drawn as one real and,
+    on a complex field, one imaginary Gaussian vector."""
+    return [[rng.normal(size=space.dim) +
+             (1j * rng.normal(size=space.dim) if space.is_complex else 0.0)
+             for _ in range(tries)] for _ in range(rounds)]
+
+
+def polish_block(rng, space, rounds, tries):
+    """A polished start's draws: its random_unit, then its direction
+    block."""
+    x = random_unit(space, rng)
+    return x, direction_block(rng, space, rounds, tries)
+
+
+def random_polish(x, value_of, directions, space, step, min_step):
+    """Random-direction hill climb on the unit sphere, one trial at a time:
+    round r tries step * directions[r][t] for each t in turn; returns
+    (value, x, aux)."""
     val, aux = value_of(x)
-    for _ in range(iters):
+    for trials in directions:
         moved = False
-        for _ in range(tries):
-            d = rng.normal(size=space.dim) + \
-                (1j * rng.normal(size=space.dim) if space.is_complex else 0.0)
+        for d in trials:
             cand = x + step * d
             n = space_norm(cand, space)
             if n == 0:
@@ -785,14 +803,16 @@ def generic_power_ascent(M, dom, cod, x0, iters=300):
 
 def multistart_nu(M, space, restarts, iters, seed):
     """The search of numerical_radius._multistart_nu with its 8 polishes
-    run one after another: (value, x, None)."""
+    run one after another, each on its own block: (value, x, None)."""
     def value_of(x):
         return state_functional(M @ x, x, space)[0], None
 
+    def polished_start(rng):
+        x, D = polish_block(rng, space, iters, 4)
+        return random_polish(x, value_of, D, space, step=0.5, min_step=1e-9)
+
     def batch(rng):
-        return best_of(random_polish(random_unit(space, rng), value_of, rng,
-                                     space, iters, tries=4, step=0.5,
-                                     min_step=1e-9) for _ in range(8))
+        return best_of(polished_start(rng) for _ in range(8))
 
     return run_batches(seed, max(1, restarts // 8), batch)
 
@@ -946,8 +966,8 @@ def eta_probe_nu(T, eps, budget=None, seed=0, nu_result=None, attaining=None,
         return pair_value(x, xs), xs
 
     def polished_start(rng):
-        _v, x, xs = random_polish(random_unit(space, rng), state_value, rng,
-                                  space, iters, tries=3, step=0.4,
+        x, D = polish_block(rng, space, iters, 3)
+        _v, x, xs = random_polish(x, state_value, D, space, step=0.4,
                                   min_step=1e-7)
         return consider_pair(x, xs)
 

@@ -10,7 +10,7 @@ from bollobas_lab.operators import (Adjoint, Delift, Dense, Diagonal, DirectSum,
                                     Lift, RankOne, Scale, adjoint, apply,
                                     functional, identity, to_matrix)
 from bollobas_lab.sequences import ConstantTail, SequenceSpec
-from bollobas_lab.spaces import INF, Space, SumSpace, pair
+from bollobas_lab.spaces import INF, Space, StatePair, SumSpace, pair
 
 
 def test_diagonal_eval():
@@ -33,9 +33,22 @@ L1, L2 = Space(1, 2), Space(2, 2)
     lambda: Dense(np.array([[NAN, 0.0], [0.0, 1.0]]), L2, L2),
     lambda: RankOne(np.array([1.0, NAN]), np.array([1.0, 0.0]), L2, L2),
     lambda: RankOne(np.array([1.0, 0.0]), np.array([INF_, 0.0]), L2, L2),
+    lambda: L2.norm([NAN, 1.0]),
+    lambda: Space(1, 2, "complex").norm([complex(1.0, INF_), 0.0]),
+    lambda: SumSpace((L1, L2), 2.0).norm([1.0, 0.0, NAN, 0.0]),
+    lambda: StatePair(np.array([NAN, 1.0]), np.array([1.0, 0.0]),
+                      L2).validate(),
+    lambda: StatePair(np.array([1.0, 0.0]), np.array([1.0, NAN]),
+                      Space(INF, 2)).validate(),
+    lambda: apply(Dense(np.eye(2), L2, L2), np.array([NAN, 0.0])),
+    lambda: apply(Lift(Dense(np.eye(2), L2, L2), 1.0),
+                  np.array([0.0, 1.0, INF_, 0.0])),
 ], ids=["diag-nan-prefix", "inf-prefix", "complex-nan-prefix",
         "nan-constant-tail", "inf-constant-tail", "dense-inf-l1",
-        "dense-nan-l2", "rank-one-nan-y", "rank-one-inf-xstar"])
+        "dense-nan-l2", "rank-one-nan-y", "rank-one-inf-xstar",
+        "space-norm-nan", "space-norm-complex-inf", "sum-norm-nan",
+        "state-pair-nan-x", "state-pair-nan-xstar", "apply-nan",
+        "apply-lift-inf"])
 def test_non_finite_inputs_raise_geometry_error(build):
     with pytest.raises(GeometryError):
         build()

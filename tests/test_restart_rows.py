@@ -2,10 +2,11 @@
 
 tests/_oracles.py keeps eta_probe_norm and eta_probe_nu as they ran before
 the restart batches became row programs: one start after another, with the
-scalar random_polish, generic_power_ascent and pullback bisection.  The row
-programs must reproduce their reports bit for bit, and raise no warning the
-old loops did not.  "batches only" runs switch the diagonal and boundary
-seeds off in both, so that the restart batches alone decide the report.
+scalar random_polish, generic_power_ascent and pullback bisection, each
+polished start on its own block of draws.  The row programs must reproduce
+their reports bit for bit, and raise no warning the old loops did not.
+"batches only" runs switch the diagonal and boundary seeds off in both, so
+that the restart batches alone decide the report.
 """
 
 import warnings
@@ -15,7 +16,8 @@ import pytest
 
 import _oracles as oracle
 from bollobas_lab import probe
-from bollobas_lab._search import generic_power_ascent, random_polish
+from bollobas_lab._search import (gaussian_directions, generic_power_ascent,
+                                  polish_rows)
 from bollobas_lab.gallery import lifted_rank1_l1
 from bollobas_lab.norm_attainment import _sum_space_norm, operator_norm
 from bollobas_lab.numerical_radius import (NuResult, _multistart_nu,
@@ -134,10 +136,15 @@ def test_nu_probe_rows_match_start_by_start(p, cx, dim, batches_only):
 
 def test_nu_probe_rows_at_the_longest_exact_budget():
     # iters = 2199 gives 21 polish rounds, the most a step of 0.4 can take
-    # without halving below 1e-7, so no start stops early
-    T = _diagonal(Space(3.0, 7, "complex"), np.random.default_rng(3))
-    _run_both(eta_probe_nu, oracle.eta_probe_nu, T, 0.3,
-              budget=ProbeBudget(16, 2199), seed=2)
+    # without halving below 1e-7, so no start stops early.  At 2500 (25
+    # rounds) every start on the sup diagonal stops partway through its
+    # block: its state value stays constant while the peak set does
+    for sp, iters in ((Space(3.0, 7, "complex"), 2199),
+                      (Space(3.0, 7, "complex"), 2500),
+                      (Space(INF, 6, "complex"), 2500)):
+        T = _diagonal(sp, np.random.default_rng(3))
+        _run_both(eta_probe_nu, oracle.eta_probe_nu, T, 0.3,
+                  budget=ProbeBudget(16, iters), seed=2)
 
 
 def test_norm_probe_rows_raise_no_warning_past_the_walk():
@@ -210,37 +217,25 @@ def test_sum_space_norm_rows_match_start_by_start(space):
 @pytest.mark.parametrize("space", [Space(3.0, 4), Space(1.5, 3, "complex"),
                                    SUMS[0], SUMS[1]],
                          ids=["l3", "l1.5-complex", "sum-2", "sum-1-complex"])
-def test_multistart_nu_rows_match_start_by_start(space, monkeypatch):
-    # iters 30: the starts run as rows; 40: one at a time.  The zero matrix
-    # gives no gain, so every start stops early and the rows fall back to
-    # one polish at a time, except at iters 29, where stopping takes them
-    # to their last round
+def test_multistart_nu_rows_match_start_by_start(space):
+    # the zero matrix gives no gain, so every start stops at round 29:
+    # at iters 29 that is its last round, at 120 partway through its block
     rng = np.random.default_rng(17)
     M = rng.normal(size=(space.dim, space.dim))
     if space.is_complex:
         M = M + 1j * rng.normal(size=M.shape)
-    cases = [(M, 30), (M, 40), (0 * M, 30), (0 * M, 29)]
-
-    def check():
-        for A, iters in cases:
-            got = _multistart_nu(A, space, 16, iters, 5)
-            want = oracle.multistart_nu(A, space, 16, iters, 5)
-            assert repr(got.value) == repr(float(want[0]))
-            assert _bits(got.witness.x) == _bits(want[1])
-
-    check()
-    # rows at every budget: the starts that converge stop early, and the
-    # batch must fall back to one polish at a time from the same draws
-    monkeypatch.setitem(_multistart_nu.__globals__, "_NU_STOP_ROUNDS",
-                        10 ** 6)
-    cases = [(M, 120)]
-    check()
+    cases = [(M, 30), (M, 40), (M, 120), (M, 300), (0 * M, 29), (0 * M, 120)]
+    for A, iters in cases:
+        got = _multistart_nu(A, space, 16, iters, 5)
+        want = oracle.multistart_nu(A, space, 16, iters, 5)
+        assert repr(got.value) == repr(float(want[0]))
+        assert _bits(got.witness.x) == _bits(want[1])
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_multistart_nu_on_a_psum_lift_matches_start_by_start(p):
     # psum's search: the lifted identity on a p-sum of Hilbert blocks at
-    # iters 200, where the starts polish one at a time
+    # iters 200
     lifted = Lift(identity(Space(2.0, 4)), p)
     M, space = to_matrix(lifted), lifted.sum_space
     with warnings.catch_warnings():
@@ -271,9 +266,17 @@ def test_one_row_calls_match_the_scalar_bodies(space):
         def value_of(x):
             return abs(complex((M @ x)[0])), x[0]
 
-        got = random_polish(x0, value_of, np.random.default_rng(k), space,
-                            40, 3, 0.5, 1e-3)
-        want = oracle.random_polish(x0, value_of, np.random.default_rng(k),
-                                    space, 40, 3, 0.5, 1e-3)
-        assert repr(got[0]) == repr(want[0])
-        assert _bits(got[1]) == _bits(want[1]) and got[2] == want[2]
+        def value_rows(X):
+            v, a = value_of(X[0])
+            return np.array([v]), np.array([a])
+
+        D = gaussian_directions(np.random.default_rng(k), 40 * 3,
+                                space).reshape(1, 40, 3, -1)
+        got = polish_rows(x0[None, :], value_rows, space,
+                          lambda r, rows: D[rows, r], 40, 3, 0.5, 1e-3)
+        want = oracle.random_polish(
+            x0, value_of,
+            oracle.direction_block(np.random.default_rng(k), space, 40, 3),
+            space, 0.5, 1e-3)
+        assert repr(float(got[0][0])) == repr(want[0])
+        assert _bits(got[1][0]) == _bits(want[1]) and got[2][0] == want[2]

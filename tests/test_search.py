@@ -7,8 +7,9 @@ run_batches; any change to draw order or tie-breaking moves them.
 import numpy as np
 import pytest
 
-from bollobas_lab._search import best_of, random_polish, run_batches
-from bollobas_lab.gallery import lifted_rank1_l1
+from bollobas_lab._search import (best_of, gaussian_directions, polish_rows,
+                                  run_batches)
+from bollobas_lab.gallery import lifted_rank1_l1, make_corner
 from bollobas_lab.norm_attainment import operator_norm
 from bollobas_lab.numerical_radius import NuResult, numerical_radius
 from bollobas_lab.operators import Dense, Diagonal, Lift
@@ -52,19 +53,20 @@ def test_run_batches_uses_spawned_children():
     assert run_batches(11, 4, lambda rng: (rng.uniform(),)) == got
 
 
-def test_random_polish_climbs_and_keeps_aux():
+def test_one_row_polish_climbs_and_keeps_aux():
     space = Space(2.0, 3)
     target = np.array([0.0, 0.6, 0.8])
 
-    def value_of(x):
-        return float(x @ target), "aux"
+    def value_rows(X):
+        return X @ target, np.full(len(X), "aux", dtype=object)
 
-    rng = np.random.default_rng(0)
-    val, x, aux = random_polish(np.array([1.0, 0.0, 0.0]), value_of, rng,
-                                space, iters=200, tries=4, step=0.5,
-                                min_step=1e-9)
-    assert val > 0.999 and aux == "aux"
-    assert space.norm(x) == pytest.approx(1.0)
+    D = gaussian_directions(np.random.default_rng(0), 200 * 4,
+                            space).reshape(1, 200, 4, -1)
+    vals, X, aux = polish_rows(np.array([[1.0, 0.0, 0.0]]), value_rows, space,
+                               lambda r, rows: D[rows, r], iters=200, tries=4,
+                               step=0.5, min_step=1e-9)
+    assert vals[0] > 0.999 and aux[0] == "aux"
+    assert space.norm(X[0]) == pytest.approx(1.0)
 
 
 def _matrix():
@@ -96,6 +98,12 @@ def test_pinned_multistart_nu():
     r = numerical_radius(Dense(M, S, S), restarts=8, iters=30, seed=1)
     assert r.method == "state-multistart"
     assert repr(r.value) == "1.841168179141957"
+    # the G-CORNER radius claim's budget; the value of the start-by-start
+    # oracle tests/_oracles.py::multistart_nu
+    r = numerical_radius(make_corner(4, 1.0).expr, restarts=32, iters=120,
+                         seed=0)
+    assert r.method == "state-multistart"
+    assert repr(r.value) == "0.9995895374631479"
 
 
 def test_pinned_probe_norm():
