@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import GeometryError, NotNormalizedError
 from .sequences import SequenceSpec, projection_spec
-from .spaces import INF, Space, conjugate_exponent, modulus_convexity
+from .spaces import (INF, Space, conjugate_exponent, lp_norm,
+                     modulus_convexity)
 
 # ---------------------------------------------------------------------------
 # space families
@@ -218,9 +219,9 @@ def _mixed_support_witnesses(spec: SequenceSpec, p: float) -> WitnessRecipe:
     """Growing sup-norm indicators for the c0 -> lp predicate."""
 
     def slack_at(dim: int) -> float:
-        alphas = np.abs(spec.materialize(dim))
-        total = float((alphas ** p).sum()) ** (1.0 / p)
-        head = float((alphas[:dim - 1] ** p).sum()) ** (1.0 / p)
+        alphas = spec.materialize(dim)
+        total = lp_norm(alphas, p)
+        head = lp_norm(alphas[:dim - 1], p)
         return (total - head) / max(total, 1e-300)
 
     return WitnessRecipe(kind="mixed-growing-indicator",
@@ -416,22 +417,18 @@ def _check_dual_norm_one(spec: SequenceSpec, q: float):
         return
     probe_dim = max(len(spec.prefix) + 32, 64)
     v = spec.materialize(probe_dim)
+    n = lp_norm(v, q)
     if q == INF:
-        n = float(np.abs(v).max())
         if spec.tail_sup() > n:
             n = spec.tail_sup()
-    else:
-        n = float((np.abs(v) ** q).sum() ** (1.0 / q))
-        if spec.tail.kind == "zero":
+    elif spec.tail.kind != "zero":
+        # tail remainder, when a rule is available
+        try:
+            full = float(sum(abs(a) ** q for a in spec.prefix)) + \
+                spec.tail_abs_pnorm_pow(q)
+            n = full ** (1.0 / q)
+        except Exception:
             pass
-        else:
-            # tail remainder, when a rule is available
-            try:
-                full = float(sum(abs(a) ** q for a in spec.prefix)) + \
-                    spec.tail_abs_pnorm_pow(q)
-                n = full ** (1.0 / q)
-            except Exception:
-                pass
     if abs(n - 1.0) > 1e-6:
         raise NotNormalizedError(f"functional norm is {n}, not 1")
 

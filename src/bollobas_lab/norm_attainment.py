@@ -23,8 +23,8 @@ from ._search import (boyd_ascent, first_best, golden_max,
 from .errors import GeometryError, HeuristicRefusalError
 from .operators import (Adjoint, Delift, Dense, Diagonal, DirectSum, Lift,
                         OperatorExpr, RankOne, Scale, to_matrix)
-from .spaces import (INF, Space, SumSpace, block_rows, lp_norm_rows,
-                     random_unit, unit_phase)
+from .spaces import (INF, Space, SumSpace, block_rows, lp_norm,
+                     lp_norm_rows, random_unit, unit_phase)
 
 SIGN_ENUM_MAX_DIM = 20
 PHASE_GRID = 64
@@ -146,7 +146,7 @@ def _sign_chunks(M, dom, cod):
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         signs = (((idx[:, None] >> np.arange(d)) & 1) * 2.0 - 1.0)
-        yield signs, _batch_cod_norms(signs @ M.T, cod)
+        yield signs, lp_norm_rows(signs @ M.T, cod.p)
 
 
 def _sign_enumerate(M, dom, cod):
@@ -158,17 +158,6 @@ def _sign_enumerate(M, dom, cod):
     return best_val, best_sign
 
 
-def _batch_cod_norms(Y, cod):
-    A = np.abs(Y)
-    if cod.p == INF:
-        return A.max(axis=1)
-    if cod.p == 1:
-        return A.sum(axis=1)
-    if cod.p == 2:
-        return np.sqrt((A * A).sum(axis=1))
-    return (A ** cod.p).sum(axis=1) ** (1.0 / cod.p)
-
-
 def _phase_enumerate(M, dom, cod):
     # global phase freedom pins the first coordinate to 1
     d = dom.dim
@@ -177,7 +166,7 @@ def _phase_enumerate(M, dom, cod):
     X = np.ones((grids[0].size if d > 1 else 1, d), dtype=complex)
     for j, g in enumerate(grids):
         X[:, j + 1] = np.exp(1j * g.ravel())
-    vals = _batch_cod_norms(X @ M.T, cod)
+    vals = lp_norm_rows(X @ M.T, cod.p)
     x = X[int(vals.argmax())].copy()
 
     def polish(x):
@@ -187,10 +176,10 @@ def _phase_enumerate(M, dom, cod):
                 def f(t):
                     xt = x.copy()
                     xt[j] = np.exp(1j * t)
-                    return cod.norm(M @ xt)
+                    return lp_norm(M @ xt, cod.p)
                 t0 = float(np.angle(x[j]))
                 tbest, fbest = golden_max(f, t0 - 0.2, t0 + 0.2, tol=1e-12)
-                if fbest > cod.norm(M @ x) + 1e-15:
+                if fbest > lp_norm(M @ x, cod.p) + 1e-15:
                     x[j] = np.exp(1j * tbest)
                     changed = True
             if not changed:
@@ -198,7 +187,7 @@ def _phase_enumerate(M, dom, cod):
         return x
 
     x = polish(x)
-    return float(cod.norm(M @ x)), x
+    return lp_norm(M @ x, cod.p), x
 
 
 def _multistart_norm(M, dom, cod, restarts, iters, seed):

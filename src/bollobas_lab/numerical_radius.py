@@ -41,7 +41,8 @@ from .norm_attainment import (block_product_rows, operator_norm,
 from .operators import (Adjoint, Dense, Diagonal, DirectSum, Lift, OperatorExpr,
                         RankOne, Scale, to_matrix)
 from .spaces import (INF, Space, StatePair, SumSpace, conjugate_exponent,
-                     duality_map, lp_norm_rows, unit_phase)
+                     duality_map, duality_map_rows, lp_norm_rows, unit_phase,
+                     unit_rows)
 
 THETA_GRID = 256
 NU_TOL = 1e-10
@@ -256,27 +257,23 @@ def _minkowski_face_rows(blocks, N, op, shape, dtype, functionals):
     one, and, when asked, x* assembled there."""
     R = len(N)
     W = np.ones_like(N) if op == 1 else N ** (op - 1.0)
-    any_massless = np.count_nonzero(N) < N.size
+    # a zero block norm is massless, one below 2^-1022 too coarse to divide
+    # by, so unit_rows divides
+    any_small = np.count_nonzero(N >= 2.0 ** -1022) < N.size
     radius = 0.0
     terms = []      # per block: its center (R,), or its peak values and mask
     parts = []      # per block: what its part of x* is built from
     for i, (c, _a, bx, by) in enumerate(blocks):
         n, w, massless = N[:, i], W[:, i], None
-        if any_massless and np.count_nonzero(n) < R:
+        if any_small and np.count_nonzero(n) < R:
             massless = n == 0
             n = np.where(massless, 1.0, n)
             if op == 1 and c.p != 1:    # the l1 disk below covers p = 1
                 radius = radius + np.where(massless, lp_norm_rows(by, c.p),
                                            0.0)
-        XB = bx / n[:, None]
+        XB = unit_rows(bx, n, c.p) if any_small else bx / n[:, None]
         if 1.0 < c.p < INF:
-            A = np.abs(XB)
-            if np.count_nonzero(A) == A.size:   # no zero entry to mask
-                F = np.conj(XB) * A ** (c.p - 2.0)
-            else:
-                nz = A > 0
-                F = np.zeros(XB.shape, dtype=XB.dtype)
-                F[nz] = np.conj(XB[nz]) * A[nz] ** (c.p - 2.0)
+            F = duality_map_rows(XB, c.p)
             # add.reduce is sum(axis=1) without the method's overhead
             terms.append(w * np.add.reduce(F * by, axis=1))
             parts.append((massless, F))
@@ -299,15 +296,8 @@ def _minkowski_face_rows(blocks, N, op, shape, dtype, functionals):
     if not functionals:
         return values, None
 
-    # psi, the phase of the best point, divided part by part as the flat l1
-    # face divides its center
-    hit = top > 0
-    psi = np.ones(R, dtype=dtype)
-    if dtype == np.complex128:
-        psi[hit] = _complex(point.real[hit] / top[hit],
-                            point.imag[hit] / top[hit])
-    else:
-        psi[hit] = point[hit] / top[hit]
+    # psi, the phase of the best point, as the flat l1 face takes it
+    psi = _phase(point, top)
     out = np.empty(shape, dtype=dtype)
     sup = iter(chosen)
     for i, ((c, a, _bx, by), (massless, part)) in enumerate(zip(blocks,
@@ -402,14 +392,7 @@ def best_state_functional_rows(Y: np.ndarray, X: np.ndarray, space):
     p = space.p
     X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
     if 1.0 < p < INF:
-        X = X.astype(space.dtype, copy=False)
-        A = np.abs(X)
-        nz = A > 0
-        if np.count_nonzero(nz) == nz.size:     # no zero entry to mask
-            XS = np.conj(X) * A ** (p - 2.0)
-        else:
-            XS = np.zeros(X.shape, dtype=space.dtype)
-            XS[nz] = np.conj(X[nz]) * A[nz] ** (p - 2.0)
+        XS = duality_map_rows(X.astype(space.dtype, copy=False), p)
         return _modulus((XS * Y).sum(axis=1)), XS
     if p == 1:
         supp = np.abs(X) > 0
@@ -418,13 +401,7 @@ def best_state_functional_rows(Y: np.ndarray, X: np.ndarray, space):
         XS[supp] = np.conj(unit_phase(X[supp]))
         center = _masked_row_sums(XS * Y, supp)
         h = _modulus(center)
-        psi = np.ones(len(X), dtype=XS.dtype)
-        hit = center != 0
-        if space.is_complex:
-            psi[hit] = _complex(center.real[hit] / h[hit],
-                                center.imag[hit] / h[hit])
-        else:
-            psi[hit] = center[hit] / h[hit]
+        psi = _phase(center, h)
         off = ~supp
         AY = np.abs(Y)
         nz = off & (AY > 0)
@@ -454,6 +431,22 @@ def best_state_functional_rows(Y: np.ndarray, X: np.ndarray, space):
 def _modulus(Z: np.ndarray) -> np.ndarray:
     """|z| elementwise, rounded as Python's abs(complex) (hypot) rounds."""
     return np.hypot(Z.real, Z.imag) if np.iscomplexobj(Z) else np.abs(Z)
+
+
+def _phase(Z: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Z / mod for Z (R,) of modulus mod = _modulus(Z), 1 where Z = 0,
+    divided part by part as Python divides a complex by a float.  A modulus
+    below 2^-1022 is too coarse to divide by: its Z is scaled by 2^600."""
+    psi = np.ones(len(Z), dtype=Z.dtype)
+    hit = mod > 0
+    Z, mod = Z[hit], mod[hit]
+    small = mod < 2.0 ** -1022
+    if np.count_nonzero(small):
+        Z[small] *= 2.0 ** 600
+        mod[small] = _modulus(Z[small])
+    psi[hit] = _complex(Z.real / mod, Z.imag / mod) if np.iscomplexobj(Z) \
+        else Z / mod
+    return psi
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -528,9 +521,15 @@ def _no_pairs(n: int) -> np.ndarray:
 
 
 def _keep_nearer(best: np.ndarray, dx: np.ndarray, dxs: np.ndarray) -> None:
-    """Replace the rows of best (R, 2) whose max(dx, dxs) is strictly
-    smaller, so the first candidate wins ties."""
-    nearer = np.maximum(dx, dxs) < best.max(axis=1)
+    """Replace the rows of best (R, 2) that the candidate (dx, dxs) beats on
+    max(dx, dxs), then on the other component, so a tie on the max keeps
+    the nearer pair whatever the order of the candidates; the first
+    candidate wins full ties."""
+    top, best_top = np.maximum(dx, dxs), best.max(axis=1)
+    nearer = top < best_top
+    tie = top == best_top
+    if np.count_nonzero(tie):
+        nearer |= tie & (np.minimum(dx, dxs) < best.min(axis=1))
     best[nearer, 0] = dx[nearer]
     best[nearer, 1] = dxs[nearer]
 

@@ -203,6 +203,9 @@ def _boundary_seeds(space, dist_rows, eps, base_points, rng):
 def eta_probe_norm(T: OperatorExpr, eps: float,
                    budget: Optional[ProbeBudget] = None, seed: int = 0,
                    extra_seeds=()) -> ProbeReport:
+    """extra_seeds: iterable of x vectors, each checked once against the
+    domain: a NaN or inf entry raises GeometryError, a wrong shape
+    DimensionMismatchError."""
     budget = budget or ProbeBudget()
     nr, desc = _resolve_norm(T)
     space = T.domain
@@ -230,7 +233,7 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
     for s in _diag_norm_seeds(T, eps):
         candidates.append(consider(s))
     for s in extra_seeds:
-        candidates.append(consider(np.asarray(s, dtype=space.dtype)))
+        candidates.append(consider(space.check(s)))
     seed_rng = np.random.Generator(np.random.PCG64(seed))
     if not desc.is_empty and not isinstance(space, SumSpace):
         try:
@@ -416,7 +419,8 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
                  nu_result: Optional[NuResult] = None,
                  attaining: Optional[NuStatesDescriptor] = None,
                  extra_seeds=()) -> ProbeReport:
-    """extra_seeds: iterable of (x, xstar) pairs or bare x vectors."""
+    """extra_seeds: iterable of StatePairs, (x, xstar) pairs or bare x
+    vectors, checked as eta_probe_norm checks its seeds."""
     budget = budget or ProbeBudget()
     nr, desc = _resolve_nu(T, nu_result, attaining)
     space = T.domain
@@ -443,12 +447,12 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
 
     for s in extra_seeds:
         if isinstance(s, StatePair):
-            candidates.append(consider_pair(s.x, s.xstar))
-        elif isinstance(s, tuple) and len(s) == 2:
-            candidates.append(consider_pair(np.asarray(s[0]),
-                                            np.asarray(s[1])))
+            s = (s.x, s.xstar)
+        if isinstance(s, tuple) and len(s) == 2:
+            candidates.append(consider_pair(space.check(s[0]),
+                                            space.dual().check(s[1])))
         else:
-            x = np.asarray(s)
+            x = space.check(s)
             candidates.append(consider_pair(x, state_for(x)))
     for s in _diag_nu_seeds(T, eps):
         candidates.append(consider_pair(*s))

@@ -172,42 +172,57 @@ def block_rows(X: np.ndarray, offsets, fns) -> np.ndarray:
 
 
 def lp_norm(v: np.ndarray, p: float) -> float:
-    """The lp norm; exact up to floating round-off for every p in [1, inf]."""
-    a = np.abs(np.asarray(v))
-    if a.size == 0:
-        return 0.0
-    if p == INF:
-        return float(a.max())
-    if p == 1:
-        return float(a.sum())
-    if p == 2:
-        return float(np.sqrt((a * a).sum()))
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    return m * float(((a / m) ** p).sum()) ** (1.0 / p)
+    """The lp norm of v (every entry, flattened) for p in [1, inf]: the
+    one-row call of lp_norm_rows, the kernel, and rounded as it rounds."""
+    return float(lp_norm_rows(np.asarray(v).reshape(1, -1), p)[0])
 
 
 def lp_norm_rows(X: np.ndarray, p: float) -> np.ndarray:
-    """lp_norm of every row of X, bit for bit: the same reductions over
-    C-ordered rows (numpy sums other layouts in another order), and the
-    final root through np.float_power, which rounds like Python's float
-    power (the vectorized `**` may differ from it in the last bit)."""
-    A = np.ascontiguousarray(np.abs(X))
-    if A.shape[1] == 0:
-        return np.zeros(A.shape[0])
+    """The lp norm of every row of X (R, n) as floats, safe from overflow
+    and underflow: the one lp-norm kernel, of which lp_norm and
+    _search.row_norms are calls.  At p = 2 a row whose sum of squares lies
+    in [2^-960, 2^960], where it has neither underflowed nor overflowed,
+    is sqrt(sum |x|^2).  The other p = 2 rows, and every row at another
+    finite p > 1, are scaled by their maximum m (Blue, ACM TOMS 4, 1978):
+    m * (sum (|x|/m)^p)^(1/p), the root taken by np.float_power, which
+    rounds like Python's float power.  Reductions run over C-ordered rows,
+    so each row rounds alone."""
+    A = np.ascontiguousarray(np.abs(X), dtype=np.float64)
+    if A.size == 0:
+        return np.zeros(len(A))
+    # ufunc reductions round as the array methods, without their overhead
     if p == INF:
-        return A.max(axis=1)
+        return np.maximum.reduce(A, axis=1)
     if p == 1:
-        return A.sum(axis=1)
-    if p == 2:
-        return np.sqrt((A * A).sum(axis=1))
-    m = A.max(axis=1)
+        return np.add.reduce(A, axis=1)
+    if p != 2:
+        return _scaled_norm_rows(A, p)
+    # entries clamped to 2^500 square without overflow, and their rows
+    # land above 2^960, so they are scaled
+    C = np.minimum(A, 2.0 ** 500)
+    squares = np.add.reduce(np.multiply(C, C, out=C), axis=1)
+    out = np.sqrt(squares)
+    # a list is quicker to test than an array for the few rows of most calls
+    ends = squares.tolist() if len(A) <= 32 else [squares.min(),
+                                                   squares.max()]
+    if 2.0 ** -960 <= min(ends) and max(ends) <= 2.0 ** 960:
+        return out
+    # a zero row is exact
+    far = ((squares < 2.0 ** -960) & (np.maximum.reduce(A, axis=1) > 0)) | \
+        (squares > 2.0 ** 960)
+    if np.count_nonzero(far):
+        out[far] = _scaled_norm_rows(A[far], 2.0)
+    return out
+
+
+def _scaled_norm_rows(A: np.ndarray, p: float) -> np.ndarray:
+    """m * (sum (a/m)^p)^(1/p) for every row a of A >= 0, m its maximum."""
+    m = np.maximum.reduce(A, axis=1)
     # np.where only when a row is zero: on short rows it costs more than
     # the whole division
     safe = m if np.count_nonzero(m) == len(m) else np.where(m == 0.0, 1.0, m)
     scaled = A / safe[:, None]
-    return m * np.float_power((scaled ** p).sum(axis=1), 1.0 / p)
+    return m * np.float_power(np.add.reduce(scaled ** p, axis=1), 1.0 / p)
 
 
 def pair(xstar: np.ndarray, x: np.ndarray):
@@ -222,12 +237,32 @@ def pair(xstar: np.ndarray, x: np.ndarray):
 
 
 def unit_phase(z):
-    """z/|z| elementwise, with the convention 0 -> 0."""
+    """z/|z| elementwise, with the convention 0 -> 0; an entry whose
+    modulus is subnormal is divided as unit_rows divides it."""
     z = np.asarray(z)
     a = np.abs(z)
     out = np.zeros_like(z)
-    nz = a > 0
+    nz = a >= 2.0 ** -1022
     out[nz] = z[nz] / a[nz]
+    if np.count_nonzero(nz) < np.count_nonzero(a):     # a subnormal |z|
+        small = (a > 0) & ~nz
+        out[small] = unit_rows(z[small][:, None], a[small], INF)[:, 0]
+    return out
+
+
+def unit_rows(B: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
+    """B / n[:, None] for rows B (R, k) of lp norms n (R,) > 0, rounded as
+    that quotient.  numpy divides a complex B by n as B * (1/n), which
+    overflows below 2^-1024, and a norm below 2^-1022 is rounded too
+    coarsely to divide by: such a row is scaled by 2^600, exactly, and
+    divided by the norm of the scaled row."""
+    small = n < 2.0 ** -1022
+    if not np.count_nonzero(small):
+        return B / n[:, None]
+    out = np.empty(B.shape, dtype=np.result_type(B, 1.0))
+    out[~small] = B[~small] / n[~small, None]
+    up = B[small] * 2.0 ** 600
+    out[small] = up / lp_norm_rows(up, p)[:, None]
     return out
 
 
@@ -253,12 +288,23 @@ def duality_map(x: np.ndarray, space) -> np.ndarray:
     p = space.p
     if not (1.0 < p < INF):
         raise GeometryError("duality map is not single-valued for p in {1, inf}")
-    x = space.check(x)
-    a = np.abs(x)
-    xstar = np.zeros_like(x)
-    nz = a > 0
-    xstar[nz] = np.conj(x[nz]) * a[nz] ** (p - 2.0)
-    return xstar
+    return duality_map_rows(space.check(x)[None, :], p)[0]
+
+
+def duality_map_rows(X: np.ndarray, p: float) -> np.ndarray:
+    """conj(x) |x|^(p-2) for every row x of X (R, n), a zero entry mapping
+    to 0: the one duality-map kernel of the library, for 1 < p < inf, which
+    duality_map and the support faces of numerical_radius call.  A unit row
+    in lp maps to its unique supporting functional.  The map is
+    elementwise, so each row rounds as it does alone."""
+    X = np.asarray(X)
+    A = np.abs(X)
+    if np.count_nonzero(A) == A.size:       # no zero entry to mask
+        return np.conj(X) * A ** (p - 2.0)
+    out = np.zeros(X.shape, dtype=np.result_type(X, 1.0))
+    nz = A > 0
+    out[nz] = np.conj(X[nz]) * A[nz] ** (p - 2.0)
+    return out
 
 
 @dataclass(frozen=True)

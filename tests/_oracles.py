@@ -314,6 +314,13 @@ def _point_distance(desc, x, v):
     return dist_for(np.exp(1j * t))
 
 
+def _nearer(dx, dxs, best):
+    """pair_distance's rule: (dx, dxs) replaces best when it is nearer on
+    max(dx, dxs), then on the other component; the first wins full ties."""
+    return best is None or \
+        (max(dx, dxs), min(dx, dxs)) < (max(best), min(best))
+
+
 def nu_pair_distance(desc, x, xstar):
     """NuStatesDescriptor.pair_distance of the flat kinds and of the sum
     descriptors, one pair at a time."""
@@ -326,7 +333,7 @@ def nu_pair_distance(desc, x, xstar):
         for B in desc.bases:
             dx = subspace_sphere_distance(np.asarray(x), B)
             dxs = subspace_sphere_distance(np.asarray(xstar), B)
-            if best is None or max(dx, dxs) < max(best[0], best[1]):
+            if _nearer(dx, dxs, best):
                 best = (dx, dxs)
         return best if best is not None else (float("inf"), float("inf"))
     if isinstance(desc, ExplicitNuStates):
@@ -373,7 +380,7 @@ def lifted_rank1_pair_distance(desc, x, xstar):
             dxs_x = max(0.0, abs(xsb[0] - sgn))
             dxs_y = float(np.abs(ysb - r).max())
             dxs = max(dxs_x, dxs_y)         # the dual is a sup of blocks
-            if best is None or max(dx, dxs) < max(best[0], best[1]):
+            if _nearer(dx, dxs, best):
                 best = (dx, dxs)
     return best
 
@@ -397,7 +404,7 @@ def corner_pair_distance(desc, x, xstar):
         else:
             dx = max(dxx, max(0.0, dyy - 1.0))    # y free in the ball
             dxs = dsx + dsy
-        if best is None or max(dx, dxs) < max(best[0], best[1]):
+        if _nearer(dx, dxs, best):
             best = (dx, dxs)
     return best
 
@@ -416,7 +423,7 @@ def _diagonal_pair_distance(desc, x, xstar):
         else:
             dx = support_distance(x, J, desc.space)
             dxs = support_distance(xstar, J, desc.space.dual())
-        if best is None or max(dx, dxs) < max(best[0], best[1]):
+        if _nearer(dx, dxs, best):
             best = (dx, dxs)
     return best if best is not None else (float("inf"), float("inf"))
 
@@ -450,7 +457,7 @@ def _explicit_pair_distance(desc, x, xstar):
                 coarse - 0.2, coarse + 0.2, tol=1e-12)
             cands = [comp(np.exp(1j * t), v, vs, fx, fxs)]
         for dx, dxs in cands:
-            if best is None or max(dx, dxs) < max(best[0], best[1]):
+            if _nearer(dx, dxs, best):
                 best = (dx, dxs)
     return best if best is not None else (float("inf"), float("inf"))
 
@@ -730,6 +737,9 @@ def face_sup(y, x, space):
             if op == 1:
                 radius += c.norm(by)
             continue
+        if a < 2.0 ** -1022:     # too coarse to divide by: scale up first
+            bx = bx * 2.0 ** 600
+            a = c.norm(bx)
         rep = _face_reachable(by, bx / a, c)
         if rep[0] == "disk":
             points = [pt + w * rep[1] for pt in points]

@@ -73,6 +73,14 @@ def test_sign_enumeration_matches_oracle(rng):
         assert ms <= enum.value + 1e-9
 
 
+def test_sign_enumeration_scales_its_codomain_norms():
+    # unscaled, |y|^3 overflows and the enumerated value is inf
+    M = np.array([[1e110, 2e110], [3e110, -1e110]])
+    r = operator_norm(Dense(M, Space(INF, 2), Space(3, 2)))
+    assert r.certainty == "enumerated" and np.isfinite(r.value)
+    assert r.value == Space(3, 2).norm(M @ r.witness)
+
+
 def test_heuristic_label_and_lower_bound(rng):
     M = rng.normal(size=(5, 5))
     T = Dense(M, Space(2.5, 5), Space(1.7, 5))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from bollobas_lab.errors import GeometryError, HeuristicRefusalError
 from bollobas_lab.gallery import shift_matrix
-from bollobas_lab.numerical_radius import (best_state_functional,
+from bollobas_lab.numerical_radius import (DiagonalNuStates,
+                                           best_state_functional,
                                            corner_profile_constant,
                                            distance_to_nu_attaining,
                                            face_sup, nu_attaining_states,
@@ -228,11 +229,8 @@ def test_best_state_functional_aligns_blocks_jointly(p, x, y, want):
     assert np.array_equal(xs_engine, xs) and face_sup(y, x, s) == val
 
 
-# entries are 0 or at least 1e-6 in modulus: below about 1e-154 the p = 2
-# norm squares into subnormals and x / ||x|| is no longer a unit vector
 _ENTRIES = st.one_of(st.sampled_from([-1.0, -0.5, -0.3, 0.0, 0.3, 0.5, 1.0]),
-                     st.floats(-1.0, 1.0).map(
-                         lambda v: v if abs(v) >= 1e-6 else 0.0))
+                     st.floats(-1.0, 1.0))
 
 
 @st.composite
@@ -261,6 +259,8 @@ def _sum_case(draw):
     x = vector(True)
     if s.norm(x) == 0:
         x[0] = 1.0
+    if s.norm(x) < 2.0 ** -1022:    # too coarse to divide by: scale exactly
+        x = x * 2.0 ** 600
     return s, x / s.norm(x), vector(True)
 
 
@@ -283,3 +283,17 @@ def test_multistart_nu_witness_on_sums():
     nr.witness.validate()
     assert abs(pair(nr.witness.xstar, M @ nr.witness.x)) == \
         pytest.approx(nr.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("groups", [{1.0: (0,), -1.0: (1,)},
+                                    {-1.0: (1,), 1.0: (0,)}],
+                         ids=["nearer-first", "nearer-last"])
+def test_pair_distance_tie_keeps_the_nearer_pair(groups):
+    # both groups are at dxs = ||x* - e_J||, the same for J = {0} and {1},
+    # so they tie on max(dx, dxs); the pair on {0} is nearer in x
+    s = Space(3.0, 4)
+    x, xs = np.array([0.5, 0.3, 0.0, 0.0]), np.array([0.1, 0.1, 0.0, 0.0])
+    dx, dxs = DiagonalNuStates(s, groups).pair_distance(x, xs)
+    near = (0.5 ** 3 + 0.3 ** 3) ** (1 / 3)
+    assert dxs > (0.7 ** 3 + 0.5 ** 3) ** (1 / 3) > near
+    assert dx == pytest.approx(near, abs=1e-15)

@@ -5,14 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from bollobas_lab.errors import NotNormalizedError
+from bollobas_lab.errors import (DimensionMismatchError, GeometryError,
+                                 NotNormalizedError)
 from bollobas_lab.membership import eta_const, eta_linear
 from bollobas_lab.norm_attainment import norming_set, operator_norm
 from bollobas_lab.operators import Diagonal, identity
 from bollobas_lab.probe import (ProbeBudget, eta_probe_norm, eta_probe_nu,
                                 validate_eta)
 from bollobas_lab.sequences import SequenceSpec
-from bollobas_lab.spaces import Space, pair
+from bollobas_lab.spaces import Space, StatePair, pair
 
 BUD = ProbeBudget(restarts=32, iters=300)
 
@@ -54,6 +55,31 @@ def test_requires_normalization():
     D = _diag([0.5, 0.25], 2.0)
     with pytest.raises(NotNormalizedError):
         eta_probe_norm(D, 0.2, budget=BUD)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("probe, seed, error", [
+    (eta_probe_norm, [_NAN, 0.5, 0.5], GeometryError),
+    (eta_probe_norm, [1.0, _INF, 0.0], GeometryError),
+    (eta_probe_norm, [1.0, 0.0], DimensionMismatchError),
+    (eta_probe_nu, [_NAN, 0.5, 0.5], GeometryError),
+    (eta_probe_nu, [1.0, _INF, 0.0], GeometryError),
+    (eta_probe_nu, [1.0, 0.0], DimensionMismatchError),
+    (eta_probe_nu, ([1.0, 0.0, 0.0], [_NAN, 0.0, 0.0]), GeometryError),
+    (eta_probe_nu, ([1.0, 0.0, 0.0], [1.0, 0.0]), DimensionMismatchError),
+    (eta_probe_nu, StatePair(np.array([1.0, 0.0, 0.0]),
+                             np.array([1.0, 0.0, _INF]), Space(2.0, 3)),
+     GeometryError),
+], ids=["norm-nan", "norm-inf", "norm-short", "nu-nan", "nu-inf",
+        "nu-short", "nu-pair-nan-xstar", "nu-pair-short-xstar",
+        "nu-state-pair-inf-xstar"])
+def test_bad_extra_seeds_raise(probe, seed, error):
+    D = _diag([1.0, 0.8, 0.5], 2.0)
+    with pytest.raises(error):
+        probe(D, 0.25, budget=ProbeBudget(restarts=4, iters=100), seed=0,
+              extra_seeds=[seed])
 
 
 def test_nu_witness_is_state_pair():

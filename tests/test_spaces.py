@@ -1,12 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bollobas_lab._search import row_norms
 from bollobas_lab.errors import GeometryError
 from bollobas_lab.spaces import (INF, Space, SumSpace, duality_map, lp_norm,
-                                 modulus_convexity, pair, state_pair,
-                                 support_states)
+                                 lp_norm_rows, modulus_convexity, pair,
+                                 state_pair, support_states)
 
 from _oracles import modulus_convexity_grid
 
@@ -15,6 +17,59 @@ def test_norm_basics():
     assert lp_norm([1, 0, 0], 1) == 1.0
     assert lp_norm([1, 1], INF) == 1.0
     assert lp_norm([3, 4], 2) == 5.0
+
+
+def test_p2_norm_neither_underflows_nor_overflows():
+    assert Space(2, 1).norm([1e-170]) == 1e-170
+    assert Space(2, 1).norm([1e155]) == 1e155
+
+
+def _reference_norm(row, p):
+    """The lp norm of row to 50 digits."""
+    with mpmath.workdps(50):
+        mods = [abs(mpmath.mpc(complex(v).real, complex(v).imag))
+                for v in row]
+        if p == INF:
+            return max(mods, default=mpmath.mpf(0))
+        return mpmath.fsum(m ** p for m in mods) ** (1 / mpmath.mpf(p))
+
+
+@st.composite
+def _norm_rows_case(draw):
+    """(X (R, n), p): real, complex or integer rows, R and n down to 0,
+    entries from subnormal to 1e300."""
+    kind = draw(st.sampled_from(["real", "complex", "int"]))
+    R, n = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+    if kind == "int":
+        entries = st.integers(-10 ** 9, 10 ** 9)
+    else:
+        entries = st.floats(-1e300, 1e300)
+    X = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=R, max_size=R)),
+                 dtype=np.int64 if kind == "int" else float).reshape(R, n)
+    if kind == "complex":
+        X = X + 1j * np.array(draw(st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=R,
+            max_size=R)), dtype=float).reshape(R, n)
+    return X, draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, INF]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_norm_rows_case())
+def test_norm_kernel_calls_agree_and_are_accurate(case):
+    X, p = case
+    rows = lp_norm_rows(X, p)
+    assert rows.shape == (len(X),) and rows.dtype == np.float64
+    assert np.array_equal(row_norms(X, p), rows)
+    eps = np.finfo(float).eps
+    for x, got in zip(X, rows):
+        assert lp_norm(x, p) == got
+        # 1 ulp is out of reach: np.abs of one complex entry may miss by
+        # 1.5 ulp, and a sum of n terms by (n - 1) / 2 ulp; the last term
+        # is the spacing of the subnormal results
+        want = _reference_norm(x, p)
+        tol = (len(x) + 3) * eps * want + 5e-324
+        assert abs(mpmath.mpf(got) - want) <= tol
 
 
 def test_pairing_basics():
