@@ -215,12 +215,12 @@ def cmd_member(args) -> int:
     return EXIT_OK
 
 
-def _parse_float_list(s: str):
-    return [float(v) for v in s.split(",") if v]
-
-
-def _parse_int_list(s: str):
-    return [int(v) for v in s.split(",") if v]
+def _parse_list(s: str, kind) -> list:
+    """The comma-separated values of s as kind; an empty list is an error."""
+    values = [kind(v) for v in s.split(",") if v]
+    if not values:
+        raise ValueError(f"empty list {s!r}")
+    return values
 
 
 def _rebuild_at(entry: GalleryEntry, dim: int):
@@ -231,8 +231,8 @@ def _rebuild_at(entry: GalleryEntry, dim: int):
 
 def cmd_probe(args) -> int:
     expr, entry = load_operator(args.operator)
-    dims = _parse_int_list(args.dims) if args.dims else [expr.domain.dim]
-    eps_grid = _parse_float_list(args.eps)
+    dims = _parse_list(args.dims, int) if args.dims else [expr.domain.dim]
+    eps_grid = _parse_list(args.eps, float)
     budget = ProbeBudget(args.restarts, args.iters)
     lines = [CSV_HEADER]
     for dim in dims:
@@ -263,7 +263,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    dims = _parse_int_list(args.dims)
+    dims = _parse_list(args.dims, int)
     all_ok = True
     rows = []
     for dim in dims:
@@ -312,7 +312,7 @@ def cmd_transfer(args) -> int:
         res = norm_implies_lift_nu(T, outer, eta, W, Z)
     else:
         raise ValueError("direction must be nu-to-norm or norm-to-nu")
-    grid = _parse_float_list(args.eps)
+    grid = _parse_list(args.eps, float)
     payload = res.describe()
     payload["values"] = [{"epsilon": e, "eta": res.eta_out(e)} for e in grid]
     _emit(_json_dump(payload), args.out)
@@ -321,7 +321,7 @@ def cmd_transfer(args) -> int:
 
 def cmd_moduli(args) -> int:
     space = Space(args.p, max(args.dim, 2))
-    grid = _parse_float_list(args.eps)
+    grid = _parse_list(args.eps, float)
     if args.format == "csv":
         lines = ["p,epsilon,delta"]
         for e in grid:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import GeometryError, NotNormalizedError
 from .sequences import SequenceSpec, projection_spec
-from .spaces import (INF, Space, conjugate_exponent, lp_norm,
-                     modulus_convexity)
+from .spaces import (INF, Space, conjugate_exponent, largest_feasible,
+                     lp_norm, modulus_convexity)
 
 # ---------------------------------------------------------------------------
 # space families
@@ -569,25 +569,12 @@ def diag_norm_eta_floor(spec: SequenceSpec, family, eps: float):
     return max(0.0, 1.0 - value)
 
 
-def _largest_feasible(ok) -> float:
-    """The largest t in [0, 1] with ok(t), for ok true at 0 and monotone, by
-    200 halvings of [0, 1] (converged to the last bit)."""
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _norm_profile_mass(p: float, eps: float) -> float:
     """The largest mass A on the norming coordinate of a two-coordinate
     profile (A, (1 - A^p)^(1/p)) in lp, 1 <= p < inf, that stays eps-far
     from the unit vectors supported there:
     ((1 - A)^p + 1 - A^p)^(1/p) >= eps."""
-    return _largest_feasible(
+    return largest_feasible(
         lambda A: ((1.0 - A) ** p + max(0.0, 1.0 - A ** p)) ** (1.0 / p)
         >= eps)
 
@@ -604,7 +591,7 @@ def _group_cap(p: float, eps: float) -> float:
         ds = ((1.0 - m ** (1.0 / q)) ** q + max(0.0, 1.0 - m)) ** (1.0 / q)
         return max(dx, ds)
 
-    return _largest_feasible(lambda m: d(m) >= eps)
+    return largest_feasible(lambda m: d(m) >= eps)
 
 
 def diag_nu_eta_floor(spec: SequenceSpec, family, eps: float):

@@ -1,7 +1,8 @@
 """lp-type sequence-space geometry.
 
 Norms, the bilinear dual pairing, duality maps, state pairs (x, x*) with
-<x*, x> = 1, support-functional descriptors, and moduli of convexity.
+<x*, x> = 1, support-functional descriptors, and moduli of convexity in
+closed form (Clarkson for p >= 2, Hanner for 1 < p < 2).
 
 Conventions used throughout the library:
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -283,7 +284,8 @@ def duality_map(x: np.ndarray, space) -> np.ndarray:
             if a == 0:
                 out.append(np.zeros(c.dim, dtype=c.dtype))
             else:
-                out.append(w * duality_map(b / a, c))
+                out.append(w * duality_map(
+                    unit_rows(b[None, :], np.array([a]), c.p)[0], c))
         return space.join(out)
     p = space.p
     if not (1.0 < p < INF):
@@ -424,60 +426,47 @@ def support_states(x: np.ndarray, space: Space, tol: float = PI_TOL) -> SupportS
 # modulus of convexity
 # ---------------------------------------------------------------------------
 
-def _superellipse(t: np.ndarray, p: float) -> np.ndarray:
-    """Map angles to the unit sphere of lp^2 (columns are points)."""
-    c, s = np.cos(t), np.sin(t)
-    return np.stack([np.sign(c) * np.abs(c) ** (2.0 / p),
-                     np.sign(s) * np.abs(s) ** (2.0 / p)])
+def largest_feasible(ok) -> float:
+    """The largest t in [0, 1] with ok(t), for ok true at 0 and monotone, by
+    200 halvings of [0, 1] (converged to the last bit)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
-@lru_cache(maxsize=4096)
-def _modulus_convexity_numeric(p: float, eps: float) -> float:
-    """inf {1 - ||(u+v)/2||_p : u, v unit in lp^2, ||u-v||_p >= eps}.
+def _powm1(x: float, p: float) -> float:
+    """(1 + x)^p - 1 for x >= -1, without cancellation near x = 0."""
+    return math.expm1(p * math.log1p(x)) if x > -1.0 else -1.0
 
-    Coarse feasible grid over the two sphere angles, then constrained
-    refinement.  The 2-dimensional section is extremal for lp, so the value
-    is the modulus of the full space for every dim >= 2.
-    """
-    from scipy.optimize import minimize
 
-    grid = np.linspace(0.0, 2 * np.pi, 257)[:-1]
-    pts = _superellipse(grid, p)                        # (2, n)
-    diff = pts[:, :, None] - pts[:, None, :]            # (2, n, n)
-    dist = (np.abs(diff) ** p).sum(axis=0) ** (1.0 / p)
-    mid = (pts[:, :, None] + pts[:, None, :]) / 2.0
-    midn = (np.abs(mid) ** p).sum(axis=0) ** (1.0 / p)
-    feas = dist >= eps
-    if not feas.any():
-        return 1.0
-    vals = np.where(feas, midn, -np.inf)
-    flat = np.argsort(vals, axis=None)[::-1][:12]
-    seeds = [(grid[i // len(grid)], grid[i % len(grid)]) for i in flat]
+def _hanner(p: float, a: float) -> float:
+    """delta_p(2a) for 1 < p < 2 and a < 1: the root delta of Hanner's
+    (1 - delta + a)^p + |1 - delta - a|^p = 2, whose left side falls in
+    delta.  Either side of 1 - delta = a it is tested without cancellation:
+    ((1 + a - delta)^p - 1) + ((1 - a - delta)^p - 1) >= 0 above, and
+    (1 + r)^p + (1 - r)^p >= 2 / a^p with r = (1 - delta) / a below."""
 
-    def neg_mid(t):
-        u = _superellipse(np.array([t[0]]), p)[:, 0]
-        v = _superellipse(np.array([t[1]]), p)[:, 0]
-        return -lp_norm((u + v) / 2.0, p)
+    def ok(d):
+        if d + a < 1.0:
+            return _powm1(a - d, p) + _powm1(-a - d, p) >= 0.0
+        r = (1.0 - d) / a
+        return _powm1(r, p) + _powm1(-r, p) >= \
+            2.0 * math.expm1(-p * math.log(a))
 
-    def gap(t):
-        u = _superellipse(np.array([t[0]]), p)[:, 0]
-        v = _superellipse(np.array([t[1]]), p)[:, 0]
-        return lp_norm(u - v, p) - eps
-
-    best = -max(vals.max(), 0.0)
-    for s0 in seeds:
-        res = minimize(neg_mid, np.array(s0), method="SLSQP",
-                       constraints=[{"type": "ineq", "fun": gap}],
-                       options={"maxiter": 400, "ftol": 1e-14})
-        if res.success and gap(res.x) >= -1e-12:
-            best = min(best, float(res.fun))
-    # best == -(largest midpoint norm over the feasible set)
-    return max(1.0 + best, 0.0)
+    return largest_feasible(ok)
 
 
 def modulus_convexity(space, eps: float) -> float:
-    """delta_X(eps) for an lp geometry, 1 < p < inf (exact closed form at
-    p = 2, numeric two-dimensional reduction otherwise, ~1e-8 accurate)."""
+    """delta_X(eps) of lp^n, n >= 2, 1 < p < inf, in closed form: Clarkson's
+    1 - (1 - (eps/2)^p)^(1/p) for p >= 2 (Trans. AMS 40, 1936), Hanner's
+    equation solved by bisection for p < 2 (Ark. Mat. 3, 1956).  Within
+    1e-11 relative for eps in [0.01, 2] and 1e-7 for eps in [1e-5, 0.01),
+    at p from 1.01 to 10; exactly 1 at eps = 2."""
     if isinstance(space, SumSpace):
         raise GeometryError("modulus of convexity on sum spaces is not supported")
     p = space.p
@@ -489,7 +478,17 @@ def modulus_convexity(space, eps: float) -> float:
         return 1.0 - math.sqrt(max(0.0, 1.0 - (eps / 2.0) ** 2))
     if space.dim == 1:
         return 1.0
-    return _modulus_convexity_numeric(float(p), float(eps))
+    a, p = float(eps) / 2.0, float(p)
+    if a == 1.0:                    # only u = -v are 2 apart
+        return 1.0
+    if p < 2:
+        return _hanner(p, a)
+    # -expm1(log(1 - t) / p) with t = a^p keeps the digits that the written
+    # form cancels (p = 4, eps = 1e-4); past t = 1/2, 1 - t is -expm1(p log a)
+    t = a ** p
+    rest = math.log1p(-t) if t < 0.5 else \
+        math.log(-math.expm1(p * math.log(a)))
+    return -math.expm1(rest / p)
 
 
 def random_unit(space, rng: np.random.Generator) -> np.ndarray:

@@ -4,6 +4,9 @@ These deliberately avoid the library's own ascent code: projected gradient
 with explicit gradients, exhaustive extreme-point enumeration, and a dense
 rotation grid for the complex Hilbert radius.
 
+modulus_convexity_slsqp is the grid and SLSQP route that the closed forms
+of spaces.modulus_convexity replaced.
+
 The second half keeps the one-vector-at-a-time bodies the library replaced
 by row forms: the distance oracles (the flat kinds, and on sums
 LiftedNormingSet, LiftNuStates, LiftedRank1NuStates and CornerNuStates,
@@ -232,6 +235,54 @@ def modulus_convexity_grid(p, eps, n=2000):
         if ok.any():
             best = max(best, float(mid[ok].max()))
     return 1.0 - best
+
+
+def _superellipse(t, p):
+    """Map angles to the unit sphere of lp^2 (columns are points)."""
+    c, s = np.cos(t), np.sin(t)
+    return np.stack([np.sign(c) * np.abs(c) ** (2.0 / p),
+                     np.sign(s) * np.abs(s) ** (2.0 / p)])
+
+
+def modulus_convexity_slsqp(p, eps):
+    """inf {1 - ||(u+v)/2||_p : u, v unit in lp^2, ||u-v||_p >= eps}, by a
+    coarse feasible 256 x 256 grid over the two sphere angles refined by up
+    to 12 SLSQP solves: the numeric route spaces.modulus_convexity took
+    before its closed forms, kept as their reference."""
+    from scipy.optimize import minimize
+
+    grid = np.linspace(0.0, 2 * np.pi, 257)[:-1]
+    pts = _superellipse(grid, p)                        # (2, n)
+    diff = pts[:, :, None] - pts[:, None, :]            # (2, n, n)
+    dist = (np.abs(diff) ** p).sum(axis=0) ** (1.0 / p)
+    mid = (pts[:, :, None] + pts[:, None, :]) / 2.0
+    midn = (np.abs(mid) ** p).sum(axis=0) ** (1.0 / p)
+    feas = dist >= eps
+    if not feas.any():
+        return 1.0
+    vals = np.where(feas, midn, -np.inf)
+    flat = np.argsort(vals, axis=None)[::-1][:12]
+    seeds = [(grid[i // len(grid)], grid[i % len(grid)]) for i in flat]
+
+    def neg_mid(t):
+        u = _superellipse(np.array([t[0]]), p)[:, 0]
+        v = _superellipse(np.array([t[1]]), p)[:, 0]
+        return -lp_norm((u + v) / 2.0, p)
+
+    def gap(t):
+        u = _superellipse(np.array([t[0]]), p)[:, 0]
+        v = _superellipse(np.array([t[1]]), p)[:, 0]
+        return lp_norm(u - v, p) - eps
+
+    best = -max(vals.max(), 0.0)
+    for s0 in seeds:
+        res = minimize(neg_mid, np.array(s0), method="SLSQP",
+                       constraints=[{"type": "ineq", "fun": gap}],
+                       options={"maxiter": 400, "ftol": 1e-14})
+        if res.success and gap(res.x) >= -1e-12:
+            best = min(best, float(res.fun))
+    # best == -(largest midpoint norm over the feasible set)
+    return max(1.0 + best, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,34 @@ def test_moduli_command(capsys):
     assert abs(data[0]["delta"] - 0.1339745962155614) < 1e-12
 
 
+@pytest.mark.parametrize("args", [
+    ["moduli", "--p", "4", "--eps", ","],
+    ["transfer", "--direction", "norm-to-nu", "--outer-p", "1", "--eps", ","],
+    ["gallery", "G-SHIFT", "--dims", ","],
+    ["probe", "gallery:G-SHIFT?dim=4", "--eps", ","],
+    ["probe", "gallery:G-SHIFT?dim=4", "--eps", "0.5", "--dims", ","],
+], ids=["moduli-eps", "transfer-eps", "gallery-dims", "probe-eps",
+        "probe-dims"])
+def test_empty_list_exit_two(capsys, args):
+    code, out = run_cli(args, capsys)
+    assert code == 2 and out == ""
+
+
+def test_cli_never_imports_scipy():
+    code = (
+        "import sys\n"
+        "import bollobas_lab\n"
+        "from bollobas_lab.cli import main\n"
+        "from bollobas_lab.spaces import Space, modulus_convexity\n"
+        "main(['moduli', '--p', '4', '--eps', '0.5,1.0', '--format', 'csv'])\n"
+        "main(['transfer', '--direction', 'norm-to-nu', '--outer-p', '1',\n"
+        "      '--eps', '0.2,0.5,0.8'])\n"
+        "modulus_convexity(Space(1.5, 2), 0.5)\n"
+        "assert 'scipy' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], capture_output=True,
+                   check=True)
+
+
 def test_operator_json_roundtrip(tmp_path, capsys):
     op = {"kind": "scale", "scalar": 0.5,
           "child": {"kind": "dense", "space": {"p": 2, "dim": 2},

@@ -8,9 +8,9 @@ from bollobas_lab._search import row_norms
 from bollobas_lab.errors import GeometryError
 from bollobas_lab.spaces import (INF, Space, SumSpace, duality_map, lp_norm,
                                  lp_norm_rows, modulus_convexity, pair,
-                                 state_pair, support_states)
+                                 random_unit, state_pair, support_states)
 
-from _oracles import modulus_convexity_grid
+from _oracles import modulus_convexity_grid, modulus_convexity_slsqp
 
 
 def test_norm_basics():
@@ -121,6 +121,29 @@ def test_duality_map_spec_example():
     assert np.allclose(xs, np.array([1.0, 1.0]) / 2 ** (1 / q))
 
 
+def test_sum_duality_map_subnormal_block():
+    s = SumSpace((Space(2, 1, "complex"),) * 2, 2.0)
+    x = np.array([1, 1e-310j])
+    xs = duality_map(x, s)
+    assert xs.tolist() == [1, -1e-310j]
+    state_pair(x, s, xs)
+
+
+def test_sum_duality_map_matches_block_quotient(rng):
+    # on blocks of normal norm, unit_rows divides as b / a did
+    for comps, outer in [((Space(1.5, 3), Space(3.0, 2)), 2.5),
+                         ((Space(2, 2, "complex"), Space(1.7, 3, "complex")),
+                          1.5)]:
+        s = SumSpace(comps, outer)
+        for _ in range(50):
+            x = random_unit(s, rng)
+            blocks = s.split(x)
+            profile = np.array([c.norm(b) for c, b in zip(comps, blocks)])
+            old = [w * duality_map(b / a, c) for c, b, a, w in
+                   zip(comps, blocks, profile, profile ** (outer - 1.0))]
+            assert np.array_equal(duality_map(x, s), s.join(old))
+
+
 def test_support_states_hilbert_unique():
     s = Space(2, 3)
     x = np.array([1.0, 0.0, 0.0])
@@ -191,6 +214,56 @@ def test_modulus_convexity_monotone_and_positive():
         assert d > 0
         assert d >= prev - 1e-12
         prev = d
+
+
+def test_modulus_convexity_matches_slsqp_oracle():
+    for p in (3.0, 4.0):
+        for eps in (0.5, 1.0):
+            assert modulus_convexity(Space(p, 2), eps) == pytest.approx(
+                modulus_convexity_slsqp(p, eps), abs=1e-9)
+
+
+def _reference_modulus(p, eps):
+    """delta_p(eps) to 50 digits: Clarkson's form for p >= 2, and for
+    1 < p < 2 the root of Hanner's equation by 170 halvings."""
+    with mpmath.workdps(50):
+        p, a = mpmath.mpf(p), mpmath.mpf(eps) / 2
+        if p >= 2:
+            return -mpmath.expm1(mpmath.log1p(-a ** p) / p)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(170):
+            mid = (lo + hi) / 2
+            if (1 - mid + a) ** p + abs(1 - mid - a) ** p >= 2:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+@pytest.mark.parametrize("p", [1.01, 1.1, 1.25, 1.5, 1.75, 1.99, 2.01, 2.5,
+                               3.0, 4.0, 6.0, 10.0])
+def test_modulus_convexity_against_mpmath(p):
+    s = Space(p, 3)
+    assert modulus_convexity(s, 2.0) == 1.0
+    wide = list(np.linspace(0.01, 2.0, 25)[:-1]) + [1.9999, 2 - 1e-9]
+    for eps, rel in [(e, 1e-11) for e in wide] + \
+            [(e, 1e-7) for e in np.geomspace(1e-5, 0.0099, 6)]:
+        want = _reference_modulus(p, eps)
+        got = modulus_convexity(s, float(eps))
+        assert abs(mpmath.mpf(got) - want) <= rel * want, (eps, got)
+
+
+# the grid and SLSQP route gave 0.99979 at p = 4, eps = 2, a 24-fold
+# overestimate at p = 1.1, eps = 1e-5, and 0 at p = 1.9, eps = 1e-8
+@pytest.mark.parametrize("p, eps, want, rel", [
+    (4.0, 2.0, 1.0, 0.0),
+    (1.1, 1e-5, 1.25e-12, 1e-7),
+    (1.9, 1e-8, 1.125e-17, 1e-7),
+    (4.0, 1e-4, (5e-5) ** 4 / 4, 1e-12),
+], ids=["p4-eps2", "p1.1-eps1e-5", "p1.9-eps1e-8", "p4-eps1e-4"])
+def test_modulus_convexity_pins(p, eps, want, rel):
+    assert modulus_convexity(Space(p, 2), eps) == pytest.approx(
+        want, rel=rel, abs=0.0)
 
 
 def test_modulus_convexity_rejects_extreme_p():
