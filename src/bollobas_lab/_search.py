@@ -365,6 +365,25 @@ def golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-12):
     return xm, f(xm, every)
 
 
+def phase_times(phi, v: np.ndarray) -> np.ndarray:
+    """phi * v for unit phases phi, one for all rows, one per row or one per
+    entry.  Complex products are formed from real and imaginary parts, as
+    one complex scalar product rounds, so every row rounds as its one-row
+    call does whatever the broadcast shape."""
+    # a real phase is +-1.0 or a real array; np.iscomplexobj costs more
+    if isinstance(phi, float) or phi.dtype.kind != "c":
+        return phi * v
+    return complex_parts(phi.real * v.real - phi.imag * v.imag,
+                         phi.real * v.imag + phi.imag * v.real)
+
+
+def complex_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array with real part re and imaginary part im."""
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
 def phase_orbit_min_rows(objective, tol: float):
     """The least objective(phi, rows) -> (len(rows),) over unit phases
     phi = e^{it}, for every row: first on a 64-point grid of t, with one

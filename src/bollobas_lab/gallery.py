@@ -19,12 +19,12 @@ import numpy as np
 from .errors import UnknownGalleryError
 from .membership import (diag_norm_member, eta_const, functional_member,
                          rank1_l1_eta)
-from .numerical_radius import (BlockPairStates, NuResult, _multistart_nu,
-                               nu_attaining_states, numerical_radius)
+from .numerical_radius import (BlockPairStates, NuResult, NuStatesDescriptor,
+                               _multistart_nu, nu_attaining_states,
+                               numerical_radius)
 from .norm_attainment import (NormingSetDescriptor, _sum_space_norm,
-                              ball_rows, functional_norming_set,
-                              hilbert_norm_rows, norming_set, operator_norm,
-                              point_rows)
+                              ball_rows, functional_norming_set, norming_set,
+                              operator_norm, point_rows)
 from .operators import (Delift, Dense, Diagonal, Lift, OperatorExpr, RankOne,
                         adjoint, functional, to_matrix)
 from .probe import ProbeBudget, eta_probe_norm, eta_probe_nu, validate_eta
@@ -550,10 +550,10 @@ class CornerNuStates(BlockPairStates):
         self.dim = dim
         self.outer_p = outer_p
         blk = Space(2.0, dim)
-        zero, ball = hilbert_norm_rows, ball_rows(hilbert_norm_rows)
+        zero, ball = blk.norm_rows, ball_rows(blk.norm_rows)
         options = []
         for sgn in (1.0, -1.0):
-            e = point_rows(sgn * _e(dim, 0), hilbert_norm_rows, None)
+            e = point_rows(sgn * _e(dim, 0), blk.norm_rows, None)
             options.append(([e, zero], [e, ball]) if outer_p == 1
                            else ([e, ball], [e, zero]))
         super().__init__(SumSpace((blk, blk), outer_p), options)

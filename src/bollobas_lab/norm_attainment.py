@@ -1,5 +1,6 @@
 """Operator norms with structure-aware exactness, norming-point descriptors,
-and distance-to-norming-set oracles.
+and distance-to-norming-set oracles, each distance one call of the only
+p-sum, spaces.lp_norm_rows, on the profile of its part distances.
 
 Certainty labels are load-bearing: downstream consumers (probes, membership
 falsification) refuse to build certified objects out of heuristic values.
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ._search import (boyd_ascent, first_best, golden_max,
-                      phase_orbit_min_rows, power_ascent_rows,
+                      phase_orbit_min_rows, phase_times, power_ascent_rows,
                       primal_align_rows, random_unit_rows, run_batches)
 from .errors import GeometryError, HeuristicRefusalError
 from .operators import (Adjoint, Delift, Dense, Diagonal, DirectSum, Lift,
@@ -269,7 +270,7 @@ class NormingSetDescriptor:
 
         def dist_for(phi, rows):
             """phi: one phase for all rows, or one per row as (R, 1)."""
-            D = X[rows] - phi * v
+            D = X[rows] - phase_times(phi, v)
             if mask is not None:
                 D = np.where(mask, 0.0, D)
             return lp_norm_rows(np.asarray(D, dtype=space.dtype), space.p)
@@ -363,20 +364,15 @@ def support_distance(x: np.ndarray, J, space) -> float:
 
 
 def support_distance_rows(X: np.ndarray, J, space) -> np.ndarray:
-    """support_distance of every row of X.
-
-    The nearest point is the radial rescaling of the J-restriction, for every
-    p in [1, inf): dist^p = |1 - ||x_J|||^p + ||x_offJ||^p.
-    """
+    """support_distance of every row of X.  The nearest point is the radial
+    rescaling of the J-restriction, for every p in [1, inf], so the distance
+    is the lp norm of the profile (|1 - ||x_J|||, ||x_offJ||)."""
     mask = np.zeros(X.shape[1], dtype=bool)
     mask[list(J)] = True
-    p = space.p
-    A = lp_norm_rows(X[:, mask], p)
-    off = lp_norm_rows(X[:, ~mask], p)
-    if p == INF:
-        return np.maximum(np.abs(1.0 - A), off)
-    return np.float_power(np.float_power(np.abs(1.0 - A), p) +
-                          np.float_power(off, p), 1.0 / p)
+    D = np.empty((len(X), 2))
+    D[:, 0] = np.abs(1.0 - lp_norm_rows(X[:, mask], space.p))
+    D[:, 1] = lp_norm_rows(X[:, ~mask], space.p)
+    return lp_norm_rows(D, space.p)
 
 
 def unimodular_distance_rows(X: np.ndarray, J) -> np.ndarray:
@@ -392,38 +388,25 @@ def subspace_sphere_distance(x: np.ndarray, basis: np.ndarray) -> float:
 
 
 def subspace_sphere_distance_rows(X: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """subspace_sphere_distance of every row of X.  The products run as one
-    stack of matrix-vector products and the norms as row-wise dots, so each
-    row rounds as the one-vector computation does."""
+    """subspace_sphere_distance of every row of X: the l2 norm of the profile
+    (1 - ||P x||, ||x - P x||), P the orthogonal projection, by one stack of
+    matrix-vector products and a kernel call on the stacked rows."""
     P = ((X[:, None, :] @ np.conj(basis)) @ basis.T)[:, 0, :]
-    a = hilbert_norm_rows(P)
-    res = hilbert_norm_rows(X - P)
-    return np.sqrt(np.float_power(res, 2.0) + np.float_power(1.0 - a, 2.0))
-
-
-def hilbert_norm_rows(X: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of every row, rounded as it rounds one vector: the
-    squares summed as its dot products sum them (real and imaginary parts
-    dotted separately)."""
-    X = np.ascontiguousarray(X)
-    parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
-    return np.sqrt(sum((V[:, None, :] @ V[:, :, None])[:, 0, 0]
-                       for V in parts))
+    D = lp_norm_rows(np.concatenate([P, X - P]), 2.0).reshape(2, -1)
+    D[0] = 1.0 - D[0]
+    return lp_norm_rows(D.T, 2.0)
 
 
 def block_product_rows(X: np.ndarray, space: SumSpace, parts) -> np.ndarray:
     """The distance of every row of X (R, dim) to a product of per-block
     sets of the sum (the attaining sets on sums): parts[i](B) -> (R,) is the
     distance of the rows' i-th blocks B to the i-th set.  The distances
-    combine in block order by the outer norm: a sum under outer 1, the first
-    largest under outer inf, the outer_p norm of the profile otherwise."""
+    combine by the outer norm, the kernel lp_norm_rows of the (R, k)
+    profile; a row with an infinite part (an empty set) is infinite."""
     D = block_rows(np.asarray(X, dtype=space.dtype), space._offsets, parts)
-    p = space.outer_p
-    terms = D.T if p in (1, INF) else np.float_power(D.T, p)
-    out = terms[0]
-    for t in terms[1:]:
-        out = np.where(t > out, t, out) if p == INF else out + t
-    return out if p in (1, INF) else np.float_power(out, 1.0 / p)
+    far = np.isinf(D).any(axis=1)
+    D[far] = 0.0                # settled below: the kernel takes finite rows
+    return np.where(far, np.inf, lp_norm_rows(D, space.outer_p))
 
 
 def point_rows(v: np.ndarray, norm_rows, free):

@@ -30,9 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (dual_align_rows, first_best, golden_max, matvec_rows,
-                      phase_orbit_min_rows, polish_draws, polish_rows,
-                      run_batches)
+from ._search import (complex_parts, dual_align_rows, first_best, golden_max,
+                      matvec_rows, phase_orbit_min_rows, phase_times,
+                      polish_draws, polish_rows, run_batches)
 from .errors import (DimensionMismatchError, GeometryError,
                      HeuristicRefusalError)
 from .norm_attainment import (block_product_rows, operator_norm,
@@ -410,12 +410,7 @@ def best_state_functional_rows(Y: np.ndarray, X: np.ndarray, space):
         return h + _masked_row_sums(AY, off), XS.astype(space.dtype,
                                                          copy=False)
     U = np.conj(unit_phase(X))
-    if space.is_complex:
-        # component-wise, as the product of two complex scalars rounds
-        W = _complex(U.real * Y.real - U.imag * Y.imag,
-                     U.real * Y.imag + U.imag * Y.real)
-    else:
-        W = U * Y
+    W = phase_times(U, Y)
     peaks = np.abs(np.abs(X) - 1.0) <= 1e-9
     mods = _modulus(W)
     k = np.where(peaks, mods, -np.inf).argmax(axis=1)
@@ -444,15 +439,9 @@ def _phase(Z: np.ndarray, mod: np.ndarray) -> np.ndarray:
     if np.count_nonzero(small):
         Z[small] *= 2.0 ** 600
         mod[small] = _modulus(Z[small])
-    psi[hit] = _complex(Z.real / mod, Z.imag / mod) if np.iscomplexobj(Z) \
-        else Z / mod
+    psi[hit] = complex_parts(Z.real / mod, Z.imag / mod) \
+        if np.iscomplexobj(Z) else Z / mod
     return psi
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, dtype=np.complex128)
-    out.real, out.imag = re, im
-    return out
 
 
 def _masked_row_sums(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -647,8 +636,8 @@ class ExplicitNuStates(NuStatesDescriptor):
         def comp(rows, phi, v, vs, fx, fxs):
             """(dx, dxs) of the rows against (phi v, conj(phi) vs); phi one
             phase for all rows, or one per row as (R, 1)."""
-            dx_vec = X[rows] - phi * v
-            dxs_vec = XS[rows] - np.conj(phi) * vs
+            dx_vec = X[rows] - phase_times(phi, v)
+            dxs_vec = XS[rows] - phase_times(np.conj(phi), vs)
             if fx is not None:
                 dx_vec = np.where(fx, 0.0, dx_vec)
             if fxs is not None:

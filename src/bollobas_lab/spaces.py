@@ -180,14 +180,14 @@ def lp_norm(v: np.ndarray, p: float) -> float:
 
 def lp_norm_rows(X: np.ndarray, p: float) -> np.ndarray:
     """The lp norm of every row of X (R, n) as floats, safe from overflow
-    and underflow: the one lp-norm kernel, of which lp_norm and
-    _search.row_norms are calls.  At p = 2 a row whose sum of squares lies
-    in [2^-960, 2^960], where it has neither underflowed nor overflowed,
-    is sqrt(sum |x|^2).  The other p = 2 rows, and every row at another
-    finite p > 1, are scaled by their maximum m (Blue, ACM TOMS 4, 1978):
-    m * (sum (|x|/m)^p)^(1/p), the root taken by np.float_power, which
-    rounds like Python's float power.  Reductions run over C-ordered rows,
-    so each row rounds alone."""
+    and underflow: the one lp-norm kernel and the only p-sum, of which
+    lp_norm, _search.row_norms and the distance oracles of norm_attainment
+    are calls.  At p = 2 a row whose sum of squares lies in [2^-960, 2^960],
+    where it has neither underflowed nor overflowed, is sqrt(sum |x|^2).
+    The other p = 2 rows, and every row at another finite p > 1, are scaled
+    by their maximum m (Blue, ACM TOMS 4, 1978): m * (sum (|x|/m)^p)^(1/p),
+    the root taken by np.float_power, which rounds like Python's float
+    power.  Reductions run over C-ordered rows, so each row rounds alone."""
     A = np.ascontiguousarray(np.abs(X), dtype=np.float64)
     if A.size == 0:
         return np.zeros(len(A))
@@ -428,12 +428,17 @@ def support_states(x: np.ndarray, space: Space, tol: float = PI_TOL) -> SupportS
 
 def largest_feasible(ok) -> float:
     """The largest t in [0, 1] with ok(t), for ok true at 0 and monotone, by
-    200 halvings of [0, 1] (converged to the last bit)."""
+    at most 200 halvings of [0, 1]: they stop once the midpoint rounds to
+    an end that ok has decided, as further ones would leave lo as it is."""
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
+        if mid == lo:
+            break
         if ok(mid):
             lo = mid
+        elif mid == hi:
+            break
         else:
             hi = mid
     return lo

@@ -15,7 +15,7 @@ from .gallery import make_corner
 from .membership import EtaFunction
 from .numerical_radius import (BlockPairStates, corner_profile_constant,
                                numerical_radius, _multistart_nu)
-from .norm_attainment import hilbert_norm_rows, sphere_rows
+from .norm_attainment import sphere_rows
 from .operators import Lift, OperatorExpr, identity, to_matrix
 from .spaces import (INF, Space, StatePair, SumSpace, conjugate_exponent,
                      modulus_convexity)
@@ -129,9 +129,9 @@ class LiftNuStates(BlockPairStates):
         dV, dU = sphere_rows(np.conj(self.V1)), sphere_rows(self.U1)
         dVs, dUs = sphere_rows(self.V1), sphere_rows(np.conj(self.U1))
         if outer_p == 1:
-            option = ([dV, hilbert_norm_rows], [dVs, dUs])
+            option = ([dV, T.codomain.norm_rows], [dVs, dUs])
         else:
-            option = ([dV, dU], [hilbert_norm_rows, dUs])
+            option = ([dV, dU], [T.domain.dual().norm_rows, dUs])
         super().__init__(SumSpace((T.domain, T.codomain), outer_p), [option])
 
     def sample(self, rng, count: int = 1):

@@ -5,19 +5,22 @@ with explicit gradients, exhaustive extreme-point enumeration, and a dense
 rotation grid for the complex Hilbert radius.
 
 modulus_convexity_slsqp is the grid and SLSQP route that the closed forms
-of spaces.modulus_convexity replaced.
+of spaces.modulus_convexity replaced.  mp_norm is the lp norm to 50
+digits, and largest_feasible_halvings the bisection of
+spaces.largest_feasible as it ran before it stopped at convergence.
 
 The second half keeps the one-vector-at-a-time bodies the library replaced
 by row forms: the distance oracles (the flat kinds, and on sums
 LiftedNormingSet, LiftNuStates, LiftedRank1NuStates and CornerNuStates,
-each written out by hand), the flat best_state_functional, the support face
-of a sum (sum_face), the norm of a sum and its alignment maps (sum_norm,
-dual_align_vec, primal_align_vec, recursive over the blocks), and the
-scalar boundary-seed bisection.  tests/test_rows.py checks the row forms
-against them, to 1e-12 on flat spaces and bit for bit on sums.  face_sup is
-the support-face value as it was computed before best_state_functional
-became its one engine, from explicit reachable sets; a massless block under
-outer 1 adds the disk of radius ||y_b||.
+each written out by hand and combining its parts by one lp_norm of their
+profile, as the library does), the flat best_state_functional, the support
+face of a sum (sum_face), the norm of a sum and its alignment maps
+(sum_norm, dual_align_vec, primal_align_vec, recursive over the blocks),
+and the scalar boundary-seed bisection.  tests/test_rows.py checks the
+row forms against them, to 1e-12 on flat spaces and bit for bit on sums.
+face_sup is the support-face value as it was computed before
+best_state_functional became its one engine, from explicit reachable sets;
+a massless block under outer 1 adds the disk of radius ||y_b||.
 
 The last part keeps the probes' restart batches and the sum-space norm and
 numerical-radius multistarts as they ran before the batched restart engine:
@@ -32,6 +35,7 @@ draws after the whole block.  tests/test_restart_rows.py checks the row
 programs against them.
 """
 
+import mpmath
 import numpy as np
 
 from bollobas_lab._search import (best_of, dual_align_rows, golden_max,
@@ -285,6 +289,28 @@ def modulus_convexity_slsqp(p, eps):
     return max(1.0 + best, 0.0)
 
 
+def mp_norm(row, p):
+    """The lp norm of row to 50 digits, an mpmath number."""
+    with mpmath.workdps(50):
+        mods = [abs(mpmath.mpc(complex(v).real, complex(v).imag))
+                for v in row]
+        if p == INF:
+            return max(mods, default=mpmath.mpf(0))
+        return mpmath.fsum(m ** p for m in mods) ** (1 / mpmath.mpf(p))
+
+
+def largest_feasible_halvings(ok):
+    """spaces.largest_feasible as it was: always 200 halvings of [0, 1]."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 # ---------------------------------------------------------------------------
 # scalar distance oracles, best state functional, boundary bisection
 # ---------------------------------------------------------------------------
@@ -297,17 +323,15 @@ def support_distance(x, J, space):
     p = space.p
     A = lp_norm(x[mask], p)
     off = lp_norm(x[~mask], p)
-    if p == INF:
-        return max(abs(1.0 - A), off)
-    return (abs(1.0 - A) ** p + off ** p) ** (1.0 / p)
+    return lp_norm(np.array([abs(1.0 - A), off]), p)
 
 
 def subspace_sphere_distance(x, basis):
     """Exact Hilbert distance from x to the unit sphere of span(basis)."""
     P = basis @ (np.conj(basis.T) @ x)
-    a = np.linalg.norm(P)
-    res = np.linalg.norm(x - P)
-    return float(np.sqrt(res ** 2 + (1.0 - a) ** 2))
+    a = lp_norm(P, 2.0)
+    res = lp_norm(x - P, 2.0)
+    return lp_norm(np.array([res, 1.0 - a]), 2.0)
 
 
 def norming_distance(desc, x):
@@ -338,10 +362,18 @@ def lifted_norming_distance(desc, x):
     dw = desc.inner.distance(w)
     nz = s.components[1].norm(z)
     if s.outer_p == INF:
-        return max(dw, max(0.0, nz - 1.0))
-    if s.outer_p == 1:
-        return dw + nz
-    return (dw ** s.outer_p + nz ** s.outer_p) ** (1.0 / s.outer_p)
+        nz = max(0.0, nz - 1.0)             # z free in the ball
+    if dw == INF:
+        return INF
+    return lp_norm(np.array([dw, nz]), s.outer_p)
+
+
+def _phase_times(phi, v):
+    """phi * v with a complex phi taken entry by entry as Python multiplies
+    two complex scalars."""
+    if not np.iscomplexobj(phi):
+        return phi * v
+    return np.array([complex(phi) * complex(c) for c in v])
 
 
 def _point_distance(desc, x, v):
@@ -349,7 +381,7 @@ def _point_distance(desc, x, v):
     mask = None if desc.free_mask is None else np.asarray(desc.free_mask)
 
     def dist_for(phi):
-        d = x - phi * v
+        d = x - _phase_times(phi, v)
         if mask is not None:
             d = np.where(mask, 0.0, d)
         return space.norm(d)
@@ -409,12 +441,13 @@ def lift_nu_pair_distance(desc, x, xstar):
         V1x, U1xs = np.conj(V1x), np.conj(U1xs)
     d = library_subspace_sphere_distance
     if desc.outer_p == 1:
-        dx = d(x1, V1x) + float(np.linalg.norm(x2))
-        dxs = max(d(xs1, desc.V1), d(xs2, U1xs))
+        dx = [d(x1, V1x), lp_norm(x2, 2.0)]
+        dxs = [d(xs1, desc.V1), d(xs2, U1xs)]
     else:
-        dx = max(d(x1, V1x), d(x2, desc.U1))
-        dxs = float(np.linalg.norm(xs1)) + d(xs2, U1xs)
-    return dx, dxs
+        dx = [d(x1, V1x), d(x2, desc.U1)]
+        dxs = [lp_norm(xs1, 2.0), d(xs2, U1xs)]
+    return (lp_norm(np.array(dx), s.outer_p),
+            lp_norm(np.array(dxs), s.dual().outer_p))
 
 
 def lifted_rank1_pair_distance(desc, x, xstar):
@@ -427,10 +460,12 @@ def lifted_rank1_pair_distance(desc, x, xstar):
         for r in (1.0, -1.0):
             e1 = np.zeros(desc.dim)
             e1[0] = 1.0
-            dx = lp_norm(xb - sgn * e1, 1) + lp_norm(yb, 1)
+            dx = lp_norm(np.array([lp_norm(xb - sgn * e1, 1),
+                                   lp_norm(yb, 1)]), 1)
             dxs_x = max(0.0, abs(xsb[0] - sgn))
             dxs_y = float(np.abs(ysb - r).max())
-            dxs = max(dxs_x, dxs_y)         # the dual is a sup of blocks
+            # the dual is a sup of blocks
+            dxs = lp_norm(np.array([dxs_x, dxs_y]), INF)
             if _nearer(dx, dxs, best):
                 best = (dx, dxs)
     return best
@@ -445,16 +480,18 @@ def corner_pair_distance(desc, x, xstar):
     e1 = np.zeros(desc.dim)
     e1[0] = 1.0
     for sgn in (1.0, -1.0):
-        dxx = float(np.linalg.norm(xb - sgn * e1))
-        dyy = float(np.linalg.norm(yb))
-        dsx = float(np.linalg.norm(xsb - sgn * e1))
-        dsy = float(np.linalg.norm(ysb))
+        dxx = lp_norm(xb - sgn * e1, 2.0)
+        dyy = lp_norm(yb, 2.0)
+        dsx = lp_norm(xsb - sgn * e1, 2.0)
+        dsy = lp_norm(ysb, 2.0)
         if desc.outer_p == 1:
-            dx = dxx + dyy
-            dxs = max(dsx, max(0.0, dsy - 1.0))   # y* free in the ball
+            dx = [dxx, dyy]
+            dxs = [dsx, max(0.0, dsy - 1.0)]   # y* free in the ball
         else:
-            dx = max(dxx, max(0.0, dyy - 1.0))    # y free in the ball
-            dxs = dsx + dsy
+            dx = [dxx, max(0.0, dyy - 1.0)]    # y free in the ball
+            dxs = [dsx, dsy]
+        dx = lp_norm(np.array(dx), desc.outer_p)
+        dxs = lp_norm(np.array(dxs), s.dual().outer_p)
         if _nearer(dx, dxs, best):
             best = (dx, dxs)
     return best
@@ -484,8 +521,8 @@ def _explicit_pair_distance(desc, x, xstar):
     best = None
 
     def comp(phi, v, vs, fx, fxs):
-        dx_vec = np.asarray(x) - phi * v
-        dxs_vec = np.asarray(xstar) - np.conj(phi) * vs
+        dx_vec = np.asarray(x) - _phase_times(phi, v)
+        dxs_vec = np.asarray(xstar) - _phase_times(np.conj(phi), vs)
         if fx is not None:
             dx_vec = np.where(fx, 0.0, dx_vec)
         if fxs is not None:

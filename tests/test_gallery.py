@@ -1,3 +1,5 @@
+import typing
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,10 @@ def test_corner_repair_bounds_spec_point():
     s = sp.space
     assert s.norm(sp.x - rep.x) <= eps + np.sqrt(2 * eps) + 1e-9
     assert s.dual().norm(sp.xstar - rep.xstar) <= np.sqrt(2 * eps) + 1e-9
+
+
+def test_gallery_entry_annotations_resolve():
+    from bollobas_lab.gallery import GalleryEntry
+    from bollobas_lab.numerical_radius import NuStatesDescriptor
+    hints = typing.get_type_hints(GalleryEntry)
+    assert hints["attaining"] == typing.Optional[NuStatesDescriptor]

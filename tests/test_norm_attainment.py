@@ -1,17 +1,28 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bollobas_lab.errors import HeuristicRefusalError
-from bollobas_lab.norm_attainment import (distance_to_norming_set,
+from bollobas_lab.norm_attainment import (LiftedNormingSet,
+                                          NormingSetDescriptor,
+                                          block_product_rows,
+                                          distance_to_norming_set,
                                           functional_norming_set, norming_set,
                                           operator_norm, support_distance,
                                           subspace_sphere_distance)
 from bollobas_lab.operators import (Dense, Diagonal, Lift, RankOne, adjoint,
                                     functional)
 from bollobas_lab.sequences import SequenceSpec
-from bollobas_lab.spaces import INF, Space
+from bollobas_lab.spaces import INF, Space, SumSpace
 
-from _oracles import l1_vertex_norm, sign_enumeration_norm, sphere_multistart_norm
+from _oracles import (l1_vertex_norm, mp_norm, sign_enumeration_norm,
+                      sphere_multistart_norm)
+
+EPS = np.finfo(float).eps
 
 
 def test_diagonal_norm_exact():
@@ -218,3 +229,134 @@ def test_direct_sum_norm_is_block_max():
     nr = operator_norm(DS)
     assert nr.value == pytest.approx(2.0) and nr.is_certified()
     assert DS.codomain.norm(DS(nr.witness)) == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# every distance combines its parts by the lp kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_support_distance_keeps_a_tiny_off_support_mass(p):
+    for mass in (1e-110, 1e-170):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = support_distance(np.array([1.0, mass, 0.0]), (0,),
+                                   Space(p, 3))
+        assert got == pytest.approx(mass, rel=4 * EPS, abs=0), mass
+
+
+@pytest.mark.parametrize("x,want", [([1.0, 1e-170, 0.0], 1e-170),
+                                    ([1e160, 1e160, 0.0], 2 ** 0.5 * 1e160)],
+                         ids=["1e-170", "1e160"])
+def test_sphere_distance_neither_underflows_nor_overflows(x, want):
+    e1 = np.eye(3)[:, :1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = subspace_sphere_distance(np.array(x), e1)
+    assert got == pytest.approx(want, rel=4 * EPS, abs=0)
+
+
+def test_lifted_distance_keeps_a_tiny_block():
+    inner = NormingSetDescriptor("support_constrained", space=Space(2.0, 2),
+                                 J=(0,))
+    desc = LiftedNormingSet(inner, SumSpace((Space(2.0, 2),) * 2, 1.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert desc.distance(np.array([1.0, 0.0, 1e-250, 0.0])) == 1e-250
+
+
+@pytest.mark.parametrize("outer", [1.5, 2.0, 3.0])
+def test_block_product_sets_infinite_rows_aside(outer):
+    # block 0 is at distance inf from an empty set on the rows where its
+    # entry is positive, and at 0 elsewhere
+    space = SumSpace((Space(2.0, 1), Space(2.0, 2)), outer)
+    parts = [lambda B: np.where(B[:, 0] > 0, np.inf, 0.0),
+             space.components[1].norm_rows]
+    X = np.array([[1.0, 0.5, 0.0], [0.0, 1e-250, 0.0], [1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = block_product_rows(X, space, parts)
+    assert got.tolist() == [np.inf, 1e-250, np.inf]
+
+
+def _kernel_tol(n, value):
+    """What test_norm_kernel_calls_agree_and_are_accurate grants one kernel
+    call on rows of n entries whose norm is value."""
+    return (n + 3) * EPS * value + 5e-324
+
+
+def _wide_vector(draw, n, cx):
+    entries = st.floats(-1e300, 1e300)
+    x = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    if cx:
+        x = x + 1j * np.array(draw(st.lists(entries, min_size=n,
+                                            max_size=n)))
+    return x
+
+
+@st.composite
+def _support_case(draw):
+    n = draw(st.integers(1, 6))
+    x = _wide_vector(draw, n, draw(st.booleans()))
+    J = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    return x, J, draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, INF]))
+
+
+def _mp_lp(parts, p):
+    """The lp norm of nonnegative mpmath numbers, at the working precision."""
+    if p == INF:
+        return max(parts)
+    p = mpmath.mpf(p)
+    return mpmath.fsum(t ** p for t in parts) ** (1 / p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_support_case())
+def test_support_and_sphere_distances_are_accurate(case):
+    # each part is one kernel call, and the distance, 1-Lipschitz in each
+    # part, is one more; on a coordinate subspace P x and x - P x are exact
+    x, J, p = case
+    n = len(x)
+    mask = np.isin(np.arange(n), J)
+    field = "complex" if np.iscomplexobj(x) else "real"
+    cases = ((support_distance(x, J, Space(p, n, field)), p),
+             (subspace_sphere_distance(x, np.eye(n)[:, list(J)]), 2.0))
+    with mpmath.workdps(50):
+        for got, q in cases:
+            a, b = mp_norm(x[mask], q), mp_norm(x[~mask], q)
+            want = _mp_lp([abs(1 - a), b], q)
+            tol = _kernel_tol(n, a) + EPS * abs(1 - a) + _kernel_tol(n, b) \
+                + _kernel_tol(2, want)
+            assert abs(mpmath.mpf(got) - want) <= tol, q
+
+
+EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
+
+
+@st.composite
+def _sum_case(draw):
+    cx = draw(st.booleans())
+    field = "complex" if cx else "real"
+    comps = tuple(Space(draw(st.sampled_from(EXPONENTS)),
+                        draw(st.integers(1, 4)), field)
+                  for _ in range(draw(st.integers(1, 4))))
+    space = SumSpace(comps, draw(st.sampled_from(EXPONENTS)))
+    return space, _wide_vector(draw, space.dim, cx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sum_case())
+def test_block_product_distance_is_accurate(case):
+    # the distance to the zero point of every block: each block part is one
+    # kernel call, and the outer norm, 1-Lipschitz in each part, one more
+    space, x = case
+    parts = [c.norm_rows for c in space.components]
+    got = block_product_rows(x[None, :], space, parts)[0]
+    with mpmath.workdps(50):
+        norms = [mp_norm(b, c.p) for b, c in zip(space.split(x),
+                                                 space.components)]
+        want = _mp_lp(norms, space.outer_p)
+        tol = sum(_kernel_tol(c.dim, b)
+                  for c, b in zip(space.components, norms)) \
+            + _kernel_tol(len(norms), want)
+        assert abs(mpmath.mpf(got) - want) <= tol

@@ -390,18 +390,10 @@ def test_lift_descriptor_rows_match_scalar_oracle(case):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = desc.distance_rows(X)
-            # the flat phase-orbit distance of a complex explicit list on
-            # dim 1 rounds its phase products by the number of rows, so
-            # there its rows agree with the one-row calls to TOL only
-            shaped = cx and dim == 1 and inner.kind == "explicit_list" \
-                and inner.phase_orbit
             for i, x in enumerate(X):
                 want = oracle.lifted_norming_distance(desc, x)
                 assert _value_bits(desc.distance(x)) == _value_bits(want)
-                if shaped:
-                    _close(got[i], want)
-                else:
-                    assert _value_bits(got[i]) == _value_bits(want)
+                assert _value_bits(got[i]) == _value_bits(want)
 
 
 def _near_pairs(rng, desc):
@@ -462,3 +454,23 @@ def test_sum_alignment_rows_match_scalar_oracle(outer, cx, seed):
         assert _bits(U[i]) == _bits(ones[i][0]) == u
         assert _bits(P[i]) == _bits(ones[i][1]) == x
         assert _value_bits(N[i]) == _value_bits(ones[i][2]) == n
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, INF])
+def test_dim_one_phase_orbit_rows_match_one_row_calls(p):
+    # the phase products of a complex explicit list round alike whatever
+    # the number of rows, also on dim 1 where numpy's broadcast loop does not
+    rng = np.random.default_rng(int(p) if p < INF else 7)
+    space = Space(p, 1, "complex")
+    for _ in range(50):
+        v = _gauss(rng, 1, True)
+        v = v / space.norm(v)
+        norming = NormingSetDescriptor("explicit_list", space=space,
+                                       points=(v,), phase_orbit=True)
+        states = ExplicitNuStates(space, [StatePair(v, np.conj(v), space)])
+        X, XS = _gauss(rng, (4, 1), True), _gauss(rng, (4, 1), True)
+        D, PD = norming.distance_rows(X), states.pair_distance_rows(X, XS)
+        for i in range(4):
+            assert _value_bits(D[i]) == _value_bits(norming.distance(X[i]))
+            assert _bits(PD[i]) == _bits(np.array(
+                states.pair_distance(X[i], XS[i])))

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bollobas_lab import membership, spaces
 from bollobas_lab._search import row_norms
 from bollobas_lab.errors import GeometryError
-from bollobas_lab.spaces import (INF, Space, SumSpace, duality_map, lp_norm,
-                                 lp_norm_rows, modulus_convexity, pair,
-                                 random_unit, state_pair, support_states)
+from bollobas_lab.spaces import (INF, Space, SumSpace, duality_map,
+                                 largest_feasible, lp_norm, lp_norm_rows,
+                                 modulus_convexity, pair, random_unit,
+                                 state_pair, support_states)
 
-from _oracles import modulus_convexity_grid, modulus_convexity_slsqp
+from _oracles import (largest_feasible_halvings, modulus_convexity_grid,
+                      modulus_convexity_slsqp, mp_norm)
 
 
 def test_norm_basics():
@@ -22,16 +25,6 @@ def test_norm_basics():
 def test_p2_norm_neither_underflows_nor_overflows():
     assert Space(2, 1).norm([1e-170]) == 1e-170
     assert Space(2, 1).norm([1e155]) == 1e155
-
-
-def _reference_norm(row, p):
-    """The lp norm of row to 50 digits."""
-    with mpmath.workdps(50):
-        mods = [abs(mpmath.mpc(complex(v).real, complex(v).imag))
-                for v in row]
-        if p == INF:
-            return max(mods, default=mpmath.mpf(0))
-        return mpmath.fsum(m ** p for m in mods) ** (1 / mpmath.mpf(p))
 
 
 @st.composite
@@ -67,7 +60,7 @@ def test_norm_kernel_calls_agree_and_are_accurate(case):
         # 1 ulp is out of reach: np.abs of one complex entry may miss by
         # 1.5 ulp, and a sum of n terms by (n - 1) / 2 ulp; the last term
         # is the spacing of the subnormal results
-        want = _reference_norm(x, p)
+        want = mp_norm(x, p)
         tol = (len(x) + 3) * eps * want + 5e-324
         assert abs(mpmath.mpf(got) - want) <= tol
 
@@ -298,3 +291,52 @@ def test_sum_space_layout_is_computed_once():
         [[0.0, 1.0], [2.0, 3.0, 4.0]]
     assert s == SumSpace((Space(2, 2), Space(1, 3)), 2.0)
     assert hash(s) == hash(SumSpace((Space(2, 2), Space(1, 3)), 2.0))
+
+
+def _counted(bisect, calls):
+    """bisect with every predicate call recorded in calls."""
+    def run(ok):
+        def counted(t):
+            calls.append(t)
+            return ok(t)
+        return bisect(ok=counted)
+    return run
+
+
+@pytest.mark.parametrize("ok", [lambda t: t <= 0.3, lambda t: True,
+                                lambda t: t < 1.0],
+                         ids=["at-0.3", "everywhere", "below-1"])
+def test_largest_feasible_stops_with_the_bits_of_200_halvings(ok):
+    calls = []
+    got = _counted(largest_feasible, calls)(ok)
+    assert got.hex() == largest_feasible_halvings(ok).hex()
+    assert len(calls) < 200
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
+def test_hanner_root_stops_with_the_bits_of_200_halvings(p, monkeypatch):
+    for eps in (1e-5, 0.1, 0.5, 1.0, 1.9):
+        calls = []
+        monkeypatch.setattr(spaces, "largest_feasible",
+                            _counted(largest_feasible, calls))
+        got = modulus_convexity(Space(p, 2), eps)
+        monkeypatch.setattr(spaces, "largest_feasible",
+                            largest_feasible_halvings)
+        want = modulus_convexity(Space(p, 2), eps)
+        assert got.hex() == want.hex(), eps
+        assert 0 < len(calls) < 200, eps
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_profile_floors_stop_with_the_bits_of_200_halvings(p, monkeypatch):
+    for eps in (0.05, 0.3, 0.7, 1.2):
+        for floor in (membership._norm_profile_mass, membership._group_cap):
+            calls = []
+            monkeypatch.setattr(membership, "largest_feasible",
+                                _counted(largest_feasible, calls))
+            got = floor(p, eps)
+            monkeypatch.setattr(membership, "largest_feasible",
+                                largest_feasible_halvings)
+            want = floor(p, eps)
+            assert got.hex() == want.hex(), (floor.__name__, eps)
+            assert 0 < len(calls) < 200, (floor.__name__, eps)
