@@ -43,6 +43,13 @@ the 40 bisection steps is one row-form distance call (distance_rows, or
 pair_distance_rows with best_state_functional_rows) over all rows.  The row
 forms round each row as the one-vector oracles do, so the seeds are those
 of one scalar bisection per pair.
+
+The seeds are one row program too: all of them are the rows of one array,
+in the order diagonal-profile, caller, boundary seeds (nu: caller, diagonal,
+boundary), scored by one call of each row kernel, and each row is one
+candidate in that order, None when its distance is below eps - FEAS_TOL.
+Caller seeds off the unit sphere by more than PI_TOL, or pairs failing the
+checks of StatePair.validate, raise GeometryError.
 """
 
 from __future__ import annotations
@@ -53,17 +60,17 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (best_of, first_best, matvec_rows, polish_draws,
-                      polish_rows, power_ascent_rows, run_batches)
+from ._search import (best_of, matvec_rows, polish_draws, polish_rows,
+                      power_ascent_rows, run_batches)
 from .errors import GeometryError, HeuristicRefusalError, NotNormalizedError
 from .membership import _group_cap, _norm_profile_mass
 from .norm_attainment import norming_set, operator_norm
 from .numerical_radius import (NuResult, NuStatesDescriptor, _modulus,
-                               best_state_functional,
                                best_state_functional_rows,
                                nu_attaining_states, numerical_radius)
 from .operators import Diagonal, OperatorExpr, Scale, to_matrix
-from .spaces import INF, StatePair, SumSpace, lp_norm_rows, pair, random_unit
+from .spaces import (INF, PI_TOL, StatePair, SumSpace, lp_norm_rows,
+                     random_unit)
 
 NORM_TOL = 1e-6
 FEAS_TOL = 1e-12
@@ -149,19 +156,13 @@ def _diag_norm_seeds(T, eps):
         return []
     space, j_idx, off_idx = profile
     p = space.p
-    seeds = []
+    x = np.zeros(space.dim, dtype=space.dtype)
     if p == INF:
-        x = np.zeros(space.dim, dtype=space.dtype)
-        x[j_idx] = max(0.0, 1.0 - eps)
-        x[off_idx] = 1.0
-        seeds.append(x)
+        x[j_idx], x[off_idx] = max(0.0, 1.0 - eps), 1.0
     else:
         A = _norm_profile_mass(p, eps)
-        x = np.zeros(space.dim, dtype=space.dtype)
-        x[j_idx] = A
-        x[off_idx] = max(0.0, 1 - A ** p) ** (1.0 / p)
-        seeds.append(x)
-    return seeds
+        x[j_idx], x[off_idx] = A, max(0.0, 1 - A ** p) ** (1.0 / p)
+    return [x]
 
 
 def _boundary_seeds(space, dist_rows, eps, base_points, rng):
@@ -200,49 +201,64 @@ def _boundary_seeds(space, dist_rows, eps, base_points, rng):
     return list(seeds[found])
 
 
+def _seed_rows(space, vectors):
+    """The vectors as the rows of one (S, dim) array of space's dtype."""
+    return np.asarray(vectors, dtype=space.dtype).reshape(-1, space.dim)
+
+
+def _check_seeds(space, xs, functionals=()):
+    """GeometryError unless each caller seed x of xs is a unit vector within
+    PI_TOL, and each pair (x, x*), x* its entry of functionals or None, passes
+    StatePair.validate's checks: one norm_rows call per side, one pairing."""
+    if not xs:
+        return
+    X = _seed_rows(space, xs)
+    paired = [i for i, f in enumerate(functionals) if f is not None]
+    XS = _seed_rows(space, [functionals[i] for i in paired])
+    for what, rows, v in (("||x||", range(len(X)), space.norm_rows(X)),
+                          ("||x*||", paired, space.dual().norm_rows(XS)),
+                          ("<x*, x>", paired, (XS * X[paired]).sum(axis=1))):
+        off = np.nonzero(np.abs(v - 1.0) > PI_TOL)[0]
+        if off.size:
+            raise GeometryError(f"extra seed {rows[off[0]]}: {what} = "
+                                f"{v[off[0]]} is not 1 within {PI_TOL}")
+
+
+def _row_candidates(vals, dist, eps, witness):
+    """One candidate per row of values and distances (R,), in order:
+    (value, distance, witness(i)) for a row i at distance >= eps - FEAS_TOL,
+    else None; and the largest distance, 0.0 for no rows."""
+    return ([(float(v), float(d), witness(i)) if d >= eps - FEAS_TOL
+             else None for i, (v, d) in enumerate(zip(vals, dist))],
+            float(np.fmax.reduce(dist, initial=0.0)))
+
+
 def eta_probe_norm(T: OperatorExpr, eps: float,
                    budget: Optional[ProbeBudget] = None, seed: int = 0,
                    extra_seeds=()) -> ProbeReport:
     """extra_seeds: iterable of x vectors, each checked once against the
-    domain: a NaN or inf entry raises GeometryError, a wrong shape
-    DimensionMismatchError."""
+    domain: a wrong shape raises DimensionMismatchError, and a NaN or inf
+    entry or a norm off 1 by more than PI_TOL raises GeometryError."""
     budget = budget or ProbeBudget()
     nr, desc = _resolve_norm(T)
-    space = T.domain
-    cod = T.codomain
-    M = to_matrix(T)
+    space, cod, M = T.domain, T.codomain, to_matrix(T)
 
-    def value_of(x):
-        return cod.norm(M @ x)
-
-    def dist_of(x):
-        return desc.distance(x)
-
-    candidates = []   # (value, distance, x), or None when infeasible
-    max_dist_seen = 0.0
-
-    def consider(x):
-        """(value, distance, x) when x is feasible, else None."""
-        nonlocal max_dist_seen
-        d = dist_of(x)
-        max_dist_seen = max(max_dist_seen, d)
-        if d >= eps - FEAS_TOL:
-            return (value_of(x), d, x)
-        return None
-
-    for s in _diag_norm_seeds(T, eps):
-        candidates.append(consider(s))
-    for s in extra_seeds:
-        candidates.append(consider(space.check(s)))
+    extra = [space.check(s) for s in extra_seeds]
+    _check_seeds(space, extra)
+    seeds = _diag_norm_seeds(T, eps) + extra
     seed_rng = np.random.Generator(np.random.PCG64(seed))
     if not desc.is_empty and not isinstance(space, SumSpace):
         try:
             bases = desc.sample(seed_rng, 2)
-        except Exception:
+        except (NotImplementedError, GeometryError):
             bases = []
-        for s in _boundary_seeds(space, desc.distance_rows, eps, bases,
-                                 seed_rng):
-            candidates.append(consider(s))
+        seeds += _boundary_seeds(space, desc.distance_rows, eps, bases,
+                                 seed_rng)
+
+    X = _seed_rows(space, seeds)
+    candidates, max_dist_seen = _row_candidates(
+        cod.norm_rows(matvec_rows(M, X)), desc.distance_rows(X), eps,
+        X.__getitem__) if seeds else ([], 0.0)
 
     iters = max(10, budget.iters // 100)
     starts = min(16, budget.restarts)
@@ -400,8 +416,10 @@ def _finalize(mode, eps, candidates, max_dist_seen, seed, budget):
 
 def aligned_state_functional(x, y, space):
     """The x* of best_state_functional(y, x, space): a functional supporting
-    x with |<x*, y>| = face_sup(y, x, space)."""
-    return best_state_functional(y, x, space)[1]
+    x with |<x*, y>| = face_sup(y, x, space).  The one-row call of the nu
+    probe's state rows, best_state_functional_rows(Y, X, space)[1]."""
+    return best_state_functional_rows(np.asarray(y)[None, :],
+                                      np.asarray(x)[None, :], space)[1][0]
 
 
 def _resolve_nu(T, nu_result, attaining):
@@ -420,51 +438,44 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
                  attaining: Optional[NuStatesDescriptor] = None,
                  extra_seeds=()) -> ProbeReport:
     """extra_seeds: iterable of StatePairs, (x, xstar) pairs or bare x
-    vectors, checked as eta_probe_norm checks its seeds."""
+    vectors, checked as eta_probe_norm checks its seeds; a given xstar is
+    checked as StatePair.validate checks it, with GeometryError."""
     budget = budget or ProbeBudget()
     nr, desc = _resolve_nu(T, nu_result, attaining)
-    space = T.domain
-    M = to_matrix(T)
+    space, M = T.domain, to_matrix(T)
 
-    def pair_value(x, xs):
-        return abs(pair(xs, M @ x))
-
-    def state_for(x):
-        return aligned_state_functional(x, M @ x, space)
-
-    candidates = []
-    max_dist_seen = 0.0
-
-    def consider_pair(x, xs):
-        """(value, distance, pair) when (x, xs) is feasible, else None."""
-        nonlocal max_dist_seen
-        dx, dxs = desc.pair_distance(x, xs)
-        d = max(dx, dxs)
-        max_dist_seen = max(max_dist_seen, d)
-        if d >= eps - FEAS_TOL:
-            return (pair_value(x, xs), d, StatePair(x, xs, space))
-        return None
-
+    seeds = []          # (x, the caller's x* or None)
     for s in extra_seeds:
         if isinstance(s, StatePair):
             s = (s.x, s.xstar)
-        if isinstance(s, tuple) and len(s) == 2:
-            candidates.append(consider_pair(space.check(s[0]),
-                                            space.dual().check(s[1])))
-        else:
-            x = space.check(s)
-            candidates.append(consider_pair(x, state_for(x)))
-    for s in _diag_nu_seeds(T, eps):
-        candidates.append(consider_pair(*s))
+        seeds.append((space.check(s[0]), space.dual().check(s[1]))
+                     if isinstance(s, tuple) and len(s) == 2
+                     else (space.check(s), None))
+    _check_seeds(space, [x for x, _ in seeds], [xs for _, xs in seeds])
+    seeds += _diag_nu_seeds(T, eps)
     seed_rng = np.random.Generator(np.random.PCG64(seed))
     if not desc.is_empty and not isinstance(space, SumSpace):
         try:
             bases = [sp.x for sp in desc.sample(seed_rng, 2)]
-        except Exception:
+        except (NotImplementedError, GeometryError):
             bases = []
-        for s in _boundary_seeds(space, _state_dist_rows(desc, M, space), eps,
-                                 bases, seed_rng):
-            candidates.append(consider_pair(s, state_for(s)))
+        seeds += [(x, None) for x in _boundary_seeds(
+            space, _state_dist_rows(desc, M, space), eps, bases, seed_rng)]
+
+    def pair_dist(X, XS):
+        dx, dxs = desc.pair_distance_rows(X, XS).T
+        return np.where(dxs > dx, dxs, dx)          # as Python max(dx, dxs)
+
+    candidates, max_dist_seen = [], 0.0
+    if seeds:
+        X = _seed_rows(space, [x for x, _ in seeds])
+        Y = matvec_rows(M, X)
+        XS = best_state_functional_rows(Y, X, space)[1]
+        given = [i for i, (_x, xs) in enumerate(seeds) if xs is not None]
+        XS[given] = _seed_rows(space, [seeds[i][1] for i in given])
+        candidates, max_dist_seen = _row_candidates(
+            _modulus((XS * Y).sum(axis=1)), pair_dist(X, XS), eps,
+            lambda i: StatePair(X[i], XS[i], space))
 
     iters = max(10, budget.iters // 100)
     starts = min(16, budget.restarts)
@@ -480,14 +491,11 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
         vals, X, XS = polish_rows(X0, state_rows, space,
                                   lambda r, rows: D[rows, r], iters, tries=3,
                                   step=0.4, min_step=1e-7)
-        dx, dxs = desc.pair_distance_rows(X, XS).T
-        d = np.where(dxs > dx, dxs, dx)          # as Python max(dx, dxs)
-        max_dist_seen = float(np.fmax.reduce(d, initial=max_dist_seen))
-        feas = np.nonzero(d >= eps - FEAS_TOL)[0]
-        if not feas.size:
-            return None
-        i = feas[first_best(vals[feas])]
-        return (float(vals[i]), float(d[i]), StatePair(X[i], XS[i], space))
+        found, farthest = _row_candidates(
+            vals, pair_dist(X, XS), eps,
+            lambda i: StatePair(X[i], XS[i], space))
+        max_dist_seen = max(max_dist_seen, farthest)
+        return best_of(found)
 
     candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
     return _finalize("nu", eps, candidates, max_dist_seen, seed, budget)
@@ -511,27 +519,17 @@ def _diag_nu_seeds(T, eps):
     space, j_idx, off_idx = profile
     p = space.p
     m = _group_cap(p, eps)
-    seeds = []
     x = np.zeros(space.dim, dtype=space.dtype)
     xs = np.zeros(space.dim, dtype=space.dtype)
     if p == INF:
-        x[j_idx] = 1.0
-        x[off_idx] = 1.0
-        xs[j_idx] = m
-        xs[off_idx] = 1.0 - m
+        x[j_idx], x[off_idx], xs[j_idx], xs[off_idx] = 1.0, 1.0, m, 1.0 - m
     elif p == 1:
-        x[j_idx] = m
-        x[off_idx] = 1.0 - m
-        xs[j_idx] = 1.0
-        xs[off_idx] = 1.0
+        x[j_idx], x[off_idx], xs[j_idx], xs[off_idx] = m, 1.0 - m, 1.0, 1.0
     else:
         q = p / (p - 1.0)
-        x[j_idx] = m ** (1.0 / p)
-        x[off_idx] = (1.0 - m) ** (1.0 / p)
-        xs[j_idx] = m ** (1.0 / q)
-        xs[off_idx] = (1.0 - m) ** (1.0 / q)
-    seeds.append((x, xs))
-    return seeds
+        x[j_idx], x[off_idx] = m ** (1.0 / p), (1.0 - m) ** (1.0 / p)
+        xs[j_idx], xs[off_idx] = m ** (1.0 / q), (1.0 - m) ** (1.0 / q)
+    return [(x, xs)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,17 @@ import sys
 import numpy as np
 import pytest
 
+from bollobas_lab import numerical_radius as numerical_radius_module
+from bollobas_lab import probe as probe_module
 from bollobas_lab.errors import (DimensionMismatchError, GeometryError,
                                  NotNormalizedError)
 from bollobas_lab.membership import eta_const, eta_linear
-from bollobas_lab.norm_attainment import norming_set, operator_norm
+from bollobas_lab.norm_attainment import (NormingSetDescriptor, norming_set,
+                                          operator_norm)
+from bollobas_lab.numerical_radius import DiagonalNuStates, NuStatesDescriptor
 from bollobas_lab.operators import Diagonal, identity
-from bollobas_lab.probe import (ProbeBudget, eta_probe_norm, eta_probe_nu,
-                                validate_eta)
+from bollobas_lab.probe import (ProbeBudget, aligned_state_functional,
+                                eta_probe_norm, eta_probe_nu, validate_eta)
 from bollobas_lab.sequences import SequenceSpec
 from bollobas_lab.spaces import Space, StatePair, pair
 
@@ -72,14 +76,108 @@ _NAN, _INF = float("nan"), float("inf")
     (eta_probe_nu, StatePair(np.array([1.0, 0.0, 0.0]),
                              np.array([1.0, 0.0, _INF]), Space(2.0, 3)),
      GeometryError),
+    (eta_probe_norm, [0.0, 3.0, 0.0], GeometryError),
+    (eta_probe_nu, [0.0, 3.0, 0.0], GeometryError),
+    (eta_probe_nu, ([0.0, 1.0, 0.0], [0.0, 3.0, 0.0]), GeometryError),
+    (eta_probe_nu, ([0.0, 3.0, 0.0], [0.0, 1.0, 0.0]), GeometryError),
+    (eta_probe_nu, ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), GeometryError),
+    (eta_probe_nu, StatePair(np.array([0.6, 0.0, 0.0]),
+                             np.array([1.0, 0.0, 0.0]), Space(2.0, 3)),
+     GeometryError),
 ], ids=["norm-nan", "norm-inf", "norm-short", "nu-nan", "nu-inf",
         "nu-short", "nu-pair-nan-xstar", "nu-pair-short-xstar",
-        "nu-state-pair-inf-xstar"])
+        "nu-state-pair-inf-xstar", "norm-off-sphere", "nu-off-sphere",
+        "nu-pair-off-sphere-xstar", "nu-pair-off-sphere-x",
+        "nu-pair-unpaired", "nu-state-pair-off-sphere-x"])
 def test_bad_extra_seeds_raise(probe, seed, error):
     D = _diag([1.0, 0.8, 0.5], 2.0)
     with pytest.raises(error):
         probe(D, 0.25, budget=ProbeBudget(restarts=4, iters=100), seed=0,
               extra_seeds=[seed])
+
+
+def test_extra_seeds_within_pi_tol_are_accepted():
+    # the tolerance is StatePair.validate's PI_TOL: a seed off the sphere
+    # by 5e-10 passes, bare or as the x* of a pair
+    D = _diag([1.0, 0.8, 0.5], 2.0)
+    x = np.array([0.0, 1.0 + 5e-10, 0.0])
+    budget = ProbeBudget(restarts=4, iters=100)
+    eta_probe_norm(D, 0.25, budget=budget, seed=0, extra_seeds=[x])
+    eta_probe_nu(D, 0.25, budget=budget, seed=0,
+                 extra_seeds=[x, (np.array([0.0, 1.0, 0.0]), x)])
+
+
+@pytest.mark.parametrize("probe", [eta_probe_norm, eta_probe_nu])
+def test_unsampleable_attaining_set_probes_without_boundary_seeds(
+        probe, monkeypatch):
+    D = _diag([1.0, 0.8, 0.5, 0.3], 3.0)
+    args = (D, 0.3)
+    kwargs = dict(budget=ProbeBudget(restarts=8, iters=200), seed=4)
+    with monkeypatch.context() as m:
+        m.setattr(probe_module, "_boundary_seeds", lambda *a, **k: [])
+        want = probe(*args, **kwargs)
+
+    def refuse(self, rng, count=1):
+        raise NotImplementedError
+
+    for cls in (NormingSetDescriptor, DiagonalNuStates):
+        monkeypatch.setattr(cls, "sample", refuse)
+    got = probe(*args, **kwargs)
+    assert got.describe() == want.describe()
+    assert repr(got.witness) == repr(want.witness)
+
+
+@pytest.mark.parametrize("probe", [eta_probe_norm, eta_probe_nu])
+def test_a_bug_in_sample_propagates(probe, monkeypatch):
+    def broken(self, rng, count=1):
+        raise TypeError("broken sample")
+
+    for cls in (NormingSetDescriptor, DiagonalNuStates):
+        monkeypatch.setattr(cls, "sample", broken)
+    with pytest.raises(TypeError, match="broken sample"):
+        probe(_diag([1.0, 0.8, 0.5], 2.0), 0.25,
+              budget=ProbeBudget(restarts=4, iters=100), seed=0)
+
+
+def test_seed_stage_makes_no_scalar_oracle_call(monkeypatch):
+    """The seeds are scored as rows: no per-seed distance, pair distance or
+    state functional, with boundary seeds and caller seeds in play."""
+    calls = []
+
+    def counted(owner, name):
+        body = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return body(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(NormingSetDescriptor, "distance")
+    counted(NuStatesDescriptor, "pair_distance")
+    for module in (numerical_radius_module, probe_module):
+        if hasattr(module, "best_state_functional"):
+            counted(module, "best_state_functional")
+    sp = Space(3.0, 5)
+    D = Diagonal(SequenceSpec((1.0, 0.9, 0.6, 0.4, 0.2)), sp)
+    boundary = []
+
+    def spy(*args, **kwargs):
+        seeds = bisect(*args, **kwargs)
+        boundary.append(len(seeds))
+        return seeds
+
+    bisect = probe_module._boundary_seeds
+    monkeypatch.setattr(probe_module, "_boundary_seeds", spy)
+    x = np.array([0.0, 0.6, 0.8, 0.0, 0.0])
+    x = x / sp.norm(x)
+    xs = aligned_state_functional(x, D(x), sp)
+    calls.clear()
+    budget = ProbeBudget(restarts=16, iters=300)
+    eta_probe_norm(D, 0.3, budget=budget, seed=1, extra_seeds=[x, x])
+    eta_probe_nu(D, 0.3, budget=budget, seed=1,
+                 extra_seeds=[x, (x, xs), StatePair(x, xs, sp)])
+    assert len(boundary) == 2 and min(boundary) > 0
+    assert calls == []
 
 
 def test_nu_witness_is_state_pair():

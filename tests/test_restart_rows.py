@@ -6,7 +6,9 @@ scalar random_polish, generic_power_ascent and pullback bisection, each
 polished start on its own block of draws.  The row programs must reproduce
 their reports bit for bit, and raise no warning the old loops did not.
 "batches only" runs switch the diagonal and boundary seeds off in both, so
-that the restart batches alone decide the report.
+that the restart batches alone decide the report.  The mixed-seed tests
+give both probes caller seeds of every kind, with and without boundary
+seeds: the library scores all seeds as rows, the oracles one at a time.
 """
 
 import warnings
@@ -19,14 +21,17 @@ from bollobas_lab import probe
 from bollobas_lab._search import (gaussian_directions, generic_power_ascent,
                                   polish_rows)
 from bollobas_lab.gallery import lifted_rank1_l1
-from bollobas_lab.norm_attainment import _sum_space_norm, operator_norm
+from bollobas_lab.norm_attainment import (_sum_space_norm, norming_set,
+                                          operator_norm)
 from bollobas_lab.numerical_radius import (NuResult, _multistart_nu,
+                                           nu_attaining_states,
                                            numerical_radius)
 from bollobas_lab.operators import (Dense, Diagonal, Lift, RankOne, Scale,
                                     identity, to_matrix)
 from bollobas_lab.probe import ProbeBudget, eta_probe_norm, eta_probe_nu
 from bollobas_lab.sequences import ConstantTail, SequenceSpec, geometric_tail
-from bollobas_lab.spaces import INF, Space, StatePair, SumSpace, random_unit
+from bollobas_lab.spaces import (INF, Space, StatePair, SumSpace, random_unit,
+                                 unit_phase)
 from bollobas_lab.sums import LiftNuStates
 
 EXPONENTS = (1.0, 1.5, 2.0, 3.0, INF)
@@ -132,6 +137,105 @@ def test_nu_probe_rows_match_start_by_start(p, cx, dim, batches_only):
     for T, restarts, eps in zip(ops, (21, 40), (0.2, 0.6)):
         _run_both(eta_probe_nu, oracle.eta_probe_nu, T, eps,
                   budget=ProbeBudget(restarts, 300), seed=dim + 1)
+
+
+@pytest.fixture(params=[False, True], ids=["boundary", "no-boundary"])
+def no_boundary(request, monkeypatch):
+    if request.param:
+        monkeypatch.setattr(probe, "_boundary_seeds", lambda *a, **k: [])
+
+
+def _toward(x0, space, rng):
+    """24 unit points on the way from x0 toward a random direction: the
+    first ones inside the eps-ball of the attaining set, the last ones
+    outside it, and those just outside it near the constrained maximum."""
+    r = random_unit(space, rng)
+    return [z / space.norm(z) for z in (x0 + t * r for t in
+                                         np.geomspace(0.02, 5.0, 24))]
+
+
+def _two_peaks(space):
+    """A unit vector with two entries of the largest modulus and zeros
+    after the third, so that on l1 and sup it has more than one supporting
+    functional."""
+    z = np.zeros(space.dim, dtype=space.dtype)
+    z[:3] = [1.0, -1.0, 0.3]
+    return z / space.norm(z)
+
+
+# both fields where a point has many supporting functionals (l1, sup)
+MIXED = [(1.0, False), (1.0, True), (1.5, True), (2.0, False), (3.0, True),
+         (INF, False), (INF, True)]
+
+
+@pytest.mark.parametrize("p,cx", MIXED)
+def test_norm_probe_scores_mixed_seeds_as_the_seed_loop(p, cx, no_boundary):
+    # caller seeds feasible and infeasible (a norming point and points near
+    # it) and repeated.  -w, w the seedless report's witness, ties with w in
+    # value, so a seed always decides the report
+    rng = np.random.default_rng(int(10 * p) if p < INF else 7)
+    space = _space(p, cx, 5)
+    ops = [_diagonal(space, rng)]
+    if p in (1.0, 2.0) or p == INF and not cx:
+        ops.append(_dense_norm_one(space, rng))
+    if p < INF:
+        f = random_unit(space.dual(), rng)
+        ops.append(RankOne(np.eye(5, dtype=space.dtype)[0], f, space, space))
+    budget = ProbeBudget(4, 300)
+    for T, eps in zip(ops, (0.1, 0.4, 0.25)):
+        w = eta_probe_norm(T, eps, budget=budget, seed=3).witness
+        x0 = norming_set(T).sample(rng, 1)[0]
+        near = _toward(x0, space, rng)
+        seeds = near[:12] + [x0, -w, near[5], w, -w, _two_peaks(space)] \
+            + near[12:]
+        got = _run_both(eta_probe_norm, oracle.eta_probe_norm, T, eps,
+                        budget=budget, seed=3, extra_seeds=seeds)
+        assert any(_bits(got.witness) == _bits(x) for x in seeds)
+
+
+@pytest.mark.parametrize("p,cx", MIXED)
+def test_nu_probe_scores_mixed_seeds_as_the_seed_loop(p, cx, no_boundary):
+    # bare vectors, (x, x*) tuples and StatePairs, an attaining pair (an
+    # infeasible seed) and repeated seeds; on l1 and sup one pair carries a
+    # supporting functional other than the best state.  (-x, -x*), (x, x*)
+    # the seedless report's witness, ties with it, so a seed always decides
+    # the report
+    rng = np.random.default_rng(int(10 * p) if p < INF else 7)
+    space = _space(p, cx, 5)
+    ops = [_diagonal(space, rng)]
+    if p in (1.0, 2.0, INF):
+        ops.append(_dense_nu_one(space, rng))
+    budget = ProbeBudget(4, 300)
+    for T, eps in zip(ops, (0.1, 0.4)):
+        M = to_matrix(T)
+
+        def state(x):
+            return probe.aligned_state_functional(x, M @ x, space)
+
+        att = nu_attaining_states(T).sample(rng, 1)[0]
+        att = StatePair(*(np.asarray(v, dtype=space.dtype)
+                          for v in (att.x, att.xstar)), space)
+        near = _toward(att.x, space, rng)
+        peak = _two_peaks(space)
+        other = state(peak)
+        if p == 1.0:
+            other = np.conj(unit_phase(peak))
+        elif p == INF:
+            other = np.zeros_like(peak)
+            other[1] = np.conj(unit_phase(peak[1]))
+        seeds = [x if i % 3 == 0 else (x, state(x)) if i % 3 == 1
+                 else StatePair(x, state(x), space)
+                 for i, x in enumerate(near)]
+        w = eta_probe_nu(T, eps, budget=budget, seed=3).witness
+        flip = StatePair(-w.x, -w.xstar, space)
+        mixed = seeds[:12] + [att, (peak, other), flip, seeds[7],
+                              (w.x, w.xstar), (flip.x, flip.xstar),
+                              (att.x, att.xstar)] + seeds[12:]
+        got = _run_both(eta_probe_nu, oracle.eta_probe_nu, T, eps,
+                        budget=budget, seed=3, extra_seeds=mixed)
+        assert any(_bits(got.witness.x) == _bits(np.asarray(
+            x.x if isinstance(x, StatePair) else x[0] if
+            isinstance(x, tuple) else x)) for x in mixed)
 
 
 def test_nu_probe_rows_at_the_longest_exact_budget():
