@@ -205,26 +205,29 @@ def boyd_ascent(M: np.ndarray, p: float, q: float, X0: np.ndarray,
     """Nonlinear power iteration for ||M||_{lp -> lq}, batched over rows of X0.
 
     Returns (best_value, best_x).  Monotone per restart: a row moves only
-    on a gain above 1e-12, and the ascent stops when no row gains; the merge
-    takes the best row, ties broken by the lowest row index.
+    on a gain above 1e-12, and the ascent stops when no row gains; each row
+    keeps the point of its best value, smaller gains included, so best_x
+    attains best_value.  The merge takes the best row, ties broken by the
+    lowest row index.
     """
     X = normalize_rows(X0.astype(complex if np.iscomplexobj(M) or
                                  np.iscomplexobj(X0) else float), p)
     vals = row_norms(X @ M.T, q)
+    best = X
     for _ in range(iters):
         Y = X @ M.T
         U = dual_align_rows(Y, q)
         W = U @ M
         Xn = primal_align_rows(W, p)
         new_vals = row_norms(Xn @ M.T, q)
+        best = np.where((new_vals > vals)[:, None], Xn, best)
         improved = new_vals > vals + 1e-12
+        vals = np.maximum(new_vals, vals)
         if not improved.any():
-            X, vals = Xn, np.maximum(new_vals, vals)
             break
         X = np.where(improved[:, None], Xn, X)
-        vals = np.maximum(new_vals, vals)
     k = int(vals.argmax())
-    return float(vals[k]), X[k]
+    return float(vals[k]), best[k]
 
 
 def dual_align_vec(y: np.ndarray, space) -> np.ndarray:

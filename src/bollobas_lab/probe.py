@@ -20,11 +20,12 @@ Each batch is a row program over its starts, and returns what running the
 starts one after another returns, bit for bit:
 
 * norm: the starts are drawn in order, and their power-ascent paths are
-  stepped as rows (_ascent_paths).  A walk over the starts in order then
-  settles what the start-by-start loop would do: which points it considers,
-  where each start ends, and which anchor each pullback bisects toward; the
-  anchor, the last feasible point, carries across starts (_walk_paths).  All
-  pullbacks are then bisected as one array (_pullback_rows).
+  stepped as rows (_ascent_paths).  Each start walks alone: it ends at a
+  step allclose to its point, after iters steps, or at its first
+  infeasible step, and in the last case it pulls back toward the point
+  before that step when that point is feasible.  Start by start, every
+  feasible point of the path is a candidate, then the pullback.  All
+  pullbacks are bisected as one array (_pullback_rows).
 * nu: each start's random_unit and its block of rounds x 3 trial
   directions are drawn start by start (_search.polish_draws); the starts
   are polished together (_search.polish_rows), and their final pairs are
@@ -42,7 +43,8 @@ The boundary seeds on flat spaces are bisected as one row batch: every
 the 40 bisection steps is one row-form distance call (distance_rows, or
 pair_distance_rows with best_state_functional_rows) over all rows.  The row
 forms round each row as the one-vector oracles do, so the seeds are those
-of one scalar bisection per pair.
+of one scalar bisection per pair.  The boundary seeds and the pullbacks
+share one bisection loop (_bisect_rows).
 
 The seeds are one row program too: all of them are the rows of one array,
 in the order diagonal-profile, caller, boundary seeds (nu: caller, diagonal,
@@ -54,7 +56,6 @@ checks of StatePair.validate, raise GeometryError.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,8 +70,7 @@ from .numerical_radius import (NuResult, NuStatesDescriptor, _modulus,
                                best_state_functional_rows,
                                nu_attaining_states, numerical_radius)
 from .operators import Diagonal, OperatorExpr, Scale, to_matrix
-from .spaces import (INF, PI_TOL, StatePair, SumSpace, lp_norm_rows,
-                     random_unit)
+from .spaces import INF, PI_TOL, StatePair, SumSpace, random_unit
 
 NORM_TOL = 1e-6
 FEAS_TOL = 1e-12
@@ -78,8 +78,14 @@ FEAS_TOL = 1e-12
 
 @dataclass
 class ProbeBudget:
+    """restarts and iters must be at least 1: ValueError otherwise."""
     restarts: int = 256
     iters: int = 2000
+
+    def __post_init__(self):
+        if not (self.restarts >= 1 and self.iters >= 1):
+            raise ValueError(f"probe budget needs restarts >= 1 and iters "
+                             f">= 1, got {self.restarts} and {self.iters}")
 
     def describe(self):
         return {"restarts": self.restarts, "iters": self.iters}
@@ -118,6 +124,11 @@ class ProbeReport:
 
 
 CSV_HEADER = "dim,epsilon,eta_hat,slack,distance,seed"
+
+
+def _check_eps(eps):
+    if not (np.isfinite(eps) and eps > 0):
+        raise GeometryError(f"eps must be finite and > 0, got {eps}")
 
 
 def _resolve_norm(T):
@@ -184,21 +195,33 @@ def _boundary_seeds(space, dist_rows, eps, base_points, rng):
         return []
     bases = np.asarray(base_points, dtype=space.dtype)
     B = np.repeat(bases, len(dirs), axis=0)
-    D = np.tile(dirs, (len(bases), 1))
-    lo, hi = np.zeros(len(B)), np.ones(len(B))
-    seeds = np.zeros_like(B)
-    found = np.zeros(len(B), dtype=bool)
-    for _ in range(40):
-        t = (lo + hi) / 2.0
-        cand = (1 - t)[:, None] * B + t[:, None] * D
-        n = lp_norm_rows(cand, space.p)
-        live = n != 0
-        cand[live] /= n[live, None]
-        feas = live & (dist_rows(cand) >= eps - FEAS_TOL)
-        hi[feas], lo[~feas] = t[feas], t[~feas]
-        seeds[feas] = cand[feas]
-        found |= feas
+    seeds, found = np.zeros_like(B), np.zeros(len(B), dtype=bool)
+    for rows, C, _d in _bisect_rows(B, np.tile(dirs, (len(bases), 1)), 40,
+                                    space, dist_rows, eps):
+        seeds[rows], found[rows] = C, True
     return list(seeds[found])
+
+
+def _bisect_rows(X0, X1, steps, space, dist_rows, eps):
+    """Bisection along the normalized segments from X0[i] (t = 0) toward
+    X1[i] (t = 1), every segment a row with its own bracket: a midpoint at
+    distance >= eps - FEAS_TOL moves the bracket toward X0, any other toward
+    X1.  Yields, for each of `steps` steps, the feasible rows, their
+    normalized points and their distances; a zero midpoint is infeasible."""
+    lo, hi = np.zeros(len(X0)), np.ones(len(X0))
+    for _ in range(steps):
+        t = (lo + hi) / 2.0
+        C = (1 - t)[:, None] * X0 + t[:, None] * X1
+        n = space.norm_rows(C)
+        rows = np.flatnonzero(n != 0)
+        C = C[rows] / n[rows, None]
+        d = dist_rows(C) if rows.size else np.zeros(0)
+        ok = d >= eps - FEAS_TOL
+        rows, C, d = rows[ok], C[ok], d[ok]
+        feas = np.zeros(len(t), dtype=bool)
+        feas[rows] = True
+        hi[feas], lo[~feas] = t[feas], t[~feas]
+        yield rows, C, d
 
 
 def _seed_rows(space, vectors):
@@ -236,9 +259,11 @@ def _row_candidates(vals, dist, eps, witness):
 def eta_probe_norm(T: OperatorExpr, eps: float,
                    budget: Optional[ProbeBudget] = None, seed: int = 0,
                    extra_seeds=()) -> ProbeReport:
-    """extra_seeds: iterable of x vectors, each checked once against the
-    domain: a wrong shape raises DimensionMismatchError, and a NaN or inf
-    entry or a norm off 1 by more than PI_TOL raises GeometryError."""
+    """eps must be finite and > 0, else GeometryError.  extra_seeds:
+    iterable of x vectors, each checked once against the domain: a wrong
+    shape raises DimensionMismatchError, and a NaN or inf entry or a norm
+    off 1 by more than PI_TOL raises GeometryError."""
+    _check_eps(eps)
     budget = budget or ProbeBudget()
     nr, desc = _resolve_norm(T)
     space, cod, M = T.domain, T.codomain, to_matrix(T)
@@ -271,19 +296,24 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
         X0 = np.array([random_unit(space, rng) for _ in range(starts)])
         P, D, counts = _ascent_paths(M, space, cod, X0, iters,
                                      desc.distance_rows, eps)
-        events, pulls, farthest = _walk_paths(D, counts, eps)
-        max_dist_seen = max(max_dist_seen, farthest)
-        points = [ev for ev in events if isinstance(ev, tuple)]
-        rows, steps = np.array(points, dtype=int).reshape(-1, 2).T
-        vals = value_rows(P[rows, steps]) if points else []
-        found = {ev: (float(v), float(D[ev]), P[ev])
-                 for ev, v in zip(points, vals)}
-        if pulls:
-            hi, lo = (np.array(ends, dtype=int).T for ends in zip(*pulls))
-            backs = _pullback_rows(P[hi[0], hi[1]], P[lo[0], lo[1]], eps,
-                                   space, value_rows, desc.distance_rows)
-            found.update(enumerate(backs))
-        return best_of(found[ev] for ev in events)
+        max_dist_seen = max(max_dist_seen,
+                            float(np.fmax.reduce(D.ravel(), initial=0.0)))
+        feas = D >= eps - FEAS_TOL
+        rows, steps = np.nonzero(feas)
+        vals = value_rows(P[rows, steps]) if rows.size else []
+        found = [[] for _ in range(starts)]
+        for r, k, v in zip(rows, steps, vals):
+            found[r].append((float(v), float(D[r, k]), P[r, k]))
+        last = counts - 1
+        pulls = np.flatnonzero((last > 0) & ~feas[range(starts), last]
+                               & feas[range(starts), last - 1])
+        if pulls.size:
+            backs = _pullback_rows(P[pulls, last[pulls]],
+                                   P[pulls, last[pulls] - 1], eps, space,
+                                   value_rows, desc.distance_rows)
+            for r, back in zip(pulls, backs):
+                found[r].append(back)
+        return best_of(c for row in found for c in row)
 
     candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
     return _finalize("norm", eps, candidates, max_dist_seen, seed, budget)
@@ -291,75 +321,32 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
 
 def _ascent_paths(M, space, cod, X0, steps, dist_rows, eps):
     """The points the norm probe's starts visit, all starts as rows: point
-    k + 1 of a row is generic_power_ascent(point k, iters=3), until a step
-    is allclose to its point or `steps` steps are taken.  Returns the points
+    k + 1 of a row is generic_power_ascent(point k, iters=3).  A row ends
+    before a step allclose to its point, after `steps` steps, or at its
+    first infeasible step, which it keeps.  Returns the points
     (R, K + 1, dim), their distances (R, K + 1) and the count of points of
-    each row; entries past a row's count are stale.
-
-    A row stops early once _walk_paths is sure to end its start at the
-    newest point or before: the point is infeasible and a feasible point
-    came before it, in this row or in an earlier one.  A row that meets an
-    infeasible point before any feasible point is known is unsure: a later
-    feasible point of an earlier row may end its start there, so its
-    further steps may lie past the walk's end.  Steps taken while an unsure
-    row is live run with floating-point warnings off, as the start-by-start
-    loop never took them."""
+    each row; past a row's count its points are stale and its distances
+    NaN."""
     R = len(X0)
     X, live = X0, np.arange(R)
-    dist = dist_rows(X0)
-    pts, dists, counts = [X0], [dist], np.ones(R, dtype=int)
-    seen = dist >= eps - FEAS_TOL           # a feasible point so far
-    unsure = np.zeros(R, dtype=bool)
+    pts, dists, counts = [X0], [dist_rows(X0)], np.ones(R, dtype=int)
     for _ in range(steps):
-        with np.errstate(all="ignore") if unsure[live].any() \
-                else nullcontext():
-            Xn = power_ascent_rows(M, space, cod, X[live], iters=3)[1]
-            moved = ~np.isclose(Xn, X[live]).all(axis=1)
-            live, Xn = live[moved], Xn[moved]
-            if not live.size:
-                break
-            dist = np.full(R, np.nan)
-            dist[live] = dist_rows(Xn)
+        Xn = power_ascent_rows(M, space, cod, X[live], iters=3)[1]
+        moved = ~np.isclose(Xn, X[live]).all(axis=1)
+        live, Xn = live[moved], Xn[moved]
+        if not live.size:
+            break
+        dist = np.full(R, np.nan)
+        dist[live] = dist_rows(Xn)
         X = X.astype(np.result_type(X, Xn))
         X[live] = Xn
         pts.append(X)
         dists.append(dist)
         counts[live] += 1
-        feas = dist[live] >= eps - FEAS_TOL
-        own = seen[live]
-        seen[live] |= feas
-        earlier = (np.cumsum(seen) - seen)[live] > 0
-        unsure[live[~feas & ~own & ~earlier]] = True
-        done = (~feas & (own | earlier)) | (unsure[live] & earlier)
-        live = live[~done]
+        live = live[dist[live] >= eps - FEAS_TOL]
         if not live.size:
             break
     return np.stack(pts, axis=1), np.stack(dists, axis=1), counts
-
-
-def _walk_paths(D, counts, eps):
-    """Replay the per-start loop of the norm probe over precomputed paths.
-
-    Each start considers its points in order.  A feasible point is a
-    candidate and becomes the anchor, which carries across starts; the
-    first infeasible point after the start's first one, once an anchor
-    exists, ends the start with a pullback toward the anchor.  Returns the
-    events in order, (row, step) for a candidate and j for the j-th
-    pullback, the pullbacks as ((row, step), anchor (row, step)) and the
-    largest distance considered."""
-    events, pulls, farthest, anchor = [], [], 0.0, None
-    for s, count in enumerate(counts.tolist()):
-        for k in range(count):
-            d = float(D[s, k])
-            farthest = max(farthest, d)
-            if d >= eps - FEAS_TOL:
-                events.append((s, k))
-                anchor = (s, k)
-            elif k and anchor is not None:
-                events.append(len(pulls))
-                pulls.append(((s, k), anchor))
-                break
-    return events, pulls, farthest
 
 
 def _pullback_rows(X_hi, X_lo, eps, space, value_rows, dist_rows):
@@ -368,30 +355,17 @@ def _pullback_rows(X_hi, X_lo, eps, space, value_rows, dist_rows):
     segment a row, in 30 steps: the best feasible (value, distance, point)
     of each row, the earliest on ties, or None."""
     P = len(X_hi)
-    lo, hi = np.zeros(P), np.ones(P)
     found = np.zeros(P, dtype=bool)
     best_v, best_d = np.zeros(P), np.zeros(P)
     best_x = np.zeros(X_hi.shape, dtype=np.result_type(X_hi, X_lo))
-    for _ in range(30):
-        t = (lo + hi) / 2.0
-        C = (1 - t)[:, None] * X_hi + t[:, None] * X_lo
-        n = space.norm_rows(C)
-        feas = n != 0
-        idx = np.nonzero(feas)[0]
-        if idx.size:
-            C = C[idx] / n[idx, None]
-            d = dist_rows(C)
-            ok = d >= eps - FEAS_TOL
-            feas[idx[~ok]] = False
-            if ok.any():
-                rows, C, d = idx[ok], C[ok], d[ok]
-                v = value_rows(C)
-                win = ~found[rows] | (v > best_v[rows])
-                rows = rows[win]
-                best_v[rows], best_d[rows], best_x[rows] = v[win], d[win], \
-                    C[win]
-                found[rows] = True
-        hi[feas], lo[~feas] = t[feas], t[~feas]
+    for rows, C, d in _bisect_rows(X_hi, X_lo, 30, space, dist_rows, eps):
+        if rows.size:
+            v = value_rows(C)
+            win = ~found[rows] | (v > best_v[rows])
+            rows = rows[win]
+            best_v[rows], best_d[rows], best_x[rows] = v[win], d[win], \
+                C[win]
+            found[rows] = True
     return [(float(best_v[i]), float(best_d[i]), best_x[i]) if found[i]
             else None for i in range(P)]
 
@@ -437,9 +411,11 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
                  nu_result: Optional[NuResult] = None,
                  attaining: Optional[NuStatesDescriptor] = None,
                  extra_seeds=()) -> ProbeReport:
-    """extra_seeds: iterable of StatePairs, (x, xstar) pairs or bare x
-    vectors, checked as eta_probe_norm checks its seeds; a given xstar is
-    checked as StatePair.validate checks it, with GeometryError."""
+    """eps as in eta_probe_norm.  extra_seeds: iterable of StatePairs,
+    (x, xstar) pairs or bare x vectors, checked as eta_probe_norm checks its
+    seeds; a given xstar is checked as StatePair.validate checks it, with
+    GeometryError."""
+    _check_eps(eps)
     budget = budget or ProbeBudget()
     nr, desc = _resolve_nu(T, nu_result, attaining)
     space, M = T.domain, to_matrix(T)

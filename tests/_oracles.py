@@ -31,8 +31,10 @@ one-vector oracles above.  A polished start first draws its block, its
 random_unit and then every trial direction of every round
 (polish_block), and the scalar climb reads the block in order; a climb
 that stops early leaves the rest of its block unused, and the next start
-draws after the whole block.  tests/test_restart_rows.py checks the row
-programs against them.
+draws after the whole block.  A norm start ends at its first infeasible
+step, pulling back toward the point before it when that point is feasible;
+no anchor carries from one start to the next.  tests/test_restart_rows.py
+checks the row programs against them.
 """
 
 import mpmath
@@ -985,8 +987,9 @@ def eta_probe_norm(T, eps, budget=None, seed=0, extra_seeds=()):
     iters = max(10, budget.iters // 100)
 
     def batch(rng):
-        best = anchor = None
+        best = None
         for _ in range(min(16, budget.restarts)):
+            anchor = None
             x = random_unit(space, rng)
             c = consider(x)
             if c is not None:
@@ -999,10 +1002,11 @@ def eta_probe_norm(T, eps, budget=None, seed=0, extra_seeds=()):
                 c = consider(x)
                 if c is not None:
                     best, anchor = best_of([best, c]), x
-                elif anchor is not None:
+                    continue
+                if anchor is not None:
                     best = best_of([best, pullback(value_of, desc.distance,
                                                    x, anchor, eps, space)])
-                    break
+                break
         return best
 
     candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))

@@ -139,6 +139,20 @@ def test_probe_identity_sentinel(tmp_path, capsys):
     assert "inf" in out.split("\n")[1]
 
 
+@pytest.mark.parametrize("mode", ["norm", "nu"])
+@pytest.mark.parametrize("flags,exit_code", [
+    (["--restarts", "0"], 2), (["--restarts", "-3"], 2), (["--iters", "0"], 2),
+    (["--eps", "nan"], 3), (["--eps", "inf"], 3), (["--eps", "-1"], 3),
+    (["--eps", "0"], 3),
+], ids=["restarts-0", "restarts-neg", "iters-0", "eps-nan", "eps-inf",
+        "eps-neg", "eps-0"])
+def test_probe_bad_budget_or_eps_exit_code(capsys, mode, flags, exit_code):
+    args = ["probe", "gallery:G-BLOCK?dim=4", "--mode", mode, "--eps", "0.5",
+            "--restarts", "4", "--iters", "100"] + flags
+    code, out = run_cli(args, capsys)
+    assert code == exit_code and out == ""
+
+
 def test_gallery_claims_csv(capsys):
     code, out = run_cli(["gallery", "G-SHIFT", "--dims", "4,6",
                          "--format", "csv"], capsys)

@@ -96,6 +96,22 @@ def test_bad_extra_seeds_raise(probe, seed, error):
               extra_seeds=[seed])
 
 
+@pytest.mark.parametrize("restarts,iters", [(0, 100), (-3, 100), (4, 0),
+                                             (4, -1)])
+def test_probe_budget_below_one_raises(restarts, iters):
+    with pytest.raises(ValueError):
+        ProbeBudget(restarts=restarts, iters=iters)
+
+
+@pytest.mark.parametrize("probe", [eta_probe_norm, eta_probe_nu],
+                         ids=["norm", "nu"])
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0])
+def test_probe_eps_not_finite_and_positive_raises(probe, eps):
+    D = _diag([1.0, 0.7, 0.2], 3.0)
+    with pytest.raises(GeometryError):
+        probe(D, eps, budget=ProbeBudget(restarts=4, iters=100))
+
+
 def test_extra_seeds_within_pi_tol_are_accepted():
     # the tolerance is StatePair.validate's PI_TOL: a seed off the sphere
     # by 5e-10 passes, bare or as the x* of a pair

@@ -3,7 +3,8 @@
 tests/_oracles.py keeps eta_probe_norm and eta_probe_nu as they ran before
 the restart batches became row programs: one start after another, with the
 scalar random_polish, generic_power_ascent and pullback bisection, each
-polished start on its own block of draws.  The row programs must reproduce
+polished start on its own block of draws, and each norm start ending at its
+first infeasible step with a pullback toward its own feasible point.  The row programs must reproduce
 their reports bit for bit, and raise no warning the old loops did not.
 "batches only" runs switch the diagonal and boundary seeds off in both, so
 that the restart batches alone decide the report.  The mixed-seed tests
@@ -27,7 +28,7 @@ from bollobas_lab.numerical_radius import (NuResult, _multistart_nu,
                                            nu_attaining_states,
                                            numerical_radius)
 from bollobas_lab.operators import (Dense, Diagonal, Lift, RankOne, Scale,
-                                    identity, to_matrix)
+                                    adjoint, identity, to_matrix)
 from bollobas_lab.probe import ProbeBudget, eta_probe_norm, eta_probe_nu
 from bollobas_lab.sequences import ConstantTail, SequenceSpec, geometric_tail
 from bollobas_lab.spaces import (INF, Space, StatePair, SumSpace, random_unit,
@@ -252,8 +253,8 @@ def test_nu_probe_rows_at_the_longest_exact_budget():
 
 
 def test_norm_probe_rows_raise_no_warning_past_the_walk():
-    # fast geometric decay: a start the old loop ended early would ascend on
-    # toward images so small that an alignment step overflows
+    # fast geometric decay: a start that stepped on past its end would
+    # ascend toward images so small that an alignment step overflows
     spec = SequenceSpec((complex(-1.0, 1.2246467991473532e-16),),
                         geometric_tail(1.0, 0.3104983345650063))
     T = Diagonal(spec, Space(2.0, 32, "complex"))
@@ -267,6 +268,66 @@ def test_norm_probe_rows_on_a_lift(batches_only):
         for eps in (0.3, 0.7):
             _run_both(eta_probe_norm, oracle.eta_probe_norm, Lift(D, outer),
                       eps, budget=ProbeBudget(20, 300), seed=6)
+
+
+def _hilbert_adjoint(case):
+    """The adjoint of a random real Hilbert operator of norm one, dim 2-4."""
+    rng = np.random.default_rng(case)
+    d = 2 + case % 3
+    M = rng.normal(size=(d, d))
+    H = Space(2.0, d)
+    return adjoint(Dense(M / np.linalg.svd(M)[1][0], H, H))
+
+
+@pytest.mark.parametrize("eps", (0.2, 0.5, 0.8))
+def test_ascent_paths_are_row_independent(eps):
+    # permuting the starts permutes every path, bit for bit: no row's walk
+    # depends on the rows before it
+    for case in range(60):
+        T = _hilbert_adjoint(case)
+        space, cod, M = T.domain, T.codomain, to_matrix(T)
+        dist_rows = norming_set(T).distance_rows
+        rng = np.random.default_rng([case, 1])
+        X0 = np.array([random_unit(space, rng) for _ in range(16)])
+        perm = rng.permutation(16)
+        P, D, n = probe._ascent_paths(M, space, cod, X0, 10, dist_rows, eps)
+        Pp, Dp, n_p = probe._ascent_paths(M, space, cod, X0[perm], 10,
+                                          dist_rows, eps)
+        assert n_p.tolist() == n[perm].tolist(), case
+        for i, r in enumerate(perm):
+            assert _bits(Pp[i, :n[r]]) == _bits(P[r, :n[r]]), case
+            assert _bits(Dp[i, :n[r]]) == _bits(D[r, :n[r]]), case
+
+
+def test_a_start_infeasible_from_its_first_step_makes_no_pullback(
+        monkeypatch):
+    # start 3's random point and its first step are both infeasible, after
+    # feasible points of earlier starts: it ends at that step and pulls
+    # back toward nothing; every pullback bisects toward the point before
+    # its own start's last step
+    eps, seen = 0.8, {"pulls": []}
+    ascent, pullback = probe._ascent_paths, probe._pullback_rows
+
+    def spy_ascent(*args):
+        seen["paths"] = ascent(*args)
+        return seen["paths"]
+
+    def spy_pullback(X_hi, X_lo, *args):
+        seen["pulls"] += list(zip(X_hi, X_lo))
+        return pullback(X_hi, X_lo, *args)
+
+    monkeypatch.setattr(probe, "_ascent_paths", spy_ascent)
+    monkeypatch.setattr(probe, "_pullback_rows", spy_pullback)
+    _run_both(eta_probe_norm, oracle.eta_probe_norm, _hilbert_adjoint(0),
+              eps, budget=ProbeBudget(16, 1000), seed=0)
+    P, D, n = seen["paths"]
+    feas = D >= eps - probe.FEAS_TOL
+    assert feas[:3].any() and n[3] >= 2 and not feas[3, :2].any()
+    ends = {_bits(P[r, n[r] - 1]): r for r in range(16)}
+    assert _bits(P[3, n[3] - 1]) not in {_bits(hi) for hi, _ in seen["pulls"]}
+    for hi, lo in seen["pulls"]:
+        r = ends[_bits(hi)]
+        assert _bits(lo) == _bits(P[r, n[r] - 2]) and feas[r, n[r] - 2]
 
 
 def test_nu_probe_rows_on_lifts(batches_only):

@@ -7,15 +7,15 @@ run_batches; any change to draw order or tie-breaking moves them.
 import numpy as np
 import pytest
 
-from bollobas_lab._search import (best_of, gaussian_directions, polish_rows,
-                                  run_batches)
+from bollobas_lab._search import (best_of, boyd_ascent, gaussian_directions,
+                                  polish_rows, random_unit_rows, run_batches)
 from bollobas_lab.gallery import lifted_rank1_l1, make_corner
 from bollobas_lab.norm_attainment import operator_norm
 from bollobas_lab.numerical_radius import NuResult, numerical_radius
 from bollobas_lab.operators import Dense, Diagonal, Lift
 from bollobas_lab.probe import ProbeBudget, eta_probe_norm, eta_probe_nu
 from bollobas_lab.sequences import SequenceSpec
-from bollobas_lab.spaces import Space, SumSpace
+from bollobas_lab.spaces import Space, SumSpace, lp_norm
 
 BUD = ProbeBudget(restarts=32, iters=300)
 
@@ -71,6 +71,20 @@ def test_one_row_polish_climbs_and_keeps_aux():
 
 def _matrix():
     return np.random.default_rng(20261017).normal(size=(4, 4))
+
+
+@pytest.mark.parametrize("p,q", [(1.5, 3.0), (3.0, 1.5), (4.0, 2.5),
+                                 (1.25, 1.75)])
+def test_boyd_witness_attains_its_value(p, q):
+    # the value is ||M x||_q / ||x||_p of the returned x: a gain of at most
+    # 1e-12 moves the value and the witness together
+    rng = np.random.default_rng([int(4 * p), int(4 * q)])
+    for i in range(25):
+        d = int(rng.integers(3, 33))
+        M = rng.normal(size=(d, d))
+        X0 = random_unit_rows(rng, 16, d, p, False)
+        v, x = boyd_ascent(M, p, q, X0, iters=40)
+        assert abs(v - lp_norm(M @ x, q) / lp_norm(x, p)) <= 2e-15 * v, i
 
 
 def test_pinned_multistart_norm():
