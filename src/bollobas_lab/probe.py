@@ -12,9 +12,10 @@ only budget-relative; the report never claims a lower bound beyond that.
 
 Both probes seed from diagonal profiles, caller-supplied points and the
 feasibility boundary, then spend the budget in restart batches of 16 random
-starts.  The batches run one after another through _search.run_batches:
-batch b draws from the b-th SeedSequence(seed) child and the best feasible
-point wins, the earliest on ties, so a fixed seed fixes every output.
+starts, ceil(restarts / 16) of them, the last one with the remainder.  The
+batches run one after another through _search.run_batches: batch b draws
+from the b-th SeedSequence(seed) child and the best feasible point wins, the
+earliest on ties, so a fixed seed fixes every output.
 
 Each batch is a row program over its starts, and returns what running the
 starts one after another returns, bit for bit:
@@ -25,7 +26,7 @@ starts one after another returns, bit for bit:
   infeasible step, and in the last case it pulls back toward the point
   before that step when that point is feasible.  Start by start, every
   feasible point of the path is a candidate, then the pullback.  All
-  pullbacks are bisected as one array (_pullback_rows).
+  pullbacks are searched as one array (_pullback_rows).
 * nu: each start's random_unit and its block of rounds x 3 trial
   directions are drawn start by start (_search.polish_draws); the starts
   are polished together (_search.polish_rows), and their final pairs are
@@ -38,13 +39,20 @@ below iters = 2200 (at most 21 rounds) no start stops early, and the blocks
 are also the stream of polishes that draw each round's directions when
 they reach it, one start after another.
 
-The boundary seeds on flat spaces are bisected as one row batch: every
-(base point, coordinate direction) pair is a row of one array, and each of
-the 40 bisection steps is one row-form distance call (distance_rows, or
-pair_distance_rows with best_state_functional_rows) over all rows.  The row
-forms round each row as the one-vector oracles do, so the seeds are those
-of one scalar bisection per pair.  The boundary seeds and the pullbacks
-share one bisection loop (_bisect_rows).
+The boundary seeds on flat spaces are found as one row batch: every
+(base point, coordinate direction) pair is a row of one array, and each
+step of the search is one row-form distance call (distance_rows, or
+pair_distance_rows with best_state_functional_rows) over the rows still
+searching.  The boundary seeds and the pullbacks share one root-finder,
+_itp_rows: ITP (interpolate, truncate, project; Oliveira and Takahashi,
+ACM TOMS 47(1), 2020) on g(t) = dist(C(t)) - (eps - FEAS_TOL) along each
+row's normalized segment C(t).  A step takes the secant root of the row's
+bracket, nudged toward the midpoint and kept near it, so no row takes more
+than one step beyond the bisection to the same resolution (2^-40 for the
+seeds, 2^-30 for the pullbacks), and rows with a smooth distance converge
+superlinearly; a row also stops once a step lands feasible within FEAS_TOL
+of the threshold.  The row forms round each row as the one-vector oracles
+do, so the seeds are those of one scalar search per pair.
 
 The seeds are one row program too: all of them are the rows of one array,
 in the order diagonal-profile, caller, boundary seeds (nu: caller, diagonal,
@@ -178,50 +186,83 @@ def _diag_norm_seeds(T, eps):
 
 def _boundary_seeds(space, dist_rows, eps, base_points, rng):
     """Walk from attaining-set base points toward coordinate directions and
-    bisect onto the feasibility boundary dist = eps; these seeds sit exactly
-    where the constrained maximum lives.
+    search along each segment for the feasibility boundary dist = eps; these
+    seeds sit exactly where the constrained maximum lives.
 
-    Every (base, direction) pair is one row of a single array, bisected in
-    40 vector steps with its own bracket; dist_rows maps (R, dim) points to
-    (R,) distances.  Seeds come base-major, then by direction; above 48
-    dimensions, 48 directions drawn from rng stand for all of them."""
+    Every (base, direction) pair is one row of a single array, searched by
+    _itp_rows to a bracket of 2^-40 (at most 41 steps); the seed of a row is
+    the last feasible point the search reached.  dist_rows maps (R, dim)
+    points to (R,) distances.  Only infeasible bases and feasible directions
+    make rows; their distances are the ends of every bracket.  Seeds come
+    base-major, then by direction; above 48 dimensions, 48 directions drawn
+    from rng stand for all of them."""
     d = space.dim
     idx = list(range(d)) if d <= 48 else \
         sorted(rng.choice(d, size=48, replace=False).tolist())
     E = np.eye(d, dtype=space.dtype)[idx]
     dirs = E if space.is_complex else np.stack([E, -E], axis=1).reshape(-1, d)
-    dirs = dirs[dist_rows(dirs) >= eps - FEAS_TOL]
+    d1 = dist_rows(dirs)
+    keep = d1 >= eps - FEAS_TOL
+    dirs, d1 = dirs[keep], d1[keep]
     if not len(base_points) or not len(dirs):
         return []
     bases = np.asarray(base_points, dtype=space.dtype)
+    d0 = dist_rows(bases)
+    keep = d0 < eps - FEAS_TOL
+    bases, d0 = bases[keep], d0[keep]
     B = np.repeat(bases, len(dirs), axis=0)
     seeds, found = np.zeros_like(B), np.zeros(len(B), dtype=bool)
-    for rows, C, _d in _bisect_rows(B, np.tile(dirs, (len(bases), 1)), 40,
-                                    space, dist_rows, eps):
+    for rows, C, _d in _itp_rows(B, np.tile(dirs, (len(bases), 1)),
+                                 np.repeat(d0, len(dirs)),
+                                 np.tile(d1, len(bases)), 40, space,
+                                 dist_rows, eps):
         seeds[rows], found[rows] = C, True
     return list(seeds[found])
 
 
-def _bisect_rows(X0, X1, steps, space, dist_rows, eps):
-    """Bisection along the normalized segments from X0[i] (t = 0) toward
-    X1[i] (t = 1), every segment a row with its own bracket: a midpoint at
-    distance >= eps - FEAS_TOL moves the bracket toward X0, any other toward
-    X1.  Yields, for each of `steps` steps, the feasible rows, their
-    normalized points and their distances; a zero midpoint is infeasible."""
+def _itp_rows(X0, X1, D0, D1, bits, space, dist_rows, eps):
+    """ITP root-finding of g(t) = dist(C(t)) - (eps - FEAS_TOL) along the
+    normalized segments C(t) from X0[i] (t = 0) toward X1[i] (t = 1), every
+    segment a row with its own bracket [lo, hi], g(lo) < 0 <= g(hi); D0 and
+    D1 are the distances of the ends, g(0) < 0 <= g(1).
+
+    A step at step index j takes the secant root x_f of the bracket, moves it
+    by 0.2 (hi - lo)^2 toward the midpoint (not past it), and projects it
+    into 2^-j - (hi - lo)/2 of the midpoint (Oliveira and Takahashi, ACM
+    TOMS 47(1), 2020, with kappa1 = 0.2, kappa2 = 2, n0 = 1).  A point of
+    norm zero counts as at distance 0, so infeasible.  A row stops when
+    hi - lo <= 2^-bits, or when a step lands feasible within FEAS_TOL of the
+    threshold; no row takes more than bits + 1 steps.  Yields, for each
+    step, the feasible rows, their normalized points and their distances."""
+    thr = eps - FEAS_TOL
     lo, hi = np.zeros(len(X0)), np.ones(len(X0))
-    for _ in range(steps):
-        t = (lo + hi) / 2.0
-        C = (1 - t)[:, None] * X0 + t[:, None] * X1
+    g_lo, g_hi = D0 - thr, D1 - thr
+    live = np.arange(len(X0))
+    for j in range(bits + 1):
+        live = live[hi[live] - lo[live] > 2.0 ** -bits]
+        if not live.size:
+            return
+        a, b, ga, gb = lo[live], hi[live], g_lo[live], g_hi[live]
+        half = (a + b) / 2
+        x_f = (a * gb - b * ga) / (gb - ga)
+        sigma = np.sign(half - x_f)
+        delta = 0.2 * (b - a) * (b - a)
+        x_t = np.where(delta <= np.abs(half - x_f), x_f + sigma * delta, half)
+        r = 2.0 ** -j - (b - a) / 2
+        t = np.where(np.abs(x_t - half) <= r, x_t, half - sigma * r)
+        C = (1 - t)[:, None] * X0[live] + t[:, None] * X1[live]
         n = space.norm_rows(C)
-        rows = np.flatnonzero(n != 0)
-        C = C[rows] / n[rows, None]
-        d = dist_rows(C) if rows.size else np.zeros(0)
-        ok = d >= eps - FEAS_TOL
-        rows, C, d = rows[ok], C[ok], d[ok]
-        feas = np.zeros(len(t), dtype=bool)
-        feas[rows] = True
-        hi[feas], lo[~feas] = t[feas], t[~feas]
-        yield rows, C, d
+        nz = np.flatnonzero(n != 0)
+        C = C[nz] / n[nz, None]
+        d = dist_rows(C) if nz.size else np.zeros(0)
+        g = np.full(len(live), -thr)
+        g[nz] = d - thr
+        feas = g >= 0
+        ok = feas[nz]
+        hi[live[feas]], g_hi[live[feas]] = t[feas], g[feas]
+        lo[live[~feas]], g_lo[live[~feas]] = t[~feas], g[~feas]
+        yield live[nz[ok]], C[ok], d[ok]
+        live = live[~feas | (g > FEAS_TOL)]
 
 
 def _seed_rows(space, vectors):
@@ -286,13 +327,15 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
         X.__getitem__) if seeds else ([], 0.0)
 
     iters = max(10, budget.iters // 100)
-    starts = min(16, budget.restarts)
+    sizes = _batch_sizes(budget.restarts)
+    left = iter(sizes)             # run_batches calls batch in batch order
 
     def value_rows(X):
         return cod.norm_rows(matvec_rows(M, X))
 
     def batch(rng):
         nonlocal max_dist_seen
+        starts = next(left)
         X0 = np.array([random_unit(space, rng) for _ in range(starts)])
         P, D, counts = _ascent_paths(M, space, cod, X0, iters,
                                      desc.distance_rows, eps)
@@ -309,13 +352,15 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
                                & feas[range(starts), last - 1])
         if pulls.size:
             backs = _pullback_rows(P[pulls, last[pulls]],
-                                   P[pulls, last[pulls] - 1], eps, space,
+                                   P[pulls, last[pulls] - 1],
+                                   D[pulls, last[pulls]],
+                                   D[pulls, last[pulls] - 1], eps, space,
                                    value_rows, desc.distance_rows)
             for r, back in zip(pulls, backs):
                 found[r].append(back)
         return best_of(c for row in found for c in row)
 
-    candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
+    candidates.append(run_batches(seed, len(sizes), batch))
     return _finalize("norm", eps, candidates, max_dist_seen, seed, budget)
 
 
@@ -349,16 +394,19 @@ def _ascent_paths(M, space, cod, X0, steps, dist_rows, eps):
     return np.stack(pts, axis=1), np.stack(dists, axis=1), counts
 
 
-def _pullback_rows(X_hi, X_lo, eps, space, value_rows, dist_rows):
-    """Binary search along the normalized segment from each infeasible
-    high-value point X_hi[i] toward its feasible anchor X_lo[i], every
-    segment a row, in 30 steps: the best feasible (value, distance, point)
-    of each row, the earliest on ties, or None."""
+def _pullback_rows(X_hi, X_lo, D_hi, D_lo, eps, space, value_rows,
+                   dist_rows):
+    """Search along the normalized segment from each infeasible high-value
+    point X_hi[i] toward its feasible anchor X_lo[i], D_hi and D_lo their
+    distances, every segment a row of one _itp_rows search to a bracket of
+    2^-30 (at most 31 steps): the best feasible (value, distance, point)
+    the search reached on each row, the earliest on ties, or None."""
     P = len(X_hi)
     found = np.zeros(P, dtype=bool)
     best_v, best_d = np.zeros(P), np.zeros(P)
     best_x = np.zeros(X_hi.shape, dtype=np.result_type(X_hi, X_lo))
-    for rows, C, d in _bisect_rows(X_hi, X_lo, 30, space, dist_rows, eps):
+    for rows, C, d in _itp_rows(X_hi, X_lo, D_hi, D_lo, 30, space,
+                                dist_rows, eps):
         if rows.size:
             v = value_rows(C)
             win = ~found[rows] | (v > best_v[rows])
@@ -368,6 +416,12 @@ def _pullback_rows(X_hi, X_lo, eps, space, value_rows, dist_rows):
             found[rows] = True
     return [(float(best_v[i]), float(best_d[i]), best_x[i]) if found[i]
             else None for i in range(P)]
+
+
+def _batch_sizes(restarts):
+    """The starts of each restart batch: ceil(restarts / 16) batches of 16,
+    the last one with the remainder."""
+    return [min(16, restarts - b) for b in range(0, restarts, 16)]
 
 
 def _finalize(mode, eps, candidates, max_dist_seen, seed, budget):
@@ -454,7 +508,8 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
             lambda i: StatePair(X[i], XS[i], space))
 
     iters = max(10, budget.iters // 100)
-    starts = min(16, budget.restarts)
+    sizes = _batch_sizes(budget.restarts)
+    left = iter(sizes)             # run_batches calls batch in batch order
 
     def state_rows(X):
         Y = matvec_rows(M, X)
@@ -463,7 +518,7 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
 
     def batch(rng):
         nonlocal max_dist_seen
-        X0, D = polish_draws(rng, space, starts, iters, 3)
+        X0, D = polish_draws(rng, space, next(left), iters, 3)
         vals, X, XS = polish_rows(X0, state_rows, space,
                                   lambda r, rows: D[rows, r], iters, tries=3,
                                   step=0.4, min_step=1e-7)
@@ -473,7 +528,7 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
         max_dist_seen = max(max_dist_seen, farthest)
         return best_of(found)
 
-    candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
+    candidates.append(run_batches(seed, len(sizes), batch))
     return _finalize("nu", eps, candidates, max_dist_seen, seed, budget)
 
 

@@ -16,8 +16,11 @@ each written out by hand and combining its parts by one lp_norm of their
 profile, as the library does), the flat best_state_functional, the support
 face of a sum (sum_face), the norm of a sum and its alignment maps
 (sum_norm, dual_align_vec, primal_align_vec, recursive over the blocks),
-and the scalar boundary-seed bisection.  tests/test_rows.py checks the
-row forms against them, to 1e-12 on flat spaces and bit for bit on sums.
+and the scalar boundary-seed search: itp_root, one ITP root-finding step
+at a time, under boundary_seeds and pullback, beside the 40- and 30-step
+bisections they replaced (boundary_seeds_bisection, pullback_bisection).
+tests/test_rows.py checks the row forms against them, to 1e-12 on flat
+spaces and bit for bit on sums.
 face_sup is the support-face value as it was computed before
 best_state_functional became its one engine, from explicit reachable sets;
 a massless block under outer 1 adds the disk of radius ||y_b||.
@@ -25,7 +28,7 @@ a massless block under outer 1 adds the disk of radius ||y_b||.
 The last part keeps the probes' restart batches and the sum-space norm and
 numerical-radius multistarts as they ran before the batched restart engine:
 one start after another, with the scalar random_polish,
-generic_power_ascent and pullback bisection, and on sums with the norms,
+generic_power_ascent and ITP pullback, and on sums with the norms,
 alignment maps, support face and attaining-pair distances of the
 one-vector oracles above.  A polished start first draws its block, its
 random_unit and then every trial direction of every round
@@ -33,8 +36,9 @@ random_unit and then every trial direction of every round
 that stops early leaves the rest of its block unused, and the next start
 draws after the whole block.  A norm start ends at its first infeasible
 step, pulling back toward the point before it when that point is feasible;
-no anchor carries from one start to the next.  tests/test_restart_rows.py
-checks the row programs against them.
+no anchor carries from one start to the next.  A budget of restarts runs
+batch_sizes(restarts): batches of 16, the last one with the remainder.
+tests/test_restart_rows.py checks the row programs against them.
 """
 
 import mpmath
@@ -314,7 +318,7 @@ def largest_feasible_halvings(ok):
 
 
 # ---------------------------------------------------------------------------
-# scalar distance oracles, best state functional, boundary bisection
+# scalar distance oracles, best state functional, boundary search
 # ---------------------------------------------------------------------------
 
 def support_distance(x, J, space):
@@ -740,11 +744,46 @@ def primal_align_vec(w, space):
     return primal_align_rows(w[None, :], space.p)[0]
 
 
-def boundary_seeds(space, dist_of, eps, base_points, rng, max_dirs=48,
-                   feas_tol=1e-12):
-    """The probe's boundary seeds by one scalar bisection per (base,
-    direction) pair, each point checked with dist_of(x) -> float."""
-    seeds = []
+def itp_root(x0, x1, d0, d1, eps, bits, space, dist_of):
+    """probe._itp_rows on one segment, one scalar step at a time: ITP on
+    g(t) = dist_of(C(t)) - (eps - FEAS_TOL) along the normalized segment
+    C(t) from x0 (t = 0, distance d0, g < 0) toward x1 (t = 1, distance d1,
+    g >= 0), with kappa1 = 0.2, kappa2 = 2, n0 = 1, stopping at a bracket of
+    2^-bits or at a feasible step within FEAS_TOL of the threshold.  Yields
+    (point, distance) for each feasible step; a zero point counts as at
+    distance 0."""
+    thr = eps - FEAS_TOL
+    lo, hi, g_lo, g_hi = 0.0, 1.0, d0 - thr, d1 - thr
+    for j in range(bits + 1):
+        if hi - lo <= 2.0 ** -bits:
+            return
+        half = (lo + hi) / 2
+        x_f = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        sigma = np.sign(half - x_f)
+        delta = 0.2 * (hi - lo) * (hi - lo)
+        x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
+        r = 2.0 ** -j - (hi - lo) / 2
+        t = x_t if abs(x_t - half) <= r else half - sigma * r
+        cand = (1 - t) * x0 + t * x1
+        n = space_norm(cand, space)
+        g = -thr
+        if n != 0:
+            cand = cand / n
+            d = dist_of(cand)
+            g = d - thr
+        if g < 0:
+            lo, g_lo = t, g
+            continue
+        yield cand, d
+        hi, g_hi = t, g
+        if g <= FEAS_TOL:
+            return
+
+
+def _directions(space, rng, max_dirs):
+    """The probe's boundary-seed directions: +-e_k (e_k on complex spaces)
+    for every coordinate k, or for max_dirs drawn from rng above max_dirs
+    dimensions."""
     dirs = []
     d = space.dim
     idx = list(range(d)) if d <= max_dirs else \
@@ -755,6 +794,42 @@ def boundary_seeds(space, dist_of, eps, base_points, rng, max_dirs=48,
         dirs.append(e)
         if not space.is_complex:
             dirs.append(-e)
+    return dirs
+
+
+def boundary_seeds(space, dist_of, eps, base_points, rng, max_dirs=48):
+    """The probe's boundary seeds by one scalar ITP search (itp_root) per
+    (infeasible base, feasible direction) pair, to a bracket of 2^-40: the
+    last feasible point of each search that reached one, each point checked
+    with dist_of(x) -> float."""
+    seeds = []
+    dirs = _directions(space, rng, max_dirs)
+    thr = eps - FEAS_TOL
+    for base in base_points:
+        base = np.asarray(base, dtype=space.dtype)
+        d0 = dist_of(base)
+        if d0 >= thr:
+            continue
+        for dvec in dirs:
+            d1 = dist_of(dvec)
+            if d1 < thr:
+                continue
+            last = None
+            for last, _d in itp_root(base, dvec, d0, d1, eps, 40, space,
+                                     dist_of):
+                pass
+            if last is not None:
+                seeds.append(last)
+    return seeds
+
+
+def boundary_seeds_bisection(space, dist_of, eps, base_points, rng,
+                             max_dirs=48, feas_tol=1e-12):
+    """The probe's boundary seeds as they were found before the ITP search:
+    one scalar 40-step bisection per (base, direction) pair, each point
+    checked with dist_of(x) -> float."""
+    seeds = []
+    dirs = _directions(space, rng, max_dirs)
     for base in base_points:
         base = np.asarray(base, dtype=space.dtype)
         for dvec in dirs:
@@ -927,10 +1002,23 @@ def sum_space_norm(M, dom, cod, restarts, iters, seed):
     return run_batches(seed, max(1, restarts // 8), batch)
 
 
-def pullback(value_of, dist_of, x_hi, x_lo, eps, space):
-    """Binary search along the normalized segment between a feasible anchor
-    x_lo and an infeasible point x_hi: the best feasible (value, distance,
-    point) found, or None."""
+def pullback(value_of, dist_of, x_hi, x_lo, d_hi, d_lo, eps, space):
+    """One scalar ITP search (itp_root) along the normalized segment from an
+    infeasible point x_hi toward a feasible anchor x_lo, d_hi and d_lo their
+    distances, to a bracket of 2^-30: the best feasible (value, distance,
+    point) it reached, the earliest on ties, or None."""
+    best = None
+    for cand, d in itp_root(x_hi, x_lo, d_hi, d_lo, eps, 30, space,
+                            dist_of):
+        best = best_of([best, (value_of(cand), d, cand)])
+    return best
+
+
+def pullback_bisection(value_of, dist_of, x_hi, x_lo, eps, space):
+    """The pullback as it ran before the ITP search: a 30-step binary
+    search along the normalized segment between a feasible anchor x_lo and
+    an infeasible point x_hi: the best feasible (value, distance, point)
+    found, or None."""
     best = None
     lo, hi = 0.0, 1.0
     for _ in range(30):
@@ -948,6 +1036,16 @@ def pullback(value_of, dist_of, x_hi, x_lo, eps, space):
         else:
             lo = t
     return best
+
+
+def batch_sizes(restarts):
+    """The starts of each probe restart batch, written out: full batches of
+    16 while at least 16 remain, then one batch of what is left."""
+    sizes = []
+    while restarts > 0:
+        sizes.append(min(16, restarts))
+        restarts -= 16
+    return sizes
 
 
 def eta_probe_norm(T, eps, budget=None, seed=0, extra_seeds=()):
@@ -986,14 +1084,16 @@ def eta_probe_norm(T, eps, budget=None, seed=0, extra_seeds=()):
 
     iters = max(10, budget.iters // 100)
 
+    sizes = batch_sizes(budget.restarts)
+
     def batch(rng):
         best = None
-        for _ in range(min(16, budget.restarts)):
+        for _ in range(sizes.pop(0)):
             anchor = None
             x = random_unit(space, rng)
             c = consider(x)
             if c is not None:
-                best, anchor = best_of([best, c]), x
+                best, anchor = best_of([best, c]), c
             for _ in range(iters):
                 _v, xn = generic_power_ascent(M, space, cod, x, iters=3)
                 if np.allclose(xn, x):
@@ -1001,15 +1101,16 @@ def eta_probe_norm(T, eps, budget=None, seed=0, extra_seeds=()):
                 x = xn
                 c = consider(x)
                 if c is not None:
-                    best, anchor = best_of([best, c]), x
+                    best, anchor = best_of([best, c]), c
                     continue
                 if anchor is not None:
-                    best = best_of([best, pullback(value_of, desc.distance,
-                                                   x, anchor, eps, space)])
+                    best = best_of([best, pullback(
+                        value_of, desc.distance, x, anchor[2],
+                        desc.distance(x), anchor[1], eps, space)])
                 break
         return best
 
-    candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
+    candidates.append(run_batches(seed, len(sizes), batch))
     return probe._finalize("norm", eps, candidates, max_dist_seen, seed,
                            budget)
 
@@ -1073,10 +1174,11 @@ def eta_probe_nu(T, eps, budget=None, seed=0, nu_result=None, attaining=None,
                                   min_step=1e-7)
         return consider_pair(x, xs)
 
-    def batch(rng):
-        return best_of(polished_start(rng)
-                       for _ in range(min(16, budget.restarts)))
+    sizes = batch_sizes(budget.restarts)
 
-    candidates.append(run_batches(seed, max(1, budget.restarts // 16), batch))
+    def batch(rng):
+        return best_of(polished_start(rng) for _ in range(sizes.pop(0)))
+
+    candidates.append(run_batches(seed, len(sizes), batch))
     return probe._finalize("nu", eps, candidates, max_dist_seen, seed,
                            budget)

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -273,3 +275,110 @@ def test_norm_probe_floor_respected_small_sweep():
         if ns.distance(x) >= 0.2:
             worst = max(worst, Space(2, 4).norm(D(x)))
     assert 1 - worst >= floor - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the ITP root-finder of the boundary seeds and pullbacks
+# ---------------------------------------------------------------------------
+
+def _segment_search(dist_of_t, t_star, d0, d1, eps, bits=40):
+    """_itp_rows on the one l1 segment from e1 toward e2, whose normalized
+    point at t is (1 - t, t): the number of steps, the (t, distance) of every
+    point measured, and what each step yielded.  Warnings are errors."""
+    space = Space(1.0, 2)
+    seen = []
+
+    def dist_rows(C):
+        t = C[:, 1] / (C[:, 0] + C[:, 1])
+        d = dist_of_t(t, t_star)
+        seen.extend(zip(t.tolist(), d.tolist()))
+        return d
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        steps = list(probe_module._itp_rows(
+            np.eye(2)[:1], np.eye(2)[1:], np.array([d0]), np.array([d1]),
+            bits, space, dist_rows, eps))
+    return len(steps), seen, steps
+
+
+@pytest.mark.parametrize("t_star", [1e-6, 0.3, 1 / 3, 0.5, 0.9,
+                                    1 - 1e-6])
+def test_itp_brackets_a_jump_within_bits_plus_one_steps(t_star):
+    # the distance jumps from 0 to eps + 0.5 at t_star: no secant helps, and
+    # the projection still closes the bracket as bisection would
+    eps = 0.4
+    n, seen, steps = _segment_search(
+        lambda t, s: np.where(t >= s, eps + 0.5, 0.0), t_star, 0.0,
+        eps + 0.5, eps)
+    assert n <= 41
+    for rows, C, d in steps:
+        assert (d >= eps - probe_module.FEAS_TOL).all()
+    lo = max(t for t, d in seen if d < eps)
+    hi = min(t for t, d in seen if d >= eps)
+    assert lo < t_star <= hi and hi - lo <= 2.0 ** -40 + 1e-15
+
+
+@pytest.mark.parametrize("t_star", [0.5, 0.9])
+def test_itp_stops_at_a_step_exactly_on_the_threshold(t_star):
+    # every point from t_star on is at exactly eps - FEAS_TOL, so g = 0
+    # there, the feasible end included: the first step that lands there
+    # ends the search
+    eps = 0.4
+    thr = eps - probe_module.FEAS_TOL
+    n, seen, steps = _segment_search(
+        lambda t, s: np.where(t >= s, thr, 0.0), t_star, 0.0, thr, eps)
+    assert [d for _t, d in seen].count(thr) == 1 and seen[-1][1] == thr
+    assert n == len(seen)
+    assert [d.tolist() for _r, _C, d in steps if len(d)] == [[thr]]
+
+
+def test_itp_counts_a_zero_point_as_infeasible():
+    # the real segment from e1 toward -e1 passes through 0 at t = 1/2, where
+    # the first step lands (eps = 1 puts the secant root near it); every
+    # point after it is -e1, at distance 2 from the norming set {e1}
+    space = Space(2.0, 2)
+    e1 = np.array([1.0, 0.0])
+    desc = NormingSetDescriptor("explicit_list", space=space, points=(e1,),
+                                phase_orbit=False)
+    norms = []
+
+    def norm_rows(C):
+        norms.append(space.norm_rows(C))
+        return norms[-1]
+
+    spy = SimpleNamespace(dim=2, dtype=space.dtype, is_complex=False,
+                          norm_rows=norm_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = probe_module._boundary_seeds(spy, desc.distance_rows, 1.0,
+                                             [e1], np.random.default_rng(0))
+    assert norms[0][0] == 0.0
+    assert len(seeds) == 3 and seeds[0].tolist() == [-1.0, 0.0]
+    assert (desc.distance_rows(np.array(seeds)) >= 1.0 - 1e-12).all()
+
+
+@pytest.mark.parametrize("restarts", [1, 15, 16, 17, 31, 32, 37])
+def test_probes_run_every_requested_start(restarts, monkeypatch):
+    # ceil(restarts / 16) batches, the last one with the remainder; the
+    # norm probe's starts pass through _ascent_paths, the nu probe's through
+    # polish_rows
+    starts = []
+
+    def counted(name, at):
+        body = getattr(probe_module, name)
+
+        def wrapper(*args, **kwargs):
+            starts.append(len(args[at]))
+            return body(*args, **kwargs)
+        monkeypatch.setattr(probe_module, name, wrapper)
+
+    counted("_ascent_paths", 3)         # (M, space, cod, X0, ...)
+    counted("polish_rows", 0)           # (X0, ...)
+    D = _diag([1.0, 0.6, 0.3], 2.0)
+    budget = ProbeBudget(restarts=restarts, iters=300)
+    full, rest = divmod(restarts, 16)
+    for probe in (eta_probe_norm, eta_probe_nu):
+        starts.clear()
+        probe(D, 0.3, budget=budget, seed=2)
+        assert starts == [16] * full + [rest] * (rest > 0)

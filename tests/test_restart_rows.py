@@ -2,7 +2,7 @@
 
 tests/_oracles.py keeps eta_probe_norm and eta_probe_nu as they ran before
 the restart batches became row programs: one start after another, with the
-scalar random_polish, generic_power_ascent and pullback bisection, each
+scalar random_polish, generic_power_ascent and ITP pullback search, each
 polished start on its own block of draws, and each norm start ending at its
 first infeasible step with a pullback toward its own feasible point.  The row programs must reproduce
 their reports bit for bit, and raise no warning the old loops did not.
@@ -303,7 +303,7 @@ def test_a_start_infeasible_from_its_first_step_makes_no_pullback(
         monkeypatch):
     # start 3's random point and its first step are both infeasible, after
     # feasible points of earlier starts: it ends at that step and pulls
-    # back toward nothing; every pullback bisects toward the point before
+    # back toward nothing; every pullback searches toward the point before
     # its own start's last step
     eps, seen = 0.8, {"pulls": []}
     ascent, pullback = probe._ascent_paths, probe._pullback_rows

@@ -2,8 +2,10 @@
 
 Every distance_rows, pair_distance_rows and best_state_functional_rows must
 agree with the scalar bodies kept in tests/_oracles.py, and the batched
-boundary-seed bisection must return the seeds of the scalar bisection, in
-the same order.  On sums the support face, the alignment maps, the norm and
+boundary-seed search must return the seeds of the scalar ITP search, in the
+same order.  Those seeds are feasible by the scalar distances, and the
+probes find no worse eta_hat with them than with the 40-step bisection they
+replaced.  On sums the support face, the alignment maps, the norm and
 the attaining-set descriptors must agree with them bit for bit.
 """
 
@@ -28,7 +30,10 @@ from bollobas_lab.numerical_radius import (DiagonalNuStates, EmptyNuStates,
                                            face_sup, face_sup_rows,
                                            nu_attaining_states)
 from bollobas_lab.operators import Dense, Diagonal, Scale, to_matrix
-from bollobas_lab.probe import _boundary_seeds, _state_dist_rows
+from bollobas_lab import probe
+from bollobas_lab.probe import (FEAS_TOL, ProbeBudget, _boundary_seeds,
+                                _state_dist_rows, eta_probe_norm,
+                                eta_probe_nu)
 from bollobas_lab.sequences import ConstantTail, SequenceSpec
 from bollobas_lab.spaces import INF, Space, StatePair, SumSpace, duality_map
 from bollobas_lab.sums import LiftNuStates
@@ -207,14 +212,17 @@ def _diagonal(p, cx, dim, rng):
     return Diagonal(spec, _space(p, cx, dim))
 
 
-@pytest.mark.parametrize("dim", [6, 60])
-@pytest.mark.parametrize("p,cx", [(1.0, False), (1.5, True), (2.0, False),
-                                  (3.0, False), (INF, True)])
-def test_boundary_seeds_match_scalar_bisection(p, cx, dim):
-    rng = np.random.default_rng(dim)
+DIAGONAL_GRID = pytest.mark.parametrize("p,cx,dim", [
+    (p, cx, dim) for dim in (6, 60)
+    for p, cx in ((1.0, False), (1.5, True), (2.0, False), (3.0, False),
+                  (INF, True))])
+
+
+def _boundary_probes(p, cx, dim, rng):
+    """A norm-one diagonal of the grid, and for its norm and nu probes the
+    row distance, the scalar oracle distance and two base points."""
     T = _diagonal(p, cx, dim, rng)
     space, M = T.domain, to_matrix(T)
-    eps = 0.3
     norm_desc = norming_set(T)
     nu_desc = nu_attaining_states(T)
 
@@ -222,11 +230,19 @@ def test_boundary_seeds_match_scalar_bisection(p, cx, dim):
         _v, xs = oracle.best_state_functional(M @ x, x, space)
         return max(oracle.nu_pair_distance(nu_desc, x, xs))
 
-    probes = [(norm_desc.distance_rows,
-               lambda x: oracle.norming_distance(norm_desc, x),
-               norm_desc.sample(rng, 2)),
-              (_state_dist_rows(nu_desc, M, space), nu_dist,
-               [sp.x for sp in nu_desc.sample(rng, 2)])]
+    return T, [(norm_desc.distance_rows,
+                lambda x: oracle.norming_distance(norm_desc, x),
+                norm_desc.sample(rng, 2)),
+               (_state_dist_rows(nu_desc, M, space), nu_dist,
+                [sp.x for sp in nu_desc.sample(rng, 2)])]
+
+
+@DIAGONAL_GRID
+def test_boundary_seeds_match_scalar_bisection(p, cx, dim):
+    # the scalar reference is oracle.boundary_seeds, one ITP search per
+    # (base, direction) pair; the name predates the ITP search
+    T, probes = _boundary_probes(p, cx, dim, np.random.default_rng(dim))
+    space, eps = T.domain, 0.3
     for dist_rows, dist_of, bases in probes:
         got = _boundary_seeds(space, dist_rows, eps, bases,
                               np.random.default_rng(7))
@@ -235,6 +251,42 @@ def test_boundary_seeds_match_scalar_bisection(p, cx, dim):
         assert want and len(got) == len(want)
         for g, w in zip(got, want):
             _close(g, w)
+
+
+def _bisection_seeds(space, dist_rows, eps, base_points, rng):
+    return oracle.boundary_seeds_bisection(
+        space, lambda x: float(dist_rows(x[None, :])[0]), eps, base_points,
+        rng)
+
+
+def _bisection_pullbacks(X_hi, X_lo, D_hi, D_lo, eps, space, value_rows,
+                         dist_rows):
+    return [oracle.pullback_bisection(
+        lambda x: float(value_rows(x[None, :])[0]),
+        lambda x: float(dist_rows(x[None, :])[0]), hi, lo, eps, space)
+        for hi, lo in zip(X_hi, X_lo)]
+
+
+@DIAGONAL_GRID
+def test_itp_seeds_are_feasible_and_no_worse_than_bisection(p, cx, dim,
+                                                          monkeypatch):
+    T, probes = _boundary_probes(p, cx, dim, np.random.default_rng(dim))
+    space = T.domain
+    budget = ProbeBudget(16, 300)
+    for eps in (0.15, 0.5):
+        for dist_rows, dist_of, bases in probes:
+            seeds = _boundary_seeds(space, dist_rows, eps, bases,
+                                    np.random.default_rng(7))
+            assert all(dist_of(x) >= eps - FEAS_TOL for x in seeds)
+        itp = [probe_fn(T, eps, budget=budget, seed=dim)
+               for probe_fn in (eta_probe_norm, eta_probe_nu)]
+        with monkeypatch.context() as m:
+            m.setattr(probe, "_boundary_seeds", _bisection_seeds)
+            m.setattr(probe, "_pullback_rows", _bisection_pullbacks)
+            bisected = [probe_fn(T, eps, budget=budget, seed=dim)
+                        for probe_fn in (eta_probe_norm, eta_probe_nu)]
+        for new, old in zip(itp, bisected):
+            assert new.eta_hat <= old.eta_hat + 1e-9, (eps, new.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,12 @@ def test_pinned_multistart_nu():
 
 def test_pinned_probe_norm():
     # a lifted diagonal has no profile or boundary seeds, so the restart
-    # batches alone find the witness
+    # batches alone find the witness.  The value of the start-by-start
+    # oracle tests/_oracles.py::eta_probe_norm, whose pullbacks are ITP
+    # searches; the 30-step bisection gave 0.0024449050205079814
     D = Diagonal(SequenceSpec((1.0, 0.9, 0.6, 0.3)), Space(3.0, 4))
     rep = eta_probe_norm(Lift(D, 2.0), 0.3, budget=BUD, seed=6)
-    assert repr(rep.eta_hat) == "0.0024449050205079814"
+    assert repr(rep.eta_hat) == "0.002444905019957644"
 
 
 def test_pinned_probe_nu():
