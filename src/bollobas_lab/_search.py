@@ -1,14 +1,19 @@
 """Deterministic multistart machinery shared by norms, radii, and probes.
 
-Restart batches run one after another.  Batch b draws from the b-th child of
-SeedSequence(seed), and results are merged by a first-wins max, so outcomes
-depend only on (seed, batch index).  All work runs in one thread;
+A budget of restarts runs every start: batch_sizes splits it into full
+batches and one batch of the remainder.  Batch b draws from the b-th child
+of SeedSequence(seed), and results are merged by a first-wins max, so
+outcomes depend only on (seed, batch index).  All work runs in one thread;
 BOLLOBAS_LAB_THREADS is accepted and ignored.
 
 Inside a batch the starts can run as the rows of one array, as the block
 power method of Higham and Tisseur (SIAM J. Matrix Anal. Appl. 21(4), 2000)
-iterates its starting vectors and as boyd_ascent does for flat dense norms:
+iterates its starting vectors:
 
+* boyd_ascent steps flat dense norm ascents for one batch (S, dim) or for a
+  stack of batches (B, S, dim) at once.  Its products are stacked GEMMs, one
+  (S, dim) GEMM per batch, and not one flat GEMM over the B * S rows, whose
+  rounding can depend on its height; so each batch rounds as its own call.
 * power_ascent_rows steps R starts of the generic norm ascent at once, each
   row with its own stop mask; generic_power_ascent is its one-row call.
 * polish_rows runs R random-direction climbs at once, each row with its own
@@ -16,9 +21,9 @@ iterates its starting vectors and as boyd_ascent does for flat dense norms:
   Its callers draw them in one layout, polish_draws: a fixed block of
   directions per start, drawn before any climb runs.
 
-Products are stacks of matrix-vector products (matvec_rows, vecmat_rows),
-never one flat GEMM, and reductions run over C-ordered rows, so every row
-rounds as its one-row call does.  The alignment maps have row forms on flat
+The generic ascents' products are stacks of matrix-vector products
+(matvec_rows, vecmat_rows), never one flat GEMM, and reductions run over
+C-ordered rows, so every row rounds as its one-row call does.  The alignment maps have row forms on flat
 spaces and on sums alike (dual_align_in, primal_align_in), of which
 dual_align_vec and primal_align_vec are the one-row calls.
 """
@@ -48,11 +53,24 @@ def first_best(values: np.ndarray) -> int:
     return 0 if np.isnan(values[0]) else int(np.nanargmax(values))
 
 
+def batch_rngs(seed: int, n_batches: int) -> list:
+    """The generators of the first n_batches SeedSequence(seed) children."""
+    return [np.random.Generator(np.random.PCG64(s))
+            for s in np.random.SeedSequence(seed).spawn(n_batches)]
+
+
 def run_batches(seed: int, n_batches: int, batch):
     """best_of(batch(rng_b) for b < n_batches), rng_b the generator of the
     b-th SeedSequence(seed) child."""
-    return best_of(batch(np.random.Generator(np.random.PCG64(s)))
-                   for s in np.random.SeedSequence(seed).spawn(n_batches))
+    return best_of(batch(rng) for rng in batch_rngs(seed, n_batches))
+
+
+def batch_sizes(restarts: int, size: int) -> list:
+    """The starts of each restart batch: ceil(restarts / size) batches of
+    size, the last one with the remainder.  restarts below 1: ValueError."""
+    if restarts < 1:
+        raise ValueError(f"a multistart needs restarts >= 1, got {restarts}")
+    return [min(size, restarts - b) for b in range(0, restarts, size)]
 
 
 def gaussian_directions(rng, count: int, space) -> np.ndarray:
@@ -202,32 +220,51 @@ def primal_align_rows(W: np.ndarray, p: float) -> np.ndarray:
 
 def boyd_ascent(M: np.ndarray, p: float, q: float, X0: np.ndarray,
                 iters: int = 300):
-    """Nonlinear power iteration for ||M||_{lp -> lq}, batched over rows of X0.
+    """Nonlinear power iteration for ||M||_{lp -> lq} on every row of X0:
+    one batch of starts (S, dim), or a stack of B batches (B, S, dim).
 
     Returns (best_value, best_x).  Monotone per restart: a row moves only
-    on a gain above 1e-12, and the ascent stops when no row gains; each row
-    keeps the point of its best value, smaller gains included, so best_x
-    attains best_value.  The merge takes the best row, ties broken by the
-    lowest row index.
+    on a gain above 1e-12, and the ascent stops when no row of any batch
+    gains; each row keeps the point of its best value, smaller gains
+    included, so best_x attains best_value.  The merge takes each batch's
+    best row, ties broken by the lowest row index, then the best batch, ties
+    broken by the lowest batch index.
+
+    Each product is a stack of one (S, dim) GEMM per batch, never one flat
+    GEMM over all B * S rows: BLAS may round a row differently in a GEMM of
+    another height, and the stack rounds every batch as its own call does.
+    A batch whose rows have all stopped gaining keeps its points, so the
+    steps it takes while other batches still gain recompute the same
+    values and move neither its best value nor its best point: the result
+    is best_of over the batches run one call each.
     """
+    dim = X0.shape[-1]
     X = normalize_rows(X0.astype(complex if np.iscomplexobj(M) or
-                                 np.iscomplexobj(X0) else float), p)
-    vals = row_norms(X @ M.T, q)
+                                 np.iscomplexobj(X0) else float)
+                       .reshape(-1, dim), p).reshape((-1,) + X0.shape[-2:])
+    B, S = X.shape[:2]
+
+    def rows(Z):
+        return Z.reshape(B * S, -1)
+
+    def norms(Z):
+        return row_norms(rows(Z @ M.T), q).reshape(B, S)
+
+    vals = norms(X)
     best = X
     for _ in range(iters):
-        Y = X @ M.T
-        U = dual_align_rows(Y, q)
-        W = U @ M
-        Xn = primal_align_rows(W, p)
-        new_vals = row_norms(Xn @ M.T, q)
-        best = np.where((new_vals > vals)[:, None], Xn, best)
+        U = dual_align_rows(rows(X @ M.T), q)
+        W = U.reshape(B, S, -1) @ M
+        Xn = primal_align_rows(rows(W), p).reshape(B, S, dim)
+        new_vals = norms(Xn)
+        best = np.where((new_vals > vals)[..., None], Xn, best)
         improved = new_vals > vals + 1e-12
         vals = np.maximum(new_vals, vals)
         if not improved.any():
             break
-        X = np.where(improved[:, None], Xn, X)
-    k = int(vals.argmax())
-    return float(vals[k]), best[k]
+        X = np.where(improved[..., None], Xn, X)
+    return best_of((float(v[k]), x[k])
+                   for v, x, k in zip(vals, best, vals.argmax(axis=1)))
 
 
 def dual_align_vec(y: np.ndarray, space) -> np.ndarray:

@@ -18,9 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (boyd_ascent, first_best, golden_max,
-                      phase_orbit_min_rows, phase_times, power_ascent_rows,
-                      primal_align_rows, random_unit_rows, run_batches)
+from ._search import (batch_rngs, batch_sizes, best_of, boyd_ascent,
+                      first_best, golden_max, phase_orbit_min_rows,
+                      phase_times, power_ascent_rows, primal_align_rows,
+                      random_unit_rows, run_batches)
 from .errors import GeometryError, HeuristicRefusalError
 from .operators import (Adjoint, Delift, Dense, Diagonal, DirectSum, Lift,
                         OperatorExpr, RankOne, Scale, to_matrix)
@@ -140,13 +141,19 @@ def _dense_norm(M, dom, cod, restarts, iters, seed) -> NormResult:
 
 def _sign_chunks(M, dom, cod):
     """Every sign vector of {-1, 1}^dim, in binary order and in chunks of at
-    most 2^14 rows, with the codomain norms of its images: (signs, vals)."""
+    most 2^14 rows, with the codomain norms of its images: (signs, vals).
+
+    Within a chunk the low min(dim, 14) bits run through a table built once,
+    and the high bits, the chunk's index, are constant columns.  So every
+    chunk is the same buffer with its high columns rewritten: a caller that
+    keeps a row past the next chunk must copy it."""
     d = dom.dim
-    chunk = 1 << min(d, 14)
-    total = 1 << d
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        signs = (((idx[:, None] >> np.arange(d)) & 1) * 2.0 - 1.0)
+    low = min(d, 14)
+    signs = np.empty((1 << low, d))
+    signs[:, :low] = ((np.arange(1 << low)[:, None] >> np.arange(low)) & 1) \
+        * 2.0 - 1.0
+    for c in range(1 << (d - low)):
+        signs[:, low:] = ((c >> np.arange(d - low)) & 1) * 2.0 - 1.0
         yield signs, lp_norm_rows(signs @ M.T, cod.p)
 
 
@@ -155,20 +162,33 @@ def _sign_enumerate(M, dom, cod):
     for signs, vals in _sign_chunks(M, dom, cod):
         k = int(vals.argmax())
         if vals[k] > best_val:
-            best_val, best_sign = float(vals[k]), signs[k]
+            best_val, best_sign = float(vals[k]), signs[k].copy()
     return best_val, best_sign
 
 
 def _phase_enumerate(M, dom, cod):
-    # global phase freedom pins the first coordinate to 1
+    """A PHASE_GRID-point phase grid per coordinate, the first pinned to 1 by
+    the global phase freedom, then a coordinate-wise golden polish.
+
+    The grid runs in row-major order over (theta_1, ..., theta_{d-1}), in
+    chunks of one table over the last min(d - 1, 2) phases, at most 4096
+    rows, built once; a chunk rewrites only the leading phase columns.  The
+    first best row in grid order wins."""
     d = dom.dim
-    thetas = np.linspace(0.0, 2 * np.pi, PHASE_GRID, endpoint=False)
-    grids = np.meshgrid(*([thetas] * (d - 1)), indexing="ij")
-    X = np.ones((grids[0].size if d > 1 else 1, d), dtype=complex)
-    for j, g in enumerate(grids):
-        X[:, j + 1] = np.exp(1j * g.ravel())
-    vals = lp_norm_rows(X @ M.T, cod.p)
-    x = X[int(vals.argmax())].copy()
+    phases = np.exp(1j * np.linspace(0.0, 2 * np.pi, PHASE_GRID,
+                                     endpoint=False))
+    lead = max(d - 3, 0)
+    tail = np.meshgrid(*([phases] * (d - 1 - lead)), indexing="ij")
+    X = np.ones((tail[0].size if d > 1 else 1, d), dtype=complex)
+    for j, g in enumerate(tail):
+        X[:, 1 + lead + j] = g.ravel()
+    best_val, x = -1.0, None
+    for head in np.ndindex(*([PHASE_GRID] * lead)):
+        X[:, 1:1 + lead] = phases[list(head)]
+        vals = lp_norm_rows(X @ M.T, cod.p)
+        k = int(vals.argmax())
+        if x is None or vals[k] > best_val:
+            best_val, x = vals[k], X[k].copy()
 
     def polish(x):
         for _ in range(60):
@@ -192,22 +212,33 @@ def _phase_enumerate(M, dom, cod):
 
 
 def _multistart_norm(M, dom, cod, restarts, iters, seed):
-    def batch(rng):
-        X0 = random_unit_rows(rng, 16, dom.dim, dom.p, dom.is_complex)
-        return boyd_ascent(M, dom.p, cod.p, X0, iters=iters)
-
-    val, x = run_batches(seed, max(1, restarts // 16), batch)
+    """Boyd ascent from restarts random starts, in batches of 16 and one of
+    the remainder, batch b drawn from the b-th SeedSequence(seed) child.
+    The full batches ascend as one (B, 16, dim) stack and the remainder
+    batch as a second call after them, so the first best row over the
+    batches in batch order wins, as if each batch ran alone."""
+    sizes = batch_sizes(restarts, 16)
+    X0 = [random_unit_rows(rng, n, dom.dim, dom.p, dom.is_complex)
+          for rng, n in zip(batch_rngs(seed, len(sizes)), sizes)]
+    full = len(sizes) if sizes[-1] == 16 else len(sizes) - 1
+    stacks = ([np.stack(X0[:full])] if full else []) + \
+        [X[None] for X in X0[full:]]
+    val, x = best_of(boyd_ascent(M, dom.p, cod.p, X, iters=iters)
+                     for X in stacks)
     return float(val), x
 
 
 def _sum_space_norm(M, dom, cod, restarts, iters, seed):
+    sizes = batch_sizes(restarts, 8)
+    left = iter(sizes)             # run_batches calls batch in batch order
+
     def batch(rng):
-        X0 = np.array([random_unit(dom, rng) for _ in range(8)])
+        X0 = np.array([random_unit(dom, rng) for _ in range(next(left))])
         vals, X = power_ascent_rows(M, dom, cod, X0, iters)
         k = first_best(vals)
         return float(vals[k]), X[k]
 
-    val, x = run_batches(seed, max(1, restarts // 8), batch)
+    val, x = run_batches(seed, len(sizes), batch)
     return NormResult(float(val), "heuristic", x, "sum-space-multistart")
 
 
@@ -576,7 +607,7 @@ def functional_norming_set(f: np.ndarray, dom: Space,
 
 
 def _enumerated_norming_points(M, dom, cod, value, tol):
-    return tuple(signs[k] for signs, vals in _sign_chunks(M, dom, cod)
+    return tuple(signs[k].copy() for signs, vals in _sign_chunks(M, dom, cod)
                  for k in np.nonzero(vals >= value * (1 - tol))[0])
 
 

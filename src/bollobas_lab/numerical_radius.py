@@ -30,9 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (complex_parts, dual_align_rows, first_best, golden_max,
-                      matvec_rows, phase_orbit_min_rows, phase_times,
-                      polish_draws, polish_rows, run_batches)
+from ._search import (batch_sizes, complex_parts, dual_align_rows,
+                      first_best, golden_max, matvec_rows,
+                      phase_orbit_min_rows, phase_times, polish_draws,
+                      polish_rows, run_batches)
 from .errors import (DimensionMismatchError, GeometryError,
                      HeuristicRefusalError)
 from .norm_attainment import (block_product_rows, operator_norm,
@@ -135,8 +136,10 @@ def _complex_hilbert_nu(M: np.ndarray, space) -> NuResult:
     def top(theta: float) -> float:
         return float(np.linalg.eigvalsh(np.cos(theta) * H + np.sin(theta) * K)[-1])
 
+    # the grid's rotations as one (THETA_GRID, d, d) stack: one eigvalsh
     thetas = np.linspace(0.0, 2 * np.pi, THETA_GRID, endpoint=False)
-    vals = np.array([top(t) for t in thetas])
+    vals = np.linalg.eigvalsh(np.cos(thetas)[:, None, None] * H +
+                              np.sin(thetas)[:, None, None] * K)[:, -1]
     k = int(vals.argmax())
     width = 2 * np.pi / THETA_GRID
     t_star, v_star = golden_max(top, thetas[k] - width, thetas[k] + width,
@@ -459,21 +462,25 @@ def _masked_row_sums(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _multistart_nu(M, space, restarts, iters, seed) -> NuResult:
-    """Batches of 8 random polishes of face_sup, run as the rows of one
-    polish_rows call on their polish_draws blocks (8 x iters x 4 x dim
-    scalars), as the nu probe runs its batches; the first best row wins."""
+    """restarts random polishes of face_sup, in batches of 8 and one of the
+    remainder, each batch run as the rows of one polish_rows call on its
+    polish_draws blocks (8 x iters x 4 x dim scalars), as the nu probe runs
+    its batches; the first best row wins."""
     def value_rows(X):
         return face_sup_rows(matvec_rows(M, X), X, space), None
 
+    sizes = batch_sizes(restarts, 8)
+    left = iter(sizes)             # run_batches calls batch in batch order
+
     def batch(rng):
-        X0, D = polish_draws(rng, space, 8, iters, 4)
+        X0, D = polish_draws(rng, space, next(left), iters, 4)
         vals, X, _ = polish_rows(X0, value_rows, space,
                                  lambda r, rows: D[rows, r], iters, tries=4,
                                  step=0.5, min_step=1e-9)
         k = first_best(vals)
         return float(vals[k]), X[k]
 
-    val, x = run_batches(seed, max(1, restarts // 8), batch)
+    val, x = run_batches(seed, len(sizes), batch)
     _, xs = best_state_functional(M @ x, x, space)
     return NuResult(float(val), "heuristic", StatePair(x, xs, space),
                     "state-multistart")

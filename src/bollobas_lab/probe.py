@@ -69,8 +69,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (best_of, matvec_rows, polish_draws, polish_rows,
-                      power_ascent_rows, run_batches)
+from ._search import (batch_sizes, best_of, matvec_rows, polish_draws,
+                      polish_rows, power_ascent_rows, run_batches)
 from .errors import GeometryError, HeuristicRefusalError, NotNormalizedError
 from .membership import _group_cap, _norm_profile_mass
 from .norm_attainment import norming_set, operator_norm
@@ -327,7 +327,7 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
         X.__getitem__) if seeds else ([], 0.0)
 
     iters = max(10, budget.iters // 100)
-    sizes = _batch_sizes(budget.restarts)
+    sizes = batch_sizes(budget.restarts, 16)
     left = iter(sizes)             # run_batches calls batch in batch order
 
     def value_rows(X):
@@ -418,12 +418,6 @@ def _pullback_rows(X_hi, X_lo, D_hi, D_lo, eps, space, value_rows,
             else None for i in range(P)]
 
 
-def _batch_sizes(restarts):
-    """The starts of each restart batch: ceil(restarts / 16) batches of 16,
-    the last one with the remainder."""
-    return [min(16, restarts - b) for b in range(0, restarts, 16)]
-
-
 def _finalize(mode, eps, candidates, max_dist_seen, seed, budget):
     best = best_of(candidates)
     if best is None:
@@ -508,7 +502,7 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
             lambda i: StatePair(X[i], XS[i], space))
 
     iters = max(10, budget.iters // 100)
-    sizes = _batch_sizes(budget.restarts)
+    sizes = batch_sizes(budget.restarts, 16)
     left = iter(sizes)             # run_batches calls batch in batch order
 
     def state_rows(X):

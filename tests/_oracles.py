@@ -37,26 +37,38 @@ that stops early leaves the rest of its block unused, and the next start
 draws after the whole block.  A norm start ends at its first infeasible
 step, pulling back toward the point before it when that point is feasible;
 no anchor carries from one start to the next.  A budget of restarts runs
-batch_sizes(restarts): batches of 16, the last one with the remainder.
+batch_sizes(restarts): batches of 16, the last one with the remainder
+(batches of 8 in the sum-space norm and nu multistarts).
 tests/test_restart_rows.py checks the row programs against them.
+
+The end keeps the dense routes as they ran before they were stacked: the
+Boyd multistart with one boyd_ascent call per batch (boyd_ascent_flat, the
+old flat-product body), the complex sup-norm phase grid as one meshgrid of
+every phase, the sign chunks with their bits shifted out of the row
+indices, and the complex Hilbert rotation grid with one eigvalsh per
+rotation.  tests/test_dense_routes.py checks the library against them bit
+for bit.
 """
 
 import mpmath
 import numpy as np
 
 from bollobas_lab._search import (best_of, dual_align_rows, golden_max,
-                                  primal_align_rows, run_batches)
+                                  normalize_rows, primal_align_rows,
+                                  random_unit_rows, run_batches)
 from bollobas_lab.errors import GeometryError
-from bollobas_lab.norm_attainment import UnionNormingSet
+from bollobas_lab.norm_attainment import PHASE_GRID, UnionNormingSet
 from bollobas_lab.norm_attainment import \
     subspace_sphere_distance as library_subspace_sphere_distance
 from bollobas_lab import probe
-from bollobas_lab.numerical_radius import (DiagonalNuStates, EmptyNuStates,
+from bollobas_lab.numerical_radius import (NU_TOL, THETA_GRID,
+                                           DiagonalNuStates, EmptyNuStates,
                                            ExplicitNuStates, HilbertNuStates)
 from bollobas_lab.operators import to_matrix
 from bollobas_lab.probe import FEAS_TOL, ProbeBudget
 from bollobas_lab.spaces import (INF, StatePair, SumSpace, duality_map,
-                                 lp_norm, pair, random_unit, unit_phase)
+                                 lp_norm, lp_norm_rows, pair, random_unit,
+                                 unit_phase)
 from bollobas_lab.gallery import CornerNuStates, LiftedRank1NuStates
 from bollobas_lab.sums import LiftNuStates
 
@@ -986,20 +998,25 @@ def multistart_nu(M, space, restarts, iters, seed):
         x, D = polish_block(rng, space, iters, 4)
         return random_polish(x, value_of, D, space, step=0.5, min_step=1e-9)
 
-    def batch(rng):
-        return best_of(polished_start(rng) for _ in range(8))
+    sizes = batch_sizes(restarts, 8)
 
-    return run_batches(seed, max(1, restarts // 8), batch)
+    def batch(rng):
+        return best_of(polished_start(rng) for _ in range(sizes.pop(0)))
+
+    return run_batches(seed, len(sizes), batch)
 
 
 def sum_space_norm(M, dom, cod, restarts, iters, seed):
-    """norm_attainment._sum_space_norm with its 8 starts run one after
-    another: (value, x)."""
+    """norm_attainment._sum_space_norm with the starts of each batch of 8
+    (and of the remainder) run one after another: (value, x)."""
+    sizes = batch_sizes(restarts, 8)
+
     def batch(rng):
         return best_of(generic_power_ascent(M, dom, cod, random_unit(dom, rng),
-                                            iters=iters) for _ in range(8))
+                                            iters=iters)
+                       for _ in range(sizes.pop(0)))
 
-    return run_batches(seed, max(1, restarts // 8), batch)
+    return run_batches(seed, len(sizes), batch)
 
 
 def pullback(value_of, dist_of, x_hi, x_lo, d_hi, d_lo, eps, space):
@@ -1038,13 +1055,13 @@ def pullback_bisection(value_of, dist_of, x_hi, x_lo, eps, space):
     return best
 
 
-def batch_sizes(restarts):
-    """The starts of each probe restart batch, written out: full batches of
-    16 while at least 16 remain, then one batch of what is left."""
+def batch_sizes(restarts, size=16):
+    """The starts of each restart batch, written out: full batches of size
+    while at least size remain, then one batch of what is left."""
     sizes = []
     while restarts > 0:
-        sizes.append(min(16, restarts))
-        restarts -= 16
+        sizes.append(min(size, restarts))
+        restarts -= size
     return sizes
 
 
@@ -1182,3 +1199,114 @@ def eta_probe_nu(T, eps, budget=None, seed=0, nu_result=None, attaining=None,
     candidates.append(run_batches(seed, len(sizes), batch))
     return probe._finalize("nu", eps, candidates, max_dist_seen, seed,
                            budget)
+
+
+# ---------------------------------------------------------------------------
+# the dense norm and radius routes as they ran before they were stacked
+# ---------------------------------------------------------------------------
+
+def boyd_ascent_flat(M, p, q, X0, iters=300):
+    """_search.boyd_ascent on one batch X0 (S, dim), as it ran before it
+    took stacks of batches: flat products over the S rows."""
+    X = normalize_rows(X0.astype(complex if np.iscomplexobj(M) or
+                                 np.iscomplexobj(X0) else float), p)
+    vals = lp_norm_rows(X @ M.T, q)
+    best = X
+    for _ in range(iters):
+        U = dual_align_rows(X @ M.T, q)
+        Xn = primal_align_rows(U @ M, p)
+        new_vals = lp_norm_rows(Xn @ M.T, q)
+        best = np.where((new_vals > vals)[:, None], Xn, best)
+        improved = new_vals > vals + 1e-12
+        vals = np.maximum(new_vals, vals)
+        if not improved.any():
+            break
+        X = np.where(improved[:, None], Xn, X)
+    k = int(vals.argmax())
+    return float(vals[k]), best[k]
+
+
+def multistart_norm(M, dom, cod, restarts, iters, seed):
+    """norm_attainment._multistart_norm with one boyd_ascent_flat call per
+    batch of 16 (and of the remainder), merged by run_batches: (value, x)."""
+    sizes = batch_sizes(restarts)
+
+    def batch(rng):
+        X0 = random_unit_rows(rng, sizes.pop(0), dom.dim, dom.p,
+                              dom.is_complex)
+        return boyd_ascent_flat(M, dom.p, cod.p, X0, iters=iters)
+
+    return run_batches(seed, len(sizes), batch)
+
+
+def phase_enumerate(M, dom, cod):
+    """norm_attainment._phase_enumerate with the whole phase grid as one
+    meshgrid of PHASE_GRID^(d-1) rows and one product, then the same
+    coordinate-wise golden polish: (value, x)."""
+    d = dom.dim
+    thetas = np.linspace(0.0, 2 * np.pi, PHASE_GRID, endpoint=False)
+    grids = np.meshgrid(*([thetas] * (d - 1)), indexing="ij")
+    X = np.ones((grids[0].size if d > 1 else 1, d), dtype=complex)
+    for j, g in enumerate(grids):
+        X[:, j + 1] = np.exp(1j * g.ravel())
+    vals = lp_norm_rows(X @ M.T, cod.p)
+    x = X[int(vals.argmax())].copy()
+    for _ in range(60):
+        changed = False
+        for j in range(1, d):
+            def f(t):
+                xt = x.copy()
+                xt[j] = np.exp(1j * t)
+                return lp_norm(M @ xt, cod.p)
+            t0 = float(np.angle(x[j]))
+            tbest, fbest = golden_max(f, t0 - 0.2, t0 + 0.2, tol=1e-12)
+            if fbest > lp_norm(M @ x, cod.p) + 1e-15:
+                x[j] = np.exp(1j * tbest)
+                changed = True
+        if not changed:
+            break
+    return lp_norm(M @ x, cod.p), x
+
+
+def sign_chunks(M, dom, cod):
+    """norm_attainment._sign_chunks with every chunk's sign bits shifted out
+    of its row indices, a fresh array per chunk: (signs, vals)."""
+    d = dom.dim
+    chunk = 1 << min(d, 14)
+    total = 1 << d
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        signs = (((idx[:, None] >> np.arange(d)) & 1) * 2.0 - 1.0)
+        yield signs, lp_norm_rows(signs @ M.T, cod.p)
+
+
+def sign_enumerate(M, dom, cod):
+    """norm_attainment._sign_enumerate over sign_chunks: (value, x)."""
+    best_val, best_sign = -1.0, None
+    for signs, vals in sign_chunks(M, dom, cod):
+        k = int(vals.argmax())
+        if vals[k] > best_val:
+            best_val, best_sign = float(vals[k]), signs[k]
+    return best_val, best_sign
+
+
+def complex_hilbert_nu(M):
+    """numerical_radius._complex_hilbert_nu with one eigvalsh call per grid
+    rotation: (value, x) of its witness pair (x, conj x)."""
+    H = (M + np.conj(M.T)) / 2.0
+    K = 1j * (M - np.conj(M.T)) / 2.0
+
+    def top(theta):
+        return float(np.linalg.eigvalsh(np.cos(theta) * H +
+                                        np.sin(theta) * K)[-1])
+
+    thetas = np.linspace(0.0, 2 * np.pi, THETA_GRID, endpoint=False)
+    vals = np.array([top(t) for t in thetas])
+    k = int(vals.argmax())
+    width = 2 * np.pi / THETA_GRID
+    t_star, v_star = golden_max(top, thetas[k] - width, thetas[k] + width,
+                                tol=NU_TOL * 1e-2)
+    if vals[k] > v_star:
+        t_star, v_star = thetas[k], vals[k]
+    _w, vecs = np.linalg.eigh(np.cos(t_star) * H + np.sin(t_star) * K)
+    return float(v_star), vecs[:, -1]
