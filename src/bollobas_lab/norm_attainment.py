@@ -146,15 +146,18 @@ def _sign_chunks(M, dom, cod):
     Within a chunk the low min(dim, 14) bits run through a table built once,
     and the high bits, the chunk's index, are constant columns.  So every
     chunk is the same buffer with its high columns rewritten: a caller that
-    keeps a row past the next chunk must copy it."""
+    keeps a row past the next chunk must copy it.  The images, too, go to
+    one buffer: a fresh multi-megabyte array per chunk costs its page
+    faults again every time."""
     d = dom.dim
     low = min(d, 14)
     signs = np.empty((1 << low, d))
     signs[:, :low] = ((np.arange(1 << low)[:, None] >> np.arange(low)) & 1) \
         * 2.0 - 1.0
+    images = np.empty((1 << low, len(M)), dtype=np.result_type(M, float))
     for c in range(1 << (d - low)):
         signs[:, low:] = ((c >> np.arange(d - low)) & 1) * 2.0 - 1.0
-        yield signs, lp_norm_rows(signs @ M.T, cod.p)
+        yield signs, lp_norm_rows(np.matmul(signs, M.T, out=images), cod.p)
 
 
 def _sign_enumerate(M, dom, cod):
@@ -220,9 +223,9 @@ def _multistart_norm(M, dom, cod, restarts, iters, seed):
     sizes = batch_sizes(restarts, 16)
     X0 = [random_unit_rows(rng, n, dom.dim, dom.p, dom.is_complex)
           for rng, n in zip(batch_rngs(seed, len(sizes)), sizes)]
-    full = len(sizes) if sizes[-1] == 16 else len(sizes) - 1
-    stacks = ([np.stack(X0[:full])] if full else []) + \
-        [X[None] for X in X0[full:]]
+    full = restarts // 16
+    stacks = [np.stack(X0[:full])] if full else []
+    stacks += [X[None] for X in X0[full:]]
     val, x = best_of(boyd_ascent(M, dom.p, cod.p, X, iters=iters)
                      for X in stacks)
     return float(val), x
