@@ -23,9 +23,10 @@ iterates its starting vectors:
 
 The generic ascents' products are stacks of matrix-vector products
 (matvec_rows, vecmat_rows), never one flat GEMM, and reductions run over
-C-ordered rows, so every row rounds as its one-row call does.  The alignment maps have row forms on flat
-spaces and on sums alike (dual_align_in, primal_align_in), of which
-dual_align_vec and primal_align_vec are the one-row calls.
+C-ordered rows, so every row rounds as its one-row call does.  The
+alignment maps have row forms on flat spaces and on sums alike
+(dual_align_in, primal_align_in), of which dual_align_vec and
+primal_align_vec are the one-row calls.
 """
 
 from __future__ import annotations

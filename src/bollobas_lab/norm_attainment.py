@@ -190,7 +190,7 @@ def _phase_enumerate(M, dom, cod):
         X[:, 1:1 + lead] = phases[list(head)]
         vals = lp_norm_rows(X @ M.T, cod.p)
         k = int(vals.argmax())
-        if x is None or vals[k] > best_val:
+        if vals[k] > best_val:
             best_val, x = vals[k], X[k].copy()
 
     def polish(x):
@@ -610,7 +610,8 @@ def functional_norming_set(f: np.ndarray, dom: Space,
 
 
 def _enumerated_norming_points(M, dom, cod, value, tol):
-    return tuple(signs[k].copy() for signs, vals in _sign_chunks(M, dom, cod)
+    return tuple(signs[k].copy()
+                 for signs, vals in _sign_chunks(M, dom, cod)
                  for k in np.nonzero(vals >= value * (1 - tol))[0])
 
 
