@@ -18,8 +18,19 @@ iterates its starting vectors:
   row with its own stop mask; generic_power_ascent is its one-row call.
 * polish_rows runs R random-direction climbs at once, each row with its own
   step and gain mask, along trial directions from a caller-supplied source.
-  Its callers draw them in one layout, polish_draws: a fixed block of
-  directions per start, drawn before any climb runs.
+  Its callers stack every batch of a search as the rows of one call, and
+  draw in one layout, polish_source: a fixed block of rounds x tries
+  directions per start, the starts drawn one after another in batch order,
+  each from its batch's generator.  The blocks are kept in chunks of K
+  rounds, so the buffer holds at most DRAW_SCALARS scalars whatever the
+  budget; the generator state saved at the start of each later chunk
+  redraws that chunk when a climb reaches it.  A state restores every bit
+  of the stream, so the chunks are the numbers one draw of the whole block
+  gives, and the layout is the same stream at every K.
+
+Stacked batches give best_of over the batches run one call each: each
+batch's rows are a slice of the stack, its winner is the first best of its
+slice (best_row), and the slices are merged in batch order.
 
 The generic ascents' products are stacks of matrix-vector products
 (matvec_rows, vecmat_rows), never one flat GEMM, and reductions run over
@@ -37,6 +48,9 @@ from .spaces import INF, SumSpace, block_rows, random_unit, unit_phase
 # the lp-norm kernel, under the name the benchmark's tracer wraps
 from .spaces import lp_norm_rows as row_norms
 
+# the most scalars a polish_source buffer holds: one chunk of every start
+DRAW_SCALARS = 2 ** 17
+
 
 def best_of(results):
     """The (value, ...) tuple with the largest value, the earliest among
@@ -52,6 +66,18 @@ def first_best(values: np.ndarray) -> int:
     """The index best_of picks among values (R,): the first largest, or the
     first entry when it is NaN, since no value compares greater."""
     return 0 if np.isnan(values[0]) else int(np.nanargmax(values))
+
+
+def best_row(values: np.ndarray, sizes) -> int:
+    """The row run_batches picks when the restart batches of sizes are
+    stacked in order as the rows of values (R,) and each batch offers its
+    first_best row: the first best of each batch, then best_of over them."""
+    best, a = None, 0
+    for n in sizes:
+        k = a + first_best(values[a:a + n])
+        best = best_of([best, (float(values[k]), k)])
+        a += n
+    return best[1]
 
 
 def batch_rngs(seed: int, n_batches: int) -> list:
@@ -83,19 +109,54 @@ def gaussian_directions(rng, count: int, space) -> np.ndarray:
     return rng.normal(size=(count, space.dim))
 
 
-def polish_draws(rng, space, count: int, rounds: int, tries: int):
-    """The draws of count climbs, start by start: each start's random_unit,
+def polish_source(rngs, sizes, space, rounds: int, tries: int):
+    """The draws of the climbs of every restart batch, batch b of sizes[b]
+    starts drawing from rngs[b]: start by start, each start's random_unit,
     then its block of rounds x tries trial directions.  Returns the starts
-    (count, dim) and the directions (count, rounds, tries, dim), which hold
-    count * rounds * tries * dim scalars of space.dtype; a start that stops
-    early leaves the rest of its block unused."""
-    X0 = np.empty((count, space.dim), dtype=space.dtype)
-    D = np.empty((count, rounds, tries, space.dim), dtype=space.dtype)
-    for i in range(count):
+    (sum(sizes), dim), stacked in batch order, and directions(r, rows), the
+    source polish_rows reads, which gives round r of the listed rows.
+
+    A block is kept in chunks of K rounds, K chosen so that one chunk of
+    every start holds at most DRAW_SCALARS scalars.  Chunk 0 of each start
+    is drawn into the buffer; for every later chunk the generator's state at
+    its start is saved, and the chunk is drawn and dropped, which advances
+    the stream to the next chunk and at last to the next start.  A row whose
+    round r lies in a chunk it has not loaded redraws that chunk from the
+    saved state.  Generator.normal fills its output in C order, so the
+    chunks of a start are the numbers of one draw of its whole block, and a
+    row redraws only the chunks its climb reaches.  Each row is read in
+    increasing rounds, as polish_rows reads it."""
+    count, dim = sum(sizes), space.dim
+    K = max(1, min(rounds, DRAW_SCALARS // (count * tries * dim)))
+    X0 = np.empty((count, dim), dtype=space.dtype)
+    buf = np.empty((count, K, tries, dim), dtype=space.dtype)
+    states = [[] for _ in range(count)]     # the start of chunks 1, 2, ...
+
+    def draw(rng, c):
+        n = min(K, rounds - c * K)
+        return gaussian_directions(rng, n * tries, space).reshape(n, tries,
+                                                                 dim)
+
+    owners = [rng for rng, n in zip(rngs, sizes) for _ in range(n)]
+    for i, rng in enumerate(owners):
         X0[i] = random_unit(space, rng)
-        D[i] = gaussian_directions(rng, rounds * tries,
-                                   space).reshape(rounds, tries, -1)
-    return X0, D
+        buf[i, :min(K, rounds)] = draw(rng, 0)
+        for c in range(1, -(-rounds // K)):
+            states[i].append(rng.bit_generator.state)
+            draw(rng, c)
+    loaded = np.zeros(count, dtype=int)
+    refill = np.random.Generator(np.random.PCG64(0))
+
+    def directions(r, rows):
+        c, j = divmod(r, K)
+        for i in rows[loaded[rows] != c]:
+            refill.bit_generator.state = states[i][c - 1]
+            D = draw(refill, c)
+            buf[i, :len(D)] = D
+            loaded[i] = c
+        return buf[rows, j]
+
+    return X0, directions
 
 
 def polish_rows(X, value_rows, space, directions, iters: int, tries: int,

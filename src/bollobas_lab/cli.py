@@ -16,6 +16,7 @@ Exit codes: 0 ok, 2 parse error, 3 unsupported geometry / normalization,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -334,7 +335,10 @@ def cmd_moduli(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so every main call can share it."""
     ap = argparse.ArgumentParser(
         prog="bollobas-lab",
         description="norm attainment and numerical-radius stability "

@@ -18,10 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (batch_rngs, batch_sizes, best_of, boyd_ascent,
-                      first_best, golden_max, phase_orbit_min_rows,
+from ._search import (batch_rngs, batch_sizes, best_of, best_row,
+                      boyd_ascent, golden_max, phase_orbit_min_rows,
                       phase_times, power_ascent_rows, primal_align_rows,
-                      random_unit_rows, run_batches)
+                      random_unit_rows)
 from .errors import GeometryError, HeuristicRefusalError
 from .operators import (Adjoint, Delift, Dense, Diagonal, DirectSum, Lift,
                         OperatorExpr, RankOne, Scale, to_matrix)
@@ -232,17 +232,19 @@ def _multistart_norm(M, dom, cod, restarts, iters, seed):
 
 
 def _sum_space_norm(M, dom, cod, restarts, iters, seed):
+    """Generic power ascent from restarts random starts, drawn in batches
+    of 8 and one of the remainder, batch b from the b-th SeedSequence(seed)
+    child.  All starts ascend as the rows of one power_ascent_rows call; the
+    first best row of each batch, then the best batch, wins, as if each
+    batch ran alone."""
     sizes = batch_sizes(restarts, 8)
-    left = iter(sizes)             # run_batches calls batch in batch order
-
-    def batch(rng):
-        X0 = np.array([random_unit(dom, rng) for _ in range(next(left))])
-        vals, X = power_ascent_rows(M, dom, cod, X0, iters)
-        k = first_best(vals)
-        return float(vals[k]), X[k]
-
-    val, x = run_batches(seed, len(sizes), batch)
-    return NormResult(float(val), "heuristic", x, "sum-space-multistart")
+    X0 = np.array([random_unit(dom, rng)
+                   for rng, n in zip(batch_rngs(seed, len(sizes)), sizes)
+                   for _ in range(n)])
+    vals, X = power_ascent_rows(M, dom, cod, X0, iters)
+    k = best_row(vals, sizes)
+    return NormResult(float(vals[k]), "heuristic", X[k],
+                      "sum-space-multistart")
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (batch_sizes, complex_parts, dual_align_rows,
-                      first_best, golden_max, matvec_rows,
-                      phase_orbit_min_rows, phase_times, polish_draws,
-                      polish_rows, run_batches)
+from ._search import (batch_rngs, batch_sizes, best_row, complex_parts,
+                      dual_align_rows, golden_max, matvec_rows,
+                      phase_orbit_min_rows, phase_times, polish_rows,
+                      polish_source)
 from .errors import (DimensionMismatchError, GeometryError,
                      HeuristicRefusalError)
 from .norm_attainment import (block_product_rows, operator_norm,
@@ -462,27 +462,24 @@ def _masked_row_sums(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _multistart_nu(M, space, restarts, iters, seed) -> NuResult:
-    """restarts random polishes of face_sup, in batches of 8 and one of the
-    remainder, each batch run as the rows of one polish_rows call on its
-    polish_draws blocks (8 x iters x 4 x dim scalars), as the nu probe runs
-    its batches; the first best row wins."""
+    """restarts random polishes of face_sup, drawn in batches of 8 and one
+    of the remainder, batch b from the b-th SeedSequence(seed) child.  All
+    starts are the rows of one polish_rows call on the polish_source draws,
+    iters rounds of 4 tries each, held in a buffer of at most DRAW_SCALARS
+    scalars; the first best row of each batch, then the best batch, wins, as
+    if each batch ran alone."""
     def value_rows(X):
         return face_sup_rows(matvec_rows(M, X), X, space), None
 
     sizes = batch_sizes(restarts, 8)
-    left = iter(sizes)             # run_batches calls batch in batch order
-
-    def batch(rng):
-        X0, D = polish_draws(rng, space, next(left), iters, 4)
-        vals, X, _ = polish_rows(X0, value_rows, space,
-                                 lambda r, rows: D[rows, r], iters, tries=4,
-                                 step=0.5, min_step=1e-9)
-        k = first_best(vals)
-        return float(vals[k]), X[k]
-
-    val, x = run_batches(seed, len(sizes), batch)
+    X0, directions = polish_source(batch_rngs(seed, len(sizes)), sizes,
+                                   space, iters, 4)
+    vals, X, _ = polish_rows(X0, value_rows, space, directions, iters,
+                             tries=4, step=0.5, min_step=1e-9)
+    k = best_row(vals, sizes)
+    x = X[k]
     _, xs = best_state_functional(M @ x, x, space)
-    return NuResult(float(val), "heuristic", StatePair(x, xs, space),
+    return NuResult(float(vals[k]), "heuristic", StatePair(x, xs, space),
                     "state-multistart")
 
 

@@ -12,10 +12,11 @@ only budget-relative; the report never claims a lower bound beyond that.
 
 Both probes seed from diagonal profiles, caller-supplied points and the
 feasibility boundary, then spend the budget in restart batches of 16 random
-starts, ceil(restarts / 16) of them, the last one with the remainder.  The
-batches run one after another through _search.run_batches: batch b draws
-from the b-th SeedSequence(seed) child and the best feasible point wins, the
-earliest on ties, so a fixed seed fixes every output.
+starts, ceil(restarts / 16) of them, the last one with the remainder.
+Batch b draws from the b-th SeedSequence(seed) child and the best feasible
+point wins, the earliest on ties, so a fixed seed fixes every output.  The
+norm probe runs its batches one after another through _search.run_batches;
+the nu probe runs all of them as one row program.
 
 Each batch is a row program over its starts, and returns what running the
 starts one after another returns, bit for bit:
@@ -28,13 +29,20 @@ starts one after another returns, bit for bit:
   feasible point of the path is a candidate, then the pullback.  All
   pullbacks are searched as one array (_pullback_rows).
 * nu: each start's random_unit and its block of rounds x 3 trial
-  directions are drawn start by start (_search.polish_draws); the starts
-  are polished together (_search.polish_rows), and their final pairs are
-  checked with one pair_distance_rows call.
+  directions are drawn start by start, batch b from its generator
+  (_search.polish_source).  The starts of every batch are polished as the
+  rows of one call (_search.polish_rows), and their final pairs are checked
+  with one pair_distance_rows call; the batches are then a draw layout, not
+  separate calls.  The best feasible row, the earliest on ties, is the
+  batches' winner, as best_of over the batches run one call each would
+  pick.
 
 The block is the layout at every budget: a start that stops early leaves
-the rest of its block unused.  A polish halves its step of 0.4 on each
-round without a gain and stops below 1e-7, which takes 22 halvings, so
+the rest of its block unused.  _search.polish_source keeps the blocks in
+chunks of a bounded number of rounds and redraws a later chunk from the
+generator state saved at its start, so the numbers are those of the whole
+block while the buffer stays bounded.  A polish halves its step of 0.4 on
+each round without a gain and stops below 1e-7, which takes 22 halvings, so
 below iters = 2200 (at most 21 rounds) no start stops early, and the blocks
 are also the stream of polishes that draw each round's directions when
 they reach it, one start after another.
@@ -69,8 +77,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (batch_sizes, best_of, matvec_rows, polish_draws,
-                      polish_rows, power_ascent_rows, run_batches)
+from ._search import (batch_rngs, batch_sizes, best_of, matvec_rows,
+                      polish_rows, polish_source, power_ascent_rows,
+                      run_batches)
 from .errors import GeometryError, HeuristicRefusalError, NotNormalizedError
 from .membership import _group_cap, _norm_profile_mass
 from .norm_attainment import norming_set, operator_norm
@@ -503,26 +512,20 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
 
     iters = max(10, budget.iters // 100)
     sizes = batch_sizes(budget.restarts, 16)
-    left = iter(sizes)             # run_batches calls batch in batch order
 
     def state_rows(X):
         Y = matvec_rows(M, X)
         XS = best_state_functional_rows(Y, X, space)[1]
         return _modulus((XS * Y).sum(axis=1)), XS
 
-    def batch(rng):
-        nonlocal max_dist_seen
-        X0, D = polish_draws(rng, space, next(left), iters, 3)
-        vals, X, XS = polish_rows(X0, state_rows, space,
-                                  lambda r, rows: D[rows, r], iters, tries=3,
-                                  step=0.4, min_step=1e-7)
-        found, farthest = _row_candidates(
-            vals, pair_dist(X, XS), eps,
-            lambda i: StatePair(X[i], XS[i], space))
-        max_dist_seen = max(max_dist_seen, farthest)
-        return best_of(found)
-
-    candidates.append(run_batches(seed, len(sizes), batch))
+    X0, directions = polish_source(batch_rngs(seed, len(sizes)), sizes,
+                                   space, iters, 3)
+    vals, X, XS = polish_rows(X0, state_rows, space, directions, iters,
+                              tries=3, step=0.4, min_step=1e-7)
+    found, farthest = _row_candidates(
+        vals, pair_dist(X, XS), eps, lambda i: StatePair(X[i], XS[i], space))
+    max_dist_seen = max(max_dist_seen, farthest)
+    candidates.append(best_of(found))
     return _finalize("nu", eps, candidates, max_dist_seen, seed, budget)
 
 

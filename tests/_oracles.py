@@ -39,7 +39,8 @@ step, pulling back toward the point before it when that point is feasible;
 no anchor carries from one start to the next.  A budget of restarts runs
 batch_sizes(restarts): batches of 16, the last one with the remainder
 (batches of 8 in the sum-space norm and nu multistarts).
-tests/test_restart_rows.py checks the row programs against them.
+tests/test_restart_rows.py checks the row programs against them, and the
+chunked draws of _search.polish_source against polish_block.
 
 The end keeps the dense routes as they ran before they were stacked: the
 Boyd multistart with one boyd_ascent call per batch (boyd_ascent_flat, the

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bollobas_lab.cli import main
+from bollobas_lab.cli import build_parser, main
 from bollobas_lab.probe import CSV_HEADER
 
 
@@ -230,3 +230,23 @@ def test_cli_outputs_byte_identical_across_threads(tmp_path):
             env=env, capture_output=True, text=True, check=True)
         outs.append(res.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("bad", [
+    ["moduli", "--p", "2"],
+    ["probe", "gallery:G-SHIFT?dim=4", "--eps", "0.5", "--restarts", "x"],
+    ["nu"],
+], ids=["missing-option", "bad-type", "missing-operator"])
+def test_shared_parser_keeps_no_state(capsys, bad):
+    # the parser is built once per process; a failed parse must not change
+    # what the next call gives, so each call matches a fresh interpreter
+    good = ["moduli", "--p", "3", "--eps", "0.5,1.0"]
+    alone = {}
+    for args in (bad, good):
+        res = subprocess.run([sys.executable, "-m", "bollobas_lab.cli"] + args,
+                             capture_output=True, text=True)
+        alone[tuple(args)] = (res.returncode, res.stdout)
+    assert alone[tuple(bad)] == (2, "")
+    for args in (bad, good, bad):
+        assert run_cli(args, capsys) == alone[tuple(args)]
+    assert build_parser() is build_parser()

@@ -154,10 +154,11 @@ def test_multistarts_run_every_start(monkeypatch, restarts):
     S = SumSpace((Space(3.0, 2), Space(1.5, 1)), 2.0)
     _sum_space_norm(M, S, S, restarts, 5, 1)
     _multistart_nu(M, dom, restarts, 5, 1)
-    # the full batches of 16 are one stack, the remainder one more call
+    # the full batches of 16 are one stack, the remainder one more call;
+    # the sum-space norm and the nu multistart stack all their batches
     full, rest = restarts - restarts % 16, restarts % 16
     assert rows["boyd_ascent"] == [n for n in (full, rest) if n]
-    assert rows["power_ascent_rows"] == oracle.batch_sizes(restarts, 8)
-    assert rows["polish_rows"] == oracle.batch_sizes(restarts, 8)
+    assert rows["power_ascent_rows"] == [restarts]
+    assert rows["polish_rows"] == [restarts]
     with pytest.raises(ValueError):
         _multistart_norm(M, dom, cod, 0, 5, 1)

@@ -361,8 +361,8 @@ def test_itp_counts_a_zero_point_as_infeasible():
 @pytest.mark.parametrize("restarts", [1, 15, 16, 17, 31, 32, 37])
 def test_probes_run_every_requested_start(restarts, monkeypatch):
     # ceil(restarts / 16) batches, the last one with the remainder; the
-    # norm probe's starts pass through _ascent_paths, the nu probe's through
-    # polish_rows
+    # norm probe's starts pass through _ascent_paths one batch a call, the
+    # nu probe's through one polish_rows call over every batch
     starts = []
 
     def counted(name, at):
@@ -378,7 +378,14 @@ def test_probes_run_every_requested_start(restarts, monkeypatch):
     D = _diag([1.0, 0.6, 0.3], 2.0)
     budget = ProbeBudget(restarts=restarts, iters=300)
     full, rest = divmod(restarts, 16)
-    for probe in (eta_probe_norm, eta_probe_nu):
-        starts.clear()
-        probe(D, 0.3, budget=budget, seed=2)
-        assert starts == [16] * full + [rest] * (rest > 0)
+    eta_probe_norm(D, 0.3, budget=budget, seed=2)
+    assert starts == [16] * full + [rest] * (rest > 0)
+    starts.clear()
+    layouts = []
+    source = probe_module.polish_source
+    monkeypatch.setattr(probe_module, "polish_source",
+                        lambda rngs, sizes, *a: layouts.append(sizes)
+                        or source(rngs, sizes, *a))
+    eta_probe_nu(D, 0.3, budget=budget, seed=2)
+    assert starts == [restarts]
+    assert layouts == [[16] * full + [rest] * (rest > 0)]

@@ -12,15 +12,17 @@ give both probes caller seeds of every kind, with and without boundary
 seeds: the library scores all seeds as rows, the oracles one at a time.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import _oracles as oracle
-from bollobas_lab import probe
-from bollobas_lab._search import (gaussian_directions, generic_power_ascent,
-                                  polish_rows)
+from bollobas_lab import _search, probe
+from bollobas_lab._search import (batch_rngs, gaussian_directions,
+                                  generic_power_ascent, polish_rows,
+                                  polish_source)
 from bollobas_lab.gallery import lifted_rank1_l1
 from bollobas_lab.norm_attainment import (_sum_space_norm, norming_set,
                                           operator_norm)
@@ -372,7 +374,7 @@ def test_sum_space_norm_rows_match_start_by_start(space):
     M = rng.normal(size=(space.dim, space.dim))
     if space.is_complex:
         M = M + 1j * rng.normal(size=M.shape)
-    for seed, restarts in ((3, 16), (4, 21)):
+    for seed, restarts in ((3, 16), (4, 21), (5, 37)):
         got = _sum_space_norm(M, space, space, restarts, 40, seed)
         want = oracle.sum_space_norm(M, space, space, restarts, 40, seed)
         assert repr(got.value) == repr(want[0])
@@ -395,6 +397,84 @@ def test_multistart_nu_rows_match_start_by_start(space):
         want = oracle.multistart_nu(A, space, 16, iters, 5)
         assert repr(got.value) == repr(float(want[0]))
         assert _bits(got.witness.x) == _bits(want[1])
+
+
+def _chunk_rounds(monkeypatch, K, count, tries, dim):
+    """Cap polish_source's buffer at K rounds of every start."""
+    monkeypatch.setattr(_search, "DRAW_SCALARS", K * count * tries * dim)
+
+
+@pytest.mark.parametrize("rounds", [3, 4, 9], ids=["below-K", "K", "2K+1"])
+@pytest.mark.parametrize("space", [Space(3.0, 3), Space(1.5, 2, "complex"),
+                                   SUMS[0], SUMS[1]],
+                         ids=["l3", "l1.5-complex", "sum-2", "sum-1-complex"])
+def test_polish_source_matches_the_full_blocks(space, rounds, monkeypatch):
+    # K = 4 rounds a chunk; rows stop in chunk 0, at its end, in chunk 1 and
+    # in the last chunk, and are read only while live, as polish_rows reads
+    sizes, tries = [2, 3], 3
+    _chunk_rounds(monkeypatch, 4, sum(sizes), tries, space.dim)
+    rngs, again = batch_rngs(9, 2), batch_rngs(9, 2)
+    X0, directions = polish_source(rngs, sizes, space, rounds, tries)
+    want = [oracle.polish_block(rng, space, rounds, tries)
+            for rng, n in zip(again, sizes) for _ in range(n)]
+    assert _bits(X0) == _bits(np.array([x for x, _ in want]))
+    # each generator goes on where the full blocks leave it
+    assert [r.normal() for r in rngs] == [r.normal() for r in again]
+    stops = np.minimum([1, 4, 6, rounds - 1, rounds], rounds)
+    for r in range(rounds):
+        rows = np.flatnonzero(stops > r)
+        assert _bits(directions(r, rows)) == \
+            _bits(np.array([want[i][1][r] for i in rows]))
+
+
+@pytest.mark.parametrize("restarts", [1, 8, 37, 64])
+@pytest.mark.parametrize("space", [Space(3.0, 3), SUMS[0]],
+                         ids=["l3", "sum-2"])
+def test_multistart_nu_stacks_its_batches_over_chunks(space, restarts,
+                                                      monkeypatch):
+    # one polish_rows call over every batch, its draws in chunks of 16 of
+    # the 200 rounds, against the batches run start by start
+    _chunk_rounds(monkeypatch, 16, restarts, 4, space.dim)
+    M = np.random.default_rng(19).normal(size=(space.dim, space.dim))
+    got = _multistart_nu(M, space, restarts, 200, 6)
+    want = oracle.multistart_nu(M, space, restarts, 200, 6)
+    assert repr(got.value) == repr(float(want[0]))
+    assert _bits(got.witness.x) == _bits(want[1])
+
+
+@pytest.mark.parametrize("K", [None, 7], ids=["one-chunk", "chunks-of-7"])
+def test_nu_probe_stacks_its_batches_over_chunks(K, monkeypatch):
+    exact = NuResult(1.0, "exact", None, "lift-profile")
+    rng = np.random.default_rng(23)
+    H = Space(2.0, 3)
+    M = rng.normal(size=(3, 3))
+    base = Scale(1.0 / np.linalg.norm(M, 2), Dense(M, H, H))
+    flat = _diagonal(Space(3.0, 4), rng)
+    for budget in (ProbeBudget(64, 2000), ProbeBudget(37, 3000)):
+        if K:
+            _chunk_rounds(monkeypatch, K, budget.restarts, 3, 6)
+        _run_both(eta_probe_nu, oracle.eta_probe_nu, flat, 0.3,
+                  budget=budget, seed=12)
+        _run_both(eta_probe_nu, oracle.eta_probe_nu, Lift(base, 2.0), 0.4,
+                  budget=budget, seed=13, nu_result=exact,
+                  attaining=LiftNuStates(base, 2.0))
+
+
+def test_multistart_nu_draws_in_bounded_memory():
+    # the old full block of 8 x 5000 x 4 x 16 scalars was 20.5 MB; the
+    # chunked source keeps one chunk of every start whatever the budget
+    space = SumSpace((Space(3.0, 8), Space(1.5, 8)), 2.0)
+    M = np.random.default_rng(3).normal(size=(16, 16))
+    peaks = {}
+    for iters in (500, 5000):
+        tracemalloc.start()
+        try:
+            _multistart_nu(M, space, 8, iters, 1)
+            peaks[iters] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[5000] < 2e6
+    assert peaks[5000] < 1.1 * peaks[500]
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
