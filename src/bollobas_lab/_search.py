@@ -21,12 +21,10 @@ iterates its starting vectors:
   Its callers stack every batch of a search as the rows of one call, and
   draw in one layout, polish_source: a fixed block of rounds x tries
   directions per start, the starts drawn one after another in batch order,
-  each from its batch's generator.  The blocks are kept in chunks of K
-  rounds, so the buffer holds at most DRAW_SCALARS scalars whatever the
-  budget; the generator state saved at the start of each later chunk
-  redraws that chunk when a climb reaches it.  A state restores every bit
-  of the stream, so the chunks are the numbers one draw of the whole block
-  gives, and the layout is the same stream at every K.
+  each from its batch's generator.  The blocks are kept in chunks, so the
+  buffer holds at most DRAW_SCALARS scalars whatever the budget, and a
+  later chunk is redrawn from the generator state saved at its start: the
+  same numbers at every chunk size.
 
 Stacked batches give best_of over the batches run one call each: each
 batch's rows are a slice of the stack, its winner is the first best of its

@@ -32,10 +32,8 @@ starts one after another returns, bit for bit:
   directions are drawn start by start, batch b from its generator
   (_search.polish_source).  The starts of every batch are polished as the
   rows of one call (_search.polish_rows), and their final pairs are checked
-  with one pair_distance_rows call; the batches are then a draw layout, not
-  separate calls.  The best feasible row, the earliest on ties, is the
-  batches' winner, as best_of over the batches run one call each would
-  pick.
+  with one pair_distance_rows call.  The best feasible row, the earliest on
+  ties, is the winner best_of over the batches run one call each picks.
 
 The block is the layout at every budget: a start that stops early leaves
 the rest of its block unused.  _search.polish_source keeps the blocks in
