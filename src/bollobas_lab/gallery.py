@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._search import matvec_rows
 from .errors import UnknownGalleryError
 from .membership import (diag_norm_member, eta_const, functional_member,
                          rank1_l1_eta)
@@ -30,7 +31,7 @@ from .operators import (Delift, Dense, Diagonal, Lift, OperatorExpr, RankOne,
 from .probe import ProbeBudget, eta_probe_norm, eta_probe_nu, validate_eta
 from .sequences import (BoundedTail, SequenceSpec, geometric_tail,
                         ratio_to_one_tail)
-from .spaces import INF, Space, StatePair, SumSpace, lp_norm, pair
+from .spaces import INF, PI_TOL, Space, StatePair, SumSpace, lp_norm, pair
 
 
 @dataclass
@@ -617,29 +618,8 @@ def make_corner(dim: int, outer_p: float = 1.0) -> GalleryEntry:
         return _check("delift-zero", np.all(to_matrix(D) == 0.0))
 
     def c_repair(e, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        ok = True
-        detail = ""
-        for _ in range(200):
-            eps = rng.uniform(0.005, 0.5)
-            sp = _corner_near_state(rng, dim, outer_p, eps)
-            if sp is None:
-                continue
-            val = abs(pair(sp.xstar, e.expr(sp.x)))
-            if val <= 1 - eps:
-                continue
-            rep = corner_repair(sp, dim, outer_p)
-            rep.validate()
-            vv = abs(pair(rep.xstar, e.expr(rep.x)))
-            dx = space.norm(sp.x - rep.x)
-            dxs = space.dual().norm(sp.xstar - rep.xstar)
-            if not (abs(vv - 1.0) < 1e-9 and
-                    dx <= eps + np.sqrt(2 * eps) + 1e-9 and
-                    dxs <= np.sqrt(2 * eps) + 1e-9):
-                ok = False
-                detail = f"eps={eps}, dx={dx}, dxs={dxs}"
-                break
-        return _check("repair-bounds", ok, detail)
+        return _check("repair-bounds",
+                      *_corner_repair_bounds(space, to_matrix(e.expr), seed))
 
     def c_norm(e, seed):
         nr = _sum_space_norm(to_matrix(e.expr), space, space, 32, 120, seed)
@@ -656,52 +636,93 @@ def make_corner(dim: int, outer_p: float = 1.0) -> GalleryEntry:
     return entry
 
 
-def _corner_near_state(rng, dim, outer_p, eps):
-    """A random state pair concentrated near the corner's attaining set."""
-    blk = Space(2.0, dim)
-    space = SumSpace((blk, blk), outer_p)
+def _corner_repair_bounds(space, M, seed):
+    """(passed, detail) of the corner's repair-bounds claim: 200 random pairs
+    near the attaining set, drawn one after another from PCG64(seed), each
+    with its eps.  Every valid state of value above 1 - eps must repair onto
+    a value-one state within eps + sqrt(2 eps) in x and sqrt(2 eps) in x*;
+    detail names the first that does not, and a repair that is no state
+    raises GeometryError.  The pairs are checked as rows, each rounded as
+    the check of that pair alone."""
+    dim, outer_p = space.components[0].dim, space.outer_p
+    rng = np.random.Generator(np.random.PCG64(seed))
+    eps = np.empty(200)
+    X, XS = np.empty((200, space.dim)), np.empty((200, space.dim))
+    for i in range(200):
+        eps[i] = rng.uniform(0.005, 0.5)
+        X[i], XS[i] = _corner_near_pair(rng, space, eps[i])
+    # the pairs that are states of value above 1 - eps
+    keep = _state_rows_ok(space, X, XS)
+    keep[keep] = ~(np.abs((XS[keep] * matvec_rows(M, X[keep])).sum(axis=1))
+                   <= 1 - eps[keep])
+    X, XS, eps = X[keep], XS[keep], eps[keep]
+    RX, RXS = corner_repair_rows(X, XS, dim, outer_p)
+    vv = np.abs((RXS * matvec_rows(M, RX)).sum(axis=1))
+    dx = space.norm_rows(X - RX)
+    dxs = space.dual().norm_rows(XS - RXS)
+    bad = ~_state_rows_ok(space, RX, RXS)
+    miss = ~((np.abs(vv - 1.0) < 1e-9) & (dx <= eps + np.sqrt(2 * eps) + 1e-9)
+             & (dxs <= np.sqrt(2 * eps) + 1e-9))
+    hit = np.flatnonzero(bad | miss)
+    if not hit.size:
+        return True, ""
+    i = hit[0]
+    if bad[i]:
+        StatePair(RX[i], RXS[i], space).validate()      # raises its error
+    return False, (f"eps={float(eps[i])}, dx={float(dx[i])}, "
+                   f"dxs={float(dxs[i])}")
+
+
+def _state_rows_ok(space, X, XS):
+    """StatePair.validate's verdict on every row pair (X[i], XS[i]): finite,
+    with ||x||, ||x*|| and <x*, x> each 1 within PI_TOL."""
+    ok = np.isfinite(X).all(axis=1) & np.isfinite(XS).all(axis=1)
+    for v in (space.norm_rows(X), space.dual().norm_rows(XS),
+              (XS * X).sum(axis=1)):
+        ok &= ~(np.abs(v - 1.0) > PI_TOL)
+    return ok
+
+
+def _corner_near_pair(rng, space, eps):
+    """A random pair (x, x*) concentrated near the corner's attaining set,
+    not always a state."""
+    dim = space.components[0].dim
     x = rng.normal(size=dim) * eps * 0.3
     x[0] = 1.0
     x = x / np.linalg.norm(x)
-    if outer_p == 1:
+    if space.outer_p == 1:
         t = rng.uniform(0, eps * 0.3)
         y = rng.normal(size=dim)
         y = t * y / np.linalg.norm(y)
-        xv = space.join([(1 - t) * x, y])
-        a, b = (1 - t), t
-        xs_x = x                       # supports x-block direction
-        xs_y = y / b if b > 0 else np.zeros(dim)
-        xsv = space.join([xs_x, xs_y])
-    else:
-        y = rng.normal(size=dim)
-        y = rng.uniform(0, 1) * y / np.linalg.norm(y)
-        xv = space.join([x, y])
-        xsv = space.join([x, np.zeros(dim)])
-    try:
-        sp = StatePair(xv, xsv, space)
-        sp.validate()
-        return sp
-    except Exception:
-        return None
+        xs_y = y / t if t > 0 else np.zeros(dim)
+        return space.join([(1 - t) * x, y]), space.join([x, xs_y])
+    y = rng.normal(size=dim)
+    y = rng.uniform(0, 1) * y / np.linalg.norm(y)
+    return space.join([x, y]), space.join([x, np.zeros(dim)])
+
+
+def corner_repair_rows(X, XS, dim: int, outer_p: float):
+    """corner_repair of every real row pair (X[i], XS[i]), each rounded as
+    the pair alone: the first coordinates become their signs, and the
+    second block that is free under outer_p (x* for outer 1, x otherwise)
+    is clipped to the unit ball, the other zeroed."""
+    RX, RXS = np.zeros_like(X), np.zeros_like(XS)
+    RX[:, 0] = X[:, 0] / np.abs(X[:, 0])
+    RXS[:, 0] = XS[:, 0] / np.abs(XS[:, 0])
+    src, out = (XS, RXS) if outer_p == 1 else (X, RX)
+    free = src[:, dim:]
+    # each row's norm as np.linalg.norm takes it, by a dot product
+    norms = np.sqrt((free[:, None, :] @ free[:, :, None])[:, 0, 0])
+    out[:, dim:] = free / np.maximum(1.0, norms)[:, None]
+    return RX, RXS
 
 
 def corner_repair(sp: StatePair, dim: int, outer_p: float) -> StatePair:
-    """The constructive repair onto the corner's attaining set."""
-    space = sp.space
-    xb, yb = space.split(sp.x)
-    xsb, ysb = space.split(sp.xstar)
-    s1 = xb[0] / abs(xb[0])
-    s2 = xsb[0] / abs(xsb[0])
-    e1 = _e(dim, 0)
-    if outer_p == 1:
-        x_new = space.join([s1 * e1, np.zeros(dim)])
-        ys_clip = ysb / max(1.0, np.linalg.norm(ysb))
-        xs_new = space.join([s2 * e1, ys_clip])
-    else:
-        yb_clip = yb / max(1.0, np.linalg.norm(yb))
-        x_new = space.join([s1 * e1, yb_clip])
-        xs_new = space.join([s2 * e1, np.zeros(dim)])
-    return StatePair(x_new, xs_new, space)
+    """The constructive repair onto the corner's attaining set: the one-row
+    call of corner_repair_rows."""
+    RX, RXS = corner_repair_rows(sp.x[None, :], sp.xstar[None, :], dim,
+                                 outer_p)
+    return StatePair(RX[0], RXS[0], sp.space)
 
 
 # ---------------------------------------------------------------------------

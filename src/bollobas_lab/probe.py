@@ -34,6 +34,10 @@ starts one after another returns, bit for bit:
   rows of one call (_search.polish_rows), and their final pairs are checked
   with one pair_distance_rows call.  The best feasible row, the earliest on
   ties, is the winner best_of over the batches run one call each picks.
+  The polish reads neither eps nor the attaining set, so it runs once per
+  matrix, domain, seed, restarts and iters, and the probes at every eps of
+  a grid share its read-only rows (_nu_restarts, an lru_cache of 8); the
+  pair distances, the candidates and the seeds are computed on every call.
 
 The block is the layout at every budget: a start that stops early leaves
 the rest of its block unused.  _search.polish_source keeps the blocks in
@@ -70,6 +74,7 @@ checks of StatePair.validate, raise GeometryError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -508,8 +513,51 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
             _modulus((XS * Y).sum(axis=1)), pair_dist(X, XS), eps,
             lambda i: StatePair(X[i], XS[i], space))
 
-    iters = max(10, budget.iters // 100)
-    sizes = batch_sizes(budget.restarts, 16)
+    vals, X, XS = _nu_restarts(_ArrayKey(M), space, seed, budget.restarts,
+                               budget.iters)
+    found, farthest = _row_candidates(
+        vals, pair_dist(X, XS), eps,
+        lambda i: StatePair(X[i].copy(), XS[i].copy(), space))
+    max_dist_seen = max(max_dist_seen, farthest)
+    candidates.append(best_of(found))
+    return _finalize("nu", eps, candidates, max_dist_seen, seed, budget)
+
+
+class _ArrayKey:
+    """An array as an lru_cache argument: equal to another when their bytes,
+    shape, dtype and strides are.  The strides count because a product
+    through a transposed layout may round otherwise."""
+    __slots__ = ("array", "_key")
+
+    def __init__(self, array):
+        self.array = array
+        self._key = (array.tobytes(), array.shape, array.dtype.str,
+                     array.strides)
+
+    def take(self):
+        """The array, which the key then forgets, so that a memo entry keeps
+        the array's bytes but not the array."""
+        array, self.array = self.array, None
+        return array
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __eq__(self, other):
+        return self._key == other._key
+
+
+@functools.lru_cache(maxsize=8)
+def _nu_restarts(matrix, space, seed, restarts, iters):
+    """The nu probe's restart batch: batch_sizes(restarts, 16) starts drawn
+    from batch_rngs(seed, ...), polished on |<x*, Tx>| for max(10,
+    iters // 100) rounds as the rows of one polish_rows call, matrix an
+    _ArrayKey of to_matrix(T).  It reads neither eps nor the attaining set,
+    so the probes of one operator at several eps share it.  Returns
+    (values, X, XS) at the final points, all three read-only."""
+    M = matrix.take()
+    rounds = max(10, iters // 100)
+    sizes = batch_sizes(restarts, 16)
 
     def state_rows(X):
         Y = matvec_rows(M, X)
@@ -517,14 +565,12 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
         return _modulus((XS * Y).sum(axis=1)), XS
 
     X0, directions = polish_source(batch_rngs(seed, len(sizes)), sizes,
-                                   space, iters, 3)
-    vals, X, XS = polish_rows(X0, state_rows, space, directions, iters,
-                              tries=3, step=0.4, min_step=1e-7)
-    found, farthest = _row_candidates(
-        vals, pair_dist(X, XS), eps, lambda i: StatePair(X[i], XS[i], space))
-    max_dist_seen = max(max_dist_seen, farthest)
-    candidates.append(best_of(found))
-    return _finalize("nu", eps, candidates, max_dist_seen, seed, budget)
+                                   space, rounds, 3)
+    out = polish_rows(X0, state_rows, space, directions, rounds, tries=3,
+                      step=0.4, min_step=1e-7)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _state_dist_rows(desc, M, space):

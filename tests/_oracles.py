@@ -49,6 +49,12 @@ every phase, the sign chunks with their bits shifted out of the row
 indices, and the complex Hilbert rotation grid with one eigvalsh per
 rotation.  tests/test_dense_routes.py checks the library against them bit
 for bit.
+
+The very end keeps the G-CORNER repair-bounds claim as it ran before its
+pairs were checked as rows: each trial drawn, validated, repaired and
+measured before the next (corner_repair_bounds, with the scalar
+corner_near_state and corner_repair).  tests/test_gallery.py checks the
+claim against it.
 """
 
 import mpmath
@@ -67,7 +73,7 @@ from bollobas_lab.numerical_radius import (NU_TOL, THETA_GRID,
                                            ExplicitNuStates, HilbertNuStates)
 from bollobas_lab.operators import to_matrix
 from bollobas_lab.probe import FEAS_TOL, ProbeBudget
-from bollobas_lab.spaces import (INF, StatePair, SumSpace, duality_map,
+from bollobas_lab.spaces import (INF, Space, StatePair, SumSpace, duality_map,
                                  lp_norm, lp_norm_rows, pair, random_unit,
                                  unit_phase)
 from bollobas_lab.gallery import CornerNuStates, LiftedRank1NuStates
@@ -1311,3 +1317,86 @@ def complex_hilbert_nu(M):
         t_star, v_star = thetas[k], vals[k]
     _w, vecs = np.linalg.eigh(np.cos(t_star) * H + np.sin(t_star) * K)
     return float(v_star), vecs[:, -1]
+
+
+# ---------------------------------------------------------------------------
+# the G-CORNER repair-bounds claim, one pair at a time
+# ---------------------------------------------------------------------------
+
+def corner_near_state(rng, dim, outer_p, eps):
+    """A random state pair concentrated near the corner's attaining set."""
+    blk = Space(2.0, dim)
+    space = SumSpace((blk, blk), outer_p)
+    x = rng.normal(size=dim) * eps * 0.3
+    x[0] = 1.0
+    x = x / np.linalg.norm(x)
+    if outer_p == 1:
+        t = rng.uniform(0, eps * 0.3)
+        y = rng.normal(size=dim)
+        y = t * y / np.linalg.norm(y)
+        xv = space.join([(1 - t) * x, y])
+        b = t
+        xs_x = x                       # supports x-block direction
+        xs_y = y / b if b > 0 else np.zeros(dim)
+        xsv = space.join([xs_x, xs_y])
+    else:
+        y = rng.normal(size=dim)
+        y = rng.uniform(0, 1) * y / np.linalg.norm(y)
+        xv = space.join([x, y])
+        xsv = space.join([x, np.zeros(dim)])
+    try:
+        sp = StatePair(xv, xsv, space)
+        sp.validate()
+        return sp
+    except Exception:
+        return None
+
+
+def corner_repair(sp, dim, outer_p):
+    """The constructive repair onto the corner's attaining set."""
+    space = sp.space
+    xb, yb = space.split(sp.x)
+    xsb, ysb = space.split(sp.xstar)
+    s1 = xb[0] / abs(xb[0])
+    s2 = xsb[0] / abs(xsb[0])
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    if outer_p == 1:
+        x_new = space.join([s1 * e1, np.zeros(dim)])
+        ys_clip = ysb / max(1.0, np.linalg.norm(ysb))
+        xs_new = space.join([s2 * e1, ys_clip])
+    else:
+        yb_clip = yb / max(1.0, np.linalg.norm(yb))
+        x_new = space.join([s1 * e1, yb_clip])
+        xs_new = space.join([s2 * e1, np.zeros(dim)])
+    return StatePair(x_new, xs_new, space)
+
+
+def corner_repair_bounds(expr, dim, outer_p, seed, repair=corner_repair):
+    """(passed, detail) of the G-CORNER repair-bounds claim as its loop ran
+    before the pairs were checked as rows: 200 trials, each drawn, checked,
+    repaired and measured before the next."""
+    space = expr.domain
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ok = True
+    detail = ""
+    for _ in range(200):
+        eps = rng.uniform(0.005, 0.5)
+        sp = corner_near_state(rng, dim, outer_p, eps)
+        if sp is None:
+            continue
+        val = abs(pair(sp.xstar, expr(sp.x)))
+        if val <= 1 - eps:
+            continue
+        rep = repair(sp, dim, outer_p)
+        rep.validate()
+        vv = abs(pair(rep.xstar, expr(rep.x)))
+        dx = space.norm(sp.x - rep.x)
+        dxs = space.dual().norm(sp.xstar - rep.xstar)
+        if not (abs(vv - 1.0) < 1e-9 and
+                dx <= eps + np.sqrt(2 * eps) + 1e-9 and
+                dxs <= np.sqrt(2 * eps) + 1e-9):
+            ok = False
+            detail = f"eps={eps}, dx={dx}, dxs={dxs}"
+            break
+    return ok, detail

@@ -14,6 +14,14 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
+@pytest.fixture(autouse=True)
+def _fresh_nu_restarts():
+    """Empty the nu probe's restart memo before each test, so that a spy on
+    probe.polish_rows or polish_source sees the same calls in any order."""
+    from bollobas_lab import probe
+    probe._nu_restarts.cache_clear()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

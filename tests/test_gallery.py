@@ -1,3 +1,4 @@
+import importlib
 import typing
 
 import numpy as np
@@ -73,12 +74,13 @@ def test_lifted_rank1_witness_seeds():
 
 
 def test_corner_repair_bounds_spec_point():
-    from bollobas_lab.gallery import corner_repair, _corner_near_state
+    from _oracles import corner_near_state
+    from bollobas_lab.gallery import corner_repair
     rng = np.random.default_rng(7)
     eps = 0.01
     sp = None
     while sp is None:
-        sp = _corner_near_state(rng, 4, 1.0, eps)
+        sp = corner_near_state(rng, 4, 1.0, eps)
     rep = corner_repair(sp, 4, 1.0)
     rep.validate()
     s = sp.space
@@ -91,3 +93,52 @@ def test_gallery_entry_annotations_resolve():
     from bollobas_lab.numerical_radius import NuStatesDescriptor
     hints = typing.get_type_hints(GalleryEntry)
     assert hints["attaining"] == typing.Optional[NuStatesDescriptor]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return repr(exc)
+
+
+def _corner(dim, outer_p):
+    from bollobas_lab.gallery import corner_matrix
+    from bollobas_lab.operators import Dense
+    from bollobas_lab.spaces import Space, SumSpace
+    blk = Space(2.0, dim)
+    space = SumSpace((blk, blk), outer_p)
+    return Dense(corner_matrix(dim), space, space)
+
+
+@pytest.mark.parametrize("outer_p", [1.0, 2.0, INF])
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_corner_repair_bounds_rows_match_the_pair_loop(dim, outer_p):
+    import _oracles as oracle
+    from bollobas_lab.gallery import _corner_repair_bounds
+    expr = _corner(dim, outer_p)
+    for seed in (0, 1, 20261017):
+        assert _outcome(_corner_repair_bounds, expr.domain, expr.matrix,
+                        seed) == \
+            _outcome(oracle.corner_repair_bounds, expr, dim, outer_p, seed)
+
+
+@pytest.mark.parametrize("outer_p", [1.0, INF])
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_corner_repair_bounds_rows_report_the_first_failure(
+        dim, outer_p, monkeypatch):
+    # the repair of the other outer norm: under outer 1 it leaves the unit
+    # sphere, so the claim raises; under outer inf it misses the bound
+    import _oracles as oracle
+    gallery_module = importlib.import_module("bollobas_lab.gallery")
+    other = INF if outer_p == 1 else 1.0
+    rows = gallery_module.corner_repair_rows
+    monkeypatch.setattr(gallery_module, "corner_repair_rows",
+                        lambda X, XS, d, _p: rows(X, XS, d, other))
+    expr = _corner(dim, outer_p)
+    got = _outcome(gallery_module._corner_repair_bounds, expr.domain,
+                   expr.matrix, 3)
+    want = _outcome(oracle.corner_repair_bounds, expr, dim, outer_p, 3,
+                    lambda sp, d, _p: oracle.corner_repair(sp, d, other))
+    assert got == want
+    assert got[0] is False if outer_p == INF else "GeometryError" in got

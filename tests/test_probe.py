@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,11 +16,11 @@ from bollobas_lab.membership import eta_const, eta_linear
 from bollobas_lab.norm_attainment import (NormingSetDescriptor, norming_set,
                                           operator_norm)
 from bollobas_lab.numerical_radius import DiagonalNuStates, NuStatesDescriptor
-from bollobas_lab.operators import Diagonal, identity
+from bollobas_lab.operators import Diagonal, identity, to_matrix
 from bollobas_lab.probe import (ProbeBudget, aligned_state_functional,
                                 eta_probe_norm, eta_probe_nu, validate_eta)
 from bollobas_lab.sequences import SequenceSpec
-from bollobas_lab.spaces import Space, StatePair, pair
+from bollobas_lab.spaces import INF, Space, StatePair, pair
 
 BUD = ProbeBudget(restarts=32, iters=300)
 
@@ -389,3 +390,111 @@ def test_probes_run_every_requested_start(restarts, monkeypatch):
     eta_probe_nu(D, 0.3, budget=budget, seed=2)
     assert starts == [restarts]
     assert layouts == [[16] * full + [rest] * (rest > 0)]
+
+
+# ---------------------------------------------------------------------------
+# the nu restart batch, shared by the probes of one operator at every eps
+# ---------------------------------------------------------------------------
+
+def _lift_case(outer=1.0, dim=3, seed=5):
+    from bollobas_lab.numerical_radius import NuResult
+    from bollobas_lab.operators import Dense, Lift
+    from bollobas_lab.sums import LiftNuStates
+    M = np.random.default_rng(seed).normal(size=(dim, dim))
+    M /= np.linalg.svd(M)[1][0]
+    H = Space(2, dim)
+    T = Dense(M, H, H)
+    kwargs = {"nu_result": NuResult(1.0, "exact", None, "lift"),
+              "attaining": LiftNuStates(T, outer)}
+    return Lift(T, outer), kwargs
+
+
+def test_nu_restarts_key_misses_on_every_input():
+    from bollobas_lab.spaces import SumSpace
+    memo = probe_module._nu_restarts
+    M = np.random.default_rng(1).normal(size=(4, 4))
+    M2 = M.copy()
+    M2[2, 1] = np.nextafter(M2[2, 1], np.inf)
+    H = Space(2, 2)
+    base = dict(M=M, space=SumSpace((H, H), 1.0), seed=3, restarts=16,
+                iters=300)
+
+    def call(**change):
+        a = {**base, **change}
+        # a fresh key per call, as eta_probe_nu makes one
+        return memo(probe_module._ArrayKey(a["M"]), a["space"], a["seed"],
+                    a["restarts"], a["iters"])
+
+    call()
+    call(M=M.copy(), space=SumSpace((Space(2, 2), Space(2.0, 2)), 1.0))
+    assert memo.cache_info().hits == 1
+    variants = [
+        {"M": M2},                                              # one entry
+        {"M": M.T},                                             # layout
+        {"seed": 4}, {"restarts": 17}, {"iters": 1100},
+        {"space": SumSpace((H, H), INF)},                       # outer_p
+        {"space": SumSpace((Space(2, 2, "complex"),) * 2, 1.0)},
+        {"space": SumSpace((Space(2, 1), Space(2, 3)), 1.0)},
+        {"space": Space(2, 4)},                                 # flat
+    ]
+    for i, change in enumerate(variants):
+        call(**change)
+        assert memo.cache_info().misses == 2 + i, change
+    assert memo.cache_info().hits == 1
+    # an entry keeps the matrix's bytes, not the matrix
+    M3 = 2 * M
+    ref = weakref.ref(M3)
+    call(M=M3)
+    del M3
+    assert ref() is None
+
+
+def test_validate_eta_over_a_grid_polishes_once(monkeypatch):
+    T, kwargs = _lift_case()
+    budget = ProbeBudget(restarts=16, iters=300)
+    grid = [0.2, 0.5, 0.8]
+    cold = []
+    for eps in grid:
+        probe_module._nu_restarts.cache_clear()
+        cold.append(validate_eta(T, eta_const(1e-6), [eps], mode="nu",
+                                 budget=budget, seed=7, **kwargs).rows[0])
+    calls = []
+    body = probe_module.polish_rows
+
+    def spy(*args, **kw):
+        calls.append(len(args[0]))
+        return body(*args, **kw)
+
+    monkeypatch.setattr(probe_module, "polish_rows", spy)
+    probe_module._nu_restarts.cache_clear()
+    warm = validate_eta(T, eta_const(1e-6), grid, mode="nu", budget=budget,
+                        seed=7, **kwargs)
+    assert calls == [16]
+    assert repr(warm.rows) == repr(cold)
+
+
+def test_cached_rows_are_read_only_and_witnesses_fresh():
+    T, kwargs = _lift_case(outer=INF)
+    budget = ProbeBudget(restarts=16, iters=300)
+    first = eta_probe_nu(T, 0.2, budget=budget, seed=3, **kwargs)
+    assert not first.sentinel
+    want = (first.describe(), first.witness.x.copy(),
+            first.witness.xstar.copy())
+    for arr in (first.witness.x, first.witness.xstar):
+        assert arr.flags.writeable and arr.base is None
+        arr[:] = 0.0
+    again = eta_probe_nu(T, 0.2, budget=budget, seed=3, **kwargs)
+    assert probe_module._nu_restarts.cache_info().hits == 1
+    assert again.describe() == want[0]
+    assert np.array_equal(again.witness.x, want[1])
+    assert np.array_equal(again.witness.xstar, want[2])
+    for arr in probe_module._nu_restarts(
+            probe_module._ArrayKey(to_matrix(T)), T.domain, 3, 16, 300):
+        assert not arr.flags.writeable
+    bad = validate_eta(T, eta_const(0.9), [0.2], mode="nu", budget=budget,
+                       seed=3, **kwargs)
+    assert not bad.passed
+    bad.violating_witness.x[:] = np.nan
+    again = validate_eta(T, eta_const(0.9), [0.2], mode="nu", budget=budget,
+                         seed=3, **kwargs)
+    assert np.array_equal(again.violating_witness.x, want[1])
