@@ -28,7 +28,9 @@ iterates its starting vectors:
 
 Stacked batches give best_of over the batches run one call each: each
 batch's rows are a slice of the stack, its winner is the first best of its
-slice (best_row), and the slices are merged in batch order.
+slice (best_row), and the slices are merged in batch order.  Every library
+multistart stacks its batches; run_batches, which runs them one call each,
+only drives the start-by-start reference searches of the tests.
 
 The generic ascents' products are stacks of matrix-vector products
 (matvec_rows, vecmat_rows), never one flat GEMM, and reductions run over

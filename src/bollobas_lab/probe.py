@@ -10,24 +10,26 @@ Feasibility is a hard filter through exact/lower-bound distance oracles, so
 reported witnesses are valid by construction.  Absence of good witnesses is
 only budget-relative; the report never claims a lower bound beyond that.
 
-Both probes seed from diagonal profiles, caller-supplied points and the
-feasibility boundary, then spend the budget in restart batches of 16 random
-starts, ceil(restarts / 16) of them, the last one with the remainder.
-Batch b draws from the b-th SeedSequence(seed) child and the best feasible
-point wins, the earliest on ties, so a fixed seed fixes every output.  The
-norm probe runs its batches one after another through _search.run_batches;
-the nu probe runs all of them as one row program.
+Both probes are modes of one pipeline, _probe.  A mode checks its inputs
+and supplies its seeds, how seed rows are scored, the distance rows its
+boundary seeds are searched on, and its restart stage; the pipeline adds
+the boundary seeds, scores every seed, merges the restarts' best and
+finalizes the report.  The restarts are batches of 16 random starts,
+ceil(restarts / 16) of them, the last one with the remainder.  Batch b
+draws from the b-th SeedSequence(seed) child and the best feasible point
+wins, the earliest on ties, so a fixed seed fixes every output.
 
-Each batch is a row program over its starts, and returns what running the
-starts one after another returns, bit for bit:
+Each mode runs every batch as the rows of one program, and returns what
+running the batches one after another, and their starts one after
+another, returns, bit for bit:
 
-* norm: the starts are drawn in order, and their power-ascent paths are
-  stepped as rows (_ascent_paths).  Each start walks alone: it ends at a
-  step allclose to its point, after iters steps, or at its first
-  infeasible step, and in the last case it pulls back toward the point
-  before that step when that point is feasible.  Start by start, every
-  feasible point of the path is a candidate, then the pullback.  All
-  pullbacks are searched as one array (_pullback_rows).
+* norm: the starts are drawn batch by batch, and the power-ascent paths of
+  all of them are stepped as the rows of one call (_ascent_paths).  Each
+  start walks alone: it ends at a step allclose to its point, after iters
+  steps, or at its first infeasible step, and in the last case it pulls
+  back toward the point before that step when that point is feasible.
+  Start by start, every feasible point of the path is a candidate, then
+  the pullback.  All pullbacks are searched as one array (_pullback_rows).
 * nu: each start's random_unit and its block of rounds x 3 trial
   directions are drawn start by start, batch b from its generator
   (_search.polish_source).  The starts of every batch are polished as the
@@ -81,8 +83,7 @@ from typing import Optional
 import numpy as np
 
 from ._search import (batch_rngs, batch_sizes, best_of, matvec_rows,
-                      polish_rows, polish_source, power_ascent_rows,
-                      run_batches)
+                      polish_rows, polish_source, power_ascent_rows)
 from .errors import GeometryError, HeuristicRefusalError, NotNormalizedError
 from .membership import _group_cap, _norm_profile_mass
 from .norm_attainment import norming_set, operator_norm
@@ -282,15 +283,24 @@ def _seed_rows(space, vectors):
     return np.asarray(vectors, dtype=space.dtype).reshape(-1, space.dim)
 
 
-def _check_seeds(space, xs, functionals=()):
-    """GeometryError unless each caller seed x of xs is a unit vector within
-    PI_TOL, and each pair (x, x*), x* its entry of functionals or None, passes
-    StatePair.validate's checks: one norm_rows call per side, one pairing."""
-    if not xs:
-        return
-    X = _seed_rows(space, xs)
-    paired = [i for i, f in enumerate(functionals) if f is not None]
-    XS = _seed_rows(space, [functionals[i] for i in paired])
+def _caller_seeds(space, extra_seeds, pairs=False):
+    """The caller seeds as (x, x* or None) rows, in order.  With pairs, a
+    StatePair, and a 2-tuple with a vector among its entries, give (x, x*);
+    any other seed is a bare x.  GeometryError unless each x is a unit vector
+    within PI_TOL and each pair passes StatePair.validate's checks: one
+    norm_rows call per side, one pairing."""
+    seeds = []
+    for s in extra_seeds:
+        if pairs and isinstance(s, StatePair):
+            s = (s.x, s.xstar)
+        seeds.append((space.check(s[0]), space.dual().check(s[1]))
+                     if pairs and isinstance(s, tuple) and len(s) == 2
+                     and max(map(np.ndim, s)) > 0 else (space.check(s), None))
+    if not seeds:
+        return seeds
+    X = _seed_rows(space, [x for x, _ in seeds])
+    paired = [i for i, (_x, xs) in enumerate(seeds) if xs is not None]
+    XS = _seed_rows(space, [seeds[i][1] for i in paired])
     for what, rows, v in (("||x||", range(len(X)), space.norm_rows(X)),
                           ("||x*||", paired, space.dual().norm_rows(XS)),
                           ("<x*, x>", paired, (XS * X[paired]).sum(axis=1))):
@@ -298,6 +308,7 @@ def _check_seeds(space, xs, functionals=()):
         if off.size:
             raise GeometryError(f"extra seed {rows[off[0]]}: {what} = "
                                 f"{v[off[0]]} is not 1 within {PI_TOL}")
+    return seeds
 
 
 def _row_candidates(vals, dist, eps, witness):
@@ -309,6 +320,34 @@ def _row_candidates(vals, dist, eps, witness):
             float(np.fmax.reduce(dist, initial=0.0)))
 
 
+def _probe(mode, eps, budget, seed, space, desc, seeds, score, dist_rows,
+           restarts):
+    """The stages both probes share.  A mode supplies its seeds as (x, x* or
+    None) rows; score(X, xstars) -> (values, distances, witness) of the seed
+    rows; the dist_rows of its boundary seeds, which follow its own seeds
+    off sums; and its restart stage, restarts(budget) -> (candidates in
+    start order, farthest distance), whose best comes after the seeds."""
+    budget = budget or ProbeBudget()
+    seed_rng = np.random.Generator(np.random.PCG64(seed))
+    if not desc.is_empty and not isinstance(space, SumSpace):
+        try:
+            bases = [b.x if isinstance(b, StatePair) else b
+                     for b in desc.sample(seed_rng, 2)]
+        except (NotImplementedError, GeometryError):
+            bases = []
+        seeds = seeds + [(x, None) for x in _boundary_seeds(
+            space, dist_rows, eps, bases, seed_rng)]
+    candidates, farthest = [], 0.0
+    if seeds:
+        X = _seed_rows(space, [x for x, _ in seeds])
+        vals, dist, witness = score(X, [xs for _, xs in seeds])
+        candidates, farthest = _row_candidates(vals, dist, eps, witness)
+    found, reached = restarts(budget)
+    candidates.append(best_of(found))
+    return _finalize(mode, eps, candidates, max(farthest, reached), seed,
+                     budget)
+
+
 def eta_probe_norm(T: OperatorExpr, eps: float,
                    budget: Optional[ProbeBudget] = None, seed: int = 0,
                    extra_seeds=()) -> ProbeReport:
@@ -317,63 +356,44 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
     shape raises DimensionMismatchError, and a NaN or inf entry or a norm
     off 1 by more than PI_TOL raises GeometryError."""
     _check_eps(eps)
-    budget = budget or ProbeBudget()
     nr, desc = _resolve_norm(T)
     space, cod, M = T.domain, T.codomain, to_matrix(T)
-
-    extra = [space.check(s) for s in extra_seeds]
-    _check_seeds(space, extra)
-    seeds = _diag_norm_seeds(T, eps) + extra
-    seed_rng = np.random.Generator(np.random.PCG64(seed))
-    if not desc.is_empty and not isinstance(space, SumSpace):
-        try:
-            bases = desc.sample(seed_rng, 2)
-        except (NotImplementedError, GeometryError):
-            bases = []
-        seeds += _boundary_seeds(space, desc.distance_rows, eps, bases,
-                                 seed_rng)
-
-    X = _seed_rows(space, seeds)
-    candidates, max_dist_seen = _row_candidates(
-        cod.norm_rows(matvec_rows(M, X)), desc.distance_rows(X), eps,
-        X.__getitem__) if seeds else ([], 0.0)
-
-    iters = max(10, budget.iters // 100)
-    sizes = batch_sizes(budget.restarts, 16)
-    left = iter(sizes)             # run_batches calls batch in batch order
+    seeds = [(x, None) for x in _diag_norm_seeds(T, eps)] \
+        + _caller_seeds(space, extra_seeds)
 
     def value_rows(X):
         return cod.norm_rows(matvec_rows(M, X))
 
-    def batch(rng):
-        nonlocal max_dist_seen
-        starts = next(left)
-        X0 = np.array([random_unit(space, rng) for _ in range(starts)])
-        P, D, counts = _ascent_paths(M, space, cod, X0, iters,
+    def score(X, _xstars):
+        return value_rows(X), desc.distance_rows(X), X.__getitem__
+
+    def restarts(budget):
+        sizes = batch_sizes(budget.restarts, 16)
+        X0 = np.array([random_unit(space, rng) for rng, n in
+                       zip(batch_rngs(seed, len(sizes)), sizes)
+                       for _ in range(n)])
+        P, D, counts = _ascent_paths(M, space, cod, X0,
+                                     max(10, budget.iters // 100),
                                      desc.distance_rows, eps)
-        max_dist_seen = max(max_dist_seen,
-                            float(np.fmax.reduce(D.ravel(), initial=0.0)))
         feas = D >= eps - FEAS_TOL
         rows, steps = np.nonzero(feas)
         vals = value_rows(P[rows, steps]) if rows.size else []
-        found = [[] for _ in range(starts)]
+        found = [[] for _ in X0]
         for r, k, v in zip(rows, steps, vals):
             found[r].append((float(v), float(D[r, k]), P[r, k]))
-        last = counts - 1
-        pulls = np.flatnonzero((last > 0) & ~feas[range(starts), last]
-                               & feas[range(starts), last - 1])
-        if pulls.size:
-            backs = _pullback_rows(P[pulls, last[pulls]],
-                                   P[pulls, last[pulls] - 1],
-                                   D[pulls, last[pulls]],
-                                   D[pulls, last[pulls] - 1], eps, space,
-                                   value_rows, desc.distance_rows)
-            for r, back in zip(pulls, backs):
-                found[r].append(back)
-        return best_of(c for row in found for c in row)
+        R, last = range(len(X0)), counts - 1
+        pulls = np.flatnonzero((last > 0) & ~feas[R, last]
+                               & feas[R, last - 1])
+        hi, lo = last[pulls], last[pulls] - 1
+        for r, back in zip(pulls, _pullback_rows(
+                P[pulls, hi], P[pulls, lo], D[pulls, hi], D[pulls, lo], eps,
+                space, value_rows, desc.distance_rows)):
+            found[r].append(back)
+        return ([c for row in found for c in row],
+                float(np.fmax.reduce(D.ravel(), initial=0.0)))
 
-    candidates.append(run_batches(seed, len(sizes), batch))
-    return _finalize("norm", eps, candidates, max_dist_seen, seed, budget)
+    return _probe("norm", eps, budget, seed, space, desc, seeds, score,
+                  desc.distance_rows, restarts)
 
 
 def _ascent_paths(M, space, cod, X0, steps, dist_rows, eps):
@@ -433,10 +453,9 @@ def _pullback_rows(X_hi, X_lo, D_hi, D_lo, eps, space, value_rows,
 def _finalize(mode, eps, candidates, max_dist_seen, seed, budget):
     best = best_of(candidates)
     if best is None:
-        sentinel = max_dist_seen < eps - FEAS_TOL
         return ProbeReport(mode=mode, epsilon=eps, eta_hat=float("inf"),
-                           sentinel=sentinel, best_value=-float("inf"),
-                           witness=None, seed=seed, budget=budget)
+                           sentinel=max_dist_seen < eps - FEAS_TOL,
+                           best_value=-float("inf"), seed=seed, budget=budget)
     vbest, dbest, xbest = best
     return ProbeReport(mode=mode, epsilon=eps,
                        eta_hat=max(0.0, 1.0 - vbest), sentinel=False,
@@ -474,53 +493,34 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
     """eps as in eta_probe_norm.  extra_seeds: iterable of StatePairs,
     (x, xstar) pairs or bare x vectors, checked as eta_probe_norm checks its
     seeds; a given xstar is checked as StatePair.validate checks it, with
-    GeometryError."""
+    GeometryError.  A 2-tuple of two scalars is a bare x."""
     _check_eps(eps)
-    budget = budget or ProbeBudget()
     nr, desc = _resolve_nu(T, nu_result, attaining)
     space, M = T.domain, to_matrix(T)
-
-    seeds = []          # (x, the caller's x* or None)
-    for s in extra_seeds:
-        if isinstance(s, StatePair):
-            s = (s.x, s.xstar)
-        seeds.append((space.check(s[0]), space.dual().check(s[1]))
-                     if isinstance(s, tuple) and len(s) == 2
-                     else (space.check(s), None))
-    _check_seeds(space, [x for x, _ in seeds], [xs for _, xs in seeds])
-    seeds += _diag_nu_seeds(T, eps)
-    seed_rng = np.random.Generator(np.random.PCG64(seed))
-    if not desc.is_empty and not isinstance(space, SumSpace):
-        try:
-            bases = [sp.x for sp in desc.sample(seed_rng, 2)]
-        except (NotImplementedError, GeometryError):
-            bases = []
-        seeds += [(x, None) for x in _boundary_seeds(
-            space, _state_dist_rows(desc, M, space), eps, bases, seed_rng)]
+    seeds = _caller_seeds(space, extra_seeds, pairs=True) \
+        + _diag_nu_seeds(T, eps)
 
     def pair_dist(X, XS):
         dx, dxs = desc.pair_distance_rows(X, XS).T
         return np.where(dxs > dx, dxs, dx)          # as Python max(dx, dxs)
 
-    candidates, max_dist_seen = [], 0.0
-    if seeds:
-        X = _seed_rows(space, [x for x, _ in seeds])
+    def score(X, xstars):
         Y = matvec_rows(M, X)
         XS = best_state_functional_rows(Y, X, space)[1]
-        given = [i for i, (_x, xs) in enumerate(seeds) if xs is not None]
-        XS[given] = _seed_rows(space, [seeds[i][1] for i in given])
-        candidates, max_dist_seen = _row_candidates(
-            _modulus((XS * Y).sum(axis=1)), pair_dist(X, XS), eps,
-            lambda i: StatePair(X[i], XS[i], space))
+        given = [i for i, xs in enumerate(xstars) if xs is not None]
+        XS[given] = _seed_rows(space, [xstars[i] for i in given])
+        return (_modulus((XS * Y).sum(axis=1)), pair_dist(X, XS),
+                lambda i: StatePair(X[i], XS[i], space))
 
-    vals, X, XS = _nu_restarts(_ArrayKey(M), space, seed, budget.restarts,
-                               budget.iters)
-    found, farthest = _row_candidates(
-        vals, pair_dist(X, XS), eps,
-        lambda i: StatePair(X[i].copy(), XS[i].copy(), space))
-    max_dist_seen = max(max_dist_seen, farthest)
-    candidates.append(best_of(found))
-    return _finalize("nu", eps, candidates, max_dist_seen, seed, budget)
+    def restarts(budget):
+        vals, X, XS = _nu_restarts(_ArrayKey(M), space, seed,
+                                   budget.restarts, budget.iters)
+        return _row_candidates(
+            vals, pair_dist(X, XS), eps,
+            lambda i: StatePair(X[i].copy(), XS[i].copy(), space))
+
+    return _probe("nu", eps, budget, seed, space, desc, seeds, score,
+                  _state_dist_rows(desc, M, space), restarts)
 
 
 class _ArrayKey:
@@ -641,17 +641,13 @@ def validate_eta(T: OperatorExpr, eta_fn, eps_grid, mode: str = "norm",
     each eps, the probe must find no point with value > 1 - eta_fn(eps) at
     distance >= eps.  A found violator fails the report (and is itself
     re-validated against the independent value oracle)."""
+    probe = {"norm": eta_probe_norm, "nu": eta_probe_nu}.get(mode)
+    if probe is None:
+        raise GeometryError("mode must be 'norm' or 'nu'")
     rows = []
     witness = None
     for eps in eps_grid:
-        if mode == "norm":
-            rep = eta_probe_norm(T, eps, budget=budget, seed=seed,
-                                 **probe_kwargs)
-        elif mode == "nu":
-            rep = eta_probe_nu(T, eps, budget=budget, seed=seed,
-                               **probe_kwargs)
-        else:
-            raise GeometryError("mode must be 'norm' or 'nu'")
+        rep = probe(T, eps, budget=budget, seed=seed, **probe_kwargs)
         level = float(eta_fn(eps))
         violated = (not rep.sentinel) and \
             rep.best_value > 1.0 - level + tol

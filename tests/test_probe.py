@@ -126,6 +126,19 @@ def test_extra_seeds_within_pi_tol_are_accepted():
                  extra_seeds=[x, (np.array([0.0, 1.0, 0.0]), x)])
 
 
+@pytest.mark.parametrize("probe", [eta_probe_norm, eta_probe_nu],
+                         ids=["norm", "nu"])
+def test_a_tuple_of_two_scalars_is_a_bare_seed(probe):
+    # at dim 2 the tuple (0.6, 0.8) is the x (0.6, 0.8), as the list is,
+    # not an (x, x*) pair of two scalars
+    D = _diag([1.0, 0.5], 2.0)
+    budget = ProbeBudget(restarts=4, iters=100)
+    reps = [probe(D, 0.3, budget=budget, seed=1, extra_seeds=[s])
+            for s in ((0.6, 0.8), [0.6, 0.8])]
+    assert reps[0].describe() == reps[1].describe()
+    assert repr(reps[0].witness) == repr(reps[1].witness)
+
+
 @pytest.mark.parametrize("probe", [eta_probe_norm, eta_probe_nu])
 def test_unsampleable_attaining_set_probes_without_boundary_seeds(
         probe, monkeypatch):
@@ -250,6 +263,14 @@ def test_validate_eta_identity_vacuous():
     assert all(r.sentinel for r in rep.rows)
 
 
+def test_validate_eta_rejects_an_unknown_mode_on_an_empty_grid():
+    D = _diag([1.0, 0.5], 2.0)
+    with pytest.raises(GeometryError):
+        validate_eta(D, eta_const(0.1), [], mode="bogus")
+    rep = validate_eta(D, eta_const(0.1), [], mode="nu")
+    assert rep.passed and rep.rows == []
+
+
 def test_probe_csv_row_format():
     D = _diag([1.0, 0.5], 2.0)
     rep = eta_probe_norm(D, 0.5, budget=BUD, seed=0)
@@ -362,8 +383,8 @@ def test_itp_counts_a_zero_point_as_infeasible():
 @pytest.mark.parametrize("restarts", [1, 15, 16, 17, 31, 32, 37])
 def test_probes_run_every_requested_start(restarts, monkeypatch):
     # ceil(restarts / 16) batches, the last one with the remainder; the
-    # norm probe's starts pass through _ascent_paths one batch a call, the
-    # nu probe's through one polish_rows call over every batch
+    # norm probe's starts pass through one _ascent_paths call over every
+    # batch, the nu probe's through one polish_rows call
     starts = []
 
     def counted(name, at):
@@ -380,7 +401,7 @@ def test_probes_run_every_requested_start(restarts, monkeypatch):
     budget = ProbeBudget(restarts=restarts, iters=300)
     full, rest = divmod(restarts, 16)
     eta_probe_norm(D, 0.3, budget=budget, seed=2)
-    assert starts == [16] * full + [rest] * (rest > 0)
+    assert starts == [restarts]
     starts.clear()
     layouts = []
     source = probe_module.polish_source
