@@ -6,7 +6,7 @@ Certainty labels are load-bearing: downstream consumers (probes, membership
 falsification) refuse to build certified objects out of heuristic values.
 
 exact       -- closed form or structural reduction; trusted to round-off.
-enumerated  -- finite extreme-point enumeration (plus local phase polish in
+enumerated  -- finite extreme-point enumeration (plus local phase ascent in
                the complex sup-norm case); trusted at the documented budget.
 heuristic   -- multistart ascent; a certified lower bound only.
 """
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ._search import (batch_rngs, batch_sizes, best_of, best_row,
-                      boyd_ascent, golden_max, phase_orbit_min_rows,
+                      boyd_ascent, dual_align_rows, phase_orbit_min_rows,
                       phase_times, power_ascent_rows, primal_align_rows,
                       random_unit_rows)
 from .errors import GeometryError, HeuristicRefusalError
@@ -140,23 +140,25 @@ def _dense_norm(M, dom, cod, restarts, iters, seed) -> NormResult:
 
 
 def _sign_chunks(M, dom, cod):
-    """Every sign vector of {-1, 1}^dim, in binary order and in chunks of at
-    most 2^14 rows, with the codomain norms of its images: (signs, vals).
+    """The sign vectors of {-1, 1}^dim with last entry -1, the binary indices
+    below 2^(dim - 1), in binary order, in chunks of at most 2^14 rows, with
+    the codomain norms of their images: (signs, vals).  M(-s) is bitwise
+    -(Ms) at the larger complement index, so the other half repeats them.
 
-    Within a chunk the low min(dim, 14) bits run through a table built once,
-    and the high bits, the chunk's index, are constant columns.  So every
-    chunk is the same buffer with its high columns rewritten: a caller that
-    keeps a row past the next chunk must copy it.  The images, too, go to
-    one buffer: a fresh multi-megabyte array per chunk costs its page
-    faults again every time."""
+    Within a chunk the low min(dim - 1, 14) bits run through a table built
+    once and the chunk's index sets the high columns, so every chunk is one
+    buffer: a caller that keeps a row past the next chunk must copy it.  The
+    images, too, go to one buffer, since a fresh multi-megabyte array per
+    chunk costs its page faults again every time."""
     d = dom.dim
-    low = min(d, 14)
+    low = min(d - 1, 14)
     signs = np.empty((1 << low, d))
     signs[:, :low] = ((np.arange(1 << low)[:, None] >> np.arange(low)) & 1) \
         * 2.0 - 1.0
+    signs[:, -1] = -1.0
     images = np.empty((1 << low, len(M)), dtype=np.result_type(M, float))
-    for c in range(1 << (d - low)):
-        signs[:, low:] = ((c >> np.arange(d - low)) & 1) * 2.0 - 1.0
+    for c in range(1 << (d - 1 - low)):
+        signs[:, low:-1] = ((c >> np.arange(d - 1 - low)) & 1) * 2.0 - 1.0
         yield signs, lp_norm_rows(np.matmul(signs, M.T, out=images), cod.p)
 
 
@@ -169,14 +171,13 @@ def _sign_enumerate(M, dom, cod):
     return best_val, best_sign
 
 
-def _phase_enumerate(M, dom, cod):
-    """A PHASE_GRID-point phase grid per coordinate, the first pinned to 1 by
-    the global phase freedom, then a coordinate-wise golden polish.
+def _phase_grid(M, dom, cod):
+    """The first best point of a PHASE_GRID-point phase grid per coordinate,
+    the first pinned to 1 by the global phase freedom: (value, x).
 
     The grid runs in row-major order over (theta_1, ..., theta_{d-1}), in
     chunks of one table over the last min(d - 1, 2) phases, at most 4096
-    rows, built once; a chunk rewrites only the leading phase columns.  The
-    first best row in grid order wins."""
+    rows, built once; a chunk rewrites only the leading phase columns."""
     d = dom.dim
     phases = np.exp(1j * np.linspace(0.0, 2 * np.pi, PHASE_GRID,
                                      endpoint=False))
@@ -192,26 +193,24 @@ def _phase_enumerate(M, dom, cod):
         k = int(vals.argmax())
         if vals[k] > best_val:
             best_val, x = vals[k], X[k].copy()
+    return best_val, x
 
-    def polish(x):
-        for _ in range(60):
-            changed = False
-            for j in range(1, d):
-                def f(t):
-                    xt = x.copy()
-                    xt[j] = np.exp(1j * t)
-                    return lp_norm(M @ xt, cod.p)
-                t0 = float(np.angle(x[j]))
-                tbest, fbest = golden_max(f, t0 - 0.2, t0 + 0.2, tol=1e-12)
-                if fbest > lp_norm(M @ x, cod.p) + 1e-15:
-                    x[j] = np.exp(1j * tbest)
-                    changed = True
-            if not changed:
-                break
-        return x
 
-    x = polish(x)
-    return lp_norm(M @ x, cod.p), x
+def _phase_enumerate(M, dom, cod):
+    """The phase grid's first best point, then the ascent x <- the unimodular
+    x' aligned with M^T u, u the dual alignment of Mx, while ||Mx||_q rises
+    strictly, for at most 2000 steps (Boyd 1974: ||Mx'||_q >= |<u, Mx'>| =
+    ||M^T u||_1 >= <u, Mx> = ||Mx||_q): (||Mx||_q, x)."""
+    x = _phase_grid(M, dom, cod)[1]
+    val = lp_norm(M @ x, cod.p)
+    for _ in range(2000):
+        xn = primal_align_rows(dual_align_rows((M @ x)[None, :], cod.p) @ M,
+                               INF)[0]
+        vn = lp_norm(M @ xn, cod.p)
+        if not vn > val:
+            break
+        x, val = xn, vn
+    return val, x
 
 
 def _multistart_norm(M, dom, cod, restarts, iters, seed):
@@ -612,9 +611,11 @@ def functional_norming_set(f: np.ndarray, dom: Space,
 
 
 def _enumerated_norming_points(M, dom, cod, value, tol):
-    return tuple(signs[k].copy()
-                 for signs, vals in _sign_chunks(M, dom, cod)
-                 for k in np.nonzero(vals >= value * (1 - tol))[0])
+    """Every s with ||Ms|| >= value * (1 - tol) in binary order: the half's
+    in order, then their negations, at the complement indices, reversed."""
+    half = [signs[k].copy() for signs, vals in _sign_chunks(M, dom, cod)
+            for k in np.nonzero(vals >= value * (1 - tol))[0]]
+    return tuple(half + [-s for s in reversed(half)])
 
 
 def distance_to_norming_set(x: np.ndarray, T: OperatorExpr,

@@ -130,16 +130,20 @@ def _dense_nu(M: np.ndarray, space, restarts, iters, seed) -> NuResult:
 
 
 def _complex_hilbert_nu(M: np.ndarray, space) -> NuResult:
+    """The module's complex Hilbert route.  The rotation by t + pi is minus
+    the one by t, so one eigvalsh over the THETA_GRID // 2 rotations in
+    [0, pi) gives every grid top: lambda_max, then -lambda_min."""
     H = (M + np.conj(M.T)) / 2.0
     K = 1j * (M - np.conj(M.T)) / 2.0
 
     def top(theta: float) -> float:
         return float(np.linalg.eigvalsh(np.cos(theta) * H + np.sin(theta) * K)[-1])
 
-    # the grid's rotations as one (THETA_GRID, d, d) stack: one eigvalsh
     thetas = np.linspace(0.0, 2 * np.pi, THETA_GRID, endpoint=False)
-    vals = np.linalg.eigvalsh(np.cos(thetas)[:, None, None] * H +
-                              np.sin(thetas)[:, None, None] * K)[:, -1]
+    half = thetas[:THETA_GRID // 2]
+    w = np.linalg.eigvalsh(np.cos(half)[:, None, None] * H +
+                           np.sin(half)[:, None, None] * K)
+    vals = np.concatenate([w[:, -1], -w[:, 0]])
     k = int(vals.argmax())
     width = 2 * np.pi / THETA_GRID
     t_star, v_star = golden_max(top, thetas[k] - width, thetas[k] + width,

@@ -312,12 +312,10 @@ def _caller_seeds(space, extra_seeds, pairs=False):
 
 
 def _row_candidates(vals, dist, eps, witness):
-    """One candidate per row of values and distances (R,), in order:
-    (value, distance, witness(i)) for a row i at distance >= eps - FEAS_TOL,
-    else None; and the largest distance, 0.0 for no rows."""
-    return ([(float(v), float(d), witness(i)) if d >= eps - FEAS_TOL
-             else None for i, (v, d) in enumerate(zip(vals, dist))],
-            float(np.fmax.reduce(dist, initial=0.0)))
+    """One candidate per row i of values and distances (R,), in order: (value,
+    distance, witness(i)) at a distance >= eps - FEAS_TOL, else None."""
+    return [(float(v), float(d), witness(i)) if d >= eps - FEAS_TOL
+            else None for i, (v, d) in enumerate(zip(vals, dist))]
 
 
 def _probe(mode, eps, budget, seed, space, desc, seeds, score, dist_rows,
@@ -325,8 +323,8 @@ def _probe(mode, eps, budget, seed, space, desc, seeds, score, dist_rows,
     """The stages both probes share.  A mode supplies its seeds as (x, x* or
     None) rows; score(X, xstars) -> (values, distances, witness) of the seed
     rows; the dist_rows of its boundary seeds, which follow its own seeds
-    off sums; and its restart stage, restarts(budget) -> (candidates in
-    start order, farthest distance), whose best comes after the seeds."""
+    off sums; and its restart stage, restarts(budget) -> candidates in
+    start order, whose best comes after the seeds."""
     budget = budget or ProbeBudget()
     seed_rng = np.random.Generator(np.random.PCG64(seed))
     if not desc.is_empty and not isinstance(space, SumSpace):
@@ -337,15 +335,13 @@ def _probe(mode, eps, budget, seed, space, desc, seeds, score, dist_rows,
             bases = []
         seeds = seeds + [(x, None) for x in _boundary_seeds(
             space, dist_rows, eps, bases, seed_rng)]
-    candidates, farthest = [], 0.0
+    candidates = []
     if seeds:
         X = _seed_rows(space, [x for x, _ in seeds])
         vals, dist, witness = score(X, [xs for _, xs in seeds])
-        candidates, farthest = _row_candidates(vals, dist, eps, witness)
-    found, reached = restarts(budget)
-    candidates.append(best_of(found))
-    return _finalize(mode, eps, candidates, max(farthest, reached), seed,
-                     budget)
+        candidates = _row_candidates(vals, dist, eps, witness)
+    candidates.append(best_of(restarts(budget)))
+    return _finalize(mode, eps, candidates, seed, budget)
 
 
 def eta_probe_norm(T: OperatorExpr, eps: float,
@@ -389,8 +385,7 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
                 P[pulls, hi], P[pulls, lo], D[pulls, hi], D[pulls, lo], eps,
                 space, value_rows, desc.distance_rows)):
             found[r].append(back)
-        return ([c for row in found for c in row],
-                float(np.fmax.reduce(D.ravel(), initial=0.0)))
+        return [c for row in found for c in row]
 
     return _probe("norm", eps, budget, seed, space, desc, seeds, score,
                   desc.distance_rows, restarts)
@@ -450,11 +445,11 @@ def _pullback_rows(X_hi, X_lo, D_hi, D_lo, eps, space, value_rows,
             else None for i in range(P)]
 
 
-def _finalize(mode, eps, candidates, max_dist_seen, seed, budget):
+def _finalize(mode, eps, candidates, seed, budget):
     best = best_of(candidates)
-    if best is None:
+    if best is None:        # nothing scored lay eps - FEAS_TOL from the set
         return ProbeReport(mode=mode, epsilon=eps, eta_hat=float("inf"),
-                           sentinel=max_dist_seen < eps - FEAS_TOL,
+                           sentinel=True,
                            best_value=-float("inf"), seed=seed, budget=budget)
     vbest, dbest, xbest = best
     return ProbeReport(mode=mode, epsilon=eps,

@@ -45,10 +45,13 @@ chunked draws of _search.polish_source against polish_block.
 The end keeps the dense routes as they ran before they were stacked: the
 Boyd multistart with one boyd_ascent call per batch (boyd_ascent_flat, the
 old flat-product body), the complex sup-norm phase grid as one meshgrid of
-every phase, the sign chunks with their bits shifted out of the row
-indices, and the complex Hilbert rotation grid with one eigvalsh per
-rotation.  tests/test_dense_routes.py checks the library against them bit
-for bit.
+every phase (phase_grid) and its coordinate-wise golden polish
+(phase_enumerate), the whole sign cube with its bits shifted out of the row
+indices (sign_chunks, sign_enumerate, enumerated_norming_points), and the
+complex Hilbert rotation grid with one eigvalsh per rotation of the whole
+circle.  tests/test_dense_routes.py checks the library against them bit
+for bit, and the phase ascent that replaced the golden polish against
+phase_enumerate's value to 4 ulps.
 
 The very end keeps the G-CORNER repair-bounds claim as it ran before its
 pairs were checked as rows: each trial drawn, validated, repaired and
@@ -1082,12 +1085,9 @@ def eta_probe_norm(T, eps, budget=None, seed=0, extra_seeds=()):
         return space_norm(M @ x, cod)
 
     candidates = []
-    max_dist_seen = 0.0
 
     def consider(x):
-        nonlocal max_dist_seen
         d = desc.distance(x)
-        max_dist_seen = max(max_dist_seen, d)
         if d >= eps - FEAS_TOL:
             return (value_of(x), d, x)
         return None
@@ -1135,8 +1135,7 @@ def eta_probe_norm(T, eps, budget=None, seed=0, extra_seeds=()):
         return best
 
     candidates.append(run_batches(seed, len(sizes), batch))
-    return probe._finalize("norm", eps, candidates, max_dist_seen, seed,
-                           budget)
+    return probe._finalize("norm", eps, candidates, seed, budget)
 
 
 def eta_probe_nu(T, eps, budget=None, seed=0, nu_result=None, attaining=None,
@@ -1153,13 +1152,10 @@ def eta_probe_nu(T, eps, budget=None, seed=0, nu_result=None, attaining=None,
         return state_functional(M @ x, x, space)[1]
 
     candidates = []
-    max_dist_seen = 0.0
 
     def consider_pair(x, xs):
-        nonlocal max_dist_seen
         dx, dxs = nu_pair_distance(desc, x, xs)
         d = max(dx, dxs)
-        max_dist_seen = max(max_dist_seen, d)
         if d >= eps - FEAS_TOL:
             return (pair_value(x, xs), d, StatePair(x, xs, space))
         return None
@@ -1204,8 +1200,7 @@ def eta_probe_nu(T, eps, budget=None, seed=0, nu_result=None, attaining=None,
         return best_of(polished_start(rng) for _ in range(sizes.pop(0)))
 
     candidates.append(run_batches(seed, len(sizes), batch))
-    return probe._finalize("nu", eps, candidates, max_dist_seen, seed,
-                           budget)
+    return probe._finalize("nu", eps, candidates, seed, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -1246,10 +1241,9 @@ def multistart_norm(M, dom, cod, restarts, iters, seed):
     return run_batches(seed, len(sizes), batch)
 
 
-def phase_enumerate(M, dom, cod):
-    """norm_attainment._phase_enumerate with the whole phase grid as one
-    meshgrid of PHASE_GRID^(d-1) rows and one product, then the same
-    coordinate-wise golden polish: (value, x)."""
+def phase_grid(M, dom, cod):
+    """norm_attainment._phase_grid with the whole phase grid as one meshgrid
+    of PHASE_GRID^(d-1) rows and one product: (value, x)."""
     d = dom.dim
     thetas = np.linspace(0.0, 2 * np.pi, PHASE_GRID, endpoint=False)
     grids = np.meshgrid(*([thetas] * (d - 1)), indexing="ij")
@@ -1257,7 +1251,17 @@ def phase_enumerate(M, dom, cod):
     for j, g in enumerate(grids):
         X[:, j + 1] = np.exp(1j * g.ravel())
     vals = lp_norm_rows(X @ M.T, cod.p)
-    x = X[int(vals.argmax())].copy()
+    k = int(vals.argmax())
+    return vals[k], X[k].copy()
+
+
+def phase_enumerate(M, dom, cod):
+    """norm_attainment._phase_enumerate as it ran before its phase ascent:
+    phase_grid's point, then a coordinate-wise golden polish, a golden
+    search over each phase but the first in turn, for up to 60 sweeps:
+    (value, x)."""
+    d = dom.dim
+    x = phase_grid(M, dom, cod)[1]
     for _ in range(60):
         changed = False
         for j in range(1, d):
@@ -1276,8 +1280,10 @@ def phase_enumerate(M, dom, cod):
 
 
 def sign_chunks(M, dom, cod):
-    """norm_attainment._sign_chunks with every chunk's sign bits shifted out
-    of its row indices, a fresh array per chunk: (signs, vals)."""
+    """The whole sign cube {-1, 1}^dim in binary order, every chunk of 2^14
+    rows with its sign bits shifted out of its row indices, a fresh array
+    per chunk: (signs, vals).  norm_attainment._sign_chunks lists its first
+    half, the rows whose last sign is -1."""
     d = dom.dim
     chunk = 1 << min(d, 14)
     total = 1 << d
@@ -1295,6 +1301,13 @@ def sign_enumerate(M, dom, cod):
         if vals[k] > best_val:
             best_val, best_sign = float(vals[k]), signs[k]
     return best_val, best_sign
+
+
+def enumerated_norming_points(M, dom, cod, value, tol):
+    """norm_attainment._enumerated_norming_points over the whole cube of
+    sign_chunks, in binary order."""
+    return tuple(signs[k] for signs, vals in sign_chunks(M, dom, cod)
+                 for k in np.nonzero(vals >= value * (1 - tol))[0])
 
 
 def complex_hilbert_nu(M):

@@ -2,10 +2,12 @@
 
 tests/_oracles.py keeps the Boyd multistart with one boyd_ascent call per
 batch of 16 (boyd_ascent_flat, its body before it took stacks), the phase
-grid as one meshgrid over every phase, the sign chunks with their bits
+grid as one meshgrid over every phase, the whole sign cube with its bits
 shifted out of the row indices, and the rotation grid with one eigvalsh per
-rotation.  The library's stacks, chunk tables and batched eigvalsh must give
-the same value and the same witness, bit for bit.  The multistarts run every
+rotation over the whole circle.  The library's stacks, chunk tables, half
+cube and batched eigvalsh over half the circle must give the same value and
+the same witness, bit for bit.  The phase route's ascent replaced a golden
+polish, which the oracle keeps: the ascent must reach its value to 4 ulps.  The multistarts run every
 start of their budget, in full batches and one batch of the remainder.
 """
 
@@ -13,13 +15,16 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracle
 from bollobas_lab import norm_attainment
 from bollobas_lab._search import boyd_ascent, random_unit_rows
 from bollobas_lab.norm_attainment import (_multistart_norm, _phase_enumerate,
-                                          _sign_enumerate, _sum_space_norm,
-                                          norming_set, operator_norm)
+                                          _phase_grid, _sign_enumerate,
+                                          _sum_space_norm, norming_set,
+                                          operator_norm)
 from bollobas_lab.numerical_radius import _complex_hilbert_nu, _multistart_nu
 from bollobas_lab.operators import Dense
 from bollobas_lab.spaces import INF, Space, SumSpace, lp_norm
@@ -81,26 +86,90 @@ def test_phase_grid_matches_the_whole_meshgrid(d):
     for q in (1.0, 2.0, 3.0):
         M = _matrix(rng, d, "complex")
         dom, cod = Space(INF, d, "complex"), Space(q, d, "complex")
-        got = _phase_enumerate(M, dom, cod)
-        want = oracle.phase_enumerate(M, dom, cod)
+        got = _phase_grid(M, dom, cod)
+        want = oracle.phase_grid(M, dom, cod)
         assert repr(got[0]) == repr(want[0])
         assert _bits(got[1]) == _bits(want[1])
 
 
+def _check_phase_ascent(M, q):
+    # from the grid's point the ascent reaches at least the golden polish,
+    # to 4 ulps, at a unimodular witness whose value it reports
+    d = len(M)
+    dom, cod = Space(INF, d, "complex"), Space(q, d, "complex")
+    val, x = _phase_enumerate(M, dom, cod)
+    want = oracle.phase_enumerate(M, dom, cod)[0]
+    assert val >= want - 4 * np.spacing(want)
+    assert np.abs(np.abs(x) - 1.0).max() <= 1e-12
+    assert lp_norm(M @ x, q) == val
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_phase_ascent_reaches_the_golden_polish(d):
+    rng = np.random.default_rng(100 + d)
+    for q in (1.0, 2.0, 3.0):
+        _check_phase_ascent(_matrix(rng, d, "complex"), q)
+
+
+# derandomized: the two values differ by rounding noise of a few ulps
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0, 4.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_phase_ascent_differential(d, q, seed):
+    _check_phase_ascent(_matrix(np.random.default_rng(seed), d, "complex"), q)
+
+
 @pytest.mark.parametrize("d", [1, 14, 15, 18, 20])
 def test_sign_enumeration_matches_the_bit_shift_chunks(d):
+    # the library lists the kept half of the cube, the rows whose last sign
+    # is -1: the first 2^(d - 1) rows of the whole cube's chunks
     rng = np.random.default_rng(200 + d)
     M = _matrix(rng, d, "real")
     dom, cod = Space(INF, d), Space(1.5, d)
-    for (signs, vals), (osigns, ovals) in zip(
-            norm_attainment._sign_chunks(M, dom, cod),
-            oracle.sign_chunks(M, dom, cod)):
-        assert _bits(signs) == _bits(osigns)
-        assert _bits(vals) == _bits(ovals)
+    whole, kept = oracle.sign_chunks(M, dom, cod), 0
+    for signs, vals in norm_attainment._sign_chunks(M, dom, cod):
+        osigns, ovals = next(whole)
+        n = len(signs)
+        assert (signs[:, -1] == -1.0).all()
+        assert _bits(signs) == _bits(osigns[:n])
+        assert _bits(vals) == _bits(ovals[:n])
+        kept += n
+    assert kept == 1 << (d - 1)
     got = _sign_enumerate(M, dom, cod)
     want = oracle.sign_enumerate(M, dom, cod)
     assert repr(got[0]) == repr(want[0])
     assert _bits(got[1]) == _bits(want[1])
+
+
+def _tied_matrix(rng, d):
+    # a zero column and a duplicated column: each maximizer comes with the
+    # sign flips they do not see
+    M = rng.normal(size=(d + 1, d))
+    if d > 1:
+        M[:, d // 2] = 0.0
+    if d > 2:
+        M[:, 0] = M[:, d - 1]
+    return M
+
+
+@pytest.mark.parametrize("d", [1, 2, 14, 15, 16, 18])
+def test_half_cube_matches_the_whole_cube(d):
+    rng = np.random.default_rng(400 + d)
+    # d + 1 rows: a codomain of dim 1 takes the functional route
+    for M in (rng.normal(size=(d + 1, d)), _tied_matrix(rng, d)):
+        for q in (1.0, 1.5):
+            dom, cod = Space(INF, d), Space(q, d + 1)
+            got = _sign_enumerate(M, dom, cod)
+            want = oracle.sign_enumerate(M, dom, cod)
+            assert repr(got[0]) == repr(want[0])
+            assert _bits(got[1]) == _bits(want[1])
+            T = Dense(M, dom, cod)
+            nr = operator_norm(T)
+            assert nr.method == "sign-enumeration"
+            pts = norming_set(T, nr).points
+            opts = oracle.enumerated_norming_points(M, dom, cod, nr.value,
+                                                    1e-12)
+            assert [_bits(x) for x in pts] == [_bits(x) for x in opts]
 
 
 def test_kept_sign_rows_do_not_alias_the_chunk_buffer():
