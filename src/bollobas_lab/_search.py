@@ -10,12 +10,10 @@ Inside a batch the starts can run as the rows of one array, as the block
 power method of Higham and Tisseur (SIAM J. Matrix Anal. Appl. 21(4), 2000)
 iterates its starting vectors:
 
-* boyd_ascent steps flat dense norm ascents for one batch (S, dim) or for a
-  stack of batches (B, S, dim) at once.  Its products are stacked GEMMs, one
-  (S, dim) GEMM per batch, and not one flat GEMM over the B * S rows, whose
-  rounding can depend on its height; so each batch rounds as its own call.
-* power_ascent_rows steps R starts of the generic norm ascent at once, each
-  row with its own stop mask; generic_power_ascent is its one-row call.
+* power_ascent_rows steps R starts of Boyd's norm ascent (Linear Algebra
+  Appl. 9, 1974) at once, on any geometry, each row with its own stop mask;
+  generic_power_ascent is its one-row call and boyd_ascent its one-batch
+  call on flat lp spaces.
 * polish_rows runs R random-direction climbs at once, each row with its own
   step and gain mask, along trial directions from a caller-supplied source.
   Its callers stack every batch of a search as the rows of one call, and
@@ -26,11 +24,12 @@ iterates its starting vectors:
   later chunk is redrawn from the generator state saved at its start: the
   same numbers at every chunk size.
 
-Stacked batches give best_of over the batches run one call each: each
-batch's rows are a slice of the stack, its winner is the first best of its
-slice (best_row), and the slices are merged in batch order.  Every library
-multistart stacks its batches; run_batches, which runs them one call each,
-only drives the start-by-start reference searches of the tests.
+Every library multistart runs all its batches as the rows of one call:
+each batch's rows are a slice of them, its winner is the first best of its
+slice (best_row), and the slices are merged in batch order, which gives
+best_of over the batches run one call each.  run_batches, which runs them
+one call each, only drives the start-by-start reference searches of the
+tests.
 
 The generic ascents' products are stacks of matrix-vector products
 (matvec_rows, vecmat_rows), never one flat GEMM, and reductions run over
@@ -44,7 +43,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import INF, SumSpace, block_rows, random_unit, unit_phase
+from .spaces import (INF, Space, SumSpace, block_rows, random_unit,
+                     unit_phase)
 # the lp-norm kernel, under the name the benchmark's tracer wraps
 from .spaces import lp_norm_rows as row_norms
 
@@ -282,51 +282,14 @@ def primal_align_rows(W: np.ndarray, p: float) -> np.ndarray:
 
 def boyd_ascent(M: np.ndarray, p: float, q: float, X0: np.ndarray,
                 iters: int = 300):
-    """Nonlinear power iteration for ||M||_{lp -> lq} on every row of X0:
-    one batch of starts (S, dim), or a stack of B batches (B, S, dim).
-
-    Returns (best_value, best_x).  Monotone per restart: a row moves only
-    on a gain above 1e-12, and the ascent stops when no row of any batch
-    gains; each row keeps the point of its best value, smaller gains
-    included, so best_x attains best_value.  The merge takes each batch's
-    best row, ties broken by the lowest row index, then the best batch, ties
-    broken by the lowest batch index.
-
-    Each product is a stack of one (S, dim) GEMM per batch, never one flat
-    GEMM over all B * S rows: BLAS may round a row differently in a GEMM of
-    another height, and the stack rounds every batch as its own call does.
-    A batch whose rows have all stopped gaining keeps its points, so the
-    steps it takes while other batches still gain recompute the same
-    values and move neither its best value nor its best point: the result
-    is best_of over the batches run one call each.
-    """
-    dim = X0.shape[-1]
-    X = normalize_rows(X0.astype(complex if np.iscomplexobj(M) or
-                                 np.iscomplexobj(X0) else float)
-                       .reshape(-1, dim), p).reshape((-1,) + X0.shape[-2:])
-    B, S = X.shape[:2]
-
-    def rows(Z):
-        return Z.reshape(B * S, -1)
-
-    def norms(Z):
-        return row_norms(rows(Z @ M.T), q).reshape(B, S)
-
-    vals = norms(X)
-    best = X
-    for _ in range(iters):
-        U = dual_align_rows(rows(X @ M.T), q)
-        W = U.reshape(B, S, -1) @ M
-        Xn = primal_align_rows(rows(W), p).reshape(B, S, dim)
-        new_vals = norms(Xn)
-        best = np.where((new_vals > vals)[..., None], Xn, best)
-        improved = new_vals > vals + 1e-12
-        vals = np.maximum(new_vals, vals)
-        if not improved.any():
-            break
-        X = np.where(improved[..., None], Xn, X)
-    return best_of((float(v[k]), x[k])
-                   for v, x, k in zip(vals, best, vals.argmax(axis=1)))
+    """Boyd's ascent for ||M||_{lp -> lq} from every row of one batch X0
+    (S, dim): power_ascent_rows on the flat spaces, whose first best row
+    gives (value, x)."""
+    field = "complex" if np.iscomplexobj(M) or np.iscomplexobj(X0) else "real"
+    vals, X = power_ascent_rows(M, Space(p, M.shape[1], field),
+                                Space(q, M.shape[0], field), X0, iters)
+    k = first_best(vals)
+    return float(vals[k]), X[k]
 
 
 def dual_align_vec(y: np.ndarray, space) -> np.ndarray:
@@ -391,22 +354,27 @@ def power_ascent_rows(M: np.ndarray, dom, cod, X0: np.ndarray,
     Each row is normalized, then steps x <- primal_align(M^T dual_align(Mx))
     until a step gains at most 1e-13 (a last step that still gains is
     kept), each row with its own stop mask, so every row takes the steps and
-    the rounding of its one-row ascent.  Returns (values (R,), X)."""
+    the rounding of its one-row ascent.  Each row keeps its image Mx from
+    the step that made it, so a step makes two products.  Returns
+    (values (R,), X)."""
     n = dom.norm_rows(X0)
     X = X0 / np.where(n > 0, n, 1.0)[:, None]
-    vals = cod.norm_rows(matvec_rows(M, X))
+    Y = matvec_rows(M, X)
+    vals = cod.norm_rows(Y)
     live = np.arange(len(X))
     for _ in range(iters):
-        Xl = X[live]
-        U = dual_align_in(matvec_rows(M, Xl), cod)
+        U = dual_align_in(Y[live], cod)
         Xn = primal_align_in(vecmat_rows(U, M), dom)
-        vn = cod.norm_rows(matvec_rows(M, Xn))
+        Yn = matvec_rows(M, Xn)
+        vn = cod.norm_rows(Yn)
         v = vals[live]
         stop = vn <= v + 1e-13
         take = ~stop | (vn > v)
         if take.any():
             X = X.astype(np.result_type(X, Xn), copy=False)
-            X[live[take]], vals[live[take]] = Xn[take], vn[take]
+            Y = Y.astype(np.result_type(Y, Yn), copy=False)
+            rows = live[take]
+            X[rows], Y[rows], vals[rows] = Xn[take], Yn[take], vn[take]
         live = live[~stop]
         if not live.size:
             break

@@ -42,16 +42,23 @@ batch_sizes(restarts): batches of 16, the last one with the remainder
 tests/test_restart_rows.py checks the row programs against them, and the
 chunked draws of _search.polish_source against polish_block.
 
+Next comes power_ascent_rows as it ran before it kept each row's image,
+recomputing it every step; tests/test_dense_routes.py checks the library's
+body against it bit for bit.
+
 The end keeps the dense routes as they ran before they were stacked: the
-Boyd multistart with one boyd_ascent call per batch (boyd_ascent_flat, the
-old flat-product body), the complex sup-norm phase grid as one meshgrid of
-every phase (phase_grid) and its coordinate-wise golden polish
-(phase_enumerate), the whole sign cube with its bits shifted out of the row
-indices (sign_chunks, sign_enumerate, enumerated_norming_points), and the
-complex Hilbert rotation grid with one eigvalsh per rotation of the whole
-circle.  tests/test_dense_routes.py checks the library against them bit
-for bit, and the phase ascent that replaced the golden polish against
-phase_enumerate's value to 4 ulps.
+norm multistart with each start run alone through the scalar
+generic_power_ascent (multistart_norm), the Boyd multistart it replaced,
+with one call per batch of the Boyd body, whose stop is the batch's and
+not each row's (boyd_ascent_flat, boyd_multistart_norm), the complex
+sup-norm phase grid as one meshgrid of every phase (phase_grid) and its
+coordinate-wise golden polish (phase_enumerate), the whole sign cube with
+its bits shifted out of the row indices (sign_chunks, sign_enumerate,
+enumerated_norming_points), and the complex Hilbert rotation grid with one
+eigvalsh per rotation of the whole circle.  tests/test_dense_routes.py
+checks the library against them bit for bit, the multistart against the
+Boyd one's value to 4 ulps, and the phase ascent that replaced the golden
+polish against phase_enumerate's value to 4 ulps.
 
 The very end keeps the G-CORNER repair-bounds claim as it ran before its
 pairs were checked as rows: each trial drawn, validated, repaired and
@@ -63,9 +70,10 @@ claim against it.
 import mpmath
 import numpy as np
 
-from bollobas_lab._search import (best_of, dual_align_rows, golden_max,
-                                  normalize_rows, primal_align_rows,
-                                  random_unit_rows, run_batches)
+from bollobas_lab._search import (best_of, dual_align_in, dual_align_rows,
+                                  golden_max, matvec_rows, normalize_rows,
+                                  primal_align_in, primal_align_rows,
+                                  random_unit_rows, run_batches, vecmat_rows)
 from bollobas_lab.errors import GeometryError
 from bollobas_lab.norm_attainment import PHASE_GRID, UnionNormingSet
 from bollobas_lab.norm_attainment import \
@@ -1204,12 +1212,61 @@ def eta_probe_nu(T, eps, budget=None, seed=0, nu_result=None, attaining=None,
 
 
 # ---------------------------------------------------------------------------
+# the norm ascent before it kept each row's image
+# ---------------------------------------------------------------------------
+
+def power_ascent_rows(M, dom, cod, X0, iters=300):
+    """_search.power_ascent_rows as it ran before it kept each row's image
+    Mx from one step to the next: every step recomputes the live rows'
+    images, three products where it now makes two: (values (R,), X)."""
+    n = dom.norm_rows(X0)
+    X = X0 / np.where(n > 0, n, 1.0)[:, None]
+    vals = cod.norm_rows(matvec_rows(M, X))
+    live = np.arange(len(X))
+    for _ in range(iters):
+        Xl = X[live]
+        U = dual_align_in(matvec_rows(M, Xl), cod)
+        Xn = primal_align_in(vecmat_rows(U, M), dom)
+        vn = cod.norm_rows(matvec_rows(M, Xn))
+        v = vals[live]
+        stop = vn <= v + 1e-13
+        take = ~stop | (vn > v)
+        if take.any():
+            X = X.astype(np.result_type(X, Xn), copy=False)
+            X[live[take]], vals[live[take]] = Xn[take], vn[take]
+        live = live[~stop]
+        if not live.size:
+            break
+    return vals, X
+
+
+# ---------------------------------------------------------------------------
 # the dense norm and radius routes as they ran before they were stacked
 # ---------------------------------------------------------------------------
 
+def multistart_norm(M, dom, cod, restarts, iters, seed):
+    """norm_attainment._multistart_norm with the starts of each batch of 16
+    (and of the remainder) drawn as one random_unit_rows block, then run
+    one after another through the scalar generic_power_ascent, merged by
+    run_batches: (value, x)."""
+    sizes = batch_sizes(restarts)
+
+    def batch(rng):
+        X0 = random_unit_rows(rng, sizes.pop(0), dom.dim, dom.p,
+                              dom.is_complex)
+        return best_of(generic_power_ascent(M, dom, cod, x0, iters=iters)
+                       for x0 in X0)
+
+    return run_batches(seed, len(sizes), batch)
+
+
 def boyd_ascent_flat(M, p, q, X0, iters=300):
-    """_search.boyd_ascent on one batch X0 (S, dim), as it ran before it
-    took stacks of batches: flat products over the S rows."""
+    """_search.boyd_ascent on one batch X0 (S, dim) with its own body, as it
+    ran before the multistart norm moved to power_ascent_rows: flat products
+    over the S rows; a row moves only on a gain above 1e-12 but keeps the
+    point of its best value, and the batch stops when no row gains.  The
+    stacked form it then took, one GEMM per batch of a (B, S, dim) stack,
+    matched one call per batch bit for bit."""
     X = normalize_rows(X0.astype(complex if np.iscomplexobj(M) or
                                  np.iscomplexobj(X0) else float), p)
     vals = lp_norm_rows(X @ M.T, q)
@@ -1228,9 +1285,10 @@ def boyd_ascent_flat(M, p, q, X0, iters=300):
     return float(vals[k]), best[k]
 
 
-def multistart_norm(M, dom, cod, restarts, iters, seed):
-    """norm_attainment._multistart_norm with one boyd_ascent_flat call per
-    batch of 16 (and of the remainder), merged by run_batches: (value, x)."""
+def boyd_multistart_norm(M, dom, cod, restarts, iters, seed):
+    """norm_attainment._multistart_norm as it ran on the stacked Boyd
+    ascent, with one boyd_ascent_flat call per batch of 16 (and of the
+    remainder), merged by run_batches: (value, x)."""
     sizes = batch_sizes(restarts)
 
     def batch(rng):

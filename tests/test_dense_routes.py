@@ -1,15 +1,18 @@
-"""The stacked dense norm and radius routes against the paths they replaced.
+"""The dense norm and radius routes against the paths they replaced.
 
-tests/_oracles.py keeps the Boyd multistart with one boyd_ascent call per
-batch of 16 (boyd_ascent_flat, its body before it took stacks), the phase
-grid as one meshgrid over every phase, the whole sign cube with its bits
-shifted out of the row indices, and the rotation grid with one eigvalsh per
-rotation over the whole circle.  The library's stacks, chunk tables, half
-cube and batched eigvalsh over half the circle must give the same value and
-the same witness, bit for bit.  The phase route's ascent replaced a golden
-polish, which the oracle keeps: the ascent must reach its value to 4 ulps.
-The multistarts run every start of their budget, in full batches and one
-batch of the remainder.
+tests/_oracles.py keeps the norm multistart with each start run alone
+through the scalar generic_power_ascent, power_ascent_rows as it ran before
+it kept each row's image, the phase grid as one meshgrid over every phase,
+the whole sign cube with its bits shifted out of the row indices, and the
+rotation grid with one eigvalsh per rotation over the whole circle.  The
+library's row calls, kept images, chunk tables, half cube and batched
+eigvalsh over half the circle must give the same value and the same
+witness, bit for bit.  Two replacements move values by their stops, so the
+oracles keep what they replaced and the library must reach its value to 4
+ulps: the norm multistart's per-row ascent replaced the Boyd ascent, whose
+batch stopped as a whole (boyd_multistart_norm), and the phase route's
+ascent replaced a golden polish.  The multistarts run every start of their
+budget, in full batches and one batch of the remainder.
 """
 
 import importlib
@@ -21,18 +24,20 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from bollobas_lab import norm_attainment
-from bollobas_lab._search import boyd_ascent, random_unit_rows
+from bollobas_lab._search import (boyd_ascent, power_ascent_rows,
+                                  random_unit_rows)
 from bollobas_lab.norm_attainment import (_multistart_norm, _phase_enumerate,
                                           _phase_grid, _sign_enumerate,
                                           _sum_space_norm, norming_set,
                                           operator_norm)
 from bollobas_lab.numerical_radius import _complex_hilbert_nu, _multistart_nu
 from bollobas_lab.operators import Dense
-from bollobas_lab.spaces import INF, Space, SumSpace, lp_norm
+from bollobas_lab.spaces import INF, Space, SumSpace, lp_norm, random_unit
 
 # the package exports the function numerical_radius under the module's name
 nr_mod = importlib.import_module("bollobas_lab.numerical_radius")
 PQ = [(1.5, 3.0), (3.0, 1.5), (4.0, 2.5), (1.25, 1.75)]
+PQS = [1.25, 1.5, 1.75, 2.5, 3.0, 4.0]
 
 
 def _bits(v):
@@ -49,22 +54,20 @@ def _matrix(rng, d, field):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("d", [8, 16, 32])
-def test_boyd_stack_matches_one_call_per_batch(d, field):
-    # real dim 32 is where one flat GEMM over all rows can round otherwise
+def test_boyd_ascent_matches_one_row_call_per_start(d, field):
+    # boyd_ascent is the one-batch call of power_ascent_rows on flat spaces:
+    # the first best of its starts, each ascended alone
     rng = np.random.default_rng([d, field == "complex"])
     for p, q in PQ:
         M = _matrix(rng, d, field)
-        X0 = np.stack([random_unit_rows(rng, 16, d, p, field == "complex")
-                       for _ in range(4)])
+        X0 = random_unit_rows(rng, 16, d, p, field == "complex")
+        dom, cod = Space(p, d, field), Space(q, d, field)
         got = boyd_ascent(M, p, q, X0, iters=40)
-        want = oracle.best_of(oracle.boyd_ascent_flat(M, p, q, X, iters=40)
-                              for X in X0)
+        want = oracle.best_of(oracle.generic_power_ascent(M, dom, cod, x,
+                                                          iters=40)
+                              for x in X0)
         assert repr(got[0]) == repr(want[0])
         assert _bits(got[1]) == _bits(want[1])
-        one = boyd_ascent(M, p, q, X0[2], iters=40)
-        flat = oracle.boyd_ascent_flat(M, p, q, X0[2], iters=40)
-        assert repr(one[0]) == repr(flat[0])
-        assert _bits(one[1]) == _bits(flat[1])
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -77,6 +80,47 @@ def test_multistart_norm_matches_batch_by_batch(d, field):
         got = _multistart_norm(M, dom, cod, restarts, 60, 3)
         want = oracle.multistart_norm(M, dom, cod, restarts, 60, 3)
         assert repr(got[0]) == repr(want[0])
+        assert _bits(got[1]) == _bits(want[1])
+
+
+# derandomized: the two engines stop differently, so their values differ
+# by the last gains each takes, down to rounding noise of a few ulps
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 32), st.sampled_from(["real", "complex"]),
+       st.sampled_from(PQS), st.sampled_from(PQS),
+       st.sampled_from([1, 5, 16, 37, 64]), st.sampled_from([5, 40, 400]),
+       st.integers(0, 2 ** 32 - 1))
+def test_multistart_norm_reaches_the_boyd_multistart(d, field, p, q,
+                                                     restarts, iters, seed):
+    M = _matrix(np.random.default_rng(seed), d, field)
+    dom, cod = Space(p, d, field), Space(q, d, field)
+    val, x = _multistart_norm(M, dom, cod, restarts, iters, seed % 97)
+    want = oracle.boyd_multistart_norm(M, dom, cod, restarts, iters,
+                                       seed % 97)[0]
+    assert val >= want - 4 * np.spacing(want)
+    assert abs(val - lp_norm(M @ x, q) / lp_norm(x, p)) <= 2e-15 * val
+
+
+@pytest.mark.parametrize("space", [
+    Space(3.0, 6), Space(1.5, 5, "complex"), Space(INF, 4), Space(1.0, 4),
+    SumSpace((Space(3.0, 2), Space(1.5, 3)), 2.0),
+    SumSpace((Space(1.0, 2, "complex"), Space(INF, 2, "complex")), 1.0)],
+    ids=["l3", "l1.5-complex", "sup", "l1", "sum-2", "sum-1-complex"])
+def test_kept_image_matches_the_recomputed_ascent(space):
+    # iters 2 stops most rows by their budget, 300 by their own gains, and
+    # the zero matrix stops every row at its first step.  Real starts and a
+    # real matrix on a complex sum turn X complex at the first step.
+    rng = np.random.default_rng([space.dim, space.is_complex])
+    M = _matrix(rng, space.dim, "complex" if space.is_complex else "real")
+    X0 = np.array([random_unit(space, rng) for _ in range(12)])
+    X0[1] = 0.0                     # a zero-norm row
+    cases = [(M, X0, 2), (M, X0, 300), (np.zeros_like(M), X0, 40)]
+    if space.is_complex:
+        cases.append((M.real.copy(), X0.real.copy(), 300))
+    for A, X, iters in cases:
+        got = power_ascent_rows(A, space, space, X, iters)
+        want = oracle.power_ascent_rows(A, space, space, X, iters)
+        assert _bits(got[0]) == _bits(want[0])
         assert _bits(got[1]) == _bits(want[1])
 
 
@@ -212,23 +256,16 @@ def test_multistarts_run_every_start(monkeypatch, restarts):
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, call)
 
-    def starts(X):
-        return int(np.prod(X.shape[:-1]))
-
-    counted("boyd_ascent", norm_attainment, lambda a: starts(a[3]))
-    counted("power_ascent_rows", norm_attainment, lambda a: starts(a[3]))
-    counted("polish_rows", nr_mod, lambda a: starts(a[0]))
+    counted("power_ascent_rows", norm_attainment, lambda a: len(a[3]))
+    counted("polish_rows", nr_mod, lambda a: len(a[0]))
     M = np.random.default_rng(5).normal(size=(3, 3))
     dom, cod = Space(3.0, 3), Space(1.5, 3)
     _multistart_norm(M, dom, cod, restarts, 5, 1)
     S = SumSpace((Space(3.0, 2), Space(1.5, 1)), 2.0)
     _sum_space_norm(M, S, S, restarts, 5, 1)
     _multistart_nu(M, dom, restarts, 5, 1)
-    # the full batches of 16 are one stack, the remainder one more call;
-    # the sum-space norm and the nu multistart stack all their batches
-    full, rest = restarts - restarts % 16, restarts % 16
-    assert rows["boyd_ascent"] == [n for n in (full, rest) if n]
-    assert rows["power_ascent_rows"] == [restarts]
+    # every multistart stacks all its batches as the rows of one call
+    assert rows["power_ascent_rows"] == [restarts, restarts]
     assert rows["polish_rows"] == [restarts]
     with pytest.raises(ValueError):
         _multistart_norm(M, dom, cod, 0, 5, 1)
