@@ -23,13 +23,14 @@ Each mode runs every batch as the rows of one program, and returns what
 running the batches one after another, and their starts one after
 another, returns, bit for bit:
 
-* norm: the starts are drawn batch by batch, and the power-ascent paths of
-  all of them are stepped as the rows of one call (_ascent_paths).  Each
-  start walks alone: it ends at a step allclose to its point, after iters
-  steps, or at its first infeasible step, and in the last case it pulls
-  back toward the point before that step when that point is feasible.
-  Start by start, every feasible point of the path is a candidate, then
-  the pullback.  All pullbacks are searched as one array (_pullback_rows).
+* norm: the starts are drawn batch by batch, and all of them walk as the
+  rows of one power ascent (_norm_walk).  Each start walks alone: it ends
+  at a step allclose to its point, after iters steps, or at its first
+  infeasible step, and in the last case it pulls back toward the point
+  before that step when that point is feasible; all pullbacks are the rows
+  of one search.  Each start's feasible points, then its pullback's, are
+  folded into its first best as they come, so a start keeps its current
+  point, its best and its infeasible step, never its path.
 * nu: each start's random_unit and its block of rounds x 3 trial
   directions are drawn start by start, batch b from its generator
   (_search.polish_source).  The starts of every batch are polished as the
@@ -357,92 +358,76 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
     seeds = [(x, None) for x in _diag_norm_seeds(T, eps)] \
         + _caller_seeds(space, extra_seeds)
 
-    def value_rows(X):
-        return cod.norm_rows(matvec_rows(M, X))
-
     def score(X, _xstars):
-        return value_rows(X), desc.distance_rows(X), X.__getitem__
+        return (cod.norm_rows(matvec_rows(M, X)), desc.distance_rows(X),
+                X.__getitem__)
 
     def restarts(budget):
         sizes = batch_sizes(budget.restarts, 16)
         X0 = np.array([random_unit(space, rng) for rng, n in
                        zip(batch_rngs(seed, len(sizes)), sizes)
                        for _ in range(n)])
-        P, D, counts = _ascent_paths(M, space, cod, X0,
-                                     max(10, budget.iters // 100),
-                                     desc.distance_rows, eps)
-        feas = D >= eps - FEAS_TOL
-        rows, steps = np.nonzero(feas)
-        vals = value_rows(P[rows, steps]) if rows.size else []
-        found = [[] for _ in X0]
-        for r, k, v in zip(rows, steps, vals):
-            found[r].append((float(v), float(D[r, k]), P[r, k]))
-        R, last = range(len(X0)), counts - 1
-        pulls = np.flatnonzero((last > 0) & ~feas[R, last]
-                               & feas[R, last - 1])
-        hi, lo = last[pulls], last[pulls] - 1
-        for r, back in zip(pulls, _pullback_rows(
-                P[pulls, hi], P[pulls, lo], D[pulls, hi], D[pulls, lo], eps,
-                space, value_rows, desc.distance_rows)):
-            found[r].append(back)
-        return [c for row in found for c in row]
+        return _norm_walk(M, space, cod, X0, max(10, budget.iters // 100),
+                          desc.distance_rows, eps)
 
     return _probe("norm", eps, budget, seed, space, desc, seeds, score,
                   desc.distance_rows, restarts)
 
 
-def _ascent_paths(M, space, cod, X0, steps, dist_rows, eps):
-    """The points the norm probe's starts visit, all starts as rows: point
-    k + 1 of a row is generic_power_ascent(point k, iters=3).  A row ends
-    before a step allclose to its point, after `steps` steps, or at its
-    first infeasible step, which it keeps.  Returns the points
-    (R, K + 1, dim), their distances (R, K + 1) and the count of points of
-    each row; past a row's count its points are stale and its distances
-    NaN."""
-    R = len(X0)
-    X, live = X0, np.arange(R)
-    pts, dists, counts = [X0], [dist_rows(X0)], np.ones(R, dtype=int)
-    for _ in range(steps):
-        Xn = power_ascent_rows(M, space, cod, X[live], iters=3)[1]
-        moved = ~np.isclose(Xn, X[live]).all(axis=1)
-        live, Xn = live[moved], Xn[moved]
-        if not live.size:
-            break
-        dist = np.full(R, np.nan)
-        dist[live] = dist_rows(Xn)
-        X = X.astype(np.result_type(X, Xn))
-        X[live] = Xn
-        pts.append(X)
-        dists.append(dist)
-        counts[live] += 1
-        live = live[dist[live] >= eps - FEAS_TOL]
-        if not live.size:
-            break
-    return np.stack(pts, axis=1), np.stack(dists, axis=1), counts
+def _norm_walk(M, space, cod, X0, steps, dist_rows, eps):
+    """The norm probe's starts X0, all as rows of one walk: point k + 1 of a
+    start is generic_power_ascent(point k, iters=3).  A start ends before a
+    step allclose to its point, after `steps` steps, or at its first
+    infeasible step; in the last case, when the point before that step is
+    feasible, it pulls back from the step toward that point, every pullback
+    a row of one _itp_rows search to a bracket of 2^-30 (at most 31 steps).
+    Each feasible point, then each feasible step of the pullback, is folded
+    into its start's first best as it comes.  A step is scored by the value
+    power_ascent_rows returns for it; only the starts, which the ascent
+    normalizes, and the pullback's points are scored afresh.  Returns one
+    candidate per start, the best (value, distance, point) it reached, the
+    earliest on ties, or None."""
+    R, thr = len(X0), eps - FEAS_TOL
+    best_v, best_d = np.zeros(R), np.zeros(R)
+    best_x, found = np.zeros_like(X0), np.zeros(R, dtype=bool)
 
+    def offer(rows, vals, dists, points):
+        win = ~found[rows] | (vals > best_v[rows])
+        rows = rows[win]
+        best_v[rows], best_d[rows], best_x[rows] = vals[win], dists[win], \
+            points[win]
+        found[rows] = True
 
-def _pullback_rows(X_hi, X_lo, D_hi, D_lo, eps, space, value_rows,
-                   dist_rows):
-    """Search along the normalized segment from each infeasible high-value
-    point X_hi[i] toward its feasible anchor X_lo[i], D_hi and D_lo their
-    distances, every segment a row of one _itp_rows search to a bracket of
-    2^-30 (at most 31 steps): the best feasible (value, distance, point)
-    the search reached on each row, the earliest on ties, or None."""
-    P = len(X_hi)
-    found = np.zeros(P, dtype=bool)
-    best_v, best_d = np.zeros(P), np.zeros(P)
-    best_x = np.zeros(X_hi.shape, dtype=np.result_type(X_hi, X_lo))
-    for rows, C, d in _itp_rows(X_hi, X_lo, D_hi, D_lo, 30, space,
-                                dist_rows, eps):
+    def score(rows, points, dists):
         if rows.size:
-            v = value_rows(C)
-            win = ~found[rows] | (v > best_v[rows])
-            rows = rows[win]
-            best_v[rows], best_d[rows], best_x[rows] = v[win], d[win], \
-                C[win]
-            found[rows] = True
+            offer(rows, cod.norm_rows(matvec_rows(M, points)), dists, points)
+
+    X, D = X0.copy(), dist_rows(X0)
+    feas = np.flatnonzero(D >= thr)
+    score(feas, X0[feas], D[feas])
+    X_out, D_out = np.zeros_like(X0), np.zeros(R)
+    out, live = np.zeros(R, dtype=bool), np.arange(R)
+    for _ in range(steps):
+        V, Xn = power_ascent_rows(M, space, cod, X[live], iters=3)
+        moved = ~np.isclose(Xn, X[live]).all(axis=1)
+        live, V, Xn = live[moved], V[moved], Xn[moved]
+        if not live.size:
+            break
+        Dn = dist_rows(Xn)
+        ok = Dn >= thr
+        offer(live[ok], V[ok], Dn[ok], Xn[ok])
+        gone = live[~ok]
+        X_out[gone], D_out[gone], out[gone] = Xn[~ok], Dn[~ok], True
+        live = live[ok]
+        X[live], D[live] = Xn[ok], Dn[ok]
+        if not live.size:
+            break
+    pulls = np.flatnonzero(out & (D >= thr))
+    for rows, C, d in _itp_rows(X_out[pulls], X[pulls], D_out[pulls],
+                                D[pulls], 30, space, dist_rows, eps):
+        score(pulls[rows], C, d)
     return [(float(best_v[i]), float(best_d[i]), best_x[i]) if found[i]
-            else None for i in range(P)]
+            else None for i in range(R)]
 
 
 def _finalize(mode, eps, candidates, seed, budget):
@@ -634,8 +619,8 @@ def validate_eta(T: OperatorExpr, eta_fn, eps_grid, mode: str = "norm",
                  tol: float = 1e-9, **probe_kwargs) -> ValidationReport:
     """Assert adversarially that no input beats the candidate modulus: for
     each eps, the probe must find no point with value > 1 - eta_fn(eps) at
-    distance >= eps.  A found violator fails the report (and is itself
-    re-validated against the independent value oracle)."""
+    distance >= eps.  A found violator fails the report, and the witness of
+    the first violating eps is recorded as violating_witness."""
     probe = {"norm": eta_probe_norm, "nu": eta_probe_nu}.get(mode)
     if probe is None:
         raise GeometryError("mode must be 'norm' or 'nu'")

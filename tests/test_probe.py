@@ -383,7 +383,7 @@ def test_itp_counts_a_zero_point_as_infeasible():
 @pytest.mark.parametrize("restarts", [1, 15, 16, 17, 31, 32, 37])
 def test_probes_run_every_requested_start(restarts, monkeypatch):
     # ceil(restarts / 16) batches, the last one with the remainder; the
-    # norm probe's starts pass through one _ascent_paths call over every
+    # norm probe's starts pass through one _norm_walk call over every
     # batch, the nu probe's through one polish_rows call
     starts = []
 
@@ -395,7 +395,7 @@ def test_probes_run_every_requested_start(restarts, monkeypatch):
             return body(*args, **kwargs)
         monkeypatch.setattr(probe_module, name, wrapper)
 
-    counted("_ascent_paths", 3)         # (M, space, cod, X0, ...)
+    counted("_norm_walk", 3)            # (M, space, cod, X0, ...)
     counted("polish_rows", 0)           # (X0, ...)
     D = _diag([1.0, 0.6, 0.3], 2.0)
     budget = ProbeBudget(restarts=restarts, iters=300)

@@ -281,10 +281,14 @@ def _hilbert_adjoint(case):
     return adjoint(Dense(M / np.linalg.svd(M)[1][0], H, H))
 
 
+def _candidate_bits(c):
+    return None if c is None else tuple(map(_bits, c))
+
+
 @pytest.mark.parametrize("eps", (0.2, 0.5, 0.8))
 def test_ascent_paths_are_row_independent(eps):
-    # permuting the starts permutes every path, bit for bit: no row's walk
-    # depends on the rows before it
+    # permuting the starts permutes every start's candidate, bit for bit:
+    # no row's walk or pullback depends on the rows before it
     for case in range(60):
         T = _hilbert_adjoint(case)
         space, cod, M = T.domain, T.codomain, to_matrix(T)
@@ -292,44 +296,111 @@ def test_ascent_paths_are_row_independent(eps):
         rng = np.random.default_rng([case, 1])
         X0 = np.array([random_unit(space, rng) for _ in range(16)])
         perm = rng.permutation(16)
-        P, D, n = probe._ascent_paths(M, space, cod, X0, 10, dist_rows, eps)
-        Pp, Dp, n_p = probe._ascent_paths(M, space, cod, X0[perm], 10,
-                                          dist_rows, eps)
-        assert n_p.tolist() == n[perm].tolist(), case
+        got = probe._norm_walk(M, space, cod, X0, 10, dist_rows, eps)
+        got_p = probe._norm_walk(M, space, cod, X0[perm], 10, dist_rows, eps)
+        assert len(got) == len(got_p) == 16
         for i, r in enumerate(perm):
-            assert _bits(Pp[i, :n[r]]) == _bits(P[r, :n[r]]), case
-            assert _bits(Dp[i, :n[r]]) == _bits(D[r, :n[r]]), case
+            assert _candidate_bits(got_p[i]) == _candidate_bits(got[r]), case
+
+
+def _start_paths(T, seed, starts, steps, dist_of, eps):
+    """Each norm start's points, one start after another, as the walk
+    visits them: the random point, then generic_power_ascent(iters=3)
+    steps until one is allclose to its point, `steps` of them, or the
+    first infeasible one, which ends the path."""
+    space, cod, M = T.domain, T.codomain, to_matrix(T)
+    rng = batch_rngs(seed, 1)[0]
+    paths = []
+    for _ in range(starts):
+        x = random_unit(space, rng)
+        path = [x]
+        for _ in range(steps):
+            xn = generic_power_ascent(M, space, cod, x, iters=3)[1]
+            if np.allclose(xn, x):
+                break
+            path.append(xn)
+            if dist_of(xn) < eps - probe.FEAS_TOL:
+                break
+            x = xn
+        paths.append(path)
+    return paths
 
 
 def test_a_start_infeasible_from_its_first_step_makes_no_pullback(
         monkeypatch):
     # start 3's random point and its first step are both infeasible, after
     # feasible points of earlier starts: it ends at that step and pulls
-    # back toward nothing; every pullback searches toward the point before
-    # its own start's last step
-    eps, seen = 0.8, {"pulls": []}
-    ascent, pullback = probe._ascent_paths, probe._pullback_rows
+    # back toward nothing; every pullback searches from its start's last
+    # step toward the feasible point before it
+    eps, pulls = 0.8, []
+    T = _hilbert_adjoint(0)
+    itp = probe._itp_rows
 
-    def spy_ascent(*args):
-        seen["paths"] = ascent(*args)
-        return seen["paths"]
+    def spy_itp(X0, X1, *args):
+        if args[2] == 30:           # (D0, D1, bits, ...): the pullbacks
+            pulls.extend(zip(X0, X1))
+        return itp(X0, X1, *args)
 
-    def spy_pullback(X_hi, X_lo, *args):
-        seen["pulls"] += list(zip(X_hi, X_lo))
-        return pullback(X_hi, X_lo, *args)
-
-    monkeypatch.setattr(probe, "_ascent_paths", spy_ascent)
-    monkeypatch.setattr(probe, "_pullback_rows", spy_pullback)
-    _run_both(eta_probe_norm, oracle.eta_probe_norm, _hilbert_adjoint(0),
-              eps, budget=ProbeBudget(16, 1000), seed=0)
-    P, D, n = seen["paths"]
-    feas = D >= eps - probe.FEAS_TOL
-    assert feas[:3].any() and n[3] >= 2 and not feas[3, :2].any()
-    ends = {_bits(P[r, n[r] - 1]): r for r in range(16)}
-    assert _bits(P[3, n[3] - 1]) not in {_bits(hi) for hi, _ in seen["pulls"]}
-    for hi, lo in seen["pulls"]:
+    monkeypatch.setattr(probe, "_itp_rows", spy_itp)
+    _run_both(eta_probe_norm, oracle.eta_probe_norm, T, eps,
+              budget=ProbeBudget(16, 1000), seed=0)
+    desc = norming_set(T)
+    paths = _start_paths(T, 0, 16, 10, desc.distance, eps)
+    feas = [[desc.distance(x) >= eps - probe.FEAS_TOL for x in path]
+            for path in paths]
+    assert any(map(any, feas[:3]))
+    assert len(paths[3]) >= 2 and not any(feas[3][:2])
+    assert pulls
+    ends = {_bits(path[-1]): r for r, path in enumerate(paths)}
+    assert _bits(paths[3][-1]) not in {_bits(hi) for hi, _ in pulls}
+    for hi, lo in pulls:
         r = ends[_bits(hi)]
-        assert _bits(lo) == _bits(P[r, n[r] - 2]) and feas[r, n[r] - 2]
+        assert not feas[r][-1] and feas[r][-2]
+        assert _bits(lo) == _bits(paths[r][-2])
+
+
+def test_norm_walk_keeps_the_first_of_equal_values(monkeypatch):
+    # a pullback that offers each anchor again, at another distance, ties
+    # bit for bit with the value the ascent gave that point, and loses: the
+    # candidates are those of a walk whose pullbacks find nothing
+    T, eps = _hilbert_adjoint(0), 0.8
+    space, cod, M = T.domain, T.codomain, to_matrix(T)
+    dist_rows = norming_set(T).distance_rows
+    rng = batch_rngs(0, 1)[0]
+    X0 = np.array([random_unit(space, rng) for _ in range(16)])
+    anchors = []
+
+    def nothing(*args):
+        return iter(())
+
+    def offer_anchors(X_hi, X_lo, D_hi, D_lo, *args):
+        anchors.extend(X_lo)
+        yield np.arange(len(X_lo)), X_lo, D_lo + 1.0
+
+    walks = []
+    for itp in (nothing, offer_anchors):
+        monkeypatch.setattr(probe, "_itp_rows", itp)
+        walks.append(probe._norm_walk(M, space, cod, X0, 10, dist_rows, eps))
+    assert anchors
+    assert list(map(_candidate_bits, walks[1])) == \
+        list(map(_candidate_bits, walks[0]))
+
+
+def test_norm_walk_memory_does_not_grow_with_its_steps():
+    # the walk folds each step as it comes: stepping twice as far keeps
+    # no more of a start than its current point and its best
+    spec = SequenceSpec((1.0, 0.9), geometric_tail(0.8, 0.99))
+    T = Diagonal(spec, Space(3.0, 64))
+    eta_probe_norm(T, 0.3, budget=ProbeBudget(256, 2000), seed=1)
+    peaks = {}
+    for iters in (1000, 2000):
+        tracemalloc.start()
+        try:
+            eta_probe_norm(T, 0.3, budget=ProbeBudget(256, iters), seed=1)
+            peaks[iters] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] <= 1.05 * peaks[1000], peaks
 
 
 def test_nu_probe_rows_on_lifts(batches_only):

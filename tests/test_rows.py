@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from bollobas_lab._search import (dual_align_in, dual_align_vec,
-                                  primal_align_in, primal_align_vec)
+                                  matvec_rows, primal_align_in,
+                                  primal_align_vec)
 from bollobas_lab.errors import DimensionMismatchError, GeometryError
 from bollobas_lab.gallery import CornerNuStates, LiftedRank1NuStates
 from bollobas_lab.norm_attainment import (LiftedNormingSet,
@@ -259,12 +260,24 @@ def _bisection_seeds(space, dist_rows, eps, base_points, rng):
         rng)
 
 
-def _bisection_pullbacks(X_hi, X_lo, D_hi, D_lo, eps, space, value_rows,
-                         dist_rows):
-    return [oracle.pullback_bisection(
-        lambda x: float(value_rows(x[None, :])[0]),
-        lambda x: float(dist_rows(x[None, :])[0]), hi, lo, eps, space)
-        for hi, lo in zip(X_hi, X_lo)]
+def _bisection_pullbacks(T):
+    """probe._itp_rows for the norm walk's pullbacks of T, each row searched
+    as oracle.pullback_bisection searches it: it yields each row's best
+    feasible point once, which the walk folds as it folds an ITP step."""
+    M, cod = to_matrix(T), T.codomain
+
+    def value_of(x):
+        return float(cod.norm_rows(matvec_rows(M, x[None, :]))[0])
+
+    def itp_rows(X_hi, X_lo, _D_hi, _D_lo, bits, space, dist_rows, eps):
+        assert bits == 30
+        for i, (hi, lo) in enumerate(zip(X_hi, X_lo)):
+            best = oracle.pullback_bisection(
+                value_of, lambda x: float(dist_rows(x[None, :])[0]), hi, lo,
+                eps, space)
+            if best is not None:
+                yield np.array([i]), best[2][None, :], np.array([best[1]])
+    return itp_rows
 
 
 @DIAGONAL_GRID
@@ -282,7 +295,7 @@ def test_itp_seeds_are_feasible_and_no_worse_than_bisection(p, cx, dim,
                for probe_fn in (eta_probe_norm, eta_probe_nu)]
         with monkeypatch.context() as m:
             m.setattr(probe, "_boundary_seeds", _bisection_seeds)
-            m.setattr(probe, "_pullback_rows", _bisection_pullbacks)
+            m.setattr(probe, "_itp_rows", _bisection_pullbacks(T))
             bisected = [probe_fn(T, eps, budget=budget, seed=dim)
                         for probe_fn in (eta_probe_norm, eta_probe_nu)]
         for new, old in zip(itp, bisected):
