@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import (INF, Space, SumSpace, block_rows, random_unit,
-                     unit_phase)
+from .spaces import INF, Space, SumSpace, random_unit, unit_phase
 # the lp-norm kernel, under the name the benchmark's tracer wraps
 from .spaces import lp_norm_rows as row_norms
 
@@ -245,8 +244,9 @@ def normalize_rows(X: np.ndarray, p: float) -> np.ndarray:
     return X / n[:, None]
 
 
-def dual_align_rows(Y: np.ndarray, q: float) -> np.ndarray:
-    """Rows u with ||u||_q' = 1 and <u, y> = ||y||_q (bilinear pairing)."""
+def dual_align_rows(Y: np.ndarray, q: float, norms=None) -> np.ndarray:
+    """Rows u with ||u||_q' = 1 and <u, y> = ||y||_q (bilinear pairing).
+    norms, when given, are the rows' lq norms row_norms(Y, q)."""
     A = np.abs(Y)
     ph = np.conj(unit_phase(Y))
     if q == 1:
@@ -257,7 +257,7 @@ def dual_align_rows(Y: np.ndarray, q: float) -> np.ndarray:
         rows = np.arange(Y.shape[0])
         U[rows, idx] = ph[rows, idx]
         return U
-    n = row_norms(Y, q)
+    n = row_norms(Y, q) if norms is None else np.array(norms, dtype=float)
     n[n == 0] = 1.0
     return ph * (A / n[:, None]) ** (q - 1.0)
 
@@ -307,33 +307,42 @@ def primal_align_vec(w: np.ndarray, space) -> np.ndarray:
 def dual_align_in(Y: np.ndarray, space) -> np.ndarray:
     """dual_align_vec for every row of Y.  On a sum each block is aligned
     in its component and weighted by the outer alignment of the row's block
-    profile; a block of norm 0 or weight 0 stays zero."""
+    profile; a block of norm 0 or weight 0 stays zero.  The blocks of a
+    group are aligned as the rows of one call."""
     if not isinstance(space, SumSpace):
         return dual_align_rows(Y, space.p)
     Y = np.asarray(Y, dtype=space.dtype)
+    R = len(Y)
     N = space.profile_rows(Y)
     W = dual_align_rows(N, space.outer_p)
-    out = np.zeros(Y.shape, dtype=space.dtype)
-    for i, (c, (a, b)) in enumerate(zip(space.components, space._offsets)):
-        rows = np.flatnonzero((N[:, i] != 0) & (W[:, i] != 0))
+    out = np.empty(Y.shape, dtype=space.dtype)
+    for g in space.groups:
+        n, w = N[:, g.blocks].reshape(-1), W[:, g.blocks].reshape(-1)
+        B = np.zeros((len(n), g.space.dim), dtype=space.dtype)
+        rows = np.flatnonzero((n != 0) & (w != 0))
         if rows.size:
-            out[rows, a:b] = W[rows, i, None] * dual_align_in(Y[rows, a:b], c)
+            B[rows] = w[rows, None] * dual_align_in(g.stack(Y)[rows], g.space)
+        out[:, g.cols] = g.unstack(B, R)
     return out
 
 
 def primal_align_in(W: np.ndarray, space) -> np.ndarray:
     """primal_align_vec for every row of W.  On a sum each block is aligned
     in its component and scaled by the outer alignment of the row's gains
-    max(Re <w_b, x_b>, 0)."""
+    max(Re <w_b, x_b>, 0); the blocks of a group are aligned, and their
+    gains summed, as the rows of one call."""
     if not isinstance(space, SumSpace):
         return primal_align_rows(W, space.p)
     W = np.asarray(W, dtype=space.dtype)
+    R = len(W)
     X = np.empty(W.shape, dtype=space.dtype)
-    for c, (a, b) in zip(space.components, space._offsets):
-        X[:, a:b] = primal_align_in(W[:, a:b], c)
-    gains = block_rows(W * X, space._offsets,
-                       [lambda B: np.real(B.sum(axis=1))]
-                       * len(space.components))
+    gains = np.empty((R, len(space.components)))
+    for g in space.groups:
+        B = g.stack(W)
+        P = primal_align_in(B, g.space)
+        X[:, g.cols] = g.unstack(P, R)
+        gains[:, g.blocks] = g.unstack(np.real(np.add.reduce(B * P, axis=1)),
+                                       R)
     T = primal_align_rows(np.maximum(gains, 0.0), space.outer_p)
     return X * np.repeat(T, [c.dim for c in space.components], axis=1)
 
@@ -363,7 +372,9 @@ def power_ascent_rows(M: np.ndarray, dom, cod, X0: np.ndarray,
     vals = cod.norm_rows(Y)
     live = np.arange(len(X))
     for _ in range(iters):
-        U = dual_align_in(Y[live], cod)
+        # vals holds the norms of the rows of Y, which the flat map reuses
+        U = dual_align_in(Y[live], cod) if isinstance(cod, SumSpace) \
+            else dual_align_rows(Y[live], cod.p, vals[live])
         Xn = primal_align_in(vecmat_rows(U, M), dom)
         Yn = matvec_rows(M, Xn)
         vn = cod.norm_rows(Yn)

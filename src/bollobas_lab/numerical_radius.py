@@ -205,7 +205,9 @@ def best_state_functional(y: np.ndarray, x: np.ndarray, space):
 
 def _sum_face_rows(Y, X, space, functionals: bool):
     """(values (R,), functionals (R, dim) or None) of the support face on a
-    sum, for every row pair (y, x) of Y and X, in one pass over the blocks.
+    sum, for every row pair (y, x) of Y and X, in one pass over the block
+    groups: each group's blocks of X and of Y are stacked as rows
+    (SumSpace.groups), and every kernel runs once per group.
 
     Under outer p < inf the reachable set {<x*, y> : x* supports x} is a
     Minkowski sum: each massed block adds its weighted duality-map center,
@@ -216,9 +218,9 @@ def _sum_face_rows(Y, X, space, functionals: bool):
     peak blocks' sets, so the best peak block carries all of x*.
 
     Every row rounds as its one-row call: block norms by lp_norm_rows, the
-    points summed in block order from 0, moduli by hypot, and among tied
-    points the first in the order of the peak indices, the last block
-    varying fastest.
+    points and the radii summed in block order from 0, moduli by hypot, and
+    among tied points the first in the order of the peak indices, the last
+    block varying fastest.
     """
     dtype = space.dtype
     X, Y = np.asarray(X, dtype=dtype), np.asarray(Y, dtype=dtype)
@@ -226,118 +228,140 @@ def _sum_face_rows(Y, X, space, functionals: bool):
         raise DimensionMismatchError(
             f"expected rows of length {space.dim}, got {X.shape} and "
             f"{Y.shape}")
-    blocks = [(c, a, X[:, a:b], Y[:, a:b])
-              for c, (a, b) in zip(space.components, space._offsets)]
+    groups = [(g, g.stack(X), g.stack(Y)) for g in space.groups]
     N = space.profile_rows(X)
     if space.outer_p == INF:
-        return _peak_block_face_rows(blocks, N, X.shape, dtype, functionals)
-    return _minkowski_face_rows(blocks, N, space.outer_p, X.shape, dtype,
+        return _peak_block_face_rows(groups, N, X.shape, dtype, functionals)
+    return _minkowski_face_rows(groups, N, space.outer_p, X.shape, dtype,
                                 functionals)
 
 
-def _peak_block_face_rows(blocks, N, shape, dtype, functionals):
+def _peak_block_face_rows(groups, N, shape, dtype, functionals):
     """The outer-inf face: the best flat face among the blocks of norm one,
     the first among ties; 0 and the zero functional when none has norm
     one."""
     R = len(N)
-    best, at = np.zeros(R), np.full(R, -1)
+    V = np.full(N.shape, -np.inf)         # the face of every peak block
     faces = []
-    for i, (c, a, bx, by) in enumerate(blocks):
-        rows = np.flatnonzero(np.abs(N[:, i] - 1.0) <= 1e-9)
+    for g, BX, BY in groups:
+        rows = np.flatnonzero(np.abs(N[:, g.blocks] - 1.0).reshape(-1)
+                              <= 1e-9)
         if not rows.size:
             continue
-        vals, XS = best_state_functional_rows(by[rows], bx[rows], c)
-        win = (at[rows] < 0) | (vals > best[rows])
-        best[rows[win]], at[rows[win]] = vals[win], i
-        faces.append((i, a, c.dim, rows, XS))
+        vals, XS = best_state_functional_rows(BY[rows], BX[rows], g.space)
+        v = np.full(len(BX), -np.inf)
+        v[rows] = vals
+        V[:, g.blocks] = g.unstack(v, R)
+        faces.append((g, rows, XS))
+    at = V.argmax(axis=1)
+    best = V[np.arange(R), at]
+    at[best == -np.inf] = -1
+    best[at < 0] = 0.0
     if not functionals:
         return best, None
     out = np.zeros(shape, dtype=dtype)
-    for i, a, dim, rows, XS in faces:
-        mine = at[rows] == i
-        out[rows[mine], a:a + dim] = XS[mine]
+    for g, rows, XS in faces:
+        mine = (at[:, None] == g.index).reshape(-1)[rows]
+        G = np.zeros((R * g.size, g.space.dim), dtype=dtype)
+        G[rows[mine]] = XS[mine]
+        out[:, g.cols] = g.unstack(G, R)
     return best, out
 
 
-def _minkowski_face_rows(blocks, N, op, shape, dtype, functionals):
+def _minkowski_face_rows(groups, N, op, shape, dtype, functionals):
     """The outer p < inf face: the Minkowski points of every row, the best
     one, and, when asked, x* assembled there."""
     R = len(N)
-    W = np.ones_like(N) if op == 1 else N ** (op - 1.0)
+    W = np.ones(N.shape) if op == 1 else N ** (op - 1.0)
     # a zero block norm is massless, one below 2^-1022 too coarse to divide
     # by, so unit_rows divides
     any_small = np.count_nonzero(N >= 2.0 ** -1022) < N.size
-    radius = 0.0
-    terms = []      # per block: its center (R,), or its peak values and mask
-    parts = []      # per block: what its part of x* is built from
-    for i, (c, _a, bx, by) in enumerate(blocks):
-        n, w, massless = N[:, i], W[:, i], None
-        if any_small and np.count_nonzero(n) < R:
+    # per block: the radius of its disk (or 0; None while no block has a
+    # disk), and its center (R,) or its peak values and mask; per group:
+    # what its part of x* is built from
+    radii, terms, parts = None, [None] * N.shape[1], []
+    for g, BX, BY in groups:
+        c = g.space
+        n = N[:, g.blocks].reshape(-1)
+        w = W[:, g.blocks].reshape(-1)
+        radius, massless = None, None
+        if any_small and np.count_nonzero(n) < len(n):
             massless = n == 0
             n = np.where(massless, 1.0, n)
             if op == 1 and c.p != 1:    # the l1 disk below covers p = 1
-                radius = radius + np.where(massless, lp_norm_rows(by, c.p),
-                                           0.0)
-        XB = unit_rows(bx, n, c.p) if any_small else bx / n[:, None]
+                radius = np.where(massless, lp_norm_rows(BY, c.p), 0.0)
+        XB = unit_rows(BX, n, c.p) if any_small else BX / n[:, None]
         if 1.0 < c.p < INF:
             F = duality_map_rows(XB, c.p)
             # add.reduce is sum(axis=1) without the method's overhead
-            terms.append(w * np.add.reduce(F * by, axis=1))
+            term = g.unstack(w * np.add.reduce(F * BY, axis=1), R)
             parts.append((massless, F))
         elif c.p == 1:
             # a massless row has no support, so its disk is the whole free
             # disk: radius ||y_b||_1 under outer 1, weight 0 otherwise
             supp = np.abs(XB) > 0
             PH = np.conj(unit_phase(XB))
-            terms.append(w * _masked_row_sums(PH * by, supp))
-            radius = radius + w * _masked_row_sums(np.abs(by), ~supp)
+            term = g.unstack(w * _masked_row_sums(PH * BY, supp), R)
+            radius = w * _masked_row_sums(np.abs(BY), ~supp)
             parts.append((massless, (supp, PH)))
         else:
             peaks = np.abs(np.abs(XB) - 1.0) <= 1e-9
             PH = np.conj(unit_phase(XB))
-            terms.append((w[:, None] * (PH * by), peaks))
+            shape3 = (R, g.size, c.dim)
+            term = ((w[:, None] * (PH * BY)).reshape(shape3),
+                    peaks.reshape(shape3))
             parts.append((massless, PH))
+        if radius is not None:
+            if radii is None:
+                radii = np.zeros(N.shape)
+            radii[:, g.blocks] = g.unstack(radius, R)
+        for j, i in enumerate(g.index):
+            terms[i] = tuple(t[:, j] for t in term) \
+                if isinstance(term, tuple) else term[:, j]
     point, chosen = _best_points(terms, R, dtype)
     top = _modulus(point)
-    values = top + radius
+    # the radii summed one block after another, from 0
+    values = top if radii is None else \
+        top + np.add.accumulate(radii, axis=1)[:, -1]
     if not functionals:
         return values, None
 
     # psi, the phase of the best point, as the flat l1 face takes it
     psi = _phase(point, top)
     out = np.empty(shape, dtype=dtype)
-    sup = iter(chosen)
-    for i, ((c, a, _bx, by), (massless, part)) in enumerate(zip(blocks,
-                                                                parts)):
-        w = W[:, i, None]
+    for (g, _BX, BY), (massless, part) in zip(groups, parts):
+        c = g.space
+        w = W[:, g.blocks].reshape(-1, 1)
+        phase = np.repeat(psi, g.size)      # psi of each stacked row
         if 1.0 < c.p < INF:
             G = w * part
         elif c.p == 1:
             supp, PH = part
-            G = np.zeros(by.shape, dtype=dtype)
+            G = np.zeros(BY.shape, dtype=dtype)
             G[supp] = PH[supp]
-            free = ~supp & (np.abs(by) > 0)
+            free = ~supp & (np.abs(BY) > 0)
             if np.count_nonzero(free):
-                G[free] = (psi[:, None] * np.conj(unit_phase(by)))[free]
+                G[free] = (phase[:, None] * np.conj(unit_phase(BY)))[free]
             G = w * G
         else:
-            pick = next(sup)
-            G = np.zeros(by.shape, dtype=dtype)
+            pick = np.stack([chosen[i] for i in g.index], axis=1).reshape(-1)
+            G = np.zeros(BY.shape, dtype=dtype)
             rows = np.flatnonzero(pick >= 0)
-            G[rows, pick[rows]] = W[rows, i] * part[rows, pick[rows]]
+            G[rows, pick[rows]] = w[rows, 0] * part[rows, pick[rows]]
         if massless is not None:
             G[massless] = 0.0
             if op == 1:
                 rows = np.flatnonzero(massless)
-                rows = rows[lp_norm_rows(by[rows], c.p) > 0]
-                G[rows] = psi[rows, None] * dual_align_rows(by[rows], c.p)
-        out[:, a:a + c.dim] = G
+                rows = rows[lp_norm_rows(BY[rows], c.p) > 0]
+                G[rows] = phase[rows, None] * dual_align_rows(BY[rows], c.p)
+        out[:, g.cols] = g.unstack(G, R)
     return values, out
 
 
 def _best_points(terms, R, dtype):
-    """The first best Minkowski point of every row, and for each peak
-    block the index of its chosen peak coordinate (-1 for none).
+    """The first best Minkowski point of every row, and for each block the
+    index of its chosen peak coordinate (-1 for none), None for a block
+    without peaks.
 
     Points are summed in block order from 0, as the one-row face sums them.
     A peak block makes one point for each of its peaks, so rows are taken
@@ -351,7 +375,7 @@ def _best_points(terms, R, dtype):
         point = np.zeros(R, dtype=dtype)
         for t in terms:
             point += t
-        return point, []
+        return point, [None] * len(terms)
     counts = np.stack([pk.sum(axis=1) for _v, pk in peak_terms], axis=1)
     size = np.ones(R, dtype=np.int64)
     for k in counts.T:
@@ -385,7 +409,9 @@ def _best_points(terms, R, dtype):
         for j, C in enumerate(coords):
             if C is not None:
                 chosen[rows, j] = C[np.arange(len(rows)), next(picks)]
-    return point, list(chosen.T)
+    picked = iter(chosen.T)
+    return point, [next(picked) if isinstance(t, tuple) else None
+                   for t in terms]
 
 
 def best_state_functional_rows(Y: np.ndarray, X: np.ndarray, space):

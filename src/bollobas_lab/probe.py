@@ -78,6 +78,7 @@ checks of StatePair.validate, raise GeometryError.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -91,8 +92,8 @@ from .norm_attainment import norming_set, operator_norm
 from .numerical_radius import (NuResult, NuStatesDescriptor, _modulus,
                                best_state_functional_rows,
                                nu_attaining_states, numerical_radius)
-from .operators import Diagonal, OperatorExpr, Scale, to_matrix
-from .spaces import INF, PI_TOL, StatePair, SumSpace, random_unit
+from .operators import Diagonal, OperatorExpr, Scale, apply, to_matrix
+from .spaces import INF, PI_TOL, StatePair, SumSpace, pair, random_unit
 
 NORM_TOL = 1e-6
 FEAS_TOL = 1e-12
@@ -588,14 +589,21 @@ def _diag_nu_seeds(T, eps):
 # validation of closed-form eta candidates
 # ---------------------------------------------------------------------------
 
+#: how far a violator's recheck may sit from the probe's value and distance
+RECHECK_TOL = 1e-9
+
+
 @dataclass
 class ValidationRow:
+    """One eps of a validation.  refuted marks a probe violator whose
+    recheck disagreed with the probe; such a row is not violated."""
     epsilon: float
     eta_value: float
     found_value: float
     found_distance: float
     sentinel: bool
     violated: bool
+    refuted: bool = False
 
 
 @dataclass
@@ -619,23 +627,48 @@ def validate_eta(T: OperatorExpr, eta_fn, eps_grid, mode: str = "norm",
                  tol: float = 1e-9, **probe_kwargs) -> ValidationReport:
     """Assert adversarially that no input beats the candidate modulus: for
     each eps, the probe must find no point with value > 1 - eta_fn(eps) at
-    distance >= eps.  A found violator fails the report, and the witness of
-    the first violating eps is recorded as violating_witness."""
+    distance >= eps.  A found violator fails the report once its witness
+    survives a recheck outside the probe's row kernels (_recheck): a
+    witness whose rechecked value or distance is off the probe's by more
+    than RECHECK_TOL is refuted, and its row is not violated.  The witness
+    of the first violating eps is recorded as violating_witness."""
     probe = {"norm": eta_probe_norm, "nu": eta_probe_nu}.get(mode)
     if probe is None:
         raise GeometryError("mode must be 'norm' or 'nu'")
     rows = []
-    witness = None
+    witness = desc = None
     for eps in eps_grid:
         rep = probe(T, eps, budget=budget, seed=seed, **probe_kwargs)
         level = float(eta_fn(eps))
         violated = (not rep.sentinel) and \
             rep.best_value > 1.0 - level + tol
+        refuted = False
+        if violated:
+            if desc is None:
+                desc = _resolve_norm(T)[1] if mode == "norm" else \
+                    _resolve_nu(T, probe_kwargs.get("nu_result"),
+                                probe_kwargs.get("attaining"))[1]
+            refuted = not all(
+                math.isclose(got, want, rel_tol=0.0, abs_tol=RECHECK_TOL)
+                for got, want in zip(_recheck(T, mode, rep.witness, desc),
+                                     (rep.best_value, rep.witness_distance)))
+            violated = not refuted
         if violated and witness is None:
             witness = rep.witness
         rows.append(ValidationRow(eps, level, rep.best_value,
                                   rep.witness_distance, rep.sentinel,
-                                  violated))
+                                  violated, refuted))
     return ValidationReport(mode=mode, rows=rows,
                             passed=not any(r.violated for r in rows),
                             violating_witness=witness)
+
+
+def _recheck(T, mode, witness, desc):
+    """(value, distance) of a probe's witness, one vector at a time: the
+    value ||T x|| or |<x*, T x>| by apply and the scalar norm or pair, the
+    distance by the scalar distance or pair_distance of the attaining set
+    desc, the larger of the pair's two."""
+    if mode == "norm":
+        return T.codomain.norm(apply(T, witness)), desc.distance(witness)
+    x, xs = witness.x, witness.xstar
+    return abs(pair(xs, apply(T, x))), max(desc.pair_distance(x, xs))

@@ -98,7 +98,15 @@ class Space(_Geometry):
 @dataclass(frozen=True)
 class SumSpace(_Geometry):
     """A finite direct sum (W_1 + ... + W_k) normed by the outer_p norm of
-    the component norms.  Vectors are stored flat, blocks concatenated."""
+    the component norms.  Vectors are stored flat, blocks concatenated.
+
+    The row kernels on a sum run once per block group, not once per block:
+    groups holds one BlockGroup per distinct component, the blocks equal to
+    it in block order.  A group's blocks of rows X (R, dim) are stacked as
+    the rows of one (R m, d) array, row r m + j the j-th block of row r, so
+    a kernel that reduces each row over its own d entries rounds every
+    block as it rounds alone.  A sum whose blocks all differ has groups of
+    one block."""
 
     components: tuple
     outer_p: float
@@ -112,8 +120,9 @@ class SumSpace(_Geometry):
         if len(fields) != 1:
             raise GeometryError("all components must share a scalar field")
 
-    # the layout (dim, offsets) is computed once per instance; cached_property
-    # writes the instance __dict__ directly, which a frozen dataclass allows
+    # the layout (dim, offsets, groups) is computed once per instance;
+    # cached_property writes the instance __dict__ directly, which a frozen
+    # dataclass allows
 
     @cached_property
     def dim(self) -> int:
@@ -138,6 +147,15 @@ class SumSpace(_Geometry):
     def offsets(self):
         return list(self._offsets)
 
+    @cached_property
+    def groups(self) -> tuple:
+        """The block groups, in the order of their first blocks."""
+        members: dict = {}
+        for i, c in enumerate(self.components):
+            members.setdefault(c, []).append(i)
+        return tuple(BlockGroup.of(c, idx, self._offsets)
+                     for c, idx in members.items())
+
     def split(self, v: np.ndarray):
         v = self.check(v)
         return [v[a:b] for a, b in self._offsets]
@@ -154,18 +172,65 @@ class SumSpace(_Geometry):
         return lp_norm_rows(self.profile_rows(X), self.outer_p)
 
     def profile_rows(self, X: np.ndarray) -> np.ndarray:
-        """The block norms of every row of X (R, dim), as (R, k)."""
-        return block_rows(np.asarray(X), self._offsets,
-                          [c.norm_rows for c in self.components])
+        """The block norms of every row of X (R, dim), as (R, k): one
+        norm_rows call per block group."""
+        X = np.asarray(X)
+        R = len(X)
+        out = np.empty((R, len(self.components)))
+        for g in self.groups:
+            out[:, g.blocks] = g.unstack(g.space.norm_rows(g.stack(X)), R)
+        return out
 
     def describe(self) -> dict:
         return {"outer_p": self.outer_p,
                 "components": [c.describe() for c in self.components]}
 
 
+@dataclass(frozen=True, eq=False)
+class BlockGroup:
+    """The blocks of a sum whose component is space: index lists them in
+    block order; blocks selects their columns of a block profile (R, k) and
+    cols their entries of a vector, both slices when the blocks are
+    adjacent and index arrays when they are not.  stack gathers the group's
+    blocks of rows as rows, and unstack gives a kernel's results on them
+    back to the rows."""
+
+    space: object
+    index: np.ndarray
+    blocks: object
+    cols: object
+
+    @classmethod
+    def of(cls, space, idx, offsets):
+        index = np.array(idx)
+        if idx[-1] - idx[0] == len(idx) - 1:
+            return cls(space, index, slice(idx[0], idx[-1] + 1),
+                       slice(offsets[idx[0]][0], offsets[idx[-1]][1]))
+        cols = np.concatenate([np.arange(*offsets[i]) for i in idx])
+        return cls(space, index, index, cols)
+
+    @property
+    def size(self) -> int:
+        return len(self.index)
+
+    def stack(self, X: np.ndarray) -> np.ndarray:
+        """The group's blocks of the rows of X (R, dim) as (R m, d), row
+        r m + j the j-th block of row r."""
+        return X[:, self.cols].reshape(-1, self.space.dim)
+
+    def unstack(self, A: np.ndarray, R: int) -> np.ndarray:
+        """A kernel's results on the stacked rows, per block (R m,) or per
+        entry (R m, d), as (R, m) or (R, m d): row r holds row r's blocks,
+        to be written at blocks or at cols."""
+        return A.reshape(R, self.size * math.prod(A.shape[1:]))
+
+
 def block_rows(X: np.ndarray, offsets, fns) -> np.ndarray:
     """The (R, k) profile whose column i is fns[i](X[:, a:b]) for the i-th
-    block (a, b) of offsets, filled in place."""
+    block (a, b) of offsets, filled in place: one call per block, for
+    functions that differ from block to block.  A kernel that is one
+    function of each block's geometry runs once per block group of the sum
+    instead (SumSpace.groups)."""
     out = np.empty((len(X), len(offsets)))
     for i, ((a, b), f) in enumerate(zip(offsets, fns)):
         out[:, i] = f(X[:, a:b])
@@ -239,8 +304,17 @@ def pair(xstar: np.ndarray, x: np.ndarray):
 
 def unit_phase(z):
     """z/|z| elementwise, with the convention 0 -> 0; an entry whose
-    modulus is subnormal is divided as unit_rows divides it."""
+    modulus is subnormal is divided as unit_rows divides it.  On a real
+    float64 array that is sign(z), with +0 at -0, and the division's own
+    values at the non-finite entries: +0 at NaN, inf/inf (NaN) at ±inf."""
     z = np.asarray(z)
+    if z.dtype == np.float64:
+        out = np.sign(z)
+        if np.count_nonzero(np.isfinite(z)) < z.size:
+            out[np.isnan(z)] = 0.0
+            inf = np.isinf(z)
+            out[inf] = z[inf] / np.abs(z[inf])
+        return out
     a = np.abs(z)
     out = np.zeros_like(z)
     nz = a >= 2.0 ** -1022

@@ -6,8 +6,10 @@ rotation grid for the complex Hilbert radius.
 
 modulus_convexity_slsqp is the grid and SLSQP route that the closed forms
 of spaces.modulus_convexity replaced.  mp_norm is the lp norm to 50
-digits, and largest_feasible_halvings the bisection of
-spaces.largest_feasible as it ran before it stopped at convergence.
+digits, unit_phase_divided spaces.unit_phase as it divided every array
+before it took the sign of a real one, and largest_feasible_halvings the
+bisection of spaces.largest_feasible as it ran before it stopped at
+convergence.
 
 The second half keeps the one-vector-at-a-time bodies the library replaced
 by row forms: the distance oracles (the flat kinds, and on sums
@@ -86,7 +88,7 @@ from bollobas_lab.operators import to_matrix
 from bollobas_lab.probe import FEAS_TOL, ProbeBudget
 from bollobas_lab.spaces import (INF, Space, StatePair, SumSpace, duality_map,
                                  lp_norm, lp_norm_rows, pair, random_unit,
-                                 unit_phase)
+                                 unit_phase, unit_rows)
 from bollobas_lab.gallery import CornerNuStates, LiftedRank1NuStates
 from bollobas_lab.sums import LiftNuStates
 
@@ -333,6 +335,21 @@ def mp_norm(row, p):
         if p == INF:
             return max(mods, default=mpmath.mpf(0))
         return mpmath.fsum(m ** p for m in mods) ** (1 / mpmath.mpf(p))
+
+
+def unit_phase_divided(z):
+    """spaces.unit_phase as it was on every array: z/|z| where |z| is
+    normal, the unit_rows division where it is subnormal, and 0 elsewhere
+    (at 0 and at NaN)."""
+    z = np.asarray(z)
+    a = np.abs(z)
+    out = np.zeros_like(z)
+    nz = a >= 2.0 ** -1022
+    out[nz] = z[nz] / a[nz]
+    if np.count_nonzero(nz) < np.count_nonzero(a):     # a subnormal |z|
+        small = (a > 0) & ~nz
+        out[small] = unit_rows(z[small][:, None], a[small], INF)[:, 0]
+    return out
 
 
 def largest_feasible_halvings(ok):

@@ -255,6 +255,58 @@ def test_validate_eta_pass_and_fail():
     assert bad.violating_witness is not None
 
 
+def _planted(real, value=None, distance=None, witness=None):
+    """A probe that returns real's report with its value, distance or
+    witness replaced."""
+    def probe(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.best_value = rep.best_value if value is None else value
+        rep.witness_distance = rep.witness_distance if distance is None \
+            else distance
+        rep.witness = rep.witness if witness is None else witness
+        return rep
+    return probe
+
+
+def test_validate_eta_rejects_a_planted_false_violator(monkeypatch):
+    D = _diag([1.0, 0.9, 0.8, 0.6], 2.0)
+    e2 = np.array([0.0, 1.0, 0.0, 0.0])
+    # the probe claims value 1 at e2, which the recheck reads as 0.9
+    monkeypatch.setattr(probe_module, "eta_probe_norm", _planted(
+        eta_probe_norm, value=1.0, witness=e2))
+    rep = validate_eta(D, eta_const(1e-6), [0.2, 0.5], mode="norm",
+                       budget=BUD, seed=2)
+    assert rep.passed and rep.violating_witness is None
+    assert all(r.refuted and not r.violated for r in rep.rows)
+    # a true violator whose distance the probe misreports is refuted too
+    monkeypatch.setattr(probe_module, "eta_probe_norm", _planted(
+        eta_probe_norm, distance=1.5))
+    rep = validate_eta(D, eta_const(0.5), [0.2], mode="norm", budget=BUD,
+                       seed=2)
+    assert rep.passed and rep.rows[0].refuted
+    # the nu probe's pairs are rechecked by pair and pair_distance
+    x = np.array([0.6, 0.8, 0.0, 0.0])
+    monkeypatch.setattr(probe_module, "eta_probe_nu", _planted(
+        eta_probe_nu, value=1.0, witness=StatePair(x, x, Space(2, 4))))
+    rep = validate_eta(D, eta_const(1e-6), [0.2], mode="nu", budget=BUD,
+                       seed=2)
+    assert rep.passed and rep.rows[0].refuted
+
+
+def test_validate_eta_keeps_true_violators_through_the_recheck():
+    D = _diag([1.0, 0.9, 0.8, 0.6], 2.0)
+    for mode in ("norm", "nu"):
+        rep = validate_eta(D, eta_const(0.5), [0.2, 0.5], mode=mode,
+                           budget=BUD, seed=2)
+        assert not rep.passed
+        assert not any(r.refuted for r in rep.rows)
+        witness = rep.violating_witness
+        x = witness if mode == "norm" else witness.x
+        value = Space(2, 4).norm(D(x)) if mode == "norm" else \
+            abs(pair(witness.xstar, D(x)))
+        assert value > 0.5 + 1e-9
+
+
 def test_validate_eta_identity_vacuous():
     I = identity(Space(2, 4))
     rep = validate_eta(I, eta_linear(1.0), [0.2, 0.6], mode="norm",

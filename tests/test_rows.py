@@ -31,7 +31,7 @@ from bollobas_lab.numerical_radius import (DiagonalNuStates, EmptyNuStates,
                                            face_sup, face_sup_rows,
                                            nu_attaining_states)
 from bollobas_lab.operators import Dense, Diagonal, Scale, to_matrix
-from bollobas_lab import probe
+from bollobas_lab import probe, spaces
 from bollobas_lab.probe import (FEAS_TOL, ProbeBudget, _boundary_seeds,
                                 _state_dist_rows, eta_probe_norm,
                                 eta_probe_nu)
@@ -332,14 +332,31 @@ def _sum_block(rng, c, mode):
     return v.astype(c.dtype)
 
 
+def _sum_components(rng, field):
+    """1-3 blocks drawn one by one; or, a third of the time each, 2-3
+    blocks of one geometry (the lifts', G-CORNER's and psum's shape: one
+    block group), blocks of up to 10 entries so that numpy's pairwise sums
+    take over; or 3 blocks whose first and last share a geometry (a group
+    of blocks that are not adjacent)."""
+    def block(dim=None):
+        return Space(float(rng.choice(EXPONENTS)),
+                     int(rng.integers(1, 5)) if dim is None else dim, field)
+
+    shape = rng.integers(3)
+    if shape == 0:
+        return tuple(block() for _ in range(rng.integers(1, 4)))
+    if shape == 1:
+        return (block(int(rng.integers(1, 11))),) * int(rng.integers(2, 4))
+    outer = block()
+    return (outer, block(outer.dim % 4 + 1), outer)
+
+
 def _sum_rows(rng, outer, cx):
-    """A sum of 1-3 blocks and rows (x, y) of mixed shapes: each row picks
-    its own massless blocks, zero entries and peak sets; some y are zero in
-    places or real-valued, and on a peak block some y repeat x's phases
-    (tied Minkowski points)."""
-    field = "complex" if cx else "real"
-    comps = tuple(Space(float(rng.choice(EXPONENTS)), int(rng.integers(1, 5)),
-                        field) for _ in range(rng.integers(1, 4)))
+    """A sum (_sum_components) and rows (x, y) of mixed shapes: each row
+    picks its own massless blocks, zero entries and peak sets; some y are
+    zero in places or real-valued, and on a peak block some y repeat x's
+    phases (tied Minkowski points)."""
+    comps = _sum_components(rng, "complex" if cx else "real")
     space = SumSpace(comps, outer)
     X, Y = [], []
     for _ in range(rng.integers(1, 7)):
@@ -381,6 +398,27 @@ def test_sum_face_rows_match_scalar_oracle(outer, cx, seed):
         assert _bits(XS[i]) == _bits(assemble())
         assert _value_bits(ones[i][0][0]) == _value_bits(vals[i])
         assert _bits(ones[i][1][0]) == _bits(XS[i])
+
+
+def test_sum_kernels_make_one_call_per_block_group(monkeypatch):
+    calls = []
+    kernel = spaces.lp_norm_rows
+
+    def counted(X, p):
+        calls.append(len(X))
+        return kernel(X, p)
+
+    monkeypatch.setattr(spaces, "lp_norm_rows", counted)
+    rng = np.random.default_rng(5)
+    a, b = Space(2.0, 3), Space(3.0, 2)
+    for comps, want in (((a, a), [10]), ((a, b, a), [10, 5])):
+        space = SumSpace(comps, 1.5)
+        X = rng.normal(size=(5, space.dim))
+        calls.clear()
+        N = space.profile_rows(X)
+        assert calls == want
+        for i, (c, (lo, hi)) in enumerate(zip(comps, space.offsets())):
+            assert _bits(N[:, i]) == _bits(kernel(X[:, lo:hi], c.p))
 
 
 def test_sum_face_rows_refuse_too_many_peak_points():

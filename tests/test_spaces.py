@@ -10,16 +10,39 @@ from bollobas_lab.errors import GeometryError
 from bollobas_lab.spaces import (INF, Space, SumSpace, duality_map,
                                  largest_feasible, lp_norm, lp_norm_rows,
                                  modulus_convexity, pair, random_unit,
-                                 state_pair, support_states)
+                                 state_pair, support_states, unit_phase)
 
 from _oracles import (largest_feasible_halvings, modulus_convexity_grid,
-                      modulus_convexity_slsqp, mp_norm)
+                      modulus_convexity_slsqp, mp_norm, unit_phase_divided)
 
 
 def test_norm_basics():
     assert lp_norm([1, 0, 0], 1) == 1.0
     assert lp_norm([1, 1], INF) == 1.0
     assert lp_norm([3, 4], 2) == 5.0
+
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -(2.0 ** -1023), 1e-300,
+         -1.5, 1e308, -np.inf, np.inf, np.nan, -np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(EDGES) | st.floats(), max_size=12),
+       st.integers(1, 3), st.booleans())
+def test_unit_phase_matches_the_division_bit_for_bit(entries, cols, cx):
+    # real rows take the sign, complex ones the division; both must give
+    # the old quotient's bits, ±0 -> +0, NaN -> +0 and ±inf -> inf/inf
+    # included, on 1-d and 2-d arrays
+    z = np.array(entries + [0.0] * (-len(entries) % cols), dtype=float)
+    if cx:
+        w = np.empty(len(z), dtype=complex)
+        w.real, w.imag = z, z[::-1]
+        z = w
+    for a in (z, z.reshape(-1, cols)):
+        with np.errstate(invalid="ignore"):
+            got, want = unit_phase(a), unit_phase_divided(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_p2_norm_neither_underflows_nor_overflows():
