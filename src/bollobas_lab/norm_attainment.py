@@ -6,14 +6,17 @@ Certainty labels are load-bearing: downstream consumers (probes, membership
 falsification) refuse to build certified objects out of heuristic values.
 
 exact       -- closed form or structural reduction; trusted to round-off.
+               On a sum, also a multistart's witnessed value whose
+               block_norm_majorant upper_bound lies within NORM_TOL of it.
 enumerated  -- finite extreme-point enumeration (plus local phase ascent in
                the complex sup-norm case); trusted at the documented budget.
-heuristic   -- multistart ascent; a certified lower bound only.
+heuristic   -- multistart ascent; a certified lower bound only, with the
+               majorant as upper_bound on a sum where one exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -30,6 +33,9 @@ from .spaces import (INF, Space, SumSpace, block_rows, lp_norm,
 SIGN_ENUM_MAX_DIM = 20
 PHASE_GRID = 64
 PHASE_ENUM_MAX_DIM = 4
+#: a bracket [value, upper_bound] this narrow is certified; the probes
+#: accept ||T|| = 1 and nu(T) = 1 within it
+NORM_TOL = 1e-6
 
 
 @dataclass
@@ -38,6 +44,9 @@ class NormResult:
     certainty: str                      # exact | enumerated | heuristic
     witness: Optional[np.ndarray] = None
     method: str = ""
+    # a proven bound ||T|| <= upper_bound: block_norm_majorant on a sum,
+    # None where no bound beyond the label is known
+    upper_bound: Optional[float] = None
 
     @property
     def lower_bound(self) -> float:
@@ -47,11 +56,14 @@ class NormResult:
         return self.certainty in ("exact", "enumerated")
 
     def describe(self) -> dict:
-        return {"value": self.value, "certainty": self.certainty,
-                "method": self.method,
-                "witness": None if self.witness is None else
-                [float(np.real(w)) if np.imag(w) == 0 else
-                 [float(np.real(w)), float(np.imag(w))] for w in self.witness]}
+        d = {"value": self.value, "certainty": self.certainty,
+             "method": self.method,
+             "witness": None if self.witness is None else
+             [float(np.real(w)) if np.imag(w) == 0 else
+              [float(np.real(w)), float(np.imag(w))] for w in self.witness]}
+        if self.upper_bound is not None:
+            d["upper_bound"] = self.upper_bound
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +119,18 @@ def operator_norm(T: OperatorExpr, restarts: int = 64, iters: int = 400,
 
 def _dense_norm(M, dom, cod, restarts, iters, seed) -> NormResult:
     if isinstance(dom, SumSpace) or isinstance(cod, SumSpace):
-        return _sum_space_norm(M, dom, cod, restarts, iters, seed)
+        return bracketed(_sum_space_norm(M, dom, cod, restarts, iters, seed),
+                         block_norm_majorant(M, dom, cod))
+    nr = _certified_norm(M, dom, cod)
+    if nr is not None:
+        return nr
+    val, wit = _multistart_norm(M, dom, cod, restarts, iters, seed)
+    return NormResult(val, "heuristic", wit, "boyd-multistart")
+
+
+def _certified_norm(M, dom, cod) -> Optional[NormResult]:
+    """The certified route of M between the flat spaces dom and cod, or
+    None where only the Boyd multistart is left."""
     if cod.dim == 1:
         f = M[0]
         val = dom.dual().norm(f)
@@ -134,8 +157,60 @@ def _dense_norm(M, dom, cod, restarts, iters, seed) -> NormResult:
     if dom.p == INF and dom.is_complex and dom.dim <= PHASE_ENUM_MAX_DIM:
         val, wit = _phase_enumerate(M, dom, cod)
         return NormResult(val, "enumerated", wit, "phase-grid-refined")
-    val, wit = _multistart_norm(M, dom, cod, restarts, iters, seed)
-    return NormResult(val, "heuristic", wit, "boyd-multistart")
+    return None
+
+
+def _sides(space):
+    """(blocks, outer p) of a side of a block operator, blocks as pairs
+    (component, (start, stop)).  A flat side is a sum of one block, whose
+    outer p is immaterial; 1 sends a one-column N to the l1-max-column
+    route."""
+    if isinstance(space, SumSpace):
+        return tuple(zip(space.components, space._offsets)), space.outer_p
+    return ((space, (0, space.dim)),), 1.0
+
+
+def block_norm_majorant(M, dom, cod) -> Optional[float]:
+    """An upper bound on the norm of M from dom to cod, one of them a sum:
+    ||N|| for N_ij = ||M_ij||, the certified norms of the blocks, by the
+    triangle inequality in each codomain block and the monotone outer norms.
+    An all-zero block is 0 with no route call.  N >= 0, so its real and
+    complex norms agree, and ||N|| is its certified flat route; without one,
+    where the outer exponents agree, it is Riesz-Thorin's bound
+    ||N||_1^(1/p) ||N||_inf^(1 - 1/p).  None when a nonzero block or N has
+    no certified route, so no multistart runs here."""
+    dom_blocks, dom_p = _sides(dom)
+    cod_blocks, cod_p = _sides(cod)
+    N = np.zeros((len(cod_blocks), len(dom_blocks)))
+    for i, (c, (a, b)) in enumerate(cod_blocks):
+        for j, (d, (s, t)) in enumerate(dom_blocks):
+            B = M[a:b, s:t]
+            if not np.count_nonzero(B):
+                continue
+            nr = _certified_norm(B, d, c)
+            if nr is None:
+                return None
+            N[i, j] = nr.value
+    nr = _certified_norm(N, Space(dom_p, len(dom_blocks)),
+                         Space(cod_p, len(cod_blocks)))
+    if nr is not None:
+        return nr.value
+    if dom_p != cod_p:
+        return None
+    columns, rows = N.sum(axis=0).max(), N.sum(axis=1).max()
+    return float(columns ** (1.0 / dom_p) * rows ** (1.0 - 1.0 / dom_p))
+
+
+def bracketed(result, upper: Optional[float]):
+    """A multistart's result (NormResult or NuResult) with upper_bound set
+    to upper, a proven bound on the norm, and labelled "exact" when the
+    bracket [value, upper] closes to NORM_TOL; as it is when upper is
+    None."""
+    if upper is None:
+        return result
+    closed = upper - result.value <= NORM_TOL
+    return replace(result, upper_bound=upper,
+                   certainty="exact" if closed else result.certainty)
 
 
 def _sign_chunks(M, dom, cod):

@@ -20,7 +20,9 @@ one engine is best_state_functional_rows(Y, X, space), which returns that
 value and an x* attaining it for every row pair: face_sup_rows is its value,
 which on a sum leaves x* unassembled, the nu probe's state
 (probe.aligned_state_functional) its functional, and face_sup and
-best_state_functional its one-row calls.
+best_state_functional its one-row calls.  On a sum that search's result
+carries norm_attainment.block_norm_majorant of ||T|| >= nu(T) as its
+upper_bound, and is labelled exact when the two close to NORM_TOL.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from ._search import (batch_rngs, batch_sizes, best_row, complex_parts,
                       polish_source)
 from .errors import (DimensionMismatchError, GeometryError,
                      HeuristicRefusalError)
-from .norm_attainment import (block_product_rows, operator_norm,
+from .norm_attainment import (block_norm_majorant, block_product_rows,
+                              bracketed, operator_norm,
                               subspace_sphere_distance_rows,
                               support_distance_rows, unimodular_distance_rows)
 from .operators import (Adjoint, Dense, Diagonal, DirectSum, Lift, OperatorExpr,
@@ -63,6 +66,10 @@ class NuResult:
     certainty: str                      # exact | grid_refined | heuristic
     witness: Optional[StatePair] = None
     method: str = ""
+    # a proven bound nu(T) <= upper_bound: on a sum the block-norm majorant
+    # of ||T||, since nu(T) <= ||T||; None where no bound beyond the label
+    # is known
+    upper_bound: Optional[float] = None
 
     @property
     def lower_bound(self) -> float:
@@ -72,8 +79,11 @@ class NuResult:
         return self.certainty in ("exact", "grid_refined")
 
     def describe(self) -> dict:
-        return {"value": self.value, "certainty": self.certainty,
-                "method": self.method}
+        d = {"value": self.value, "certainty": self.certainty,
+             "method": self.method}
+        if self.upper_bound is not None:
+            d["upper_bound"] = self.upper_bound
+        return d
 
 
 def numerical_radius(T: OperatorExpr, restarts: int = 64, iters: int = 300,
@@ -105,7 +115,8 @@ def numerical_radius(T: OperatorExpr, restarts: int = 64, iters: int = 300,
 
 def _dense_nu(M: np.ndarray, space, restarts, iters, seed) -> NuResult:
     if isinstance(space, SumSpace):
-        return _multistart_nu(M, space, restarts, iters, seed)
+        return bracketed(_multistart_nu(M, space, restarts, iters, seed),
+                         block_norm_majorant(M, space, space))
     p = space.p
     if p == 2 and not space.is_complex:
         S = (M + M.T) / 2.0

@@ -88,14 +88,13 @@ from ._search import (batch_rngs, batch_sizes, best_of, matvec_rows,
                       polish_rows, polish_source, power_ascent_rows)
 from .errors import GeometryError, HeuristicRefusalError, NotNormalizedError
 from .membership import _group_cap, _norm_profile_mass
-from .norm_attainment import norming_set, operator_norm
+from .norm_attainment import NORM_TOL, norming_set, operator_norm
 from .numerical_radius import (NuResult, NuStatesDescriptor, _modulus,
                                best_state_functional_rows,
                                nu_attaining_states, numerical_radius)
 from .operators import Diagonal, OperatorExpr, Scale, apply, to_matrix
 from .spaces import INF, PI_TOL, StatePair, SumSpace, pair, random_unit
 
-NORM_TOL = 1e-6
 FEAS_TOL = 1e-12
 
 

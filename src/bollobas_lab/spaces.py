@@ -372,14 +372,16 @@ def duality_map_rows(X: np.ndarray, p: float) -> np.ndarray:
     to 0: the one duality-map kernel of the library, for 1 < p < inf, which
     duality_map and the support faces of numerical_radius call.  A unit row
     in lp maps to its unique supporting functional.  The map is
-    elementwise, so each row rounds as it does alone."""
+    elementwise, so each row rounds as it does alone.  At p = 2 the factor
+    |x|^0 is the scalar 1.0, which numpy promotes as it promotes the array
+    of ones, so the product keeps the same bits."""
     X = np.asarray(X)
     A = np.abs(X)
     if np.count_nonzero(A) == A.size:       # no zero entry to mask
-        return np.conj(X) * A ** (p - 2.0)
+        return np.conj(X) * (1.0 if p == 2 else A ** (p - 2.0))
     out = np.zeros(X.shape, dtype=np.result_type(X, 1.0))
     nz = A > 0
-    out[nz] = np.conj(X[nz]) * A[nz] ** (p - 2.0)
+    out[nz] = np.conj(X[nz]) * (1.0 if p == 2 else A[nz] ** (p - 2.0))
     return out
 
 

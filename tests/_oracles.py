@@ -7,9 +7,12 @@ rotation grid for the complex Hilbert radius.
 modulus_convexity_slsqp is the grid and SLSQP route that the closed forms
 of spaces.modulus_convexity replaced.  mp_norm is the lp norm to 50
 digits, unit_phase_divided spaces.unit_phase as it divided every array
-before it took the sign of a real one, and largest_feasible_halvings the
-bisection of spaces.largest_feasible as it ran before it stopped at
-convergence.
+before it took the sign of a real one, duality_map_rows_powered
+spaces.duality_map_rows as it raised |x| to the power p - 2 at p = 2 too,
+and largest_feasible_halvings the bisection of spaces.largest_feasible as
+it ran before it stopped at convergence.  sampled_norm is a lower bound on
+an operator norm between flat spaces or sums, from random vectors and
+plain numpy norms, for the soundness of norm_attainment.block_norm_majorant.
 
 The second half keeps the one-vector-at-a-time bodies the library replaced
 by row forms: the distance oracles (the flat kinds, and on sums
@@ -350,6 +353,68 @@ def unit_phase_divided(z):
         small = (a > 0) & ~nz
         out[small] = unit_rows(z[small][:, None], a[small], INF)[:, 0]
     return out
+
+
+def duality_map_rows_powered(X, p):
+    """spaces.duality_map_rows as it was at every p: conj(x) |x|^(p - 2),
+    the power taken at p = 2 as well, a zero entry mapping to 0."""
+    X = np.asarray(X)
+    A = np.abs(X)
+    if np.count_nonzero(A) == A.size:
+        return np.conj(X) * A ** (p - 2.0)
+    out = np.zeros(X.shape, dtype=np.result_type(X, 1.0))
+    nz = A > 0
+    out[nz] = np.conj(X[nz]) * A[nz] ** (p - 2.0)
+    return out
+
+
+def _plain_norm_rows(X, space):
+    """The norm of every row of X in a flat space or a sum, by the plain
+    formulas: max |x| at p = inf, (sum |x|^p)^(1/p) otherwise."""
+    def lp(A, p):
+        A = np.abs(A)
+        return A.max(axis=1) if p == INF else (A ** p).sum(axis=1) ** (1 / p)
+
+    if not isinstance(space, SumSpace):
+        return lp(X, space.p)
+    profile = np.stack([lp(X[:, a:b], c.p) for c, (a, b)
+                        in zip(space.components, space.offsets())], axis=1)
+    return lp(profile, space.outer_p)
+
+
+def _sample_block(rng, count, c):
+    """count random vectors of the flat space c: per row, a Gaussian one, a
+    basis vector, or one whose entries all have modulus 1 (the extreme
+    points of the l1 and sup-norm balls), chosen at random."""
+    shape = (count, c.dim)
+    G = rng.normal(size=shape) + (1j * rng.normal(size=shape)
+                                  if c.is_complex else 0.0)
+    E = np.zeros(shape, dtype=G.dtype)
+    E[np.arange(count), rng.integers(c.dim, size=count)] = 1.0
+    U = G / np.abs(G)
+    kind = rng.integers(3, size=count)[:, None]
+    return np.where(kind == 0, G, np.where(kind == 1, E, U))
+
+
+def sampled_norm(M, dom, cod, rng, count=3000, extra=()):
+    """A lower bound on ||M : dom -> cod||, dom and cod flat or sums: the
+    largest ||M x|| / ||x|| over count random x and the vectors of extra.
+    Each block of a random x is drawn by _sample_block, then scaled by a
+    random weight, and in a third of the rows all but one block are zeroed
+    (the extreme points of an outer l1 ball)."""
+    blocks = (list(zip(dom.components, dom.offsets()))
+              if isinstance(dom, SumSpace) else [(dom, (0, dom.dim))])
+    X = np.zeros((count, dom.dim), dtype=dom.dtype)
+    keep = rng.integers(len(blocks), size=count)
+    lone = rng.uniform(size=count) < 1 / 3
+    for j, (c, (a, b)) in enumerate(blocks):
+        w = rng.uniform(0.0, 1.0, size=count)
+        w[lone & (keep != j)] = 0.0
+        X[:, a:b] = w[:, None] * _sample_block(rng, count, c)
+    X = np.concatenate([X, np.reshape(extra, (-1, dom.dim))])
+    n = _plain_norm_rows(X, dom)
+    X, n = X[n > 0], n[n > 0]
+    return float((_plain_norm_rows(X @ M.T, cod) / n).max())
 
 
 def largest_feasible_halvings(ok):

@@ -142,3 +142,55 @@ def test_corner_repair_bounds_rows_report_the_first_failure(
                     lambda sp, d, _p: oracle.corner_repair(sp, d, other))
     assert got == want
     assert got[0] is False if outer_p == INF else "GeometryError" in got
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """The names of the row engines called, polish_rows and
+    power_ascent_rows, through whichever module imported them."""
+    import sys
+    from bollobas_lab import _search
+    calls = []
+    for name in ("polish_rows", "power_ascent_rows"):
+        inner = getattr(_search, name)
+
+        def spy(*args, _name=name, _inner=inner, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("bollobas_lab") and \
+                    getattr(mod, name, None) is inner:
+                monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("outer_p", [1.0, INF])
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_corner_claims_check_the_majorant_without_a_search(dim, outer_p,
+                                                          search_calls):
+    from bollobas_lab.gallery import make_corner
+    results = {r.name: r for r in make_corner(dim, outer_p).run_claims(0)}
+    assert all(r.passed for r in results.values())
+    for name in ("nu-one-attained", "norm-one"):
+        assert results[name].detail == "witness value=1.0, bound=1.0"
+    assert search_calls == []
+    # the spies see a search where one runs
+    from bollobas_lab.numerical_radius import numerical_radius
+    numerical_radius(_corner(dim, outer_p), restarts=1, iters=1)
+    assert search_calls == ["polish_rows"]
+
+
+@pytest.mark.parametrize("outer_p", [1.0, INF])
+@pytest.mark.parametrize("dim", [4, 8])
+def test_corner_claims_fail_on_a_scaled_corner(dim, outer_p):
+    import dataclasses
+    from bollobas_lab.gallery import corner_matrix, make_corner
+    from bollobas_lab.operators import Dense
+    entry = make_corner(dim, outer_p)
+    space = entry.expr.domain
+    scaled = dataclasses.replace(
+        entry, expr=Dense(1.01 * corner_matrix(dim), space, space))
+    results = {r.name: r for r in scaled.run_claims(0)}
+    for name in ("nu-one-attained", "norm-one"):
+        assert not results[name].passed
+        assert results[name].detail == "witness value=1.01, bound=1.01"

@@ -97,6 +97,7 @@ def test_pinned_multistart_norm():
     # the value of the start-by-start oracle tests/_oracles.py::
     # multistart_norm; the stacked Boyd ascent gave 3.2525007605087026
     assert repr(r.value) == "3.252500760508715"
+    assert r.certainty == "heuristic" and r.upper_bound is None
 
 
 def test_pinned_sum_space_norm():
@@ -104,6 +105,8 @@ def test_pinned_sum_space_norm():
     r = operator_norm(Dense(_matrix(), S, S), restarts=16, iters=40, seed=3)
     assert r.method == "sum-space-multistart"
     assert repr(r.value) == "2.567342155561993"
+    # an l3 -> l3 block has no certified norm, so no majorant either
+    assert r.certainty == "heuristic" and r.upper_bound is None
 
 
 def test_pinned_multistart_nu():
@@ -112,16 +115,20 @@ def test_pinned_multistart_nu():
                          restarts=16, iters=40, seed=2)
     assert r.method == "state-multistart"
     assert repr(r.value) == "1.9188779286992903"
+    assert r.certainty == "heuristic" and r.upper_bound is None
     S = SumSpace((Space(3.0, 2), Space(1.5, 2)), 2.0)
     r = numerical_radius(Dense(M, S, S), restarts=8, iters=30, seed=1)
     assert r.method == "state-multistart"
     assert repr(r.value) == "1.841168179141957"
-    # the G-CORNER radius claim's budget; the value of the start-by-start
-    # oracle tests/_oracles.py::multistart_nu
+    assert r.certainty == "heuristic" and r.upper_bound is None
+    # a budget at which the search stops short of the corner's radius, so
+    # the bracket to its majorant 1 stays open; the value of the
+    # start-by-start oracle tests/_oracles.py::multistart_nu
     r = numerical_radius(make_corner(4, 1.0).expr, restarts=32, iters=120,
                          seed=0)
     assert r.method == "state-multistart"
     assert repr(r.value) == "0.9995895374631479"
+    assert r.certainty == "heuristic" and r.upper_bound == 1.0
 
 
 def test_pinned_probe_norm():

@@ -12,8 +12,9 @@ from bollobas_lab.spaces import (INF, Space, SumSpace, duality_map,
                                  modulus_convexity, pair, random_unit,
                                  state_pair, support_states, unit_phase)
 
-from _oracles import (largest_feasible_halvings, modulus_convexity_grid,
-                      modulus_convexity_slsqp, mp_norm, unit_phase_divided)
+from _oracles import (duality_map_rows_powered, largest_feasible_halvings,
+                      modulus_convexity_grid, modulus_convexity_slsqp,
+                      mp_norm, unit_phase_divided)
 
 
 def test_norm_basics():
@@ -363,3 +364,23 @@ def test_profile_floors_stop_with_the_bits_of_200_halvings(p, monkeypatch):
             want = floor(p, eps)
             assert got.hex() == want.hex(), (floor.__name__, eps)
             assert 0 < len(calls) < 200, (floor.__name__, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(EDGES) | st.floats(), min_size=1,
+                max_size=12),
+       st.booleans(), st.sampled_from([2, 2.0, 1.5, 3.0]))
+def test_duality_map_matches_the_power_bit_for_bit(entries, cx, p):
+    # at p = 2 the scalar 1.0 stands for |x| ** 0.0; signed zeros, infinite
+    # and NaN parts and subnormals must keep the power's bits, with and
+    # without a zero entry to mask
+    z = np.array(entries, dtype=float)
+    if cx:
+        w = np.empty(len(z), dtype=complex)
+        w.real, w.imag = z, z[::-1]
+        z = w
+    for a in (z[None, :], z[z != 0][None, :], z.reshape(-1, 1)):
+        with np.errstate(all="ignore"):
+            got = spaces.duality_map_rows(a, p)
+            want = duality_map_rows_powered(a, p)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
