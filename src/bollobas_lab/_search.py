@@ -3,8 +3,9 @@
 A budget of restarts runs every start: batch_sizes splits it into full
 batches and one batch of the remainder.  Batch b draws from the b-th child
 of SeedSequence(seed), and results are merged by a first-wins max, so
-outcomes depend only on (seed, batch index).  All work runs in one thread;
-BOLLOBAS_LAB_THREADS is accepted and ignored.
+outcomes depend only on (seed, batch index).  Only this module draws from
+that layout: restart_starts and polish_source.  All work runs in one
+thread; BOLLOBAS_LAB_THREADS is accepted and ignored.
 
 Inside a batch the starts can run as the rows of one array, as the block
 power method of Higham and Tisseur (SIAM J. Matrix Anal. Appl. 21(4), 2000)
@@ -43,7 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import INF, Space, SumSpace, random_unit, unit_phase
+from .spaces import (INF, Space, SumSpace, gaussian_directions, random_unit,
+                     random_unit_rows, unit_phase)
 # the lp-norm kernel, under the name the benchmark's tracer wraps
 from .spaces import lp_norm_rows as row_norms
 
@@ -99,21 +101,21 @@ def batch_sizes(restarts: int, size: int) -> list:
     return [min(size, restarts - b) for b in range(0, restarts, size)]
 
 
-def gaussian_directions(rng, count: int, space) -> np.ndarray:
-    """count Gaussian directions (count, dim), drawn as count successive
-    draws of one direction each: the real part, then the imaginary part."""
-    if space.is_complex:
-        N = rng.normal(size=(count, 2, space.dim))
-        return N[:, 0] + 1j * N[:, 1]
-    return rng.normal(size=(count, space.dim))
+def restart_starts(space, seed: int, sizes) -> np.ndarray:
+    """The random starts of every restart batch of sizes, stacked in batch
+    order (sum(sizes), dim): batch b is one random_unit_rows call of
+    sizes[b] starts on the generator of the b-th SeedSequence(seed) child."""
+    return np.concatenate([random_unit_rows(space, rng, n) for rng, n in
+                           zip(batch_rngs(seed, len(sizes)), sizes)])
 
 
-def polish_source(rngs, sizes, space, rounds: int, tries: int):
+def polish_source(seed: int, sizes, space, rounds: int, tries: int):
     """The draws of the climbs of every restart batch, batch b of sizes[b]
-    starts drawing from rngs[b]: start by start, each start's random_unit,
-    then its block of rounds x tries trial directions.  Returns the starts
-    (sum(sizes), dim), stacked in batch order, and directions(r, rows), the
-    source polish_rows reads, which gives round r of the listed rows.
+    starts drawing from the b-th SeedSequence(seed) child: start by start,
+    each start's random_unit, then its block of rounds x tries trial
+    directions.  Returns the starts (sum(sizes), dim), stacked in batch
+    order, and directions(r, rows), the source polish_rows reads, which
+    gives round r of the listed rows.
 
     A block is kept in chunks of K rounds, K chosen so that one chunk of
     every start holds at most DRAW_SCALARS scalars.  Chunk 0 of each start
@@ -136,8 +138,8 @@ def polish_source(rngs, sizes, space, rounds: int, tries: int):
         return gaussian_directions(rng, n * tries, space).reshape(n, tries,
                                                                  dim)
 
-    owners = [rng for rng, n in zip(rngs, sizes) for _ in range(n)]
-    for i, rng in enumerate(owners):
+    rngs = batch_rngs(seed, len(sizes))
+    for i, rng in enumerate(r for r, n in zip(rngs, sizes) for _ in range(n)):
         X0[i] = random_unit(space, rng)
         buf[i, :min(K, rounds)] = draw(rng, 0)
         for c in range(1, -(-rounds // K)):
@@ -228,14 +230,6 @@ def matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 def vecmat_rows(U: np.ndarray, M: np.ndarray) -> np.ndarray:
     """u @ M for every row u of U, rounded as the one-vector product."""
     return (np.ascontiguousarray(U)[:, None, :] @ M)[:, 0, :]
-
-
-def random_unit_rows(rng, count, dim, p, complex_field) -> np.ndarray:
-    if complex_field:
-        X = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-    else:
-        X = rng.normal(size=(count, dim))
-    return normalize_rows(X, p)
 
 
 def normalize_rows(X: np.ndarray, p: float) -> np.ndarray:

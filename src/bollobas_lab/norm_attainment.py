@@ -21,14 +21,14 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (batch_rngs, batch_sizes, best_row, dual_align_rows,
+from ._search import (batch_sizes, best_row, dual_align_rows,
                       phase_orbit_min_rows, phase_times, power_ascent_rows,
-                      primal_align_rows, random_unit_rows)
+                      primal_align_rows, restart_starts)
 from .errors import GeometryError, HeuristicRefusalError
 from .operators import (Adjoint, Delift, Dense, Diagonal, DirectSum, Lift,
                         OperatorExpr, RankOne, Scale, to_matrix)
-from .spaces import (INF, Space, SumSpace, block_rows, lp_norm,
-                     lp_norm_rows, random_unit, unit_phase)
+from .spaces import (INF, Space, SumSpace, block_rows, gaussian_directions,
+                     lp_norm, lp_norm_rows, unit_phase)
 
 SIGN_ENUM_MAX_DIM = 20
 PHASE_GRID = 64
@@ -118,14 +118,14 @@ def operator_norm(T: OperatorExpr, restarts: int = 64, iters: int = 400,
 
 
 def _dense_norm(M, dom, cod, restarts, iters, seed) -> NormResult:
-    if isinstance(dom, SumSpace) or isinstance(cod, SumSpace):
-        return bracketed(_sum_space_norm(M, dom, cod, restarts, iters, seed),
-                         block_norm_majorant(M, dom, cod))
-    nr = _certified_norm(M, dom, cod)
+    sums = isinstance(dom, SumSpace) or isinstance(cod, SumSpace)
+    nr = None if sums else _certified_norm(M, dom, cod)
     if nr is not None:
         return nr
     val, wit = _multistart_norm(M, dom, cod, restarts, iters, seed)
-    return NormResult(val, "heuristic", wit, "boyd-multistart")
+    method = "sum-space-multistart" if sums else "boyd-multistart"
+    return bracketed(NormResult(val, "heuristic", wit, method),
+                     block_norm_majorant(M, dom, cod) if sums else None)
 
 
 def _certified_norm(M, dom, cod) -> Optional[NormResult]:
@@ -205,9 +205,11 @@ def bracketed(result, upper: Optional[float]):
     """A multistart's result (NormResult or NuResult) with upper_bound set
     to upper, a proven bound on the norm, and labelled "exact" when the
     bracket [value, upper] closes to NORM_TOL; as it is when upper is
-    None."""
+    None.  upper is clamped at the value: both are rounded computations of
+    one norm, and the bound can round an ulp below the witnessed value."""
     if upper is None:
         return result
+    upper = max(upper, result.value)
     closed = upper - result.value <= NORM_TOL
     return replace(result, upper_bound=upper,
                    certainty="exact" if closed else result.certainty)
@@ -294,35 +296,16 @@ def _phase_enumerate(M, dom, cod):
 
 
 def _multistart_norm(M, dom, cod, restarts, iters, seed):
-    """Boyd's ascent (power_ascent_rows) from restarts random starts, drawn
-    in batches of 16 and one of the remainder, batch b from the b-th
-    SeedSequence(seed) child.  All starts ascend as the rows of one call;
-    the first best row of each batch, then the best batch, wins, as if each
-    batch ran alone.  Returns (value, x)."""
+    """Boyd's ascent (power_ascent_rows) from restarts random starts on flat
+    spaces or sums, drawn by restart_starts in batches of 16 and one of the
+    remainder.  All starts ascend as the rows of one call; the first best
+    row of each batch, then the best batch, wins, as if each batch ran
+    alone.  Returns (value, x)."""
     sizes = batch_sizes(restarts, 16)
-    X0 = np.concatenate([random_unit_rows(rng, n, dom.dim, dom.p,
-                                          dom.is_complex)
-                         for rng, n in zip(batch_rngs(seed, len(sizes)),
-                                           sizes)])
-    vals, X = power_ascent_rows(M, dom, cod, X0, iters)
+    vals, X = power_ascent_rows(M, dom, cod, restart_starts(dom, seed, sizes),
+                                iters)
     k = best_row(vals, sizes)
     return float(vals[k]), X[k]
-
-
-def _sum_space_norm(M, dom, cod, restarts, iters, seed):
-    """Generic power ascent from restarts random starts, drawn in batches
-    of 8 and one of the remainder, batch b from the b-th SeedSequence(seed)
-    child.  All starts ascend as the rows of one power_ascent_rows call; the
-    first best row of each batch, then the best batch, wins, as if each
-    batch ran alone."""
-    sizes = batch_sizes(restarts, 8)
-    X0 = np.array([random_unit(dom, rng)
-                   for rng, n in zip(batch_rngs(seed, len(sizes)), sizes)
-                   for _ in range(n)])
-    vals, X = power_ascent_rows(M, dom, cod, X0, iters)
-    k = best_row(vals, sizes)
-    return NormResult(float(vals[k]), "heuristic", X[k],
-                      "sum-space-multistart")
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +386,8 @@ class NormingSetDescriptor:
         for _ in range(count):
             if self.kind == "support_constrained":
                 v = np.zeros(self.space.dim, dtype=self.space.dtype)
-                sub = rng.normal(size=len(self.J)) + \
-                    (1j * rng.normal(size=len(self.J))
-                     if self.space.is_complex else 0.0)
-                v[list(self.J)] = sub
+                v[list(self.J)] = gaussian_directions(rng, 1, Space(
+                    self.space.p, len(self.J), self.space.field))[0]
                 out.append(v / self.space.norm(v))
             elif self.kind == "coordinate_unimodular":
                 v = rng.uniform(-1, 1, self.space.dim).astype(self.space.dtype)

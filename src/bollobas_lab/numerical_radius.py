@@ -32,10 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (batch_rngs, batch_sizes, best_row, complex_parts,
-                      dual_align_rows, golden_max, matvec_rows,
-                      phase_orbit_min_rows, phase_times, polish_rows,
-                      polish_source)
+from ._search import (batch_sizes, best_row, complex_parts, dual_align_rows,
+                      golden_max, matvec_rows, phase_orbit_min_rows,
+                      phase_times, polish_rows, polish_source)
 from .errors import (DimensionMismatchError, GeometryError,
                      HeuristicRefusalError)
 from .norm_attainment import (block_norm_majorant, block_product_rows,
@@ -45,8 +44,8 @@ from .norm_attainment import (block_norm_majorant, block_product_rows,
 from .operators import (Adjoint, Dense, Diagonal, DirectSum, Lift, OperatorExpr,
                         RankOne, Scale, to_matrix)
 from .spaces import (INF, Space, StatePair, SumSpace, conjugate_exponent,
-                     duality_map, duality_map_rows, lp_norm_rows, unit_phase,
-                     unit_rows)
+                     duality_map, duality_map_rows, gaussian_directions,
+                     lp_norm_rows, unit_phase, unit_rows)
 
 THETA_GRID = 256
 NU_TOL = 1e-10
@@ -513,8 +512,7 @@ def _multistart_nu(M, space, restarts, iters, seed) -> NuResult:
         return face_sup_rows(matvec_rows(M, X), X, space), None
 
     sizes = batch_sizes(restarts, 8)
-    X0, directions = polish_source(batch_rngs(seed, len(sizes)), sizes,
-                                   space, iters, 4)
+    X0, directions = polish_source(seed, sizes, space, iters, 4)
     vals, X, _ = polish_rows(X0, value_rows, space, directions, iters,
                              tries=4, step=0.5, min_step=1e-9)
     k = best_row(vals, sizes)
@@ -611,10 +609,9 @@ class DiagonalNuStates(NuStatesDescriptor):
                     x[n] = ph
                     xs[n] = w * np.conj(ph)
             else:
-                sub = rng.normal(size=len(J)) + \
-                    (1j * rng.normal(size=len(J)) if s.is_complex else 0.0)
                 x = np.zeros(s.dim, dtype=s.dtype)
-                x[J] = sub
+                x[J] = gaussian_directions(rng, 1,
+                                           Space(p, len(J), s.field))[0]
                 x = x / s.norm(x)
                 if p == 1:
                     xs = np.zeros(s.dim, dtype=s.dtype)

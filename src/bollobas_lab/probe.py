@@ -23,8 +23,9 @@ Each mode runs every batch as the rows of one program, and returns what
 running the batches one after another, and their starts one after
 another, returns, bit for bit:
 
-* norm: the starts are drawn batch by batch, and all of them walk as the
-  rows of one power ascent (_norm_walk).  Each start walks alone: it ends
+* norm: the starts are drawn batch by batch, one random_unit_rows call
+  each (_search.restart_starts), and all of them walk as the rows of one
+  power ascent (_norm_walk).  Each start walks alone: it ends
   at a step allclose to its point, after iters steps, or at its first
   infeasible step, and in the last case it pulls back toward the point
   before that step when that point is feasible; all pullbacks are the rows
@@ -84,8 +85,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (batch_rngs, batch_sizes, best_of, matvec_rows,
-                      polish_rows, polish_source, power_ascent_rows)
+from ._search import (batch_sizes, best_of, matvec_rows, polish_rows,
+                      polish_source, power_ascent_rows, restart_starts)
 from .errors import GeometryError, HeuristicRefusalError, NotNormalizedError
 from .membership import _group_cap, _norm_profile_mass
 from .norm_attainment import NORM_TOL, norming_set, operator_norm
@@ -93,7 +94,7 @@ from .numerical_radius import (NuResult, NuStatesDescriptor, _modulus,
                                best_state_functional_rows,
                                nu_attaining_states, numerical_radius)
 from .operators import Diagonal, OperatorExpr, Scale, apply, to_matrix
-from .spaces import INF, PI_TOL, StatePair, SumSpace, pair, random_unit
+from .spaces import INF, PI_TOL, StatePair, SumSpace, pair
 
 FEAS_TOL = 1e-12
 
@@ -363,10 +364,7 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
                 X.__getitem__)
 
     def restarts(budget):
-        sizes = batch_sizes(budget.restarts, 16)
-        X0 = np.array([random_unit(space, rng) for rng, n in
-                       zip(batch_rngs(seed, len(sizes)), sizes)
-                       for _ in range(n)])
+        X0 = restart_starts(space, seed, batch_sizes(budget.restarts, 16))
         return _norm_walk(M, space, cod, X0, max(10, budget.iters // 100),
                           desc.distance_rows, eps)
 
@@ -530,7 +528,7 @@ class _ArrayKey:
 @functools.lru_cache(maxsize=8)
 def _nu_restarts(matrix, space, seed, restarts, iters):
     """The nu probe's restart batch: batch_sizes(restarts, 16) starts drawn
-    from batch_rngs(seed, ...), polished on |<x*, Tx>| for max(10,
+    by polish_source(seed, ...), polished on |<x*, Tx>| for max(10,
     iters // 100) rounds as the rows of one polish_rows call, matrix an
     _ArrayKey of to_matrix(T).  It reads neither eps nor the attaining set,
     so the probes of one operator at several eps share it.  Returns
@@ -544,8 +542,7 @@ def _nu_restarts(matrix, space, seed, restarts, iters):
         XS = best_state_functional_rows(Y, X, space)[1]
         return _modulus((XS * Y).sum(axis=1)), XS
 
-    X0, directions = polish_source(batch_rngs(seed, len(sizes)), sizes,
-                                   space, rounds, 3)
+    X0, directions = polish_source(seed, sizes, space, rounds, 3)
     out = polish_rows(X0, state_rows, space, directions, rounds, tries=3,
                       step=0.4, min_step=1e-7)
     for a in out:

@@ -573,23 +573,53 @@ def modulus_convexity(space, eps: float) -> float:
 
 
 def random_unit(space, rng: np.random.Generator) -> np.ndarray:
-    """A deterministic-in-seed random unit vector of the space.
+    """One random unit vector of the space: random_unit_rows' one-row call."""
+    return random_unit_rows(space, rng, 1)[0]
 
-    On a SumSpace each block is drawn in turn, then the block norms are set
-    by a profile drawn uniformly from [0.2, 1] and normalized in outer_p.
-    """
-    if isinstance(space, SumSpace):
-        blocks = [random_unit(c, rng) for c in space.components]
-        profile = rng.uniform(0.2, 1.0, len(blocks))
-        profile /= lp_norm(profile, space.outer_p)
-        return space.join([t * b for t, b in zip(profile, blocks)])
+
+def random_unit_rows(space, rng: np.random.Generator,
+                     count: int) -> np.ndarray:
+    """count random unit vectors of the space (count, dim), drawn one after
+    another.  A flat vector is a gaussian_directions draw over its norm, or
+    e_1 where that is 0.  A vector of a SumSpace draws each block in turn,
+    then a profile uniform on [0.2, 1], normalized in outer_p, that sets the
+    block norms.  Consecutive draws concatenate in the stream, so each start
+    draws its flat blocks by one normal call, and the blocks and profiles
+    are normalized as rows; a block that is a sum is drawn by its own call."""
+    if not isinstance(space, SumSpace):
+        return _unit_or_e1(gaussian_directions(rng, count, space), space)
+    comps, parts = space.components, 2 if space.is_complex else 1
+    nested = any(isinstance(c, SumSpace) for c in comps)
+    X = np.empty((count, space.dim), dtype=space.dtype)
+    N, P = np.empty((count, parts * space.dim)), np.empty((count, len(comps)))
+    for i in range(count):
+        if nested:
+            X[i] = np.concatenate([random_unit(c, rng) for c in comps])
+        else:
+            N[i] = rng.normal(size=N.shape[1])
+        P[i] = rng.uniform(0.2, 1.0, len(comps))
+    for c, (a, b) in [] if nested else zip(comps, space.offsets()):
+        B = N[:, parts * a:parts * b].reshape(count, parts, c.dim)
+        X[:, a:b] = _unit_or_e1(B[:, 0] + 1j * B[:, 1] if parts == 2
+                                else B[:, 0], c)
+    P /= lp_norm_rows(P, space.outer_p)[:, None]
+    return X * np.repeat(P, [c.dim for c in comps], axis=1)
+
+
+def gaussian_directions(rng, count: int, space) -> np.ndarray:
+    """count Gaussian directions (count, dim), drawn as count successive
+    draws of one direction each: the real part, then the imaginary part."""
     if space.is_complex:
-        v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    else:
-        v = rng.normal(size=space.dim)
-    n = space.norm(v)
-    if n == 0:
-        v = np.zeros(space.dim, dtype=space.dtype)
-        v[0] = 1.0
-        return v
-    return (v / n).astype(space.dtype)
+        N = rng.normal(size=(count, 2, space.dim))
+        return N[:, 0] + 1j * N[:, 1]
+    return rng.normal(size=(count, space.dim))
+
+
+def _unit_or_e1(X: np.ndarray, space) -> np.ndarray:
+    """The rows of X (R, dim) over their norms in space; a zero row is e_1,
+    set in X."""
+    n = space.norm_rows(X)
+    zero = n == 0
+    if np.count_nonzero(zero):
+        X[zero], n[zero] = np.eye(1, X.shape[1]), 1.0
+    return X / n[:, None]

@@ -30,20 +30,23 @@ face_sup is the support-face value as it was computed before
 best_state_functional became its one engine, from explicit reachable sets;
 a massless block under outer 1 adds the disk of radius ||y_b||.
 
-The last part keeps the probes' restart batches and the sum-space norm and
-numerical-radius multistarts as they ran before the batched restart engine:
-one start after another, with the scalar random_polish,
-generic_power_ascent and ITP pullback, and on sums with the norms,
-alignment maps, support face and attaining-pair distances of the
-one-vector oracles above.  A polished start first draws its block, its
-random_unit and then every trial direction of every round
-(polish_block), and the scalar climb reads the block in order; a climb
-that stops early leaves the rest of its block unused, and the next start
-draws after the whole block.  A norm start ends at its first infeasible
-step, pulling back toward the point before it when that point is feasible;
-no anchor carries from one start to the next.  A budget of restarts runs
-batch_sizes(restarts): batches of 16, the last one with the remainder
-(batches of 8 in the sum-space norm and nu multistarts).
+The last part keeps the probes' restart batches and the numerical-radius
+multistart as they ran before the batched restart engine: one start after
+another, with the scalar random_polish, generic_power_ascent and ITP
+pullback, and on sums with the norms, alignment maps, support face and
+attaining-pair distances of the one-vector oracles above.  Every start is
+drawn by random_unit, the one-vector sampler that spaces.random_unit_rows
+replaced: a flat vector's real and then imaginary Gaussian parts over their
+norm, and on a sum each block in turn, recursively, then its profile.
+tests/test_spaces.py checks the row sampler against it bit for bit.  A
+polished start first draws its block, its random_unit and then every trial
+direction of every round (polish_block), and the scalar climb reads the
+block in order; a climb that stops early leaves the rest of its block
+unused, and the next start draws after the whole block.  A norm start ends
+at its first infeasible step, pulling back toward the point before it when
+that point is feasible; no anchor carries from one start to the next.  A
+budget of restarts runs batch_sizes(restarts): batches of 16, the last one
+with the remainder (batches of 8 in the nu multistart).
 tests/test_restart_rows.py checks the row programs against them, and the
 chunked draws of _search.polish_source against polish_block.
 
@@ -52,10 +55,11 @@ recomputing it every step; tests/test_dense_routes.py checks the library's
 body against it bit for bit.
 
 The end keeps the dense routes as they ran before they were stacked: the
-norm multistart with each start run alone through the scalar
-generic_power_ascent (multistart_norm), the Boyd multistart it replaced,
-with one call per batch of the Boyd body, whose stop is the batch's and
-not each row's (boyd_ascent_flat, boyd_multistart_norm), the complex
+norm multistart on flat spaces and on sums, with each start drawn by
+random_unit and run alone through the scalar generic_power_ascent
+(multistart_norm), the Boyd multistart it replaced on flat spaces, with one
+call per batch of the Boyd body, whose stop is the batch's and not each
+row's (boyd_ascent_flat, boyd_multistart_norm), the complex
 sup-norm phase grid as one meshgrid of every phase (phase_grid) and its
 coordinate-wise golden polish (phase_enumerate), the whole sign cube with
 its bits shifted out of the row indices (sign_chunks, sign_enumerate,
@@ -78,7 +82,7 @@ import numpy as np
 from bollobas_lab._search import (best_of, dual_align_in, dual_align_rows,
                                   golden_max, matvec_rows, normalize_rows,
                                   primal_align_in, primal_align_rows,
-                                  random_unit_rows, run_batches, vecmat_rows)
+                                  run_batches, vecmat_rows)
 from bollobas_lab.errors import GeometryError
 from bollobas_lab.norm_attainment import PHASE_GRID, UnionNormingSet
 from bollobas_lab.norm_attainment import \
@@ -90,7 +94,7 @@ from bollobas_lab.numerical_radius import (NU_TOL, THETA_GRID,
 from bollobas_lab.operators import to_matrix
 from bollobas_lab.probe import FEAS_TOL, ProbeBudget
 from bollobas_lab.spaces import (INF, Space, StatePair, SumSpace, duality_map,
-                                 lp_norm, lp_norm_rows, pair, random_unit,
+                                 lp_norm, lp_norm_rows, pair,
                                  unit_phase, unit_rows)
 from bollobas_lab.gallery import CornerNuStates, LiftedRank1NuStates
 from bollobas_lab.sums import LiftNuStates
@@ -1030,6 +1034,29 @@ def face_sup(y, x, space):
 # the probes' restart batches, one start at a time
 # ---------------------------------------------------------------------------
 
+def random_unit(space, rng):
+    """A deterministic-in-seed random unit vector of the space, one vector
+    per call: the Gaussian entries, on a complex field the real parts and
+    then the imaginary parts, over their norm, e_1 if that is 0.  On a
+    SumSpace each block is drawn in turn, then the block norms are set by a
+    profile drawn uniformly from [0.2, 1] and normalized in outer_p."""
+    if isinstance(space, SumSpace):
+        blocks = [random_unit(c, rng) for c in space.components]
+        profile = rng.uniform(0.2, 1.0, len(blocks))
+        profile /= lp_norm(profile, space.outer_p)
+        return space.join([t * b for t, b in zip(profile, blocks)])
+    if space.is_complex:
+        v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    else:
+        v = rng.normal(size=space.dim)
+    n = space.norm(v)
+    if n == 0:
+        v = np.zeros(space.dim, dtype=space.dtype)
+        v[0] = 1.0
+        return v
+    return (v / n).astype(space.dtype)
+
+
 def direction_block(rng, space, rounds, tries):
     """rounds lists of tries trial directions, each drawn as one real and,
     on a complex field, one imaginary Gaussian vector."""
@@ -1102,19 +1129,6 @@ def multistart_nu(M, space, restarts, iters, seed):
 
     def batch(rng):
         return best_of(polished_start(rng) for _ in range(sizes.pop(0)))
-
-    return run_batches(seed, len(sizes), batch)
-
-
-def sum_space_norm(M, dom, cod, restarts, iters, seed):
-    """norm_attainment._sum_space_norm with the starts of each batch of 8
-    (and of the remainder) run one after another: (value, x)."""
-    sizes = batch_sizes(restarts, 8)
-
-    def batch(rng):
-        return best_of(generic_power_ascent(M, dom, cod, random_unit(dom, rng),
-                                            iters=iters)
-                       for _ in range(sizes.pop(0)))
 
     return run_batches(seed, len(sizes), batch)
 
@@ -1327,17 +1341,16 @@ def power_ascent_rows(M, dom, cod, X0, iters=300):
 # ---------------------------------------------------------------------------
 
 def multistart_norm(M, dom, cod, restarts, iters, seed):
-    """norm_attainment._multistart_norm with the starts of each batch of 16
-    (and of the remainder) drawn as one random_unit_rows block, then run
-    one after another through the scalar generic_power_ascent, merged by
+    """norm_attainment._multistart_norm on flat spaces or sums, with each
+    start drawn by random_unit in batches of 16 (and one of the remainder)
+    and run alone through the scalar generic_power_ascent, merged by
     run_batches: (value, x)."""
     sizes = batch_sizes(restarts)
 
     def batch(rng):
-        X0 = random_unit_rows(rng, sizes.pop(0), dom.dim, dom.p,
-                              dom.is_complex)
-        return best_of(generic_power_ascent(M, dom, cod, x0, iters=iters)
-                       for x0 in X0)
+        return best_of(generic_power_ascent(M, dom, cod, random_unit(dom, rng),
+                                            iters=iters)
+                       for _ in range(sizes.pop(0)))
 
     return run_batches(seed, len(sizes), batch)
 
@@ -1370,12 +1383,12 @@ def boyd_ascent_flat(M, p, q, X0, iters=300):
 def boyd_multistart_norm(M, dom, cod, restarts, iters, seed):
     """norm_attainment._multistart_norm as it ran on the stacked Boyd
     ascent, with one boyd_ascent_flat call per batch of 16 (and of the
-    remainder), merged by run_batches: (value, x)."""
+    remainder), its starts drawn by random_unit, merged by run_batches:
+    (value, x)."""
     sizes = batch_sizes(restarts)
 
     def batch(rng):
-        X0 = random_unit_rows(rng, sizes.pop(0), dom.dim, dom.p,
-                              dom.is_complex)
+        X0 = np.array([random_unit(dom, rng) for _ in range(sizes.pop(0))])
         return boyd_ascent_flat(M, dom.p, cod.p, X0, iters=iters)
 
     return run_batches(seed, len(sizes), batch)

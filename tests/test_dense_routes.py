@@ -24,15 +24,14 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from bollobas_lab import norm_attainment
-from bollobas_lab._search import (boyd_ascent, power_ascent_rows,
-                                  random_unit_rows)
+from bollobas_lab._search import boyd_ascent, power_ascent_rows
 from bollobas_lab.norm_attainment import (_multistart_norm, _phase_enumerate,
                                           _phase_grid, _sign_enumerate,
-                                          _sum_space_norm, norming_set,
-                                          operator_norm)
+                                          norming_set, operator_norm)
 from bollobas_lab.numerical_radius import _complex_hilbert_nu, _multistart_nu
 from bollobas_lab.operators import Dense
-from bollobas_lab.spaces import INF, Space, SumSpace, lp_norm, random_unit
+from bollobas_lab.spaces import (INF, Space, SumSpace, lp_norm, random_unit,
+                                 random_unit_rows)
 
 # the package exports the function numerical_radius under the module's name
 nr_mod = importlib.import_module("bollobas_lab.numerical_radius")
@@ -60,8 +59,8 @@ def test_boyd_ascent_matches_one_row_call_per_start(d, field):
     rng = np.random.default_rng([d, field == "complex"])
     for p, q in PQ:
         M = _matrix(rng, d, field)
-        X0 = random_unit_rows(rng, 16, d, p, field == "complex")
         dom, cod = Space(p, d, field), Space(q, d, field)
+        X0 = random_unit_rows(dom, rng, 16)
         got = boyd_ascent(M, p, q, X0, iters=40)
         want = oracle.best_of(oracle.generic_power_ascent(M, dom, cod, x,
                                                           iters=40)
@@ -262,7 +261,7 @@ def test_multistarts_run_every_start(monkeypatch, restarts):
     dom, cod = Space(3.0, 3), Space(1.5, 3)
     _multistart_norm(M, dom, cod, restarts, 5, 1)
     S = SumSpace((Space(3.0, 2), Space(1.5, 1)), 2.0)
-    _sum_space_norm(M, S, S, restarts, 5, 1)
+    _multistart_norm(M, S, S, restarts, 5, 1)
     _multistart_nu(M, dom, restarts, 5, 1)
     # every multistart stacks all its batches as the rows of one call
     assert rows["power_ascent_rows"] == [restarts, restarts]

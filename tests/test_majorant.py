@@ -66,7 +66,8 @@ def test_majorant_bounds_every_sampled_value():
         nr = operator_norm(Dense(M, dom, cod), restarts=8, iters=60, seed=i)
         low = sampled_norm(M, dom, cod, rng, extra=[nr.witness])
         assert bound >= low - 1e-12, (i, bound, low)
-        assert nr.upper_bound == bound
+        # the result carries the majorant, clamped at the witnessed value
+        assert nr.upper_bound == max(bound, nr.value) >= nr.value
     # both kinds of bound on N are reached
     assert bounded >= 40 and riesz_thorin >= 3, (bounded, riesz_thorin)
 
@@ -160,3 +161,18 @@ def test_bracket_labels_sums():
     # flat routes carry no bound, and describe() leaves it out
     flat = operator_norm(Dense(np.eye(2), Space(2.0, 2), Space(2.0, 2)))
     assert flat.upper_bound is None and "upper_bound" not in flat.describe()
+
+
+def test_bracket_never_inverts():
+    # the Hilbert lift's adjoint: the majorant reads 0.9999999999999998,
+    # and at most seeds the multistart witnesses 0.9999999999999999, an ulp
+    # above it; the bound is clamped at the witnessed value
+    T = _hilbert(np.random.default_rng(0), 3)
+    for outer in (1.0, 2.0, INF):
+        for seed in range(4):
+            nr = operator_norm(adjoint(Lift(T, outer)), seed=seed)
+            assert nr.upper_bound >= nr.value
+            assert nr.certainty == "exact"
+    late = norm_attainment.NormResult(1.0, "heuristic")
+    nr = norm_attainment.bracketed(late, 1.0 - 2.0 ** -53)
+    assert nr.upper_bound == nr.value == 1.0 and nr.certainty == "exact"

@@ -458,8 +458,8 @@ def test_probes_run_every_requested_start(restarts, monkeypatch):
     layouts = []
     source = probe_module.polish_source
     monkeypatch.setattr(probe_module, "polish_source",
-                        lambda rngs, sizes, *a: layouts.append(sizes)
-                        or source(rngs, sizes, *a))
+                        lambda seed, sizes, *a: layouts.append(sizes)
+                        or source(seed, sizes, *a))
     eta_probe_nu(D, 0.3, budget=budget, seed=2)
     assert starts == [restarts]
     assert layouts == [[16] * full + [rest] * (rest > 0)]

@@ -24,7 +24,7 @@ from bollobas_lab._search import (batch_rngs, gaussian_directions,
                                   generic_power_ascent, polish_rows,
                                   polish_source)
 from bollobas_lab.gallery import lifted_rank1_l1
-from bollobas_lab.norm_attainment import (_sum_space_norm, norming_set,
+from bollobas_lab.norm_attainment import (_multistart_norm, norming_set,
                                           operator_norm)
 from bollobas_lab.numerical_radius import (NuResult, _multistart_nu,
                                            nu_attaining_states,
@@ -446,10 +446,36 @@ def test_sum_space_norm_rows_match_start_by_start(space):
     if space.is_complex:
         M = M + 1j * rng.normal(size=M.shape)
     for seed, restarts in ((3, 16), (4, 21), (5, 37)):
-        got = _sum_space_norm(M, space, space, restarts, 40, seed)
-        want = oracle.sum_space_norm(M, space, space, restarts, 40, seed)
-        assert repr(got.value) == repr(want[0])
-        assert _bits(got.witness) == _bits(want[1])
+        got = _multistart_norm(M, space, space, restarts, 40, seed)
+        want = oracle.multistart_norm(M, space, space, restarts, 40, seed)
+        assert repr(got[0]) == repr(want[0])
+        assert _bits(got[1]) == _bits(want[1])
+
+
+@pytest.mark.parametrize("restarts", [1, 16, 37])
+def test_one_sampler_call_per_batch(monkeypatch, restarts):
+    # the norm multistarts, flat and on sums, and the norm probe's restart
+    # stage draw each batch's starts by one random_unit_rows call: at a
+    # budget of one batch, exactly one call per search
+    calls = []
+    sampler = _search.random_unit_rows
+    monkeypatch.setattr(_search, "random_unit_rows",
+                        lambda space, rng, count: calls.append((space, count))
+                        or sampler(space, rng, count))
+    M = np.random.default_rng(5).normal(size=(3, 3))
+    dom, cod = Space(3.0, 3), Space(1.5, 3)
+    S = SumSpace((Space(3.0, 2), Space(1.5, 1)), 2.0)
+    D = Diagonal(SequenceSpec((1.0, 0.6, 0.3)), Space(2.0, 3))
+    searches = [
+        (dom, lambda: _multistart_norm(M, dom, cod, restarts, 5, 1)),
+        (S, lambda: _multistart_norm(M, S, S, restarts, 5, 1)),
+        (D.domain, lambda: eta_probe_norm(
+            D, 0.3, budget=ProbeBudget(restarts, 300), seed=2))]
+    sizes = _search.batch_sizes(restarts, 16)
+    for space, search in searches:
+        calls.clear()
+        search()
+        assert calls == [(space, n) for n in sizes]
 
 
 @pytest.mark.parametrize("space", [Space(3.0, 4), Space(1.5, 3, "complex"),
@@ -484,8 +510,12 @@ def test_polish_source_matches_the_full_blocks(space, rounds, monkeypatch):
     # in the last chunk, and are read only while live, as polish_rows reads
     sizes, tries = [2, 3], 3
     _chunk_rounds(monkeypatch, 4, sum(sizes), tries, space.dim)
-    rngs, again = batch_rngs(9, 2), batch_rngs(9, 2)
-    X0, directions = polish_source(rngs, sizes, space, rounds, tries)
+    # keep the generators polish_source spawns, to see where it leaves them
+    rngs, spawn = [], _search.batch_rngs
+    monkeypatch.setattr(_search, "batch_rngs",
+                        lambda seed, n: rngs.extend(spawn(seed, n)) or rngs)
+    X0, directions = polish_source(9, sizes, space, rounds, tries)
+    again = batch_rngs(9, 2)
     want = [oracle.polish_block(rng, space, rounds, tries)
             for rng, n in zip(again, sizes) for _ in range(n)]
     assert _bits(X0) == _bits(np.array([x for x, _ in want]))

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from bollobas_lab._search import (best_of, boyd_ascent, gaussian_directions,
-                                  polish_rows, random_unit_rows, run_batches)
+                                  polish_rows, run_batches)
 from bollobas_lab.gallery import lifted_rank1_l1, make_corner
 from bollobas_lab.norm_attainment import operator_norm
 from bollobas_lab.numerical_radius import NuResult, numerical_radius
 from bollobas_lab.operators import Dense, Diagonal, Lift
 from bollobas_lab.probe import ProbeBudget, eta_probe_norm, eta_probe_nu
 from bollobas_lab.sequences import SequenceSpec
-from bollobas_lab.spaces import Space, SumSpace, lp_norm
+from bollobas_lab.spaces import Space, SumSpace, lp_norm, random_unit_rows
 
 BUD = ProbeBudget(restarts=32, iters=300)
 
@@ -84,7 +84,7 @@ def test_boyd_witness_attains_its_value(p, q):
     for i in range(25):
         d = int(rng.integers(3, 33))
         M = rng.normal(size=(d, d))
-        X0 = random_unit_rows(rng, 16, d, p, False)
+        X0 = random_unit_rows(Space(p, d), rng, 16)
         v, x = boyd_ascent(M, p, q, X0, iters=40)
         assert abs(v - lp_norm(M @ x, q) / lp_norm(x, p)) <= 2e-15 * v, i
 

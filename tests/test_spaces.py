@@ -10,8 +10,10 @@ from bollobas_lab.errors import GeometryError
 from bollobas_lab.spaces import (INF, Space, SumSpace, duality_map,
                                  largest_feasible, lp_norm, lp_norm_rows,
                                  modulus_convexity, pair, random_unit,
-                                 state_pair, support_states, unit_phase)
+                                 random_unit_rows, state_pair,
+                                 support_states, unit_phase)
 
+import _oracles as oracle
 from _oracles import (duality_map_rows_powered, largest_feasible_halvings,
                       modulus_convexity_grid, modulus_convexity_slsqp,
                       mp_norm, unit_phase_divided)
@@ -384,3 +386,62 @@ def test_duality_map_matches_the_power_bit_for_bit(entries, cx, p):
             got = spaces.duality_map_rows(a, p)
             want = duality_map_rows_powered(a, p)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the start sampler against the one-vector reference
+# ---------------------------------------------------------------------------
+
+SAMPLER_SPACES = [Space(p, d, f) for p in (1.0, 1.5, 2.0, 3.0, INF)
+                  for f in ("real", "complex") for d in (1, 2, 3, 7, 16, 64)]
+SAMPLER_SUMS = [
+    SumSpace((Space(3.0, 2), Space(1.5, 3), Space(3.0, 2)), 2.0),
+    SumSpace((Space(1.0, 2, "complex"), Space(INF, 3, "complex")), 1.0),
+    SumSpace((Space(2.0, 3), Space(1.0, 1)), 1.5),
+    SumSpace((Space(1.5, 2, "complex"), Space(2.0, 2, "complex")), INF),
+    # a block that is itself a sum draws its own profile in turn
+    SumSpace((SumSpace((Space(3.0, 2), Space(1.0, 1)), 2.0), Space(2.0, 2)),
+             1.0)]
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return (a.dtype.str, a.shape, a.tobytes())
+
+
+@pytest.mark.parametrize("space", SAMPLER_SPACES + SAMPLER_SUMS)
+def test_random_unit_rows_match_the_one_vector_draws(space):
+    # count rows are the numbers of count reference draws in turn, and the
+    # generator goes on where those draws leave it
+    for count in (1, 5, 17):
+        rng, again = np.random.default_rng(count), np.random.default_rng(count)
+        got = random_unit_rows(space, rng, count)
+        want = np.array([oracle.random_unit(space, again)
+                         for _ in range(count)])
+        assert _bits(got) == _bits(want)
+        assert rng.normal() == again.normal()
+    assert _bits(random_unit(space, np.random.default_rng(9))) == \
+        _bits(oracle.random_unit(space, np.random.default_rng(9)))
+
+
+class _ZeroNormals:
+    """A generator stub whose normal draws are all zero."""
+
+    def normal(self, size):
+        return np.zeros(size)
+
+    def uniform(self, low, high, size):
+        return np.linspace(low, high, size)
+
+
+@pytest.mark.parametrize("space", [Space(3.0, 4), Space(INF, 3, "complex"),
+                                   SAMPLER_SUMS[0], SAMPLER_SUMS[1]],
+                         ids=["l3", "sup-complex", "sum-2", "sum-1-complex"])
+def test_random_unit_rows_give_e1_for_a_zero_draw(space):
+    got = random_unit_rows(space, _ZeroNormals(), 3)
+    want = np.array([oracle.random_unit(space, _ZeroNormals())
+                     for _ in range(3)])
+    assert _bits(got) == _bits(want)
+    if not isinstance(space, SumSpace):
+        assert got.tolist() == [[1.0] + [0.0] * (space.dim - 1)] * 3
+    assert np.allclose(space.norm_rows(got), 1.0)
