@@ -22,9 +22,9 @@ from .membership import (diag_norm_member, eta_const, functional_member,
                          rank1_l1_eta)
 from .numerical_radius import (BlockPairStates, NuResult, NuStatesDescriptor,
                                nu_attaining_states, numerical_radius)
-from .norm_attainment import (NormingSetDescriptor, ball_rows,
-                              block_norm_majorant, functional_norming_set,
-                              norming_set, operator_norm, point_rows)
+from .norm_attainment import (ball_rows, block_norm_majorant,
+                              functional_norming_set, norming_set,
+                              operator_norm, point_rows)
 from .operators import (Delift, Dense, Diagonal, Lift, OperatorExpr, RankOne,
                         adjoint, functional, to_matrix)
 from .probe import ProbeBudget, eta_probe_norm, eta_probe_nu, validate_eta
@@ -46,7 +46,6 @@ class GalleryEntry:
     params: dict
     expr: OperatorExpr
     claims: list = field(default_factory=list)   # (name, fn(entry) -> ClaimResult)
-    norming: Optional[NormingSetDescriptor] = None
     attaining: Optional[NuStatesDescriptor] = None
     symbolic: Optional[SequenceSpec] = None
     nu_override: Optional[NuResult] = None       # closed-form radius, if any
@@ -319,9 +318,9 @@ class LiftedRank1NuStates(BlockPairStates):
     def __init__(self, dim: int):
         self.dim = dim
         blk = Space(1.0, dim)
-        l1, sup = blk.norm_rows, blk.dual().norm_rows
+        sup = blk.dual()
         e1, free = _e(dim, 0), np.arange(dim) > 0
-        options = [([point_rows(sgn * e1, l1, None), l1],
+        options = [([point_rows(sgn * e1, blk, None), blk.norm_rows],
                     [point_rows(sgn * e1, sup, free),
                      point_rows(r * np.ones(dim), sup, None)])
                    for sgn in (1.0, -1.0) for r in (1.0, -1.0)]
@@ -553,7 +552,7 @@ class CornerNuStates(BlockPairStates):
         zero, ball = blk.norm_rows, ball_rows(blk.norm_rows)
         options = []
         for sgn in (1.0, -1.0):
-            e = point_rows(sgn * _e(dim, 0), blk.norm_rows, None)
+            e = point_rows(sgn * _e(dim, 0), blk, None)
             options.append(([e, zero], [e, ball]) if outer_p == 1
                            else ([e, ball], [e, zero]))
         super().__init__(SumSpace((blk, blk), outer_p), options)

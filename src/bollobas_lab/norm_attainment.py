@@ -36,6 +36,8 @@ PHASE_ENUM_MAX_DIM = 4
 #: a bracket [value, upper_bound] this narrow is certified; the probes
 #: accept ||T|| = 1 and nu(T) = 1 within it
 NORM_TOL = 1e-6
+#: the relative gap below the top within which an entry counts as attaining
+TIE_TOL = 1e-12
 
 
 @dataclass
@@ -362,22 +364,15 @@ class NormingSetDescriptor:
         raise GeometryError(f"unknown norming-set kind {self.kind}")
 
     def _point_distance_rows(self, X, v):
-        space = self.space
-        mask = None if self.free_mask is None else np.asarray(self.free_mask)
-
-        def dist_for(phi, rows):
-            """phi: one phase for all rows, or one per row as (R, 1)."""
-            D = X[rows] - phase_times(phi, v)
-            if mask is not None:
-                D = np.where(mask, 0.0, D)
-            return lp_norm_rows(np.asarray(D, dtype=space.dtype), space.p)
-
-        every = slice(None)
+        space, free = self.space, self.free_mask
         if not self.phase_orbit:
-            return dist_for(1.0, every)
+            return offset_rows(X, 1.0, v, free, space)
         if not space.is_complex:
-            return np.minimum(dist_for(1.0, every), dist_for(-1.0, every))
-        return phase_orbit_min_rows(dist_for, tol=1e-13)[1]
+            return np.minimum(offset_rows(X, 1.0, v, free, space),
+                              offset_rows(X, -1.0, v, free, space))
+        return phase_orbit_min_rows(
+            lambda phi, rows: offset_rows(X[rows], phi, v, free, space),
+            tol=1e-13)[1]
 
     # -- sampling -----------------------------------------------------------
 
@@ -504,13 +499,21 @@ def block_product_rows(X: np.ndarray, space: SumSpace, parts) -> np.ndarray:
     return np.where(far, np.inf, lp_norm_rows(D, space.outer_p))
 
 
-def point_rows(v: np.ndarray, norm_rows, free):
-    """The block distance to the point v in norm_rows, ignoring the
-    coordinates of the mask free (None for none)."""
-    def rows(B):
-        D = B - v
-        return norm_rows(D if free is None else np.where(free, 0.0, D))
-    return rows
+def offset_rows(X: np.ndarray, phi, v: np.ndarray, free, space) -> np.ndarray:
+    """The norm in space of X - phi v for every row of X (R, dim), the
+    coordinates of the mask free (None for none) set to 0: the distance to
+    an explicit point modulo a phase, with free coordinates.  phi is one
+    phase for all rows, or one per row as (R, 1)."""
+    D = X - phase_times(phi, v)
+    if free is not None:
+        D = np.where(free, 0.0, D)
+    return space.norm_rows(np.asarray(D, dtype=space.dtype))
+
+
+def point_rows(v: np.ndarray, space, free):
+    """The block distance to the point v in space, ignoring the coordinates
+    of the mask free (None for none)."""
+    return lambda B: offset_rows(B, 1.0, v, free, space)
 
 
 def sphere_rows(basis: np.ndarray):
@@ -548,8 +551,8 @@ def hilbert_norm_modulus(M: np.ndarray, eps: float, tol: float = 1e-12):
     return 1.0 - float(np.sqrt(a * a + s2 * s2 * (1.0 - a * a)))
 
 
-def norming_set(T: OperatorExpr, norm_result: Optional[NormResult] = None,
-                tol: float = 1e-12) -> NormingSetDescriptor:
+def norming_set(T: OperatorExpr, norm_result: Optional[NormResult] = None
+                ) -> NormingSetDescriptor:
     nr = norm_result if norm_result is not None else operator_norm(T)
     if not nr.is_certified():
         raise HeuristicRefusalError(
@@ -558,18 +561,19 @@ def norming_set(T: OperatorExpr, norm_result: Optional[NormResult] = None,
         return NormingSetDescriptor("empty", note="zero operator")
 
     if isinstance(T, Scale):
-        return norming_set(T.child, None, tol)
+        return norming_set(T.child)
     if isinstance(T, Lift):
-        return LiftedNormingSet(norming_set(T.child, None, tol), T.sum_space)
+        return LiftedNormingSet(norming_set(T.child), T.sum_space)
     if isinstance(T, Diagonal):
         mods = np.abs(T.alphas())
-        J = tuple(int(i) for i in np.nonzero(mods >= nr.value * (1 - tol))[0])
+        J = tuple(int(i) for i in
+                  np.nonzero(mods >= nr.value * (1 - TIE_TOL))[0])
         if T.domain.p == INF:
             return NormingSetDescriptor("coordinate_unimodular",
                                         space=T.domain, J=J)
         return NormingSetDescriptor("support_constrained", space=T.domain, J=J)
     if isinstance(T, RankOne):
-        return functional_norming_set(T.xstar, T.domain, tol)
+        return functional_norming_set(T.xstar, T.domain)
     if isinstance(T, (Dense, Adjoint, Delift)):
         M = to_matrix(T)
         dom, cod = T.domain, T.codomain
@@ -578,21 +582,21 @@ def norming_set(T: OperatorExpr, norm_result: Optional[NormResult] = None,
                 "norming sets on sum spaces are provided by structured "
                 "entries, not generic dense operators")
         if cod.dim == 1:
-            return functional_norming_set(M[0], dom, tol)
+            return functional_norming_set(M[0], dom)
         if dom.p == 2 and cod.p == 2:
             U, S, Vh = np.linalg.svd(M)
-            keep = S >= S[0] * (1 - tol)
+            keep = S >= S[0] * (1 - TIE_TOL)
             basis = np.conj(Vh[keep]).T
             return NormingSetDescriptor("subspace", space=dom, basis=basis)
         if cod.p == INF:
             rows = lp_norm_rows(M, dom.dual().p)
-            keep = np.nonzero(rows >= rows.max() * (1 - tol))[0]
-            return UnionNormingSet([functional_norming_set(M[i], dom, tol)
+            keep = np.nonzero(rows >= rows.max() * (1 - TIE_TOL))[0]
+            return UnionNormingSet([functional_norming_set(M[i], dom)
                                     for i in keep])
         if dom.p == 1:
             cols = lp_norm_rows(M.T, cod.p)
             J = tuple(int(j) for j in
-                      np.nonzero(cols >= cols.max() * (1 - tol))[0])
+                      np.nonzero(cols >= cols.max() * (1 - TIE_TOL))[0])
             if len(J) == 1:
                 e = np.zeros(dom.dim, dtype=dom.dtype)
                 e[J[0]] = 1.0
@@ -602,7 +606,7 @@ def norming_set(T: OperatorExpr, norm_result: Optional[NormResult] = None,
                 "support_constrained", space=dom, J=J,
                 note="superset: image-alignment across columns not encoded")
         if dom.p == INF and not dom.is_complex and nr.method == "sign-enumeration":
-            pts = _enumerated_norming_points(M, dom, cod, nr.value, tol)
+            pts = _enumerated_norming_points(M, dom, cod, nr.value)
             return NormingSetDescriptor("explicit_list", space=dom, points=pts)
     raise HeuristicRefusalError(
         f"no certified norming-set rule for {type(T).__name__} on this geometry")
@@ -638,8 +642,7 @@ class LiftedNormingSet(NormingSetDescriptor):
         return {"kind": "lifted", "inner": self.inner.describe()}
 
 
-def functional_norming_set(f: np.ndarray, dom: Space,
-                           tol: float = 1e-12) -> NormingSetDescriptor:
+def functional_norming_set(f: np.ndarray, dom: Space) -> NormingSetDescriptor:
     """Norming points of the functional x -> <f, x> on the domain geometry."""
     f = np.asarray(f)
     val = dom.dual().norm(f)
@@ -651,7 +654,7 @@ def functional_norming_set(f: np.ndarray, dom: Space,
                                     points=(x,), phase_orbit=True)
     if dom.p == 1:
         mods = np.abs(f)
-        J = tuple(int(j) for j in np.nonzero(mods >= val * (1 - tol))[0])
+        J = tuple(int(j) for j in np.nonzero(mods >= val * (1 - TIE_TOL))[0])
         if len(J) == 1:
             e = np.zeros(dom.dim, dtype=dom.dtype)
             e[J[0]] = np.conj(f[J[0]] / abs(f[J[0]]))
@@ -661,7 +664,7 @@ def functional_norming_set(f: np.ndarray, dom: Space,
             "support_constrained", space=dom, J=J,
             note="superset: phase alignment across J not encoded")
     # sup-norm domain: aligned pattern on supp(f), free elsewhere
-    supp = np.abs(f) > tol * val
+    supp = np.abs(f) > TIE_TOL * val
     pattern = np.zeros(dom.dim, dtype=dom.dtype)
     pattern[supp] = np.conj(unit_phase(f[supp]))
     free = ~supp
@@ -670,11 +673,12 @@ def functional_norming_set(f: np.ndarray, dom: Space,
                                 free_mask=free if free.any() else None)
 
 
-def _enumerated_norming_points(M, dom, cod, value, tol):
-    """Every s with ||Ms|| >= value * (1 - tol) in binary order: the half's
-    in order, then their negations, at the complement indices, reversed."""
+def _enumerated_norming_points(M, dom, cod, value):
+    """Every s with ||Ms|| >= value * (1 - TIE_TOL) in binary order: the
+    half's in order, then their negations, at the complement indices,
+    reversed."""
     half = [signs[k].copy() for signs, vals in _sign_chunks(M, dom, cod)
-            for k in np.nonzero(vals >= value * (1 - tol))[0]]
+            for k in np.nonzero(vals >= value * (1 - TIE_TOL))[0]]
     return tuple(half + [-s for s in reversed(half)])
 
 

@@ -37,9 +37,9 @@ from ._search import (batch_sizes, best_row, complex_parts, dual_align_rows,
                       phase_times, polish_rows, polish_source)
 from .errors import (DimensionMismatchError, GeometryError,
                      HeuristicRefusalError)
-from .norm_attainment import (block_norm_majorant, block_product_rows,
-                              bracketed, operator_norm,
-                              subspace_sphere_distance_rows,
+from .norm_attainment import (TIE_TOL, block_norm_majorant,
+                              block_product_rows, bracketed, offset_rows,
+                              operator_norm, point_rows, sphere_rows,
                               support_distance_rows, unimodular_distance_rows)
 from .operators import (Adjoint, Dense, Diagonal, DirectSum, Lift, OperatorExpr,
                         RankOne, Scale, to_matrix)
@@ -530,11 +530,23 @@ class NuStatesDescriptor:
     """Interface: pair_distance gives certified componentwise lower bounds on
     the distance to the nearest attaining pair; sample yields valid pairs.
 
-    Every descriptor implements pair_distance_rows(X, XS), the (dx, dxs)
-    of every row pair of X and XS (R, dim) as (R, 2), and pair_distance is
-    its one-row call.  The descriptors on sums are BlockPairStates."""
+    A descriptor is a finite union of options, each a function (X, XS) ->
+    (dx, dxs) of the row pairs of X and XS (R, dim), most of them products
+    (pair_option).  pair_distance_rows keeps the nearest option of every
+    row (_keep_nearer) as (R, 2); pair_distance is its one-row call, and a
+    descriptor without options is empty."""
 
-    is_empty = False
+    options = ()
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.options
+
+    def pair_distance_rows(self, X, XS):
+        best = np.full((len(X), 2), np.inf)
+        for option in self.options:
+            _keep_nearer(best, *option(X, XS))
+        return best
 
     def pair_distance(self, x, xstar):
         dx, dxs = self.pair_distance_rows(np.asarray(x)[None, :],
@@ -548,8 +560,10 @@ class NuStatesDescriptor:
         raise NotImplementedError
 
 
-def _no_pairs(n: int) -> np.ndarray:
-    return np.full((n, 2), np.inf)
+def pair_option(x_rows, xs_rows):
+    """The option of the product of an x-set and an x*-set, from the row
+    distances x_rows(X) and xs_rows(XS) to each."""
+    return lambda X, XS: (x_rows(X), xs_rows(XS))
 
 
 def _keep_nearer(best: np.ndarray, dx: np.ndarray, dxs: np.ndarray) -> None:
@@ -568,27 +582,20 @@ def _keep_nearer(best: np.ndarray, dx: np.ndarray, dxs: np.ndarray) -> None:
 
 class DiagonalNuStates(NuStatesDescriptor):
     """Attaining pairs of a norm-one diagonal: mass confined to a single
-    constant-phase subset of J = {n : |alpha_n| = 1}."""
+    constant-phase subset of J = {n : |alpha_n| = 1}, one option per
+    phase group."""
 
     def __init__(self, space: Space, phase_groups: dict):
         self.space = space
         self.groups = phase_groups          # phase value -> tuple of indices
 
-    def pair_distance_rows(self, X, XS):
-        s = self.space
-        best = _no_pairs(len(X))
-        for _lam, J in self.groups.items():
+        def side(s, J):
             if s.p == INF:
-                dx = unimodular_distance_rows(X, J)
-                dxs = support_distance_rows(XS, J, s.dual())
-            elif s.p == 1:
-                dx = support_distance_rows(X, J, s)
-                dxs = unimodular_distance_rows(XS, J)
-            else:
-                dx = support_distance_rows(X, J, s)
-                dxs = support_distance_rows(XS, J, s.dual())
-            _keep_nearer(best, dx, dxs)
-        return best
+                return lambda X: unimodular_distance_rows(X, J)
+            return lambda X: support_distance_rows(X, J, s)
+
+        self.options = [pair_option(side(space, J), side(space.dual(), J))
+                        for J in phase_groups.values()]
 
     def sample(self, rng, count: int = 1):
         out = []
@@ -629,18 +636,13 @@ class DiagonalNuStates(NuStatesDescriptor):
 
 class HilbertNuStates(NuStatesDescriptor):
     """Real-Hilbert attaining pairs (v, v) with v a unit vector of an extreme
-    eigenspace of the symmetric part."""
+    eigenspace of the symmetric part, one option per eigenspace."""
 
     def __init__(self, space: Space, bases: list):
         self.space = space
         self.bases = bases                  # list of orthonormal column bases
-
-    def pair_distance_rows(self, X, XS):
-        best = _no_pairs(len(X))
-        for B in self.bases:
-            _keep_nearer(best, subspace_sphere_distance_rows(X, B),
-                         subspace_sphere_distance_rows(XS, B))
-        return best
+        self.options = [pair_option(sphere_rows(B), sphere_rows(B))
+                        for B in bases]
 
     def sample(self, rng, count: int = 1):
         out = []
@@ -660,7 +662,9 @@ class HilbertNuStates(NuStatesDescriptor):
 class ExplicitNuStates(NuStatesDescriptor):
     """A finite list of attaining pairs, optionally modulo (x, x*) ->
     (phi x, conj(phi) x*).  Free masks mark coordinates where members may
-    take any unit-ball value; distances ignore them."""
+    take any unit-ball value; distances ignore them.  Each pair is a product
+    option of two points, a real orbit adds the negated pair, and a complex
+    orbit is one coupled option per pair (_orbit_option)."""
 
     def __init__(self, space, pairs, phase_orbit: bool = True,
                  free_x_masks=None, free_xstar_masks=None):
@@ -669,43 +673,17 @@ class ExplicitNuStates(NuStatesDescriptor):
         self.phase_orbit = phase_orbit
         self.free_x_masks = free_x_masks or [None] * len(self.pairs)
         self.free_xstar_masks = free_xstar_masks or [None] * len(self.pairs)
-
-    def pair_distance_rows(self, X, XS):
-        space, dual = self.space, self.space.dual()
-        X, XS = np.asarray(X), np.asarray(XS)
-        best = _no_pairs(len(X))
-
-        def comp(rows, phi, v, vs, fx, fxs):
-            """(dx, dxs) of the rows against (phi v, conj(phi) vs); phi one
-            phase for all rows, or one per row as (R, 1)."""
-            dx_vec = X[rows] - phase_times(phi, v)
-            dxs_vec = XS[rows] - phase_times(np.conj(phi), vs)
-            if fx is not None:
-                dx_vec = np.where(fx, 0.0, dx_vec)
-            if fxs is not None:
-                dxs_vec = np.where(fxs, 0.0, dxs_vec)
-            return (lp_norm_rows(np.asarray(dx_vec, dtype=space.dtype),
-                                 space.p),
-                    lp_norm_rows(np.asarray(dxs_vec, dtype=dual.dtype),
-                                 dual.p))
-
-        every = slice(None)
+        dual = space.dual()
+        signs = (1.0, -1.0) if phase_orbit else (1.0,)
+        self.options = []
         for sp, fx, fxs in zip(self.pairs, self.free_x_masks,
                                self.free_xstar_masks):
-            v, vs = sp.x, sp.xstar
-            if not self.phase_orbit:
-                cands = [comp(every, 1.0, v, vs, fx, fxs)]
-            elif not space.is_complex:
-                cands = [comp(every, 1.0, v, vs, fx, fxs),
-                         comp(every, -1.0, v, vs, fx, fxs)]
-            else:
-                t, _ = phase_orbit_min_rows(
-                    lambda phi, rows: np.maximum(*comp(rows, phi, v, vs, fx,
-                                                       fxs)), tol=1e-12)
-                cands = [comp(every, np.exp(1j * t)[:, None], v, vs, fx, fxs)]
-            for dx, dxs in cands:
-                _keep_nearer(best, dx, dxs)
-        return best
+            if phase_orbit and space.is_complex:
+                self.options.append(_orbit_option(sp, fx, fxs, space))
+                continue
+            self.options += [pair_option(point_rows(s * sp.x, space, fx),
+                                         point_rows(s * sp.xstar, dual, fxs))
+                             for s in signs]
 
     def sample(self, rng, count: int = 1):
         out = []
@@ -725,30 +703,42 @@ class ExplicitNuStates(NuStatesDescriptor):
                 "phase_orbit": self.phase_orbit}
 
 
+def _orbit_option(sp, fx, fxs, space):
+    """The coupled option of the complex phase orbit of the pair sp: the
+    phase phi of each row that minimizes max(dx, dxs) against
+    (phi x, conj(phi) x*), by phase_orbit_min_rows, and both distances at
+    that phase."""
+    dual = space.dual()
+
+    def at(phi, X, XS):
+        return (offset_rows(X, phi, sp.x, fx, space),
+                offset_rows(XS, np.conj(phi), sp.xstar, fxs, dual))
+
+    def option(X, XS):
+        t, _ = phase_orbit_min_rows(
+            lambda phi, rows: np.maximum(*at(phi, X[rows], XS[rows])),
+            tol=1e-12)
+        return at(np.exp(1j * t)[:, None], X, XS)
+    return option
+
+
 class BlockPairStates(NuStatesDescriptor):
-    """Attaining pairs on a sum as a finite union of options, each a product
-    of per-block sets: an option is (x parts, x* parts), block distances as
+    """Attaining pairs on a sum as a finite union of product options, each
+    given as (x parts, x* parts): per-block distances as
     norm_attainment.block_product_rows takes them, the x* parts on
-    space.dual().  The nearest option wins, the first among ties."""
+    space.dual()."""
 
     def __init__(self, space: SumSpace, options):
         self.space = space
-        self.options = options
-        self._dual = space.dual()
-
-    def pair_distance_rows(self, X, XS):
-        best = _no_pairs(len(X))
-        for x_parts, xs_parts in self.options:
-            _keep_nearer(best, block_product_rows(X, self.space, x_parts),
-                         block_product_rows(XS, self._dual, xs_parts))
-        return best
+        dual = space.dual()
+        self.options = [pair_option(
+            lambda X, parts=x_parts: block_product_rows(X, space, parts),
+            lambda XS, parts=xs_parts: block_product_rows(XS, dual, parts))
+            for x_parts, xs_parts in options]
 
 
 class EmptyNuStates(NuStatesDescriptor):
-    is_empty = True
-
-    def pair_distance_rows(self, X, XS):
-        return _no_pairs(len(X))
+    """No attaining pairs: no options."""
 
     def sample(self, rng, count: int = 1):
         raise GeometryError("cannot sample an empty attaining set")
@@ -757,29 +747,31 @@ class EmptyNuStates(NuStatesDescriptor):
         return {"kind": "empty"}
 
 
-def nu_attaining_states(T: OperatorExpr,
-                        nu_result: Optional[NuResult] = None,
-                        tol: float = 1e-12) -> NuStatesDescriptor:
-    """Attaining-state descriptor for a radius-one operator.
+def nu_attaining_states(T: OperatorExpr, nu_result: Optional[NuResult] = None
+                        ) -> NuStatesDescriptor:
+    """Attaining-state descriptor for a radius-one operator: a union of pair
+    options, entries count as attaining within TIE_TOL of the top.
 
-    Diagonal operators and real Hilbert space get complete descriptors.  The
-    complex Hilbert route and dense l1/sup-norm operators with tied extreme
-    columns return representative orbits: distances are exact against the
-    listed representatives and upper bounds against the full set, so treat
-    them as descriptive there, not as feasibility certificates.
+    Diagonal operators (an option per phase group) and real Hilbert space
+    (one per extreme eigenspace) get complete descriptors.  The complex
+    Hilbert route and dense l1/sup-norm operators with tied extreme columns
+    return representative orbits (ExplicitNuStates): distances are exact
+    against the listed representatives and upper bounds against the full
+    set, so treat them as descriptive there, not as feasibility
+    certificates.
     """
     nr = nu_result if nu_result is not None else numerical_radius(T)
     if not nr.is_certified():
         raise HeuristicRefusalError(
             "attaining states refused: only a heuristic radius is available")
     if isinstance(T, Scale):
-        return nu_attaining_states(T.child, None, tol)
+        return nu_attaining_states(T.child)
     if isinstance(T, Diagonal):
         alphas = T.alphas()
         mods = np.abs(alphas)
         top = mods.max()
         groups: dict = {}
-        for i in np.nonzero(mods >= top * (1 - tol))[0]:
+        for i in np.nonzero(mods >= top * (1 - TIE_TOL))[0]:
             key = (round(float(np.real(alphas[i] / top)), 9),
                    round(float(np.imag(alphas[i] / top)), 9))
             groups.setdefault(key, []).append(int(i))
@@ -793,7 +785,7 @@ def nu_attaining_states(T: OperatorExpr,
         nu = np.abs(vals).max()
         bases = []
         for sign in (+1.0, -1.0):
-            keep = np.abs(vals - sign * nu) <= max(tol * nu, 1e-12)
+            keep = np.abs(vals - sign * nu) <= max(TIE_TOL * nu, 1e-12)
             if keep.any():
                 bases.append(vecs[:, keep])
         return HilbertNuStates(space, bases)
@@ -806,7 +798,7 @@ def nu_attaining_states(T: OperatorExpr,
         cols = np.abs(M).sum(axis=0) if space.p == 1 else np.abs(M).sum(axis=1)
         top = cols.max()
         pairs, free_x, free_xs = [], [], []
-        for i in np.nonzero(cols >= top * (1 - tol))[0]:
+        for i in np.nonzero(cols >= top * (1 - TIE_TOL))[0]:
             i = int(i)
             if space.p == 1:
                 pairs.append(_l1_witness(M, space, i))

@@ -478,23 +478,18 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
     seeds = _caller_seeds(space, extra_seeds, pairs=True) \
         + _diag_nu_seeds(T, eps)
 
-    def pair_dist(X, XS):
-        dx, dxs = desc.pair_distance_rows(X, XS).T
-        return np.where(dxs > dx, dxs, dx)          # as Python max(dx, dxs)
-
     def score(X, xstars):
-        Y = matvec_rows(M, X)
-        XS = best_state_functional_rows(Y, X, space)[1]
+        Y, XS = _state_rows(M, X, space)
         given = [i for i, xs in enumerate(xstars) if xs is not None]
         XS[given] = _seed_rows(space, [xstars[i] for i in given])
-        return (_modulus((XS * Y).sum(axis=1)), pair_dist(X, XS),
+        return (_modulus((XS * Y).sum(axis=1)), _pair_max_rows(desc, X, XS),
                 lambda i: StatePair(X[i], XS[i], space))
 
     def restarts(budget):
         vals, X, XS = _nu_restarts(_ArrayKey(M), space, seed,
                                    budget.restarts, budget.iters)
         return _row_candidates(
-            vals, pair_dist(X, XS), eps,
+            vals, _pair_max_rows(desc, X, XS), eps,
             lambda i: StatePair(X[i].copy(), XS[i].copy(), space))
 
     return _probe("nu", eps, budget, seed, space, desc, seeds, score,
@@ -538,8 +533,7 @@ def _nu_restarts(matrix, space, seed, restarts, iters):
     sizes = batch_sizes(restarts, 16)
 
     def state_rows(X):
-        Y = matvec_rows(M, X)
-        XS = best_state_functional_rows(Y, X, space)[1]
+        Y, XS = _state_rows(M, X, space)
         return _modulus((XS * Y).sum(axis=1)), XS
 
     X0, directions = polish_source(seed, sizes, space, rounds, 3)
@@ -550,14 +544,22 @@ def _nu_restarts(matrix, space, seed, restarts, iters):
     return out
 
 
+def _state_rows(M, X, space):
+    """Y = M x for every row x of X, and XS, the best state of each pair."""
+    Y = matvec_rows(M, X)
+    return Y, best_state_functional_rows(Y, X, space)[1]
+
+
+def _pair_max_rows(desc, X, XS):
+    """max(dx, dxs) of every row pair's distances to desc, as Python's max."""
+    dx, dxs = desc.pair_distance_rows(X, XS).T
+    return np.where(dxs > dx, dxs, dx)
+
+
 def _state_dist_rows(desc, M, space):
-    """dist_rows of the nu probe on a flat space: each row x is paired with
-    its best state for M x, at the larger of the pair's two distances."""
-    def dist_rows(X):
-        Y = matvec_rows(M, X)
-        _v, XS = best_state_functional_rows(Y, X, space)
-        return desc.pair_distance_rows(X, XS).max(axis=1)
-    return dist_rows
+    """dist_rows of the nu probe: each row x is paired with its best state
+    for M x, at the larger of the pair's two distances."""
+    return lambda X: _pair_max_rows(desc, X, _state_rows(M, X, space)[1])
 
 
 def _diag_nu_seeds(T, eps):

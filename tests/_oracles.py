@@ -30,6 +30,14 @@ face_sup is the support-face value as it was computed before
 best_state_functional became its one engine, from explicit reachable sets;
 a massless block under outer 1 adds the disk of radius ||y_b||.
 
+pair_distance_rows keeps the row bodies of the attaining-pair descriptors
+as each class wrote them out before every descriptor became a union of pair
+options (Diagonal, Hilbert and Explicit NuStates, and the BlockPairStates
+body over the block options their constructors built, with point_rows as it
+took a norm_rows callable), and point_distance_rows the explicit-point
+distance of NormingSetDescriptor before norm_attainment.offset_rows served
+it.  tests/test_rows.py checks the library against them bit for bit.
+
 The last part keeps the probes' restart batches and the numerical-radius
 multistart as they ran before the batched restart engine: one start after
 another, with the scalar random_polish, generic_power_ascent and ITP
@@ -81,16 +89,22 @@ import numpy as np
 
 from bollobas_lab._search import (best_of, dual_align_in, dual_align_rows,
                                   golden_max, matvec_rows, normalize_rows,
+                                  phase_orbit_min_rows, phase_times,
                                   primal_align_in, primal_align_rows,
                                   run_batches, vecmat_rows)
 from bollobas_lab.errors import GeometryError
-from bollobas_lab.norm_attainment import PHASE_GRID, UnionNormingSet
+from bollobas_lab.norm_attainment import (PHASE_GRID, UnionNormingSet,
+                                          ball_rows, block_product_rows,
+                                          subspace_sphere_distance_rows,
+                                          support_distance_rows,
+                                          unimodular_distance_rows)
 from bollobas_lab.norm_attainment import \
     subspace_sphere_distance as library_subspace_sphere_distance
 from bollobas_lab import probe
 from bollobas_lab.numerical_radius import (NU_TOL, THETA_GRID,
                                            DiagonalNuStates, EmptyNuStates,
-                                           ExplicitNuStates, HilbertNuStates)
+                                           ExplicitNuStates, HilbertNuStates,
+                                           _keep_nearer)
 from bollobas_lab.operators import to_matrix
 from bollobas_lab.probe import FEAS_TOL, ProbeBudget
 from bollobas_lab.spaces import (INF, Space, StatePair, SumSpace, duality_map,
@@ -670,6 +684,153 @@ def _explicit_pair_distance(desc, x, xstar):
             if _nearer(dx, dxs, best):
                 best = (dx, dxs)
     return best if best is not None else (float("inf"), float("inf"))
+
+
+# ---------------------------------------------------------------------------
+# the row distances before every attaining-pair descriptor became a union
+# of pair options
+# ---------------------------------------------------------------------------
+
+def _no_pairs(n):
+    return np.full((n, 2), np.inf)
+
+
+def point_distance_rows(desc, X, v):
+    """NormingSetDescriptor._point_distance_rows with its own norm code."""
+    space = desc.space
+    mask = None if desc.free_mask is None else np.asarray(desc.free_mask)
+
+    def dist_for(phi, rows):
+        D = X[rows] - phase_times(phi, v)
+        if mask is not None:
+            D = np.where(mask, 0.0, D)
+        return lp_norm_rows(np.asarray(D, dtype=space.dtype), space.p)
+
+    every = slice(None)
+    if not desc.phase_orbit:
+        return dist_for(1.0, every)
+    if not space.is_complex:
+        return np.minimum(dist_for(1.0, every), dist_for(-1.0, every))
+    return phase_orbit_min_rows(dist_for, tol=1e-13)[1]
+
+
+def norming_distance_rows(desc, X):
+    """NormingSetDescriptor.distance_rows with point_distance_rows for the
+    explicit lists; the other kinds are the library's."""
+    if isinstance(desc, UnionNormingSet):
+        return np.minimum.reduce([norming_distance_rows(p, X)
+                                  for p in desc.parts])
+    if desc.kind == "explicit_list":
+        return np.minimum.reduce([point_distance_rows(desc, X, np.asarray(v))
+                                  for v in desc.points])
+    return desc.distance_rows(X)
+
+
+def pair_distance_rows(desc, X, XS):
+    """NuStatesDescriptor.pair_distance_rows as each class wrote it out:
+    the nearest candidate of every row by numerical_radius._keep_nearer."""
+    best = _no_pairs(len(X))
+    if isinstance(desc, DiagonalNuStates):
+        s = desc.space
+        for _lam, J in desc.groups.items():
+            if s.p == INF:
+                dx = unimodular_distance_rows(X, J)
+                dxs = support_distance_rows(XS, J, s.dual())
+            elif s.p == 1:
+                dx = support_distance_rows(X, J, s)
+                dxs = unimodular_distance_rows(XS, J)
+            else:
+                dx = support_distance_rows(X, J, s)
+                dxs = support_distance_rows(XS, J, s.dual())
+            _keep_nearer(best, dx, dxs)
+    elif isinstance(desc, HilbertNuStates):
+        for B in desc.bases:
+            _keep_nearer(best, subspace_sphere_distance_rows(X, B),
+                         subspace_sphere_distance_rows(XS, B))
+    elif isinstance(desc, ExplicitNuStates):
+        _explicit_pair_distance_rows(desc, X, XS, best)
+    elif not isinstance(desc, EmptyNuStates):
+        dual = desc.space.dual()
+        for x_parts, xs_parts in _block_pair_parts(desc):
+            _keep_nearer(best, block_product_rows(X, desc.space, x_parts),
+                         block_product_rows(XS, dual, xs_parts))
+    return best
+
+
+def _explicit_pair_distance_rows(desc, X, XS, best):
+    space, dual = desc.space, desc.space.dual()
+
+    def comp(rows, phi, v, vs, fx, fxs):
+        dx_vec = X[rows] - phase_times(phi, v)
+        dxs_vec = XS[rows] - phase_times(np.conj(phi), vs)
+        if fx is not None:
+            dx_vec = np.where(fx, 0.0, dx_vec)
+        if fxs is not None:
+            dxs_vec = np.where(fxs, 0.0, dxs_vec)
+        return (lp_norm_rows(np.asarray(dx_vec, dtype=space.dtype), space.p),
+                lp_norm_rows(np.asarray(dxs_vec, dtype=dual.dtype), dual.p))
+
+    every = slice(None)
+    for sp, fx, fxs in zip(desc.pairs, desc.free_x_masks,
+                           desc.free_xstar_masks):
+        v, vs = sp.x, sp.xstar
+        if not desc.phase_orbit:
+            cands = [comp(every, 1.0, v, vs, fx, fxs)]
+        elif not space.is_complex:
+            cands = [comp(every, 1.0, v, vs, fx, fxs),
+                     comp(every, -1.0, v, vs, fx, fxs)]
+        else:
+            t, _ = phase_orbit_min_rows(
+                lambda phi, rows: np.maximum(*comp(rows, phi, v, vs, fx,
+                                                   fxs)), tol=1e-12)
+            cands = [comp(every, np.exp(1j * t)[:, None], v, vs, fx, fxs)]
+        for dx, dxs in cands:
+            _keep_nearer(best, dx, dxs)
+
+
+def _point_rows(v, norm_rows, free):
+    """norm_attainment.point_rows as it took a norm_rows callable."""
+    def rows(B):
+        D = B - v
+        return norm_rows(D if free is None else np.where(free, 0.0, D))
+    return rows
+
+
+def _block_pair_parts(desc):
+    """The (x parts, x* parts) options of the sum descriptors, as their
+    constructors built them for BlockPairStates."""
+    if isinstance(desc, LiftNuStates):
+        dom, cod = desc.space.components
+        dV = _sphere_rows(np.conj(desc.V1))
+        dU, dVs = _sphere_rows(desc.U1), _sphere_rows(desc.V1)
+        dUs = _sphere_rows(np.conj(desc.U1))
+        if desc.outer_p == 1:
+            return [([dV, cod.norm_rows], [dVs, dUs])]
+        return [([dV, dU], [dom.dual().norm_rows, dUs])]
+    e1 = np.zeros(desc.dim)
+    e1[0] = 1.0
+    if isinstance(desc, LiftedRank1NuStates):
+        blk = Space(1.0, desc.dim)
+        l1, sup = blk.norm_rows, blk.dual().norm_rows
+        free = np.arange(desc.dim) > 0
+        return [([_point_rows(sgn * e1, l1, None), l1],
+                 [_point_rows(sgn * e1, sup, free),
+                  _point_rows(r * np.ones(desc.dim), sup, None)])
+                for sgn in (1.0, -1.0) for r in (1.0, -1.0)]
+    if isinstance(desc, CornerNuStates):
+        norm = Space(2.0, desc.dim).norm_rows
+        zero, ball = norm, ball_rows(norm)
+        options = []
+        for sgn in (1.0, -1.0):
+            e = _point_rows(sgn * e1, norm, None)
+            options.append(([e, zero], [e, ball]) if desc.outer_p == 1
+                           else ([e, ball], [e, zero]))
+        return options
+    raise TypeError(f"no reference parts for {type(desc).__name__}")
+
+
+def _sphere_rows(basis):
+    return lambda B: subspace_sphere_distance_rows(B, basis)
 
 
 def best_state_functional(y, x, space):

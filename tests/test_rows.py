@@ -6,7 +6,9 @@ boundary-seed search must return the seeds of the scalar ITP search, in the
 same order.  Those seeds are feasible by the scalar distances, and the
 probes find no worse eta_hat with them than with the 40-step bisection they
 replaced.  On sums the support face, the alignment maps, the norm and
-the attaining-set descriptors must agree with them bit for bit.
+the attaining-set descriptors must agree with them bit for bit.  The
+attaining-pair descriptors and the explicit norming points must also agree
+bit for bit with the row bodies that the pair options replaced.
 """
 
 import warnings
@@ -173,6 +175,31 @@ def test_pair_distance_rows_match_scalar_oracle(case):
             got, want, one = (a.max(axis=1) for a in (got, want, one))
         _close(got, want)
         _close(one[0], got[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_option_rows_match_parent_row_bodies(case):
+    # the union of pair options and offset_rows against the row bodies they
+    # replaced, bit for bit, complex phase orbits included
+    p, cx, dim, seed = case
+    rng = np.random.default_rng(seed)
+    space = _space(p, cx, dim)
+    X, XS = _rows(rng, space), _rows(rng, space.dual())
+    for desc in _norming_sets(rng, space):
+        assert np.array_equal(desc.distance_rows(X),
+                              oracle.norming_distance_rows(desc, X))
+    T = _lift_operator(rng, 1 + dim % 5, cx)
+    sums = [LiftNuStates(T, 1.0), LiftNuStates(T, INF)]
+    gallery = [CornerNuStates(dim, 1.0), CornerNuStates(dim, INF),
+               LiftedRank1NuStates(dim)]
+    pairs = [(desc, X, XS) for desc in _nu_states(rng, space)]
+    pairs += [(desc, _rows(rng, desc.space), _rows(rng, desc.space.dual()))
+              for desc in sums]
+    pairs += [(desc, *_near_pairs(rng, desc)) for desc in gallery]
+    for desc, A, B in pairs:
+        assert np.array_equal(desc.pair_distance_rows(A, B),
+                              oracle.pair_distance_rows(desc, A, B))
 
 
 @settings(max_examples=60, deadline=None)
