@@ -38,6 +38,12 @@ C-ordered rows, so every row rounds as its one-row call does.  The
 alignment maps have row forms on flat spaces and on sums alike
 (dual_align_in, primal_align_in), of which dual_align_vec and
 primal_align_vec are the one-row calls.
+
+grid_search is the one branch and bound, over a finite product grid of
+sup-norm points: the sign cube and the phase grid of norm_attainment's
+"enumerated" routes.  Its live nodes are the rows of one array, bounded by
+one kernel call per level, and its leaves score bit for bit as the whole
+grid's product scores them.
 """
 
 from __future__ import annotations
@@ -472,3 +478,126 @@ def phase_orbit_min_rows(objective, tol: float):
         lambda t, rows: -objective(np.exp(1j * t)[:, None], rows),
         coarse - 0.2, coarse + 0.2, tol=tol)
     return t, -neg
+
+
+# the most live rows of a grid search: the bound of the chunk tables of the
+# enumerations it replaced
+GRID_ROWS = 2 ** 14
+# the most rows of the table of its first levels, and of a grid scored whole
+GRID_HEAD = 2 ** 10
+GRID_WHOLE = 2 ** 12
+
+
+def grid_search(M: np.ndarray, q: float, x0: np.ndarray, free, letters,
+                budget: int, floor=None):
+    """Branch and bound for the points x of a finite grid that score highest
+    by row_norms(X @ M.T, q): x is x0 with each column free[i], zero in x0,
+    set to one of letters (at most 127).  With floor None it finds the first
+    best point, the floor rising from the score of an incumbent; with a
+    floor, every point that scores at least floor.  Returns (X, vals,
+    upper): the points in row-major order over free as listed, their
+    scores, and None, or, where the walk would pass budget nodes, a proven
+    bound on the scores of the points it did not reach.
+
+    A node fixes a prefix of the free columns, taken by l1 norm largest
+    first, and holds its partial image y.  It is pruned when its bound
+    || |y| + sum |M_j| ||_q over its open columns j, one row_norms call per
+    level, lies below floor - margin, the margin covering the rounding of
+    the sums and of the scores.  A grid of at most GRID_WHOLE points is
+    scored whole; otherwise the first levels are one table of at most
+    GRID_HEAD rows, and the rest are walked depth first in pieces that keep
+    the live rows of all levels within GRID_ROWS.  Leaves are scored on two
+    rows or more, a single row doubled: a one-row product takes BLAS's
+    matrix-vector path, which rounds differently, while every subset of two
+    or more rows rounds as the whole block does (tests/test_search.py).
+    """
+    m, d = M.shape
+    L, n = len(letters), len(free)
+    A = np.abs(M)
+    order = np.argsort(-row_norms(A.T[free], 1.0), kind="stable")
+    cols, back = free[order], np.argsort(order)
+    # R[k]: the sum of |M_j| over the columns of levels k and below
+    R = np.zeros((n + 1, m))
+    R[:n] = np.cumsum(A[:, cols[::-1]], axis=1)[:, ::-1].T
+    margin = 8 * (d + m + 2) * 2.0 ** -53 * float(
+        row_norms(A.sum(axis=1)[None, :], q)[0])
+    rise = floor is None
+    floor = -np.inf if rise else floor
+    kept = [(np.zeros((0, n), dtype=np.int8), np.zeros(0))]
+
+    def bounds(k, Y):
+        A = np.abs(Y)
+        if k < n:
+            A += R[k]
+        return row_norms(A, q)
+
+    def points(I):
+        X = np.tile(x0.astype(np.result_type(x0, letters)), (len(I), 1))
+        X[:, cols] = letters[I]
+        return X
+
+    def score(I):
+        nonlocal floor
+        vals = row_norms(points(I if len(I) > 1 else I[[0, 0]]) @ M.T,
+                         q)[:len(I)]
+        floor = max(floor, vals.max()) if rise else floor
+        at = vals >= floor
+        kept.append((I[at], vals[at]))
+        if rise:                            # keep one first best
+            I, vals = (np.concatenate(a) for a in zip(*kept))
+            at = np.flatnonzero(vals >= floor)
+            k = at[_row_major(I[at][:, back])[:1]]
+            kept[:] = [(I[k], vals[k])]
+
+    t = n if L ** n <= GRID_WHOLE else 0
+    while t < n and L ** (t + 1) <= GRID_HEAD:
+        t += 1
+    I = np.indices((L,) * t, dtype=np.int8).reshape(t, L ** t).T
+    nodes, stack, upper = len(I), [(t, I, None)], None
+    if t < n:
+        if rise:
+            # the incumbent: the sup-norm points aligned with the rows of
+            # M after three of Boyd's steps (Linear Algebra Appl. 9, 1974),
+            # rotated to x0 at its first nonzero column, snapped to letters
+            X = primal_align_rows(M, INF)
+            for _ in range(3):
+                X = primal_align_rows(dual_align_rows(X @ M.T, q) @ M, INF)
+            f = np.flatnonzero(x0)[0]
+            X = X[:, cols] * (x0[f] / X[:, f])[:, None]
+            score(np.abs(X[:, :, None] - letters).argmin(axis=2)
+                  .astype(np.int8))
+        # the table's images in one product; the margin covers its rounding
+        Y = M @ x0 + letters[I] @ M[:, cols[:t]].T
+        live = np.flatnonzero(~(bounds(t, Y) < floor - margin))
+        stack = [(t, I[live], Y[live])]
+    # rows per expansion: at most L * piece children on each open level
+    piece = max(1, GRID_ROWS // (L * max(1, n - t)))
+    while stack:
+        k, I, Y = stack.pop()
+        if k == n:
+            score(I)
+            continue
+        if len(I) > piece:
+            stack.append((k, I[piece:], Y[piece:]))
+            I, Y = I[:piece], Y[:piece]
+        if nodes + L * len(I) > budget:
+            stack.append((k, I, Y))
+            upper = margin + max(float(bounds(j, Z).max())
+                                 for j, _, Z in stack)
+            break
+        nodes += L * len(I)
+        # the children, letter fastest
+        Y = (Y[:, None, :] + letters[:, None] * M[:, cols[k]]).reshape(-1, m)
+        live = np.flatnonzero(~(bounds(k + 1, Y) < floor - margin))
+        if live.size:
+            I = np.concatenate([I[live // L],
+                                (live % L).astype(np.int8)[:, None]], axis=1)
+            stack.append((k + 1, I, Y[live] if k + 1 < n else None))
+    I, vals = (np.concatenate(a) for a in zip(*kept))
+    ranks = _row_major(I[:, back])
+    return points(I[ranks]), vals[ranks], upper
+
+
+def _row_major(I: np.ndarray) -> np.ndarray:
+    """The row-major order of the rows of I, the first column slowest."""
+    return np.lexsort(I.T[::-1]) if I.shape[1] else np.arange(len(I))

@@ -8,8 +8,11 @@ falsification) refuse to build certified objects out of heuristic values.
 exact       -- closed form or structural reduction; trusted to round-off.
                On a sum, also a multistart's witnessed value whose
                block_norm_majorant upper_bound lies within NORM_TOL of it.
-enumerated  -- finite extreme-point enumeration (plus local phase ascent in
-               the complex sup-norm case); trusted at the documented budget.
+enumerated  -- the maximum over a finite grid of extreme points, every
+               point scored or pruned by a proven bound (_search.grid_search
+               within GRID_NODES nodes): on a real sup-norm domain the sign
+               cube, so the exact norm; on a complex one a phase grid, plus
+               a local phase ascent from its best point.
 heuristic   -- multistart ascent; a certified lower bound only, with the
                majorant as upper_bound on a sum where one exists.
 """
@@ -21,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (batch_sizes, best_row, dual_align_rows,
+from ._search import (batch_sizes, best_row, dual_align_rows, grid_search,
                       phase_orbit_min_rows, phase_times, power_ascent_rows,
                       primal_align_rows, restart_starts)
 from .errors import GeometryError, HeuristicRefusalError
@@ -30,7 +33,10 @@ from .operators import (Adjoint, Delift, Dense, Diagonal, DirectSum, Lift,
 from .spaces import (INF, Space, SumSpace, block_rows, gaussian_directions,
                      lp_norm, lp_norm_rows, unit_phase)
 
-SIGN_ENUM_MAX_DIM = 20
+#: the nodes a grid search may make: every sign-cube tree of dim <= 20 fits,
+#: even one that prunes nothing (1,047,552 nodes), and so does every
+#: phase-grid tree of dim <= PHASE_ENUM_MAX_DIM (266,304 at most)
+GRID_NODES = 2 ** 20
 PHASE_GRID = 64
 PHASE_ENUM_MAX_DIM = 4
 #: a bracket [value, upper_bound] this narrow is certified; the probes
@@ -122,17 +128,22 @@ def operator_norm(T: OperatorExpr, restarts: int = 64, iters: int = 400,
 def _dense_norm(M, dom, cod, restarts, iters, seed) -> NormResult:
     sums = isinstance(dom, SumSpace) or isinstance(cod, SumSpace)
     nr = None if sums else _certified_norm(M, dom, cod)
-    if nr is not None:
+    if nr is not None and nr.is_certified():
         return nr
     val, wit = _multistart_norm(M, dom, cod, restarts, iters, seed)
     method = "sum-space-multistart" if sums else "boyd-multistart"
-    return bracketed(NormResult(val, "heuristic", wit, method),
-                     block_norm_majorant(M, dom, cod) if sums else None)
+    res = NormResult(val, "heuristic", wit, method)
+    if nr is not None:          # a sign search cut at its node budget
+        return bracketed(nr if nr.value > val else res, nr.upper_bound)
+    return bracketed(res, block_norm_majorant(M, dom, cod) if sums else None)
 
 
 def _certified_norm(M, dom, cod) -> Optional[NormResult]:
     """The certified route of M between the flat spaces dom and cod, or
-    None where only the Boyd multistart is left."""
+    None where only the Boyd multistart is left.  A sign-cube search that
+    would pass GRID_NODES nodes gives its best point, labelled
+    "heuristic", with upper_bound its bound on the points it did not
+    reach."""
     if cod.dim == 1:
         f = M[0]
         val = dom.dual().norm(f)
@@ -153,9 +164,12 @@ def _certified_norm(M, dom, cod) -> Optional[NormResult]:
         U, S, Vh = np.linalg.svd(M)
         wit = np.conj(Vh[0])
         return NormResult(float(S[0]), "exact", wit.astype(dom.dtype), "svd")
-    if dom.p == INF and not dom.is_complex and dom.dim <= SIGN_ENUM_MAX_DIM:
-        val, wit = _sign_enumerate(M, dom, cod)
-        return NormResult(val, "enumerated", wit, "sign-enumeration")
+    if dom.p == INF and not dom.is_complex:
+        val, wit, upper = _sign_enumerate(M, dom, cod)
+        if upper is None:
+            return NormResult(val, "enumerated", wit, "sign-enumeration")
+        return NormResult(val, "heuristic", wit, "sign-branch-and-bound",
+                          upper)
     if dom.p == INF and dom.is_complex and dom.dim <= PHASE_ENUM_MAX_DIM:
         val, wit = _phase_enumerate(M, dom, cod)
         return NormResult(val, "enumerated", wit, "phase-grid-refined")
@@ -192,11 +206,11 @@ def block_norm_majorant(M, dom, cod) -> Optional[float]:
             nr = _certified_norm(B, d, c)
             if nr is None:
                 return None
-            N[i, j] = nr.value
+            N[i, j] = nr.value if nr.upper_bound is None else nr.upper_bound
     nr = _certified_norm(N, Space(dom_p, len(dom_blocks)),
                          Space(cod_p, len(cod_blocks)))
     if nr is not None:
-        return nr.value
+        return nr.value if nr.upper_bound is None else nr.upper_bound
     if dom_p != cod_p:
         return None
     columns, rows = N.sum(axis=0).max(), N.sum(axis=1).max()
@@ -217,61 +231,35 @@ def bracketed(result, upper: Optional[float]):
                    certainty="exact" if closed else result.certainty)
 
 
-def _sign_chunks(M, dom, cod):
-    """The sign vectors of {-1, 1}^dim with last entry -1, the binary indices
-    below 2^(dim - 1), in binary order, in chunks of at most 2^14 rows, with
-    the codomain norms of their images: (signs, vals).  M(-s) is bitwise
-    -(Ms) at the larger complement index, so the other half repeats them.
-
-    Within a chunk the low min(dim - 1, 14) bits run through a table built
-    once and the chunk's index sets the high columns, so every chunk is one
-    buffer: a caller that keeps a row past the next chunk must copy it.  The
-    images, too, go to one buffer, since a fresh multi-megabyte array per
-    chunk costs its page faults again every time."""
-    d = dom.dim
-    low = min(d - 1, 14)
-    signs = np.empty((1 << low, d))
-    signs[:, :low] = ((np.arange(1 << low)[:, None] >> np.arange(low)) & 1) \
-        * 2.0 - 1.0
-    signs[:, -1] = -1.0
-    images = np.empty((1 << low, len(M)), dtype=np.result_type(M, float))
-    for c in range(1 << (d - 1 - low)):
-        signs[:, low:-1] = ((c >> np.arange(d - 1 - low)) & 1) * 2.0 - 1.0
-        yield signs, lp_norm_rows(np.matmul(signs, M.T, out=images), cod.p)
+def _sign_search(M, dom, cod, floor=None):
+    """grid_search over the half of the sign cube {-1, 1}^dim with last
+    sign -1, in binary order (column j is +1 where bit j of the index is
+    set): its first best point, or with a floor every point that scores at
+    least floor.  M(-s) is bitwise -(Ms), so the other half repeats them."""
+    x0 = np.zeros(dom.dim)
+    x0[-1] = -1.0
+    return grid_search(M, cod.p, x0, np.arange(dom.dim - 2, -1, -1),
+                       np.array([-1.0, 1.0]), GRID_NODES, floor)
 
 
 def _sign_enumerate(M, dom, cod):
-    best_val, best_sign = -1.0, None
-    for signs, vals in _sign_chunks(M, dom, cod):
-        k = int(vals.argmax())
-        if vals[k] > best_val:
-            best_val, best_sign = float(vals[k]), signs[k].copy()
-    return best_val, best_sign
+    """The first best sign vector of the half cube: (value, x, upper),
+    upper None when the search ended within GRID_NODES nodes."""
+    X, vals, upper = _sign_search(M, dom, cod)
+    return float(vals[0]), X[0], upper
 
 
 def _phase_grid(M, dom, cod):
     """The first best point of a PHASE_GRID-point phase grid per coordinate,
-    the first pinned to 1 by the global phase freedom: (value, x).
-
-    The grid runs in row-major order over (theta_1, ..., theta_{d-1}), in
-    chunks of one table over the last min(d - 1, 2) phases, at most 4096
-    rows, built once; a chunk rewrites only the leading phase columns."""
-    d = dom.dim
+    the first pinned to 1 by the global phase freedom, in row-major order
+    over (theta_1, ..., theta_{d-1}): (value, x)."""
+    x0 = np.zeros(dom.dim, dtype=complex)
+    x0[0] = 1.0
     phases = np.exp(1j * np.linspace(0.0, 2 * np.pi, PHASE_GRID,
                                      endpoint=False))
-    lead = max(d - 3, 0)
-    tail = np.meshgrid(*([phases] * (d - 1 - lead)), indexing="ij")
-    X = np.ones((tail[0].size if d > 1 else 1, d), dtype=complex)
-    for j, g in enumerate(tail):
-        X[:, 1 + lead + j] = g.ravel()
-    best_val, x = -1.0, None
-    for head in np.ndindex(*([PHASE_GRID] * lead)):
-        X[:, 1:1 + lead] = phases[list(head)]
-        vals = lp_norm_rows(X @ M.T, cod.p)
-        k = int(vals.argmax())
-        if vals[k] > best_val:
-            best_val, x = vals[k], X[k].copy()
-    return best_val, x
+    X, vals, _ = grid_search(M, cod.p, x0, np.arange(1, dom.dim), phases,
+                             GRID_NODES)
+    return vals[0], X[0]
 
 
 def _phase_enumerate(M, dom, cod):
@@ -676,9 +664,12 @@ def functional_norming_set(f: np.ndarray, dom: Space) -> NormingSetDescriptor:
 def _enumerated_norming_points(M, dom, cod, value):
     """Every s with ||Ms|| >= value * (1 - TIE_TOL) in binary order: the
     half's in order, then their negations, at the complement indices,
-    reversed."""
-    half = [signs[k].copy() for signs, vals in _sign_chunks(M, dom, cod)
-            for k in np.nonzero(vals >= value * (1 - TIE_TOL))[0]]
+    reversed.  A search that would pass GRID_NODES nodes refuses."""
+    X, _, upper = _sign_search(M, dom, cod, value * (1 - TIE_TOL))
+    if upper is not None:
+        raise HeuristicRefusalError(
+            "the sign cube's norming points need more than GRID_NODES nodes")
+    half = list(X)
     return tuple(half + [-s for s in reversed(half)])
 
 

@@ -164,21 +164,35 @@ def sphere_multistart_norm(M, p, q, n_starts=256, iters=400, seed=0,
         best = np.maximum(best, np.maximum(vals, cur))
     if complex_field or p in (1.0, INF):
         return float(best.max())
-    # constrained high-precision polish of the leading candidates
+    # constrained high-precision polish of the leading candidates, with the
+    # analytic gradients of the objective and of the sphere constraint
     from scipy.optimize import minimize
     order = np.argsort(best)[::-1][:6]
     out = float(best.max())
+
+    def grad_norm(v, r):
+        # the gradient of ||v||_r at v != 0: sign(v)|v|^(r-1) / ||v||_r^(r-1)
+        n = _q_norms(v[None, :], r)[0]
+        if n == 0:
+            return np.zeros_like(v)
+        return np.sign(v) * np.abs(v) ** (r - 1.0) / n ** (r - 1.0)
+
     for k in order:
         x0 = np.real(X[k])
 
         def neg(v):
             return -_q_norms((v @ M.T)[None, :], q)[0]
 
+        def neg_jac(v):
+            return -(grad_norm(M @ v, q) @ M)
+
         def con(v):
             return _q_norms(v[None, :], p)[0] - 1.0
 
         res = minimize(neg, x0, method="SLSQP",
-                       constraints=[{"type": "eq", "fun": con}],
+                       jac=neg_jac if q < INF else None,
+                       constraints=[{"type": "eq", "fun": con,
+                                     "jac": lambda v: grad_norm(v, p)}],
                        options={"maxiter": 300, "ftol": 1e-14})
         if res.success:
             v = res.x / _q_norms(res.x[None, :], p)[0]
@@ -1596,8 +1610,8 @@ def phase_enumerate(M, dom, cod):
 def sign_chunks(M, dom, cod):
     """The whole sign cube {-1, 1}^dim in binary order, every chunk of 2^14
     rows with its sign bits shifted out of its row indices, a fresh array
-    per chunk: (signs, vals).  norm_attainment._sign_chunks lists its first
-    half, the rows whose last sign is -1."""
+    per chunk: (signs, vals).  norm_attainment's grid search walks its
+    first half, the rows whose last sign is -1."""
     d = dom.dim
     chunk = 1 << min(d, 14)
     total = 1 << d
@@ -1608,7 +1622,8 @@ def sign_chunks(M, dom, cod):
 
 
 def sign_enumerate(M, dom, cod):
-    """norm_attainment._sign_enumerate over sign_chunks: (value, x)."""
+    """norm_attainment._sign_enumerate as it ran over the whole cube of
+    sign_chunks, scoring every vector: (value, x)."""
     best_val, best_sign = -1.0, None
     for signs, vals in sign_chunks(M, dom, cod):
         k = int(vals.argmax())

@@ -5,14 +5,15 @@ through the scalar generic_power_ascent, power_ascent_rows as it ran before
 it kept each row's image, the phase grid as one meshgrid over every phase,
 the whole sign cube with its bits shifted out of the row indices, and the
 rotation grid with one eigvalsh per rotation over the whole circle.  The
-library's row calls, kept images, chunk tables, half cube and batched
-eigvalsh over half the circle must give the same value and the same
-witness, bit for bit.  Two replacements move values by their stops, so the
-oracles keep what they replaced and the library must reach its value to 4
-ulps: the norm multistart's per-row ascent replaced the Boyd ascent, whose
-batch stopped as a whole (boyd_multistart_norm), and the phase route's
-ascent replaced a golden polish.  The multistarts run every start of their
-budget, in full batches and one batch of the remainder.
+library's row calls, kept images, branch and bound over the half cube and
+the phase grid, and batched eigvalsh over half the circle must give the
+same value, the same witness and the same norming points, bit for bit.
+Two replacements move values by their stops, so the oracles keep what they
+replaced and the library must reach its value to 4 ulps: the norm
+multistart's per-row ascent replaced the Boyd ascent, whose batch stopped
+as a whole (boyd_multistart_norm), and the phase route's ascent replaced a
+golden polish.  The multistarts run every start of their budget, in full
+batches and one batch of the remainder.
 """
 
 import importlib
@@ -23,13 +24,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
-from bollobas_lab import norm_attainment
+from bollobas_lab import _search, norm_attainment
 from bollobas_lab._search import boyd_ascent, power_ascent_rows
-from bollobas_lab.norm_attainment import (_multistart_norm, _phase_enumerate,
+from bollobas_lab.errors import HeuristicRefusalError
+from bollobas_lab.norm_attainment import (TIE_TOL,
+                                          _enumerated_norming_points,
+                                          _multistart_norm, _phase_enumerate,
                                           _phase_grid, _sign_enumerate,
                                           norming_set, operator_norm)
 from bollobas_lab.numerical_radius import _complex_hilbert_nu, _multistart_nu
 from bollobas_lab.operators import Dense
+from bollobas_lab.probe import ProbeBudget, eta_probe_norm
 from bollobas_lab.spaces import (INF, Space, SumSpace, lp_norm, random_unit,
                                  random_unit_rows)
 
@@ -125,7 +130,7 @@ def test_kept_image_matches_the_recomputed_ascent(space):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_phase_grid_matches_the_whole_meshgrid(d):
-    # dims 1 and 2 have no columns beyond the chunk table
+    # dims 1 to 3 are scored whole, dim 4 by branch and bound
     rng = np.random.default_rng(100 + d)
     for q in (1.0, 2.0, 3.0):
         M = _matrix(rng, d, "complex")
@@ -163,26 +168,26 @@ def test_phase_ascent_differential(d, q, seed):
     _check_phase_ascent(_matrix(np.random.default_rng(seed), d, "complex"), q)
 
 
-@pytest.mark.parametrize("d", [1, 14, 15, 18, 20])
-def test_sign_enumeration_matches_the_bit_shift_chunks(d):
-    # the library lists the kept half of the cube, the rows whose last sign
-    # is -1: the first 2^(d - 1) rows of the whole cube's chunks
-    rng = np.random.default_rng(200 + d)
-    M = _matrix(rng, d, "real")
-    dom, cod = Space(INF, d), Space(1.5, d)
-    whole, kept = oracle.sign_chunks(M, dom, cod), 0
-    for signs, vals in norm_attainment._sign_chunks(M, dom, cod):
-        osigns, ovals = next(whole)
-        n = len(signs)
-        assert (signs[:, -1] == -1.0).all()
-        assert _bits(signs) == _bits(osigns[:n])
-        assert _bits(vals) == _bits(ovals[:n])
-        kept += n
-    assert kept == 1 << (d - 1)
+def _check_sign_search(M, q):
+    # the branch and bound's first best sign vector and its norming points
+    # against the whole cube's, bit for bit
+    d = M.shape[1]
+    dom, cod = Space(INF, d), Space(q, len(M))
     got = _sign_enumerate(M, dom, cod)
     want = oracle.sign_enumerate(M, dom, cod)
+    assert got[2] is None
     assert repr(got[0]) == repr(want[0])
     assert _bits(got[1]) == _bits(want[1])
+    pts = _enumerated_norming_points(M, dom, cod, got[0])
+    opts = oracle.enumerated_norming_points(M, dom, cod, want[0], TIE_TOL)
+    assert [_bits(x) for x in pts] == [_bits(x) for x in opts]
+
+
+@pytest.mark.parametrize("d", [1, 14, 15, 18, 20])
+def test_sign_enumeration_matches_the_bit_shift_chunks(d):
+    # dim 1 is scored whole, the others by branch and bound
+    _check_sign_search(_matrix(np.random.default_rng(200 + d), d, "real"),
+                       1.5)
 
 
 def _tied_matrix(rng, d):
@@ -217,8 +222,9 @@ def test_half_cube_matches_the_whole_cube(d):
 
 
 def test_kept_sign_rows_do_not_alias_the_chunk_buffer():
-    # at dim 16, x and -x differ in the two high bits, so they lie in
-    # different 2^14-row chunks of the one reused buffer
+    # at dim 16, x and -x differ in the two high bits, which the whole
+    # cube's 2^14-row chunks list far apart; the norming set holds both
+    # as distinct arrays, each the oracle's point
     M = np.random.default_rng(16).normal(size=(16, 16))
     T = Dense(M, Space(INF, 16), Space(1.0, 16))
     nr = operator_norm(T)
@@ -226,10 +232,134 @@ def test_kept_sign_rows_do_not_alias_the_chunk_buffer():
     pts = norming_set(T, nr).points
     assert len(pts) == 2
     assert _bits(pts[1]) == _bits(-pts[0])
+    assert not np.shares_memory(pts[0], pts[1])
+    opts = oracle.enumerated_norming_points(M, T.domain, T.codomain,
+                                            nr.value, TIE_TOL)
+    assert [_bits(x) for x in pts] == [_bits(x) for x in opts]
     value = oracle.sign_enumeration_norm(M, 1.0)
     assert repr(nr.value) == repr(value)
     for x in pts:
         assert lp_norm(M @ x, 1.0) == pytest.approx(value, rel=1e-12)
+
+
+def _scaled_matrix(rng, d, kind):
+    M = _tied_matrix(rng, d) if kind == "tied" else rng.normal(size=(d + 1, d))
+    return M * {"tied": 1.0, "random": 1.0, "huge": 1e150,
+                "tiny": 1e-150}[kind]
+
+
+# derandomized: every case must match the oracles bit for bit.  "whole"
+# scores grids of up to 2^12 points in one product as the library does;
+# "walked" sets the table sizes to one row, so every grid, down to dim 2,
+# is walked node by node from its root
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 16), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       st.sampled_from(["random", "tied", "huge", "tiny"]),
+       st.sampled_from(["whole", "walked"]), st.integers(0, 2 ** 32 - 1))
+def test_grid_search_differential(d, q, kind, tables, seed):
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if tables == "walked":
+            mp.setattr(_search, "GRID_WHOLE", 1)
+            mp.setattr(_search, "GRID_HEAD", 1)
+        _check_sign_search(_scaled_matrix(rng, d, kind), q)
+        pd = 1 + d % 4
+        M = _matrix(rng, pd, "complex")
+        if kind == "tied" and pd > 1:
+            M[:, pd // 2] = 0.0
+        dom, cod = Space(INF, pd, "complex"), Space(q, pd, "complex")
+        got = _phase_grid(M, dom, cod)
+        want = oracle.phase_grid(M, dom, cod)
+        assert repr(got[0]) == repr(want[0])
+        assert _bits(got[1]) == _bits(want[1])
+
+
+def test_a_single_surviving_leaf_is_scored_as_the_block_scores_it(
+        monkeypatch):
+    # a sharply decaying rank-one part prunes every wrong sign, so the walk
+    # ends with one leaf; its product runs on the row doubled, since a
+    # one-row product rounds differently (on OpenBLAS 0.3.31 it moves this
+    # value), and the score is the whole cube's
+    d = 16
+    rng = np.random.default_rng([d, 2])
+    v = 3.0 ** -np.arange(d) * rng.choice([-1.0, 1.0], size=d)
+    M = np.outer(rng.normal(size=d + 1), v) + 1e-3 * rng.normal(size=(d + 1,
+                                                                      d))
+    doubled = []
+
+    def spy(X, p):
+        doubled.append(len(X) == 2 and (X[0] == X[1]).all())
+        return row_norms(X, p)
+
+    row_norms = _search.row_norms
+    monkeypatch.setattr(_search, "row_norms", spy)
+    _check_sign_search(M, 2.0)
+    assert doubled[-1]
+
+
+def test_a_dim_20_tree_that_prunes_nothing_fits_the_node_budget():
+    # one nonzero column: all 2^19 sign vectors of the half cube tie, so
+    # the walk makes every node of the tree and must still end
+    M = np.zeros((2, 20))
+    M[:, 3] = (1.0, -2.0)
+    dom, cod = Space(INF, 20), Space(2.0, 2)
+    got = _sign_enumerate(M, dom, cod)
+    want = oracle.sign_enumerate(M, dom, cod)
+    assert got[2] is None
+    assert repr(got[0]) == repr(want[0])
+    assert _bits(got[1]) == _bits(want[1])
+
+
+def _boyd(M, dom, cod):
+    # operator_norm's default multistart, the route past dim 20 before
+    return _multistart_norm(M, dom, cod, 64, 400, 0)[0]
+
+
+@pytest.mark.parametrize("d", [22, 24])
+def test_sign_route_is_certified_past_dim_20(d):
+    # at d = 22 the default multistart falls 1.4 % short of the maximum
+    M = np.random.default_rng([20261017, 3]).normal(size=(d, d))
+    dom, cod = Space(INF, d), Space(2.0, d)
+    nr = operator_norm(Dense(M, dom, cod))
+    assert (nr.certainty, nr.method) == ("enumerated", "sign-enumeration")
+    assert nr.upper_bound is None
+    assert nr.value >= _boyd(M, dom, cod)
+    if d == 22:
+        assert nr.value > _boyd(M, dom, cod) * 1.01
+        want = oracle.sign_enumerate(M, dom, cod)
+        assert repr(nr.value) == repr(want[0])
+        assert _bits(nr.witness) == _bits(want[1])
+
+
+def test_sign_route_past_the_node_budget_is_heuristic(monkeypatch):
+    # a budget of 3000 nodes cuts the dim-16 tree: the better of the best
+    # leaf and the multistart, with the largest live bound as upper_bound
+    monkeypatch.setattr(norm_attainment, "GRID_NODES", 3000)
+    M = np.random.default_rng([20261017, 3]).normal(size=(16, 16))
+    dom, cod = Space(INF, 16), Space(2.0, 16)
+    T = Dense(M, dom, cod)
+    nr = operator_norm(T)
+    assert nr.certainty == "heuristic"
+    assert nr.value >= _boyd(M, dom, cod)
+    assert nr.upper_bound >= oracle.sign_enumerate(M, dom, cod)[0]
+    assert nr.upper_bound >= nr.value
+    assert lp_norm(M @ nr.witness, 2.0) == pytest.approx(nr.value,
+                                                         rel=1e-12)
+    with pytest.raises(HeuristicRefusalError):
+        norming_set(T, nr)
+
+
+def test_norming_set_and_probe_run_past_dim_20():
+    M = np.random.default_rng([20261017, 3]).normal(size=(22, 22))
+    dom, cod = Space(INF, 22), Space(2.0, 22)
+    M = M / operator_norm(Dense(M, dom, cod)).value
+    T = Dense(M, dom, cod)
+    nr = operator_norm(T)
+    pts = norming_set(T, nr).points
+    assert len(pts) == 2 and _bits(pts[1]) == _bits(-pts[0])
+    assert lp_norm(M @ pts[0], 2.0) == nr.value
+    rep = eta_probe_norm(T, 0.5, budget=ProbeBudget(8, 200), seed=3)
+    assert 0.0 <= rep.eta_hat <= 1.0
 
 
 @pytest.mark.parametrize("d", [2, 6, 24])

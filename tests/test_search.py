@@ -1,4 +1,5 @@
-"""The serial multistart driver and the values of the five restart routes.
+"""The serial multistart driver, the values of the five restart routes, and
+the BLAS rounding that the grid search's leaf scores rest on.
 
 The pinned reprs were recorded before the restart loops were folded into
 run_batches; any change to draw order or tie-breaking moves them.  The
@@ -147,3 +148,30 @@ def test_pinned_probe_nu():
                        nu_result=NuResult(1.0, "exact", None, "lift-profile"),
                        attaining=desc)
     assert repr(rep.eta_hat) == "0.26710038609257225"
+
+
+@pytest.mark.parametrize("d", range(2, 21))
+def test_blas_row_subsets_round_as_the_block(d):
+    # grid_search scores its leaves by X @ M.T on whatever rows survive and
+    # must match the whole grid's block product bit for bit.  That holds
+    # for every subset of two or more rows of a sign block (a 2^14-row
+    # chunk of the cube at most) and of a complex phase block, a doubled
+    # row included.  A one-row product is the exception: BLAS takes its
+    # matrix-vector path, whose sums round differently, so the search
+    # never scores one row.  A BLAS whose products break this fails here.
+    rng = np.random.default_rng([d, 11])
+    idx = np.arange(1 << min(d - 1, 14))
+    signs = ((idx[:, None] >> np.arange(d)) & 1) * 2.0 - 1.0
+    phases = np.exp(1j * np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
+    grid = phases[rng.integers(0, 64, size=(min(len(idx), 4096), d))]
+    grid[:, 0] = 1.0
+    for m in sorted({2, d, 2 * d}):
+        real = rng.normal(size=(m, d))
+        cx = real + 1j * rng.normal(size=(m, d))
+        for X, M in ((signs, real), (grid, cx)):
+            block = X @ M.T
+            rows = [np.sort(rng.choice(len(X), size=k, replace=False))
+                    for k in (2, 3, 5, 17, 100) if k <= len(X)]
+            r = int(rng.integers(len(X)))
+            for sub in rows + [np.array([r, r])]:
+                assert (X[sub] @ M.T).tobytes() == block[sub].tobytes()
