@@ -34,7 +34,7 @@ from .norm_attainment import operator_norm
 from .numerical_radius import numerical_radius
 from .operators import (Adjoint, Dense, Diagonal, Lift, OperatorExpr, RankOne,
                         Scale, identity)
-from .probe import CSV_HEADER, ProbeBudget, eta_probe_norm, eta_probe_nu
+from .probe import CSV_HEADER, ProbeBudget, _norm_grid, _nu_grid
 from .sequences import (BoundedTail, ConstantTail, SequenceSpec, ZeroTail,
                         geometric_tail, ratio_to_one_tail)
 from .spaces import INF, Space, modulus_convexity
@@ -247,18 +247,16 @@ def cmd_probe(args) -> int:
             if dim != expr.domain.dim:
                 raise GeometryError(
                     "JSON operators probe at their own dimension only")
-        for eps in eps_grid:
+        if args.mode == "norm":
+            reports = _norm_grid(cur, eps_grid, budget, args.seed)[1]
+        else:
             kwargs = {}
             if cur_entry is not None and cur_entry.attaining is not None:
                 kwargs["attaining"] = cur_entry.attaining
             if cur_entry is not None and cur_entry.nu_override is not None:
                 kwargs["nu_result"] = cur_entry.nu_override
-            if args.mode == "norm":
-                rep = eta_probe_norm(cur, eps, budget=budget, seed=args.seed)
-            else:
-                rep = eta_probe_nu(cur, eps, budget=budget, seed=args.seed,
-                                   **kwargs)
-            lines.append(rep.csv_row(dim))
+            reports = _nu_grid(cur, eps_grid, budget, args.seed, **kwargs)[1]
+        lines.extend(rep.csv_row(dim) for rep in reports)
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -295,9 +293,9 @@ def _parse_eta(s: str):
     if s in _ETA_BASES:
         return _ETA_BASES[s]()
     if s.startswith("const:"):
-        return eta_const(float(s.split(":", 1)[1]))
+        return eta_const(_real(s.split(":", 1)[1]))
     if s.startswith("linear:"):
-        return eta_linear(float(s.split(":", 1)[1]))
+        return eta_linear(_real(s.split(":", 1)[1]))
     raise ValueError(f"unknown eta designator {s!r}")
 
 

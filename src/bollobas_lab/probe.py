@@ -10,14 +10,28 @@ Feasibility is a hard filter through exact/lower-bound distance oracles, so
 reported witnesses are valid by construction.  Absence of good witnesses is
 only budget-relative; the report never claims a lower bound beyond that.
 
-Both probes are modes of one pipeline, _probe.  A mode checks its inputs
-and supplies its seeds, how seed rows are scored, the distance rows its
-boundary seeds are searched on, and its restart stage; the pipeline adds
-the boundary seeds, scores every seed, merges the restarts' best and
-finalizes the report.  The restarts are batches of 16 random starts,
-ceil(restarts / 16) of them, the last one with the remainder.  Batch b
-draws from the b-th SeedSequence(seed) child and the best feasible point
-wins, the earliest on ties, so a fixed seed fixes every output.
+Both probes are modes of one pipeline, _probe, which runs a whole grid of
+eps as one probe and returns each eps's report bit for bit as a grid of
+that eps alone gives it (eta_probe_norm and eta_probe_nu are the grids of
+one eps; validate_eta and the CLI probe run one grid per operator and
+dim).  A mode checks its inputs and supplies its seeds at each eps, how
+seed rows are scored, the distance rows its boundary seeds are searched
+on, and its restart stage; the pipeline adds the boundary seeds, scores
+every seed, merges the restarts' best and finalizes the reports.  The
+restarts are batches of 16 random starts, ceil(restarts / 16) of them, the
+last one with the remainder.  Batch b draws from the b-th
+SeedSequence(seed) child and the best feasible point wins, the earliest on
+ties, so a fixed seed fixes every output.
+
+What no eps reads runs once per grid: the norm or radius and its
+attaining set, the caller seeds' checks, the base points of the boundary
+seeds and the distances of every segment end, the norm probe's starts,
+and the nu probe's restart batch with its pair distances.  An eps then
+only cuts rows at eps - FEAS_TOL.  The eps run in chunks of as many as
+keep their restarts and boundary segments, times the dim, within
+_search.DRAW_SCALARS scalars, and at least one; a chunk's boundary seeds
+are one search, its seed rows one scoring call, and its norm walk one walk
+whose pullbacks are one search.
 
 Each mode runs every batch as the rows of one program, and returns what
 running the batches one after another, and their starts one after
@@ -25,13 +39,15 @@ another, returns, bit for bit:
 
 * norm: the starts are drawn batch by batch, one random_unit_rows call
   each (_search.restart_starts), and all of them walk as the rows of one
-  power ascent (_norm_walk).  Each start walks alone: it ends
-  at a step allclose to its point, after iters steps, or at its first
-  infeasible step, and in the last case it pulls back toward the point
-  before that step when that point is feasible; all pullbacks are the rows
-  of one search.  Each start's feasible points, then its pullback's, are
-  folded into its first best as they come, so a start keeps its current
-  point, its best and its infeasible step, never its path.
+  power ascent (_norm_walk).  The path of a start reads no eps, so it
+  walks once for a chunk; at each eps the start ends at a step allclose to
+  its point, after iters steps, or at its first step infeasible at that
+  eps, and in the last case it pulls back toward the point before that
+  step when that point is feasible; the pullbacks of every eps are the
+  rows of one search.  At each eps, each start's feasible points, then its
+  pullback's, are folded into its first best as they come, so a start
+  keeps its current point and, per eps, its best and its infeasible step,
+  never its path.
 * nu: each start's random_unit and its block of rounds x 3 trial
   directions are drawn start by start, batch b from its generator
   (_search.polish_source).  The starts of every batch are polished as the
@@ -39,9 +55,10 @@ another, returns, bit for bit:
   with one pair_distance_rows call.  The best feasible row, the earliest on
   ties, is the winner best_of over the batches run one call each picks.
   The polish reads neither eps nor the attaining set, so it runs once per
-  matrix, domain, seed, restarts and iters, and the probes at every eps of
-  a grid share its read-only rows (_nu_restarts, an lru_cache of 8); the
-  pair distances, the candidates and the seeds are computed on every call.
+  matrix, domain, seed, restarts and iters, and its read-only rows are
+  kept for the probes that follow (_nu_restarts, an lru_cache of 8), such
+  as the one-eps validations of one operator; the pair distances are
+  computed once per grid.
 
 The block is the layout at every budget: a start that stops early leaves
 the rest of its block unused.  _search.polish_source keeps the blocks in
@@ -54,24 +71,27 @@ are also the stream of polishes that draw each round's directions when
 they reach it, one start after another.
 
 The boundary seeds on flat spaces are found as one row batch: every
-(base point, coordinate direction) pair is a row of one array, and each
-step of the search is one row-form distance call (distance_rows, or
-pair_distance_rows with best_state_functional_rows) over the rows still
-searching.  The boundary seeds and the pullbacks share one root-finder,
-_itp_rows: ITP (interpolate, truncate, project; Oliveira and Takahashi,
-ACM TOMS 47(1), 2020) on g(t) = dist(C(t)) - (eps - FEAS_TOL) along each
-row's normalized segment C(t).  A step takes the secant root of the row's
-bracket, nudged toward the midpoint and kept near it, so no row takes more
-than one step beyond the bisection to the same resolution (2^-40 for the
-seeds, 2^-30 for the pullbacks), and rows with a smooth distance converge
-superlinearly; a row also stops once a step lands feasible within FEAS_TOL
-of the threshold.  The row forms round each row as the one-vector oracles
-do, so the seeds are those of one scalar search per pair.
+(eps, base point, coordinate direction) triple of a chunk is a row of one
+array, and each step of the search is one row-form distance call
+(distance_rows, or pair_distance_rows with best_state_functional_rows)
+over the rows still searching.  The boundary seeds and the pullbacks share
+one root-finder, _itp_rows: ITP (interpolate, truncate, project; Oliveira
+and Takahashi, ACM TOMS 47(1), 2020) on g(t) = dist(C(t)) - (eps -
+FEAS_TOL) along each row's normalized segment C(t), each row at its own
+eps.  A step takes the secant root of the row's bracket, nudged toward the
+midpoint and kept near it, so no row takes more than one step beyond the
+bisection to the same resolution (2^-40 for the seeds, 2^-30 for the
+pullbacks), and rows with a smooth distance converge superlinearly; a row
+also stops once a step lands feasible within FEAS_TOL of its threshold.
+The row forms round each row as the one-vector oracles do, and no row
+reads another, so the seeds are those of one scalar search per pair and
+eps.
 
-The seeds are one row program too: all of them are the rows of one array,
-in the order diagonal-profile, caller, boundary seeds (nu: caller, diagonal,
-boundary), scored by one call of each row kernel, and each row is one
-candidate in that order, None when its distance is below eps - FEAS_TOL.
+The seeds are one row program too: all of them, at every eps of a chunk,
+are the rows of one array, at each eps in the order diagonal-profile,
+caller, boundary seeds (nu: caller, diagonal, boundary), scored by one call
+of each row kernel, and each row is one candidate of its eps in that order,
+None when its distance is below eps - FEAS_TOL.
 Caller seeds off the unit sphere by more than PI_TOL, or pairs failing the
 checks of StatePair.validate, raise GeometryError.
 """
@@ -85,8 +105,10 @@ from typing import Optional
 
 import numpy as np
 
-from ._search import (batch_sizes, best_of, matvec_rows, polish_rows,
-                      polish_source, power_ascent_rows, restart_starts)
+from . import _search
+from ._search import (batch_sizes, best_of, first_best, matvec_rows,
+                      polish_rows, polish_source, power_ascent_rows,
+                      restart_starts)
 from .errors import GeometryError, HeuristicRefusalError, NotNormalizedError
 from .membership import _group_cap, _norm_profile_mass
 from .norm_attainment import NORM_TOL, norming_set, operator_norm
@@ -199,57 +221,62 @@ def _diag_norm_seeds(T, eps):
     return [x]
 
 
-def _boundary_seeds(space, dist_rows, eps, base_points, rng):
-    """Walk from attaining-set base points toward coordinate directions and
-    search along each segment for the feasibility boundary dist = eps; these
-    seeds sit exactly where the constrained maximum lives.
-
-    Every (base, direction) pair is one row of a single array, searched by
-    _itp_rows to a bracket of 2^-40 (at most 41 steps); the seed of a row is
-    the last feasible point the search reached.  dist_rows maps (R, dim)
-    points to (R,) distances.  Only infeasible bases and feasible directions
-    make rows; their distances are the ends of every bracket.  Seeds come
-    base-major, then by direction; above 48 dimensions, 48 directions drawn
-    from rng stand for all of them."""
+def _segment_ends(space, dist_rows, base_points, rng):
+    """The ends of the boundary-seed segments, which no eps reads: (bases,
+    d0, dirs, d1), the attaining-set base points and the coordinate
+    directions +-e_k (e_k on complex spaces), each with its distance.
+    Above 48 dimensions, 48 coordinates drawn from rng stand for all of
+    them.  dist_rows maps (R, dim) points to (R,) distances."""
     d = space.dim
     idx = list(range(d)) if d <= 48 else \
         sorted(rng.choice(d, size=48, replace=False).tolist())
     E = np.eye(d, dtype=space.dtype)[idx]
     dirs = E if space.is_complex else np.stack([E, -E], axis=1).reshape(-1, d)
-    d1 = dist_rows(dirs)
-    keep = d1 >= eps - FEAS_TOL
-    dirs, d1 = dirs[keep], d1[keep]
-    if not len(base_points) or not len(dirs):
-        return []
-    bases = np.asarray(base_points, dtype=space.dtype)
-    d0 = dist_rows(bases)
-    keep = d0 < eps - FEAS_TOL
-    bases, d0 = bases[keep], d0[keep]
-    B = np.repeat(bases, len(dirs), axis=0)
-    seeds, found = np.zeros_like(B), np.zeros(len(B), dtype=bool)
-    for rows, C, _d in _itp_rows(B, np.tile(dirs, (len(bases), 1)),
-                                 np.repeat(d0, len(dirs)),
-                                 np.tile(d1, len(bases)), 40, space,
-                                 dist_rows, eps):
+    bases = _seed_rows(space, base_points)
+    return bases, dist_rows(bases), dirs, dist_rows(dirs)
+
+
+def _boundary_seeds(space, dist_rows, eps, ends):
+    """Walk from attaining-set base points toward coordinate directions and
+    search along each segment for the feasibility boundary dist = eps; these
+    seeds sit exactly where the constrained maximum lives.
+
+    eps is a sequence and ends are _segment_ends'.  At each eps, every
+    infeasible base and feasible direction make a segment, and the
+    segments of every eps are the rows of a single array, searched by one
+    _itp_rows call, each row at its own eps, to a bracket of 2^-40 (at
+    most 41 steps); the seed of a row is the last feasible point the
+    search reached.  Returns (k, seed) pairs, eps k's seeds base-major,
+    then by direction, and the eps in order."""
+    bases, d0, dirs, d1 = ends
+    eps = np.asarray(eps, dtype=float)
+    thr = eps[:, None, None] - FEAS_TOL
+    k, b, j = np.nonzero((d0[:, None] < thr) & (d1 >= thr))
+    seeds = np.zeros((len(k), space.dim), dtype=space.dtype)
+    found = np.zeros(len(k), dtype=bool)
+    for rows, C, _d in _itp_rows(bases[b], dirs[j], d0[b], d1[j], 40, space,
+                                 dist_rows, eps[k]):
         seeds[rows], found[rows] = C, True
-    return list(seeds[found])
+    return list(zip(k[found].tolist(), seeds[found]))
 
 
 def _itp_rows(X0, X1, D0, D1, bits, space, dist_rows, eps):
     """ITP root-finding of g(t) = dist(C(t)) - (eps - FEAS_TOL) along the
     normalized segments C(t) from X0[i] (t = 0) toward X1[i] (t = 1), every
     segment a row with its own bracket [lo, hi], g(lo) < 0 <= g(hi); D0 and
-    D1 are the distances of the ends, g(0) < 0 <= g(1).
+    D1 are the distances of the ends, g(0) < 0 <= g(1).  eps is one number
+    for every row or one per row, so the searches of several eps are the
+    rows of one call.
 
     A step at step index j takes the secant root x_f of the bracket, moves it
     by 0.2 (hi - lo)^2 toward the midpoint (not past it), and projects it
     into 2^-j - (hi - lo)/2 of the midpoint (Oliveira and Takahashi, ACM
     TOMS 47(1), 2020, with kappa1 = 0.2, kappa2 = 2, n0 = 1).  A point of
     norm zero counts as at distance 0, so infeasible.  A row stops when
-    hi - lo <= 2^-bits, or when a step lands feasible within FEAS_TOL of the
+    hi - lo <= 2^-bits, or when a step lands feasible within FEAS_TOL of its
     threshold; no row takes more than bits + 1 steps.  Yields, for each
     step, the feasible rows, their normalized points and their distances."""
-    thr = eps - FEAS_TOL
+    thr = np.broadcast_to(np.subtract(eps, FEAS_TOL), len(X0))
     lo, hi = np.zeros(len(X0)), np.ones(len(X0))
     g_lo, g_hi = D0 - thr, D1 - thr
     live = np.arange(len(X0))
@@ -270,8 +297,8 @@ def _itp_rows(X0, X1, D0, D1, bits, space, dist_rows, eps):
         nz = np.flatnonzero(n != 0)
         C = C[nz] / n[nz, None]
         d = dist_rows(C) if nz.size else np.zeros(0)
-        g = np.full(len(live), -thr)
-        g[nz] = d - thr
+        g = -thr[live]
+        g[nz] = d - thr[live[nz]]
         feas = g >= 0
         ok = feas[nz]
         hi[live[feas]], g_hi[live[feas]] = t[feas], g[feas]
@@ -315,35 +342,87 @@ def _caller_seeds(space, extra_seeds, pairs=False):
 
 def _row_candidates(vals, dist, eps, witness):
     """One candidate per row i of values and distances (R,), in order: (value,
-    distance, witness(i)) at a distance >= eps - FEAS_TOL, else None."""
-    return [(float(v), float(d), witness(i)) if d >= eps - FEAS_TOL
-            else None for i, (v, d) in enumerate(zip(vals, dist))]
+    distance, witness(i)) at a distance >= eps - FEAS_TOL, else None; eps is
+    one number for every row or one per row."""
+    thr = np.broadcast_to(np.subtract(eps, FEAS_TOL), len(vals))
+    return [(float(v), float(d), witness(i)) if d >= t else None
+            for i, (v, d, t) in enumerate(zip(vals, dist, thr))]
 
 
-def _probe(mode, eps, budget, seed, space, desc, seeds, score, dist_rows,
+def _probe(mode, eps_grid, budget, seed, space, desc, seeds, score, dist_rows,
            restarts):
-    """The stages both probes share.  A mode supplies its seeds as (x, x* or
-    None) rows; score(X, xstars) -> (values, distances, witness) of the seed
-    rows; the dist_rows of its boundary seeds, which follow its own seeds
-    off sums; and its restart stage, restarts(budget) -> candidates in
-    start order, whose best comes after the seeds."""
+    """The stages both probes share, over the list eps_grid: one report per
+    eps, in order, each the report of that eps alone, bit for bit.  A mode
+    supplies seeds(eps), its seeds at one eps as (x, x* or None) rows;
+    score(X, xstars) -> (values, distances, witness) of seed rows; the
+    dist_rows of its boundary seeds, which follow its own seeds off sums;
+    and its restart stage, restarts(budget) -> stage, where stage(eps)
+    gives the best restart candidate of each eps of a chunk, or None, which
+    comes after the seeds.  The segment ends and the stage's set-up run
+    once; a chunk of eps (see the module docstring) makes one
+    _boundary_seeds call, one score call and one stage call."""
     budget = budget or ProbeBudget()
     seed_rng = np.random.Generator(np.random.PCG64(seed))
+    ends = None
     if not desc.is_empty and not isinstance(space, SumSpace):
         try:
             bases = [b.x if isinstance(b, StatePair) else b
                      for b in desc.sample(seed_rng, 2)]
         except (NotImplementedError, GeometryError):
             bases = []
-        seeds = seeds + [(x, None) for x in _boundary_seeds(
-            space, dist_rows, eps, bases, seed_rng)]
-    candidates = []
-    if seeds:
-        X = _seed_rows(space, [x for x, _ in seeds])
-        vals, dist, witness = score(X, [xs for _, xs in seeds])
-        candidates = _row_candidates(vals, dist, eps, witness)
-    candidates.append(best_of(restarts(budget)))
-    return _finalize(mode, eps, candidates, seed, budget)
+        if bases:
+            ends = _segment_ends(space, dist_rows, bases, seed_rng)
+    stage = restarts(budget)
+    rows = budget.restarts + (0 if ends is None else
+                              len(ends[0]) * len(ends[2]))
+    size = max(1, _search.DRAW_SCALARS // (rows * space.dim))
+    reports = []
+    for at in range(0, len(eps_grid), size):
+        chunk = eps_grid[at:at + size]
+        own = [seeds(eps) for eps in chunk]
+        if ends is not None:
+            for k, x in _boundary_seeds(space, dist_rows, chunk, ends):
+                own[k].append((x, None))
+        flat = [s for row in own for s in row]
+        candidates = []
+        if flat:
+            X = _seed_rows(space, [x for x, _ in flat])
+            vals, dist, witness = score(X, [xs for _, xs in flat])
+            candidates = _row_candidates(
+                vals, dist, np.repeat(np.asarray(chunk, dtype=float),
+                                      [len(row) for row in own]), witness)
+        candidates = iter(candidates)
+        for eps, row, best in zip(chunk, own, stage(chunk)):
+            mine = [next(candidates) for _ in row]
+            reports.append(_finalize(mode, eps, mine + [best], seed, budget))
+    return reports
+
+
+def _norm_grid(T, eps_grid, budget=None, seed=0, extra_seeds=()):
+    """eta_probe_norm at every eps of eps_grid as one probe: (the norming
+    set, the reports in grid order)."""
+    eps_grid = list(eps_grid)
+    for eps in eps_grid:
+        _check_eps(eps)
+    nr, desc = _resolve_norm(T)
+    space, cod, M = T.domain, T.codomain, to_matrix(T)
+    caller = _caller_seeds(space, extra_seeds)
+
+    def seeds(eps):
+        return [(x, None) for x in _diag_norm_seeds(T, eps)] + caller
+
+    def score(X, _xstars):
+        return (cod.norm_rows(matvec_rows(M, X)), desc.distance_rows(X),
+                X.__getitem__)
+
+    def restarts(budget):
+        X0 = restart_starts(space, seed, batch_sizes(budget.restarts, 16))
+        steps = max(10, budget.iters // 100)
+        return lambda eps: [best_of(c) for c in _norm_walk(
+            M, space, cod, X0, steps, desc.distance_rows, eps)]
+
+    return desc, _probe("norm", eps_grid, budget, seed, space, desc, seeds,
+                        score, desc.distance_rows, restarts)
 
 
 def eta_probe_norm(T: OperatorExpr, eps: float,
@@ -352,42 +431,34 @@ def eta_probe_norm(T: OperatorExpr, eps: float,
     """eps must be finite and > 0, else GeometryError.  extra_seeds:
     iterable of x vectors, each checked once against the domain: a wrong
     shape raises DimensionMismatchError, and a NaN or inf entry or a norm
-    off 1 by more than PI_TOL raises GeometryError."""
-    _check_eps(eps)
-    nr, desc = _resolve_norm(T)
-    space, cod, M = T.domain, T.codomain, to_matrix(T)
-    seeds = [(x, None) for x in _diag_norm_seeds(T, eps)] \
-        + _caller_seeds(space, extra_seeds)
-
-    def score(X, _xstars):
-        return (cod.norm_rows(matvec_rows(M, X)), desc.distance_rows(X),
-                X.__getitem__)
-
-    def restarts(budget):
-        X0 = restart_starts(space, seed, batch_sizes(budget.restarts, 16))
-        return _norm_walk(M, space, cod, X0, max(10, budget.iters // 100),
-                          desc.distance_rows, eps)
-
-    return _probe("norm", eps, budget, seed, space, desc, seeds, score,
-                  desc.distance_rows, restarts)
+    off 1 by more than PI_TOL raises GeometryError.  The probe of the grid
+    of one eps."""
+    return _norm_grid(T, [eps], budget, seed, extra_seeds)[1][0]
 
 
 def _norm_walk(M, space, cod, X0, steps, dist_rows, eps):
-    """The norm probe's starts X0, all as rows of one walk: point k + 1 of a
-    start is generic_power_ascent(point k, iters=3).  A start ends before a
-    step allclose to its point, after `steps` steps, or at its first
-    infeasible step; in the last case, when the point before that step is
-    feasible, it pulls back from the step toward that point, every pullback
-    a row of one _itp_rows search to a bracket of 2^-30 (at most 31 steps).
-    Each feasible point, then each feasible step of the pullback, is folded
-    into its start's first best as it comes.  A step is scored by the value
+    """The norm probe's starts X0 at each eps of the sequence eps, all as
+    rows of one walk: point k + 1 of a start is generic_power_ascent(point
+    k, iters=3), which no eps reads.  At each eps a start ends before a
+    step allclose to its point, after `steps` steps, or at its first step
+    infeasible at that eps; in the last case, when the point before that
+    step is feasible, it pulls back from the step toward that point.  A
+    start walks while it has not ended at some eps, and the pullbacks of
+    every eps are the rows of one _itp_rows search, each at its own eps, to
+    a bracket of 2^-30 (at most 31 steps).  At each eps, each feasible
+    point, then each feasible step of the pullback, is folded into its
+    start's first best as it comes.  A step is scored by the value
     power_ascent_rows returns for it; only the starts, which the ascent
-    normalizes, and the pullback's points are scored afresh.  Returns one
-    candidate per start, the best (value, distance, point) it reached, the
-    earliest on ties, or None."""
-    R, thr = len(X0), eps - FEAS_TOL
-    best_v, best_d = np.zeros(R), np.zeros(R)
-    best_x, found = np.zeros_like(X0), np.zeros(R, dtype=bool)
+    normalizes, and the pullback's points are scored afresh.  Returns, for
+    each eps, one candidate per start, the best (value, distance, point) it
+    reached, the earliest on ties, or None."""
+    eps = np.asarray(eps, dtype=float)
+    K, R = len(eps), len(X0)
+    thr = eps[:, None] - FEAS_TOL
+    # the state of (eps k, start i) sits at row k R + i
+    best_v, best_d = np.zeros(K * R), np.zeros(K * R)
+    best_x = np.zeros((K * R, X0.shape[1]), dtype=X0.dtype)
+    found = np.zeros(K * R, dtype=bool)
 
     def offer(rows, vals, dists, points):
         win = ~found[rows] | (vals > best_v[rows])
@@ -396,15 +467,20 @@ def _norm_walk(M, space, cod, X0, steps, dist_rows, eps):
             points[win]
         found[rows] = True
 
-    def score(rows, points, dists):
-        if rows.size:
-            offer(rows, cod.norm_rows(matvec_rows(M, points)), dists, points)
+    def offer_at(mask, starts, vals, dists, points):
+        """Offer each point j of starts at every eps k of mask[k, j]."""
+        k, j = np.nonzero(mask)
+        offer(k * R + starts[j], vals[j], dists[j], points[j])
 
     X, D = X0.copy(), dist_rows(X0)
-    feas = np.flatnonzero(D >= thr)
-    score(feas, X0[feas], D[feas])
-    X_out, D_out = np.zeros_like(X0), np.zeros(R)
-    out, live = np.zeros(R, dtype=bool), np.arange(R)
+    ok = D >= thr
+    feas = np.flatnonzero(ok.any(axis=0))
+    if feas.size:
+        offer_at(ok[:, feas], feas, cod.norm_rows(matvec_rows(M, X0[feas])),
+                 D[feas], X0[feas])
+    alive = np.ones((K, R), dtype=bool)
+    pulls = []          # (rows, steps, points before them, their distances)
+    live = np.arange(R)
     for _ in range(steps):
         V, Xn = power_ascent_rows(M, space, cod, X[live], iters=3)
         moved = ~np.isclose(Xn, X[live]).all(axis=1)
@@ -412,29 +488,37 @@ def _norm_walk(M, space, cod, X0, steps, dist_rows, eps):
         if not live.size:
             break
         Dn = dist_rows(Xn)
-        ok = Dn >= thr
-        offer(live[ok], V[ok], Dn[ok], Xn[ok])
-        gone = live[~ok]
-        X_out[gone], D_out[gone], out[gone] = Xn[~ok], Dn[~ok], True
-        live = live[ok]
-        X[live], D[live] = Xn[ok], Dn[ok]
+        ok, was = Dn >= thr, alive[:, live]
+        offer_at(was & ok, live, V, Dn, Xn)
+        k, j = np.nonzero(was & ~ok & (D[live] >= thr))
+        pulls.append((k * R + live[j], Xn[j], X[live[j]], Dn[j], D[live[j]]))
+        alive[:, live] = was & ok
+        keep = alive[:, live].any(axis=0)
+        live = live[keep]
+        X[live], D[live] = Xn[keep], Dn[keep]
         if not live.size:
             break
-    pulls = np.flatnonzero(out & (D >= thr))
-    for rows, C, d in _itp_rows(X_out[pulls], X[pulls], D_out[pulls],
-                                D[pulls], 30, space, dist_rows, eps):
-        score(pulls[rows], C, d)
-    return [(float(best_v[i]), float(best_d[i]), best_x[i]) if found[i]
-            else None for i in range(R)]
+    rows, X_out, X_in, D_out, D_in = (np.concatenate(a) for a in zip(
+        (np.zeros(0, dtype=int), X0[:0], X0[:0], D[:0], D[:0]), *pulls))
+    for r, C, d in _itp_rows(X_out, X_in, D_out, D_in, 30, space, dist_rows,
+                             eps[rows // R]):
+        if r.size:
+            offer(rows[r], cod.norm_rows(matvec_rows(M, C)), d, C)
+    return [[(float(best_v[r]), float(best_d[r]), best_x[r]) if found[r]
+             else None for r in range(k * R, (k + 1) * R)] for k in range(K)]
 
 
 def _finalize(mode, eps, candidates, seed, budget):
+    """The report of eps from its candidates; the witness is a copy, so a
+    report keeps no row array of the probe alive."""
     best = best_of(candidates)
     if best is None:        # nothing scored lay eps - FEAS_TOL from the set
         return ProbeReport(mode=mode, epsilon=eps, eta_hat=float("inf"),
                            sentinel=True,
                            best_value=-float("inf"), seed=seed, budget=budget)
     vbest, dbest, xbest = best
+    xbest = StatePair(xbest.x.copy(), xbest.xstar.copy(), xbest.space) \
+        if isinstance(xbest, StatePair) else xbest.copy()
     return ProbeReport(mode=mode, epsilon=eps,
                        eta_hat=max(0.0, 1.0 - vbest), sentinel=False,
                        best_value=vbest, witness=xbest,
@@ -463,20 +547,19 @@ def _resolve_nu(T, nu_result, attaining):
     return nr, desc
 
 
-def eta_probe_nu(T: OperatorExpr, eps: float,
-                 budget: Optional[ProbeBudget] = None, seed: int = 0,
-                 nu_result: Optional[NuResult] = None,
-                 attaining: Optional[NuStatesDescriptor] = None,
-                 extra_seeds=()) -> ProbeReport:
-    """eps as in eta_probe_norm.  extra_seeds: iterable of StatePairs,
-    (x, xstar) pairs or bare x vectors, checked as eta_probe_norm checks its
-    seeds; a given xstar is checked as StatePair.validate checks it, with
-    GeometryError.  A 2-tuple of two scalars is a bare x."""
-    _check_eps(eps)
+def _nu_grid(T, eps_grid, budget=None, seed=0, nu_result=None,
+             attaining=None, extra_seeds=()):
+    """eta_probe_nu at every eps of eps_grid as one probe: (the attaining
+    states, the reports in grid order)."""
+    eps_grid = list(eps_grid)
+    for eps in eps_grid:
+        _check_eps(eps)
     nr, desc = _resolve_nu(T, nu_result, attaining)
     space, M = T.domain, to_matrix(T)
-    seeds = _caller_seeds(space, extra_seeds, pairs=True) \
-        + _diag_nu_seeds(T, eps)
+    caller = _caller_seeds(space, extra_seeds, pairs=True)
+
+    def seeds(eps):
+        return caller + _diag_nu_seeds(T, eps)
 
     def score(X, xstars):
         Y, XS = _state_rows(M, X, space)
@@ -488,12 +571,34 @@ def eta_probe_nu(T: OperatorExpr, eps: float,
     def restarts(budget):
         vals, X, XS = _nu_restarts(_ArrayKey(M), space, seed,
                                    budget.restarts, budget.iters)
-        return _row_candidates(
-            vals, _pair_max_rows(desc, X, XS), eps,
-            lambda i: StatePair(X[i].copy(), XS[i].copy(), space))
+        dist = _pair_max_rows(desc, X, XS)
 
-    return _probe("nu", eps, budget, seed, space, desc, seeds, score,
-                  _state_dist_rows(desc, M, space), restarts)
+        def best(eps):
+            feas = np.flatnonzero(dist >= eps - FEAS_TOL)
+            if not feas.size:
+                return None
+            i = feas[first_best(vals[feas])]
+            return float(vals[i]), float(dist[i]), StatePair(X[i], XS[i],
+                                                             space)
+
+        return lambda eps: [best(e) for e in eps]
+
+    return desc, _probe("nu", eps_grid, budget, seed, space, desc, seeds,
+                        score, _state_dist_rows(desc, M, space), restarts)
+
+
+def eta_probe_nu(T: OperatorExpr, eps: float,
+                 budget: Optional[ProbeBudget] = None, seed: int = 0,
+                 nu_result: Optional[NuResult] = None,
+                 attaining: Optional[NuStatesDescriptor] = None,
+                 extra_seeds=()) -> ProbeReport:
+    """eps as in eta_probe_norm.  extra_seeds: iterable of StatePairs,
+    (x, xstar) pairs or bare x vectors, checked as eta_probe_norm checks its
+    seeds; a given xstar is checked as StatePair.validate checks it, with
+    GeometryError.  A 2-tuple of two scalars is a bare x.  The probe of the
+    grid of one eps."""
+    return _nu_grid(T, [eps], budget, seed, nu_result, attaining,
+                    extra_seeds)[1][0]
 
 
 class _ArrayKey:
@@ -625,27 +730,34 @@ def validate_eta(T: OperatorExpr, eta_fn, eps_grid, mode: str = "norm",
                  tol: float = 1e-9, **probe_kwargs) -> ValidationReport:
     """Assert adversarially that no input beats the candidate modulus: for
     each eps, the probe must find no point with value > 1 - eta_fn(eps) at
-    distance >= eps.  A found violator fails the report once its witness
-    survives a recheck outside the probe's row kernels (_recheck): a
-    witness whose rechecked value or distance is off the probe's by more
-    than RECHECK_TOL is refuted, and its row is not violated.  The witness
-    of the first violating eps is recorded as violating_witness."""
-    probe = {"norm": eta_probe_norm, "nu": eta_probe_nu}.get(mode)
+    distance >= eps.  Every eps must pass the probes' check and every
+    eta_fn(eps) be a finite number, else GeometryError naming the eps,
+    before any probe runs; the grid is then one probe (_norm_grid or
+    _nu_grid).  A found violator fails the report once its witness
+    survives a recheck outside the probe's row kernels (_recheck) against
+    the probe's own attaining set: a witness whose rechecked value or
+    distance is off the probe's by more than RECHECK_TOL is refuted, and
+    its row is not violated.  The witness of the first violating eps is
+    recorded as violating_witness."""
+    probe = {"norm": _norm_grid, "nu": _nu_grid}.get(mode)
     if probe is None:
         raise GeometryError("mode must be 'norm' or 'nu'")
-    rows = []
-    witness = desc = None
+    eps_grid, levels = list(eps_grid), []
     for eps in eps_grid:
-        rep = probe(T, eps, budget=budget, seed=seed, **probe_kwargs)
-        level = float(eta_fn(eps))
+        _check_eps(eps)
+        levels.append(float(eta_fn(eps)))
+        if not math.isfinite(levels[-1]):
+            raise GeometryError(f"eta_fn({eps}) = {levels[-1]} is not a "
+                                f"finite number")
+    desc, reports = probe(T, eps_grid, budget, seed, **probe_kwargs) \
+        if eps_grid else (None, [])
+    rows = []
+    witness = None
+    for eps, level, rep in zip(eps_grid, levels, reports):
         violated = (not rep.sentinel) and \
             rep.best_value > 1.0 - level + tol
         refuted = False
         if violated:
-            if desc is None:
-                desc = _resolve_norm(T)[1] if mode == "norm" else \
-                    _resolve_nu(T, probe_kwargs.get("nu_result"),
-                                probe_kwargs.get("attaining"))[1]
             refuted = not all(
                 math.isclose(got, want, rel_tol=0.0, abs_tol=RECHECK_TOL)
                 for got, want in zip(_recheck(T, mode, rep.witness, desc),

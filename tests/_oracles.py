@@ -24,6 +24,9 @@ face of a sum (sum_face), the norm of a sum and its alignment maps
 and the scalar boundary-seed search: itp_root, one ITP root-finding step
 at a time, under boundary_seeds and pullback, beside the 40- and 30-step
 bisections they replaced (boundary_seeds_bisection, pullback_bisection).
+boundary_seed_rows and itp_rows are the probe's row searches as they ran
+at one eps, before a probe took a grid of eps; the probe oracles below
+place their boundary seeds with them.
 tests/test_rows.py checks the row forms against them, to 1e-12 on flat
 spaces and bit for bit on sums.
 face_sup is the support-face value as it was computed before
@@ -1071,6 +1074,73 @@ def itp_root(x0, x1, d0, d1, eps, bits, space, dist_of):
             return
 
 
+def boundary_seed_rows(space, dist_rows, eps, base_points, rng):
+    """probe._boundary_seeds as it ran at one eps, before the probes took a
+    grid of eps: every (infeasible base, feasible direction) pair one row of
+    a single itp_rows search to a bracket of 2^-40, the seed of a row the
+    last feasible point it reached, base-major, then by direction; above 48
+    dimensions, 48 coordinates drawn from rng.  The seeds of one scalar
+    search per pair (boundary_seeds), to the row kernels' rounding."""
+    d = space.dim
+    idx = list(range(d)) if d <= 48 else \
+        sorted(rng.choice(d, size=48, replace=False).tolist())
+    E = np.eye(d, dtype=space.dtype)[idx]
+    dirs = E if space.is_complex else np.stack([E, -E], axis=1).reshape(-1, d)
+    d1 = dist_rows(dirs)
+    keep = d1 >= eps - FEAS_TOL
+    dirs, d1 = dirs[keep], d1[keep]
+    if not len(base_points) or not len(dirs):
+        return []
+    bases = np.asarray(base_points, dtype=space.dtype)
+    d0 = dist_rows(bases)
+    keep = d0 < eps - FEAS_TOL
+    bases, d0 = bases[keep], d0[keep]
+    B = np.repeat(bases, len(dirs), axis=0)
+    seeds, found = np.zeros_like(B), np.zeros(len(B), dtype=bool)
+    for rows, C, _d in itp_rows(B, np.tile(dirs, (len(bases), 1)),
+                                np.repeat(d0, len(dirs)),
+                                np.tile(d1, len(bases)), 40, space,
+                                dist_rows, eps):
+        seeds[rows], found[rows] = C, True
+    return list(seeds[found])
+
+
+def itp_rows(X0, X1, D0, D1, bits, space, dist_rows, eps):
+    """probe._itp_rows as it ran at one eps for every row: itp_root on
+    every row at once, each step one dist_rows call over the rows still
+    searching.  Yields, for each step, the feasible rows, their normalized
+    points and their distances."""
+    thr = eps - FEAS_TOL
+    lo, hi = np.zeros(len(X0)), np.ones(len(X0))
+    g_lo, g_hi = D0 - thr, D1 - thr
+    live = np.arange(len(X0))
+    for j in range(bits + 1):
+        live = live[hi[live] - lo[live] > 2.0 ** -bits]
+        if not live.size:
+            return
+        a, b, ga, gb = lo[live], hi[live], g_lo[live], g_hi[live]
+        half = (a + b) / 2
+        x_f = (a * gb - b * ga) / (gb - ga)
+        sigma = np.sign(half - x_f)
+        delta = 0.2 * (b - a) * (b - a)
+        x_t = np.where(delta <= np.abs(half - x_f), x_f + sigma * delta, half)
+        r = 2.0 ** -j - (b - a) / 2
+        t = np.where(np.abs(x_t - half) <= r, x_t, half - sigma * r)
+        C = (1 - t)[:, None] * X0[live] + t[:, None] * X1[live]
+        n = space.norm_rows(C)
+        nz = np.flatnonzero(n != 0)
+        C = C[nz] / n[nz, None]
+        d = dist_rows(C) if nz.size else np.zeros(0)
+        g = np.full(len(live), -thr)
+        g[nz] = d - thr
+        feas = g >= 0
+        ok = feas[nz]
+        hi[live[feas]], g_hi[live[feas]] = t[feas], g[feas]
+        lo[live[~feas]], g_lo[live[~feas]] = t[~feas], g[~feas]
+        yield live[nz[ok]], C[ok], d[ok]
+        live = live[~feas | (g > FEAS_TOL)]
+
+
 def _directions(space, rng, max_dirs):
     """The probe's boundary-seed directions: +-e_k (e_k on complex spaces)
     for every coordinate k, or for max_dirs drawn from rng above max_dirs
@@ -1381,8 +1451,8 @@ def eta_probe_norm(T, eps, budget=None, seed=0, extra_seeds=()):
             bases = desc.sample(seed_rng, 2)
         except Exception:
             bases = []
-        for s in probe._boundary_seeds(space, desc.distance_rows, eps,
-                                       bases, seed_rng):
+        for s in boundary_seed_rows(space, desc.distance_rows, eps, bases,
+                                    seed_rng):
             candidates.append(consider(s))
 
     iters = max(10, budget.iters // 100)
@@ -1457,8 +1527,8 @@ def eta_probe_nu(T, eps, budget=None, seed=0, nu_result=None, attaining=None,
         except Exception:
             bases = []
         dist_rows = probe._state_dist_rows(desc, M, space)
-        for s in probe._boundary_seeds(space, dist_rows, eps, bases,
-                                       seed_rng):
+        for s in boundary_seed_rows(space, dist_rows, eps, bases,
+                                    seed_rng):
             candidates.append(consider_pair(s, state_for(s)))
 
     iters = max(10, budget.iters // 100)

@@ -171,6 +171,34 @@ def test_transfer_command(capsys):
     assert all(v["eta"] > 0 for v in data["values"])
 
 
+@pytest.mark.parametrize("eta", ["const:nan", "const:inf", "linear:nan",
+                                 "linear:-inf", "const:x"])
+def test_transfer_rejects_a_non_finite_eta(capsys, eta):
+    # a NaN eta printed "eta": NaN, which is not JSON
+    code, out = run_cli(["transfer", "--direction", "norm-to-nu",
+                         "--outer-p", "1", "--eta", eta], capsys)
+    assert code == 2 and out == ""
+
+
+def test_probe_grid_rows_match_one_eps_at_a_time(capsys):
+    # the eps grid runs as one probe per dim; each row is the row of its
+    # eps probed alone
+    for uri, mode in (("G-DIAG-ZSTAR?dim=4", "norm"),
+                      ("G-BLOCK?dim=4", "nu")):
+        args = ["probe", "gallery:" + uri, "--mode", mode, "--dims", "4,8",
+                "--restarts", "20", "--iters", "300", "--seed", "3"]
+        code, out = run_cli(args + ["--eps", "0.5,0.2,0.5,2.5"], capsys)
+        assert code == 0
+        rows = {}
+        for eps in ("0.5", "0.2", "2.5"):
+            code, one = run_cli(args + ["--eps", eps], capsys)
+            assert code == 0
+            rows[eps] = one.strip().split("\n")[1:]
+        want = [rows[e][i] for i in range(2) for e in ("0.5", "0.2", "0.5",
+                                                       "2.5")]
+        assert out.strip().split("\n") == [CSV_HEADER] + want
+
+
 def test_moduli_command(capsys):
     code, out = run_cli(["moduli", "--p", "2", "--eps", "1.0"], capsys)
     assert code == 0

@@ -12,6 +12,7 @@ from bollobas_lab import numerical_radius as numerical_radius_module
 from bollobas_lab import probe as probe_module
 from bollobas_lab.errors import (DimensionMismatchError, GeometryError,
                                  NotNormalizedError)
+from bollobas_lab.gallery import gallery
 from bollobas_lab.membership import eta_const, eta_linear
 from bollobas_lab.norm_attainment import (NormingSetDescriptor, norming_set,
                                           operator_norm)
@@ -256,38 +257,40 @@ def test_validate_eta_pass_and_fail():
 
 
 def _planted(real, value=None, distance=None, witness=None):
-    """A probe that returns real's report with its value, distance or
-    witness replaced."""
+    """A grid probe that returns real's reports with their value, distance
+    or witness replaced."""
     def probe(*args, **kwargs):
-        rep = real(*args, **kwargs)
-        rep.best_value = rep.best_value if value is None else value
-        rep.witness_distance = rep.witness_distance if distance is None \
-            else distance
-        rep.witness = rep.witness if witness is None else witness
-        return rep
+        desc, reports = real(*args, **kwargs)
+        for rep in reports:
+            rep.best_value = rep.best_value if value is None else value
+            rep.witness_distance = rep.witness_distance if distance is None \
+                else distance
+            rep.witness = rep.witness if witness is None else witness
+        return desc, reports
     return probe
 
 
 def test_validate_eta_rejects_a_planted_false_violator(monkeypatch):
     D = _diag([1.0, 0.9, 0.8, 0.6], 2.0)
     e2 = np.array([0.0, 1.0, 0.0, 0.0])
+    norm_grid, nu_grid = probe_module._norm_grid, probe_module._nu_grid
     # the probe claims value 1 at e2, which the recheck reads as 0.9
-    monkeypatch.setattr(probe_module, "eta_probe_norm", _planted(
-        eta_probe_norm, value=1.0, witness=e2))
+    monkeypatch.setattr(probe_module, "_norm_grid", _planted(
+        norm_grid, value=1.0, witness=e2))
     rep = validate_eta(D, eta_const(1e-6), [0.2, 0.5], mode="norm",
                        budget=BUD, seed=2)
     assert rep.passed and rep.violating_witness is None
     assert all(r.refuted and not r.violated for r in rep.rows)
     # a true violator whose distance the probe misreports is refuted too
-    monkeypatch.setattr(probe_module, "eta_probe_norm", _planted(
-        eta_probe_norm, distance=1.5))
+    monkeypatch.setattr(probe_module, "_norm_grid", _planted(
+        norm_grid, distance=1.5))
     rep = validate_eta(D, eta_const(0.5), [0.2], mode="norm", budget=BUD,
                        seed=2)
     assert rep.passed and rep.rows[0].refuted
     # the nu probe's pairs are rechecked by pair and pair_distance
     x = np.array([0.6, 0.8, 0.0, 0.0])
-    monkeypatch.setattr(probe_module, "eta_probe_nu", _planted(
-        eta_probe_nu, value=1.0, witness=StatePair(x, x, Space(2, 4))))
+    monkeypatch.setattr(probe_module, "_nu_grid", _planted(
+        nu_grid, value=1.0, witness=StatePair(x, x, Space(2, 4))))
     rep = validate_eta(D, eta_const(1e-6), [0.2], mode="nu", budget=BUD,
                        seed=2)
     assert rep.passed and rep.rows[0].refuted
@@ -321,6 +324,32 @@ def test_validate_eta_rejects_an_unknown_mode_on_an_empty_grid():
         validate_eta(D, eta_const(0.1), [], mode="bogus")
     rep = validate_eta(D, eta_const(0.1), [], mode="nu")
     assert rep.passed and rep.rows == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_validate_eta_refuses_a_non_finite_candidate(bad, monkeypatch):
+    # a NaN level compares false with every value, so it passed where
+    # eta_const(0.125) fails; the candidate is checked at every eps before
+    # the grid's one probe runs
+    T = gallery("G-DIAG-ZSTAR", 8).expr
+    budget = ProbeBudget(16, 200)
+    assert not validate_eta(T, eta_const(0.125), [0.5], mode="norm",
+                            budget=budget).passed
+    runs = []
+    for name in ("_norm_grid", "_nu_grid"):
+        monkeypatch.setattr(probe_module, name,
+                            lambda *a, **k: runs.append(a))
+    for mode in ("norm", "nu"):
+        with pytest.raises(GeometryError, match=r"eta_fn\(0\.5\)"):
+            validate_eta(T, lambda e: bad, [0.5], mode=mode, budget=budget)
+        with pytest.raises(GeometryError, match=r"eta_fn\(0\.7\)"):
+            validate_eta(T, lambda e: bad if e == 0.7 else 0.1,
+                         [0.2, 0.7, 0.4], mode=mode, budget=budget)
+        with pytest.raises(GeometryError, match="got nan"):
+            validate_eta(T, eta_const(0.1), [0.2, float("nan")], mode=mode,
+                         budget=budget)
+    assert runs == []
 
 
 def test_probe_csv_row_format():
@@ -425,8 +454,10 @@ def test_itp_counts_a_zero_point_as_infeasible():
                           norm_rows=norm_rows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        seeds = probe_module._boundary_seeds(spy, desc.distance_rows, 1.0,
-                                             [e1], np.random.default_rng(0))
+        ends = probe_module._segment_ends(spy, desc.distance_rows, [e1],
+                                          np.random.default_rng(0))
+        seeds = [x for _k, x in probe_module._boundary_seeds(
+            spy, desc.distance_rows, [1.0], ends)]
     assert norms[0][0] == 0.0
     assert len(seeds) == 3 and seeds[0].tolist() == [-1.0, 0.0]
     assert (desc.distance_rows(np.array(seeds)) >= 1.0 - 1e-12).all()

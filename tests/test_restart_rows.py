@@ -31,7 +31,9 @@ from bollobas_lab.numerical_radius import (NuResult, _multistart_nu,
                                            numerical_radius)
 from bollobas_lab.operators import (Dense, Diagonal, Lift, RankOne, Scale,
                                     adjoint, identity, to_matrix)
-from bollobas_lab.probe import ProbeBudget, eta_probe_norm, eta_probe_nu
+from bollobas_lab.membership import eta_const
+from bollobas_lab.probe import (ProbeBudget, eta_probe_norm, eta_probe_nu,
+                                validate_eta)
 from bollobas_lab.sequences import ConstantTail, SequenceSpec, geometric_tail
 from bollobas_lab.spaces import (INF, Space, StatePair, SumSpace, random_unit,
                                  unit_phase)
@@ -75,6 +77,8 @@ def batches_only(request, monkeypatch):
     if request.param:
         for name in ("_diag_norm_seeds", "_diag_nu_seeds", "_boundary_seeds"):
             monkeypatch.setattr(probe, name, lambda *a, **k: [])
+        monkeypatch.setattr(oracle, "boundary_seed_rows",
+                            lambda *a, **k: [])
     return request.param
 
 
@@ -146,6 +150,8 @@ def test_nu_probe_rows_match_start_by_start(p, cx, dim, batches_only):
 def no_boundary(request, monkeypatch):
     if request.param:
         monkeypatch.setattr(probe, "_boundary_seeds", lambda *a, **k: [])
+        monkeypatch.setattr(oracle, "boundary_seed_rows",
+                            lambda *a, **k: [])
 
 
 def _toward(x0, space, rng):
@@ -296,8 +302,9 @@ def test_ascent_paths_are_row_independent(eps):
         rng = np.random.default_rng([case, 1])
         X0 = np.array([random_unit(space, rng) for _ in range(16)])
         perm = rng.permutation(16)
-        got = probe._norm_walk(M, space, cod, X0, 10, dist_rows, eps)
-        got_p = probe._norm_walk(M, space, cod, X0[perm], 10, dist_rows, eps)
+        got, = probe._norm_walk(M, space, cod, X0, 10, dist_rows, [eps])
+        got_p, = probe._norm_walk(M, space, cod, X0[perm], 10, dist_rows,
+                                  [eps])
         assert len(got) == len(got_p) == 16
         for i, r in enumerate(perm):
             assert _candidate_bits(got_p[i]) == _candidate_bits(got[r]), case
@@ -380,7 +387,8 @@ def test_norm_walk_keeps_the_first_of_equal_values(monkeypatch):
     walks = []
     for itp in (nothing, offer_anchors):
         monkeypatch.setattr(probe, "_itp_rows", itp)
-        walks.append(probe._norm_walk(M, space, cod, X0, 10, dist_rows, eps))
+        walks.extend(probe._norm_walk(M, space, cod, X0, 10, dist_rows,
+                                      [eps]))
     assert anchors
     assert list(map(_candidate_bits, walks[1])) == \
         list(map(_candidate_bits, walks[0]))
@@ -401,6 +409,27 @@ def test_norm_walk_memory_does_not_grow_with_its_steps():
         finally:
             tracemalloc.stop()
     assert peaks[2000] <= 1.05 * peaks[1000], peaks
+
+
+def test_an_eps_grid_probes_in_bounded_memory():
+    # the eps run in chunks whose restarts and boundary segments fit
+    # DRAW_SCALARS (4 eps a chunk here), so four times the eps hold no more
+    # at once
+    spec = SequenceSpec((1.0, 0.9), geometric_tail(0.8, 0.99))
+    T = Diagonal(spec, Space(3.0, 64))
+    budget = ProbeBudget(256, 2000)
+    eta_probe_norm(T, 0.3, budget=budget, seed=1)
+    peaks = {}
+    for n in (8, 32):
+        grid = np.linspace(0.1, 0.8, n).tolist()
+        tracemalloc.start()
+        try:
+            validate_eta(T, eta_const(1e-6), grid, mode="norm",
+                         budget=budget, seed=1)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[32] <= 1.05 * peaks[8], peaks
 
 
 def test_nu_probe_rows_on_lifts(batches_only):

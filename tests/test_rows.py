@@ -12,6 +12,7 @@ bit for bit with the row bodies that the pair options replaced.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -272,8 +273,8 @@ def test_boundary_seeds_match_scalar_bisection(p, cx, dim):
     T, probes = _boundary_probes(p, cx, dim, np.random.default_rng(dim))
     space, eps = T.domain, 0.3
     for dist_rows, dist_of, bases in probes:
-        got = _boundary_seeds(space, dist_rows, eps, bases,
-                              np.random.default_rng(7))
+        got = _seeds_at(space, dist_rows, eps, bases,
+                        np.random.default_rng(7))
         want = oracle.boundary_seeds(space, dist_of, eps, bases,
                                      np.random.default_rng(7))
         assert want and len(got) == len(want)
@@ -281,10 +282,22 @@ def test_boundary_seeds_match_scalar_bisection(p, cx, dim):
             _close(g, w)
 
 
-def _bisection_seeds(space, dist_rows, eps, base_points, rng):
-    return oracle.boundary_seeds_bisection(
-        space, lambda x: float(dist_rows(x[None, :])[0]), eps, base_points,
-        rng)
+def _seeds_at(space, dist_rows, eps, bases, rng):
+    """probe._boundary_seeds of the grid of one eps."""
+    ends = probe._segment_ends(space, dist_rows, bases, rng)
+    return [x for _k, x in _boundary_seeds(space, dist_rows, [eps], ends)]
+
+
+def _bisection_seeds(space, dist_rows, eps, ends):
+    """probe._boundary_seeds as oracle.boundary_seeds_bisection finds them
+    at each eps, from the bases toward the coordinates of the ends."""
+    bases, _d0, dirs, _d1 = ends
+    coords = np.flatnonzero(np.abs(dirs).sum(axis=0))
+    drawn = SimpleNamespace(choice=lambda d, size, replace: coords)
+    return [(k, x) for k, e in enumerate(eps)
+            for x in oracle.boundary_seeds_bisection(
+                space, lambda x: float(dist_rows(x[None, :])[0]), e, bases,
+                drawn)]
 
 
 def _bisection_pullbacks(T):
@@ -298,10 +311,11 @@ def _bisection_pullbacks(T):
 
     def itp_rows(X_hi, X_lo, _D_hi, _D_lo, bits, space, dist_rows, eps):
         assert bits == 30
+        eps = np.broadcast_to(eps, len(X_hi))
         for i, (hi, lo) in enumerate(zip(X_hi, X_lo)):
             best = oracle.pullback_bisection(
                 value_of, lambda x: float(dist_rows(x[None, :])[0]), hi, lo,
-                eps, space)
+                eps[i], space)
             if best is not None:
                 yield np.array([i]), best[2][None, :], np.array([best[1]])
     return itp_rows
@@ -315,8 +329,8 @@ def test_itp_seeds_are_feasible_and_no_worse_than_bisection(p, cx, dim,
     budget = ProbeBudget(16, 300)
     for eps in (0.15, 0.5):
         for dist_rows, dist_of, bases in probes:
-            seeds = _boundary_seeds(space, dist_rows, eps, bases,
-                                    np.random.default_rng(7))
+            seeds = _seeds_at(space, dist_rows, eps, bases,
+                              np.random.default_rng(7))
             assert all(dist_of(x) >= eps - FEAS_TOL for x in seeds)
         itp = [probe_fn(T, eps, budget=budget, seed=dim)
                for probe_fn in (eta_probe_norm, eta_probe_nu)]
