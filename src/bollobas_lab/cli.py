@@ -69,6 +69,19 @@ def _real(v) -> float:
     return x
 
 
+def _flag(v, what: str) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"{what} must be a JSON boolean, got {v!r}")
+    return v
+
+
+def _count(v, what: str) -> int:
+    if isinstance(v, bool) or not (
+            isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _scalar(v):
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
@@ -83,7 +96,7 @@ def _exponent(p) -> float:
 
 def _parse_space(d) -> Space:
     d = _object(d, "space")
-    return Space(_exponent(d.get("p", 2.0)), int(_real(d["dim"])),
+    return Space(_exponent(d.get("p", 2.0)), _count(d["dim"], "space dim"),
                  d.get("field", "real"))
 
 
@@ -102,10 +115,11 @@ def _parse_tail(d):
         vals = d.get("unimodular_values")
         return BoundedTail(
             sup_modulus=_real(d["sup_modulus"]),
-            sup_attained=bool(d["sup_attained"]),
+            sup_attained=_flag(d["sup_attained"], "sup_attained"),
             unimodular_values=None if vals is None
             else tuple(_scalar(v) for v in _list(vals, "unimodular_values")),
-            unimodular_finite=bool(d.get("unimodular_finite", True)),
+            unimodular_finite=_flag(d.get("unimodular_finite", True),
+                                    "unimodular_finite"),
             sub_unit_sup=_real(d.get("sub_unit_sup", 0.0)))
     raise ValueError(f"unknown tail kind {kind!r}")
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GeometryError, NotNormalizedError
+from .errors import GeometryError, NotMaterializableError, NotNormalizedError
 from .sequences import SequenceSpec, projection_spec
 from .spaces import (INF, Space, conjugate_exponent, largest_feasible,
                      lp_norm, modulus_convexity)
@@ -379,8 +379,8 @@ def functional_member(f, family) -> Verdict:
         spec_sup = spec.sup_modulus()
         if spec_sup != 1.0:
             raise NotNormalizedError("functional on l1 needs sup modulus 1")
-        if spec.J_nonempty() and spec.tail_sup() == 1.0 and \
-                not spec.tail_sup_attained() and spec.materializable():
+        if spec.J_nonempty() and spec.tail.sup_modulus == 1.0 and \
+                not spec.tail.sup_attained and spec.materializable():
             return Verdict(False, "l1-functional-family",
                            _certificate(spec),
                            _l1_functional_witnesses(spec),
@@ -392,7 +392,7 @@ def functional_member(f, family) -> Verdict:
         try:
             total = float(sum(abs(a) for a in spec.prefix)) + \
                 spec.tail_abs_pnorm_pow(1.0)
-        except Exception:
+        except NotMaterializableError:
             return Verdict(None, "sup-functional-family", {}, None,
                            "summability not determinable")
         if abs(total - 1.0) > 1e-12:
@@ -418,16 +418,13 @@ def _check_dual_norm_one(spec: SequenceSpec, q: float):
     probe_dim = max(len(spec.prefix) + 32, 64)
     v = spec.materialize(probe_dim)
     n = lp_norm(v, q)
-    if q == INF:
-        if spec.tail_sup() > n:
-            n = spec.tail_sup()
-    elif spec.tail.kind != "zero":
+    if not spec.finitely_supported():
         # tail remainder, when a rule is available
         try:
             full = float(sum(abs(a) ** q for a in spec.prefix)) + \
                 spec.tail_abs_pnorm_pow(q)
             n = full ** (1.0 / q)
-        except Exception:
+        except NotMaterializableError:
             pass
     if abs(n - 1.0) > 1e-6:
         raise NotNormalizedError(f"functional norm is {n}, not 1")

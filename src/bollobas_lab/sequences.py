@@ -7,6 +7,12 @@ dichotomies are decided from this data alone; floating-point thresholds enter
 only once, at construction time, where entries within SNAP_TOL of modulus one
 are snapped onto the unit circle.
 
+Every tail is one record, a BoundedTail: its modulus profile, its phases and
+two optional rules.  ZeroTail() and ConstantTail(value) are constructors that
+fill the record in, and the SequenceSpec predicates read its fields.  A tail
+is zero exactly when its sup_modulus is 0, and only then is the sequence
+finitely supported.
+
 Materialization (turning a spec into a finite coordinate vector) is a
 separate, optional capability: a tail is materializable only when it carries
 an explicit entry rule.
@@ -34,9 +40,9 @@ def _snap(value):
     return value
 
 
-def _finite(value, what: str):
+def _finite(value):
     if not cmath.isfinite(complex(value)):
-        raise GeometryError(f"{what} must be finite, got {value!r}")
+        raise GeometryError(f"prefix entry must be finite, got {value!r}")
     return value
 
 
@@ -47,34 +53,17 @@ def _phase_key(value):
     return (round(z.real, 9), round(z.imag, 9))
 
 
-@dataclass(frozen=True)
-class ZeroTail:
-    """alpha_n = 0 beyond the prefix."""
-
-    kind: str = field(default="zero", init=False)
-
-
-@dataclass(frozen=True)
-class ConstantTail:
-    """alpha_n = value beyond the prefix."""
-
-    value: complex
-    kind: str = field(default="constant", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "value",
-                           _snap(_finite(self.value, "constant tail value")))
-
-
 @dataclass(frozen=True, eq=False)
 class BoundedTail:
-    """A generic bounded tail described by its modulus profile.
+    """A bounded tail described by its modulus profile.
 
-    sup_modulus      -- sup over tail entries of |alpha_n|
+    sup_modulus      -- sup over tail entries of |alpha_n|; 0 for a zero tail
     sup_attained     -- whether some tail entry reaches sup_modulus
-    unimodular_values-- the unit scalars occurring in the tail (only relevant
-                        when sup_modulus == 1 and attained); None together
-                        with unimodular_finite=False encodes an infinite set
+    unimodular_values-- the unit scalars occurring in the tail (read as the
+                        phases only when sup_modulus == 1 and attained; a
+                        constant tail lists its value here whatever its
+                        modulus); None together with unimodular_finite=False
+                        encodes an infinite set
     unimodular_finite-- False when infinitely many distinct phases occur
     sub_unit_sup     -- sup over tail entries with |alpha_n| < 1 (0.0 if none)
     entries          -- optional explicit rule k -> alpha, where k = 1, 2, ...
@@ -91,11 +80,13 @@ class BoundedTail:
     sub_unit_sup: float = 0.0
     entries: Optional[Callable[[int], complex]] = None
     abs_pnorm_pow: Optional[Callable[[float], float]] = None
-    kind: str = field(default="bounded", init=False)
 
     def __post_init__(self):
-        if self.sup_modulus < 0:
-            raise ValueError("sup_modulus must be >= 0")
+        for name in ("sup_modulus", "sub_unit_sup"):
+            x = getattr(self, name)
+            if not (math.isfinite(x) and x >= 0):
+                raise GeometryError(
+                    f"tail {name} must be finite and >= 0, got {x!r}")
         if self.sup_modulus == 1.0 and self.sup_attained:
             if self.unimodular_finite and not self.unimodular_values:
                 raise ValueError(
@@ -107,7 +98,22 @@ class BoundedTail:
                 tuple(_snap(v) for v in self.unimodular_values))
 
 
-Tail = object  # ZeroTail | ConstantTail | BoundedTail
+def ConstantTail(value) -> BoundedTail:
+    """alpha_n = value beyond the prefix.
+
+    The raw value goes into the record, so that it is snapped once: as the
+    listed value by BoundedTail and as an entry by materialize."""
+    mod = abs(_snap(value))
+    return BoundedTail(sup_modulus=mod, sup_attained=True,
+                       unimodular_values=(value,),
+                       sub_unit_sup=mod if mod < 1.0 else 0.0,
+                       entries=lambda k: value,
+                       abs_pnorm_pow=lambda p: 0.0 if mod == 0 else math.inf)
+
+
+def ZeroTail() -> BoundedTail:
+    """alpha_n = 0 beyond the prefix."""
+    return ConstantTail(0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +121,11 @@ class SequenceSpec:
     """Explicit prefix (alpha_1..alpha_N) plus a symbolic tail."""
 
     prefix: tuple
-    tail: object = field(default_factory=ZeroTail)
+    tail: BoundedTail = field(default_factory=ZeroTail)
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(
-            _snap(_finite(v, "prefix entry")) for v in self.prefix))
+            _snap(_finite(v)) for v in self.prefix))
 
     # -- symbolic structure -------------------------------------------------
 
@@ -130,42 +136,13 @@ class SequenceSpec:
         """1-based indices n in the prefix with |alpha_n| = 1."""
         return [i + 1 for i, u in enumerate(self.prefix_unimodular_mask()) if u]
 
-    def tail_sup(self) -> float:
-        t = self.tail
-        if t.kind == "zero":
-            return 0.0
-        if t.kind == "constant":
-            return abs(t.value)
-        return t.sup_modulus
-
-    def tail_sup_attained(self) -> bool:
-        t = self.tail
-        if t.kind == "zero":
-            return True
-        if t.kind == "constant":
-            return True
-        return t.sup_attained
-
     def tail_has_unimodular(self) -> bool:
-        t = self.tail
-        if t.kind == "constant":
-            return abs(t.value) == 1.0
-        if t.kind == "bounded":
-            return t.sup_modulus == 1.0 and t.sup_attained
-        return False
-
-    def tail_all_unimodular(self) -> bool:
-        t = self.tail
-        if t.kind == "constant":
-            return abs(t.value) == 1.0
-        if t.kind == "bounded":
-            return t.sup_modulus == 1.0 and t.sup_attained and t.sub_unit_sup == 0.0
-        return False
+        return self.tail.sup_modulus == 1.0 and self.tail.sup_attained
 
     def sup_modulus(self) -> float:
         mods = [1.0 if u else abs(v)
                 for v, u in zip(self.prefix, self.prefix_unimodular_mask())]
-        mods.append(self.tail_sup())
+        mods.append(self.tail.sup_modulus)
         return max(mods)
 
     def sup_attained(self) -> bool:
@@ -173,32 +150,25 @@ class SequenceSpec:
         for v, u in zip(self.prefix, self.prefix_unimodular_mask()):
             if (1.0 if u else abs(v)) == s:
                 return True
-        return self.tail_sup() == s and self.tail_sup_attained()
+        return self.tail.sup_modulus == s and self.tail.sup_attained
 
     def J_nonempty(self) -> bool:
         return bool(self.prefix_J()) or self.tail_has_unimodular()
 
     def J_is_everything(self) -> bool:
-        return all(self.prefix_unimodular_mask()) and self.tail_all_unimodular()
+        return all(self.prefix_unimodular_mask()) and \
+            self.tail_has_unimodular() and self.tail.sub_unit_sup == 0.0
 
     def off_J_sup(self) -> float:
         """sup over n outside J of |alpha_n| (exact, symbolic)."""
         mods = [abs(v) for v, u in
                 zip(self.prefix, self.prefix_unimodular_mask()) if not u]
         t = self.tail
-        if t.kind == "zero":
-            mods.append(0.0)
-        elif t.kind == "constant":
-            if abs(t.value) < 1.0:
-                mods.append(abs(t.value))
-        else:
-            if t.sup_modulus < 1.0:
-                mods.append(t.sup_modulus)
-            elif not t.sup_attained:
-                mods.append(t.sup_modulus)   # approached, never reached: sup stays
-            else:
-                mods.append(t.sub_unit_sup)
-        return max(mods) if mods else 0.0
+        # a reached sup of one leaves only the sub-unit entries off J; one
+        # that is approached and never reached stays the sup off J
+        mods.append(t.sub_unit_sup if t.sup_modulus >= 1.0 and t.sup_attained
+                    else t.sup_modulus)
+        return max(mods)
 
     def phases_on_J(self):
         """The distinct unimodular values on J: (finite?, tuple-or-None)."""
@@ -206,105 +176,50 @@ class SequenceSpec:
         for v, u in zip(self.prefix, self.prefix_unimodular_mask()):
             if u:
                 keys[_phase_key(v)] = v
-        t = self.tail
-        if t.kind == "constant" and abs(t.value) == 1.0:
-            keys[_phase_key(t.value)] = t.value
-        elif t.kind == "bounded" and t.sup_modulus == 1.0 and t.sup_attained:
-            if not t.unimodular_finite:
+        if self.tail_has_unimodular():
+            if not self.tail.unimodular_finite:
                 return False, None
-            for v in t.unimodular_values:
+            for v in self.tail.unimodular_values:
                 keys[_phase_key(v)] = v
         return True, tuple(keys.values())
 
-    def is_complex(self) -> bool:
-        if any(isinstance(v, complex) and v.imag != 0 for v in self.prefix):
-            return True
-        t = self.tail
-        if t.kind == "constant":
-            v = complex(t.value)
-            return v.imag != 0
-        if t.kind == "bounded" and t.unimodular_values:
-            return any(complex(v).imag != 0 for v in t.unimodular_values)
-        if t.kind == "bounded" and not t.unimodular_finite:
-            return True
-        return False
-
     def finitely_supported(self) -> bool:
-        return self.tail.kind == "zero"
+        return self.tail.sup_modulus == 0.0
 
     # -- materialization ----------------------------------------------------
 
     def materializable(self) -> bool:
-        t = self.tail
-        return t.kind in ("zero", "constant") or t.entries is not None
+        return self.tail.entries is not None
 
     def materialize(self, dim: int) -> np.ndarray:
-        """Realize the first ``dim`` entries as a concrete vector."""
-        if dim < len(self.prefix):
+        """Realize the first ``dim`` entries as a concrete vector: complex
+        when an entry or a listed tail value is not real, or the tail has
+        infinitely many phases, and real otherwise."""
+        n, t = len(self.prefix), self.tail
+        if dim < n:
             raise NotMaterializableError(
-                f"dim {dim} shorter than the explicit prefix ({len(self.prefix)})")
-        complex_out = self.is_complex()
-        dtype = np.complex128 if complex_out else np.float64
-        out = np.zeros(dim, dtype=dtype)
-
-        def put(i, v):
-            out[i] = v if complex_out else complex(v).real
-
-        for i, v in enumerate(self.prefix):
-            put(i, v)
-        t = self.tail
-        for n in range(len(self.prefix) + 1, dim + 1):
-            if t.kind == "zero":
-                put(n - 1, 0.0)
-            elif t.kind == "constant":
-                put(n - 1, t.value)
-            else:
-                if t.entries is None:
-                    raise NotMaterializableError(
-                        "bounded tail carries no explicit entry rule")
-                put(n - 1, _snap(t.entries(n - len(self.prefix))))
-        return out
+                f"dim {dim} shorter than the explicit prefix ({n})")
+        if dim > n and t.entries is None:
+            raise NotMaterializableError(
+                "bounded tail carries no explicit entry rule")
+        out = np.array(self.prefix + tuple(
+            _snap(t.entries(k)) for k in range(1, dim - n + 1)),
+            dtype=np.complex128)
+        if out.imag.any() or not t.unimodular_finite or \
+                any(complex(v).imag != 0 for v in t.unimodular_values or ()):
+            return out
+        return out.real.copy()
 
     def tail_abs_pnorm_pow(self, p: float) -> float:
         """sum over tail entries of |alpha_n|^p, possibly inf."""
-        t = self.tail
-        if t.kind == "zero":
-            return 0.0
-        if t.kind == "constant":
-            return 0.0 if t.value == 0 else math.inf
-        if t.abs_pnorm_pow is None:
-            raise NotMaterializableError(
-                "bounded tail carries no p-norm rule")
-        return t.abs_pnorm_pow(p)
+        if self.tail.abs_pnorm_pow is None:
+            raise NotMaterializableError("bounded tail carries no p-norm rule")
+        return self.tail.abs_pnorm_pow(p)
 
     def check_sup_norm_one(self, what: str = "operator") -> None:
         if self.sup_modulus() != 1.0:
             raise NotNormalizedError(
                 f"{what} must have sup modulus exactly 1, got {self.sup_modulus()}")
-
-    def describe(self) -> dict:
-        t = self.tail
-        tail: dict = {"kind": t.kind}
-        if t.kind == "constant":
-            tail["value"] = _scalar_json(t.value)
-        elif t.kind == "bounded":
-            tail.update({
-                "sup_modulus": t.sup_modulus,
-                "sup_attained": t.sup_attained,
-                "unimodular_finite": t.unimodular_finite,
-                "unimodular_values": (None if t.unimodular_values is None else
-                                      [_scalar_json(v) for v in t.unimodular_values]),
-                "sub_unit_sup": t.sub_unit_sup,
-                "materializable": t.entries is not None,
-            })
-        return {"prefix": [_scalar_json(v) for v in self.prefix], "tail": tail}
-
-
-def _scalar_json(v):
-    z = complex(v)
-    if z.imag == 0:
-        return z.real
-    return [z.real, z.imag]
 
 
 # ---------------------------------------------------------------------------

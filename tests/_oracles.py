@@ -85,7 +85,20 @@ pairs were checked as rows: each trial drawn, validated, repaired and
 measured before the next (corner_repair_bounds, with the scalar
 corner_near_state and corner_repair).  tests/test_gallery.py checks the
 claim against it.
+
+After it come the sequence tails as three kinds, before ZeroTail and
+ConstantTail became constructors of the one BoundedTail record: the three
+tail classes and TailKindSpec, the SequenceSpec whose predicates,
+tail_abs_pnorm_pow and materialize switch on tail.kind (with tail_sup,
+tail_sup_attained, tail_all_unimodular and is_complex, which the record
+made needless).  tests/test_tail_record.py checks the library against
+them.
 """
+
+import cmath
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import mpmath
 import numpy as np
@@ -95,7 +108,7 @@ from bollobas_lab._search import (best_of, dual_align_in, dual_align_rows,
                                   phase_orbit_min_rows, phase_times,
                                   primal_align_in, primal_align_rows,
                                   run_batches, vecmat_rows)
-from bollobas_lab.errors import GeometryError
+from bollobas_lab.errors import GeometryError, NotMaterializableError
 from bollobas_lab.norm_attainment import (PHASE_GRID, UnionNormingSet,
                                           ball_rows, block_product_rows,
                                           subspace_sphere_distance_rows,
@@ -110,6 +123,7 @@ from bollobas_lab.numerical_radius import (NU_TOL, THETA_GRID,
                                            _keep_nearer)
 from bollobas_lab.operators import to_matrix
 from bollobas_lab.probe import FEAS_TOL, ProbeBudget
+from bollobas_lab.sequences import SequenceSpec, _phase_key, _snap
 from bollobas_lab.spaces import (INF, Space, StatePair, SumSpace, duality_map,
                                  lp_norm, lp_norm_rows, pair,
                                  unit_phase, unit_rows)
@@ -1812,3 +1826,218 @@ def corner_repair_bounds(expr, dim, outer_p, seed, repair=corner_repair):
             detail = f"eps={eps}, dx={dx}, dxs={dxs}"
             break
     return ok, detail
+
+
+# ---------------------------------------------------------------------------
+# sequence tails as three kinds
+# ---------------------------------------------------------------------------
+
+def _finite_value(value, what):
+    if not cmath.isfinite(complex(value)):
+        raise GeometryError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class ZeroTail:
+    """alpha_n = 0 beyond the prefix."""
+
+    kind: str = field(default="zero", init=False)
+    # the two fields membership reads from a tail, as TailKindSpec.tail_sup
+    # and tail_sup_attained give them for this kind
+    sup_modulus = 0.0
+    sup_attained = True
+
+
+@dataclass(frozen=True)
+class ConstantTail:
+    """alpha_n = value beyond the prefix."""
+
+    value: complex
+    kind: str = field(default="constant", init=False)
+    sup_attained = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _snap(
+            _finite_value(self.value, "constant tail value")))
+
+    @property
+    def sup_modulus(self):
+        return abs(self.value)
+
+
+@dataclass(frozen=True, eq=False)
+class BoundedTail:
+    """A generic bounded tail described by its modulus profile."""
+
+    sup_modulus: float
+    sup_attained: bool
+    unimodular_values: Optional[tuple] = None
+    unimodular_finite: bool = True
+    sub_unit_sup: float = 0.0
+    entries: Optional[Callable[[int], complex]] = None
+    abs_pnorm_pow: Optional[Callable[[float], float]] = None
+    kind: str = field(default="bounded", init=False)
+
+    def __post_init__(self):
+        if self.sup_modulus < 0:
+            raise ValueError("sup_modulus must be >= 0")
+        if self.sup_modulus == 1.0 and self.sup_attained:
+            if self.unimodular_finite and not self.unimodular_values:
+                raise ValueError(
+                    "a tail attaining modulus one must list its unimodular "
+                    "values or declare them infinite")
+        if self.unimodular_values is not None:
+            object.__setattr__(
+                self, "unimodular_values",
+                tuple(_snap(v) for v in self.unimodular_values))
+
+
+class TailKindSpec(SequenceSpec):
+    """SequenceSpec over the three tail kinds above, each predicate and
+    materialize switching on tail.kind.  prefix_unimodular_mask, prefix_J
+    and check_sup_norm_one are the library's, which never read the tail."""
+
+    def tail_sup(self) -> float:
+        t = self.tail
+        if t.kind == "zero":
+            return 0.0
+        if t.kind == "constant":
+            return abs(t.value)
+        return t.sup_modulus
+
+    def tail_sup_attained(self) -> bool:
+        t = self.tail
+        if t.kind == "zero":
+            return True
+        if t.kind == "constant":
+            return True
+        return t.sup_attained
+
+    def tail_has_unimodular(self) -> bool:
+        t = self.tail
+        if t.kind == "constant":
+            return abs(t.value) == 1.0
+        if t.kind == "bounded":
+            return t.sup_modulus == 1.0 and t.sup_attained
+        return False
+
+    def tail_all_unimodular(self) -> bool:
+        t = self.tail
+        if t.kind == "constant":
+            return abs(t.value) == 1.0
+        if t.kind == "bounded":
+            return (t.sup_modulus == 1.0 and t.sup_attained
+                    and t.sub_unit_sup == 0.0)
+        return False
+
+    def sup_modulus(self) -> float:
+        mods = [1.0 if u else abs(v)
+                for v, u in zip(self.prefix, self.prefix_unimodular_mask())]
+        mods.append(self.tail_sup())
+        return max(mods)
+
+    def sup_attained(self) -> bool:
+        s = self.sup_modulus()
+        for v, u in zip(self.prefix, self.prefix_unimodular_mask()):
+            if (1.0 if u else abs(v)) == s:
+                return True
+        return self.tail_sup() == s and self.tail_sup_attained()
+
+    def J_nonempty(self) -> bool:
+        return bool(self.prefix_J()) or self.tail_has_unimodular()
+
+    def J_is_everything(self) -> bool:
+        return all(self.prefix_unimodular_mask()) and \
+            self.tail_all_unimodular()
+
+    def off_J_sup(self) -> float:
+        mods = [abs(v) for v, u in
+                zip(self.prefix, self.prefix_unimodular_mask()) if not u]
+        t = self.tail
+        if t.kind == "zero":
+            mods.append(0.0)
+        elif t.kind == "constant":
+            if abs(t.value) < 1.0:
+                mods.append(abs(t.value))
+        else:
+            if t.sup_modulus < 1.0:
+                mods.append(t.sup_modulus)
+            elif not t.sup_attained:
+                mods.append(t.sup_modulus)
+            else:
+                mods.append(t.sub_unit_sup)
+        return max(mods) if mods else 0.0
+
+    def phases_on_J(self):
+        keys = {}
+        for v, u in zip(self.prefix, self.prefix_unimodular_mask()):
+            if u:
+                keys[_phase_key(v)] = v
+        t = self.tail
+        if t.kind == "constant" and abs(t.value) == 1.0:
+            keys[_phase_key(t.value)] = t.value
+        elif t.kind == "bounded" and t.sup_modulus == 1.0 and t.sup_attained:
+            if not t.unimodular_finite:
+                return False, None
+            for v in t.unimodular_values:
+                keys[_phase_key(v)] = v
+        return True, tuple(keys.values())
+
+    def is_complex(self) -> bool:
+        if any(isinstance(v, complex) and v.imag != 0 for v in self.prefix):
+            return True
+        t = self.tail
+        if t.kind == "constant":
+            v = complex(t.value)
+            return v.imag != 0
+        if t.kind == "bounded" and t.unimodular_values:
+            return any(complex(v).imag != 0 for v in t.unimodular_values)
+        if t.kind == "bounded" and not t.unimodular_finite:
+            return True
+        return False
+
+    def finitely_supported(self) -> bool:
+        return self.tail.kind == "zero"
+
+    def materializable(self) -> bool:
+        t = self.tail
+        return t.kind in ("zero", "constant") or t.entries is not None
+
+    def materialize(self, dim: int) -> np.ndarray:
+        if dim < len(self.prefix):
+            raise NotMaterializableError(
+                f"dim {dim} shorter than the explicit prefix "
+                f"({len(self.prefix)})")
+        complex_out = self.is_complex()
+        dtype = np.complex128 if complex_out else np.float64
+        out = np.zeros(dim, dtype=dtype)
+
+        def put(i, v):
+            out[i] = v if complex_out else complex(v).real
+
+        for i, v in enumerate(self.prefix):
+            put(i, v)
+        t = self.tail
+        for n in range(len(self.prefix) + 1, dim + 1):
+            if t.kind == "zero":
+                put(n - 1, 0.0)
+            elif t.kind == "constant":
+                put(n - 1, t.value)
+            else:
+                if t.entries is None:
+                    raise NotMaterializableError(
+                        "bounded tail carries no explicit entry rule")
+                put(n - 1, _snap(t.entries(n - len(self.prefix))))
+        return out
+
+    def tail_abs_pnorm_pow(self, p: float) -> float:
+        t = self.tail
+        if t.kind == "zero":
+            return 0.0
+        if t.kind == "constant":
+            return 0.0 if t.value == 0 else math.inf
+        if t.abs_pnorm_pow is None:
+            raise NotMaterializableError(
+                "bounded tail carries no p-norm rule")
+        return t.abs_pnorm_pow(p)

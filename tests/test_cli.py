@@ -47,8 +47,17 @@ def test_malformed_json_exit_two(tmp_path, capsys):
              '"prefix": [NaN, 0.5]}'),
     ("member", '{"prefix": [1.0], "tail": {"kind": "constant", '
                '"value": NaN}}'),
+    ("member", '{"prefix": [1.0], "tail": {"kind": "bounded", '
+               '"sup_modulus": 1.0, "sup_attained": "false", '
+               '"unimodular_values": [1.0], "sub_unit_sup": 0.5}}'),
+    ("member", '{"prefix": [1.0], "tail": {"kind": "bounded", '
+               '"sup_modulus": 1.0, "sup_attained": true, '
+               '"unimodular_finite": 1, "unimodular_values": [1.0]}}'),
+    ("norm", '{"kind": "diagonal", "space": {"p": 2, "dim": 3.7}, '
+             '"prefix": [1.0]}'),
 ], ids=["matrix-not-a-list", "one-part-complex", "top-level-list",
-        "infinite-entry", "nan-prefix", "nan-spec"])
+        "infinite-entry", "nan-prefix", "nan-spec", "string-flag",
+        "number-flag", "fractional-dim"])
 def test_bad_json_input_exit_two(tmp_path, capsys, command, text):
     f = tmp_path / "input.json"
     f.write_text(text)
@@ -278,3 +287,12 @@ def test_shared_parser_keeps_no_state(capsys, bad):
     for args in (bad, good, bad):
         assert run_cli(args, capsys) == alone[tuple(args)]
     assert build_parser() is build_parser()
+
+
+def test_negative_tail_modulus_exit_three(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"prefix": [1.0], "tail": {
+        "kind": "bounded", "sup_modulus": -1.0, "sup_attained": False}}))
+    code, out = run_cli(["member", "--spec", str(spec), "--family", "2"],
+                        capsys)
+    assert code == 3 and out == ""

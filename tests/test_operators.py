@@ -9,7 +9,7 @@ from bollobas_lab.errors import GeometryError
 from bollobas_lab.operators import (Adjoint, Delift, Dense, Diagonal, DirectSum,
                                     Lift, RankOne, Scale, adjoint, apply,
                                     functional, identity, to_matrix)
-from bollobas_lab.sequences import ConstantTail, SequenceSpec
+from bollobas_lab.sequences import BoundedTail, ConstantTail, SequenceSpec
 from bollobas_lab.spaces import INF, Space, StatePair, SumSpace, pair
 
 
@@ -29,6 +29,9 @@ L1, L2 = Space(1, 2), Space(2, 2)
     lambda: SequenceSpec((complex(1.0, NAN),)),
     lambda: SequenceSpec((1.0,), ConstantTail(NAN)),
     lambda: SequenceSpec((1.0,), ConstantTail(INF_)),
+    lambda: BoundedTail(sup_modulus=NAN, sup_attained=True),
+    lambda: BoundedTail(sup_modulus=0.5, sup_attained=True,
+                        sub_unit_sup=INF_),
     lambda: Dense(np.array([[INF_, 0.0], [0.0, 1.0]]), L1, L1),
     lambda: Dense(np.array([[NAN, 0.0], [0.0, 1.0]]), L2, L2),
     lambda: RankOne(np.array([1.0, NAN]), np.array([1.0, 0.0]), L2, L2),
@@ -44,7 +47,8 @@ L1, L2 = Space(1, 2), Space(2, 2)
     lambda: apply(Lift(Dense(np.eye(2), L2, L2), 1.0),
                   np.array([0.0, 1.0, INF_, 0.0])),
 ], ids=["diag-nan-prefix", "inf-prefix", "complex-nan-prefix",
-        "nan-constant-tail", "inf-constant-tail", "dense-inf-l1",
+        "nan-constant-tail", "inf-constant-tail", "nan-bounded-sup",
+        "inf-bounded-sub-unit-sup", "dense-inf-l1",
         "dense-nan-l2", "rank-one-nan-y", "rank-one-inf-xstar",
         "space-norm-nan", "space-norm-complex-inf", "sum-norm-nan",
         "state-pair-nan-x", "state-pair-nan-xstar", "apply-nan",
