@@ -20,7 +20,7 @@ from .membership import (EtaFunction, Verdict, WitnessRecipe, adjoint_eta,
                          c0_adjoint_nu_eta, diag_mixed_member,
                          diag_norm_member, diag_nu_member,
                          diag_norm_eta_floor, diag_nu_eta_floor,
-                         eta_const, eta_identity, eta_linear, eta_min,
+                         eta_const, eta_identity, eta_linear,
                          eta_quadratic, functional_member, projection_member,
                          rank1_l1_eta)
 from .norm_attainment import (NormResult, NormingSetDescriptor,

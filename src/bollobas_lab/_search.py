@@ -4,8 +4,7 @@ A budget of restarts runs every start: batch_sizes splits it into full
 batches and one batch of the remainder.  Batch b draws from the b-th child
 of SeedSequence(seed), and results are merged by a first-wins max, so
 outcomes depend only on (seed, batch index).  Only this module draws from
-that layout: restart_starts and polish_source.  All work runs in one
-thread; BOLLOBAS_LAB_THREADS is accepted and ignored.
+that layout: restart_starts and polish_source.
 
 Inside a batch the starts can run as the rows of one array, as the block
 power method of Higham and Tisseur (SIAM J. Matrix Anal. Appl. 21(4), 2000)

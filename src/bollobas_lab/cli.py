@@ -3,11 +3,11 @@
 Subcommands: norm, nu, member, probe, gallery, transfer, moduli.
 Operators come from JSON files or gallery URIs (gallery:G-BLOCK?dim=8&p=2).
 Outputs are JSON verdicts/results or CSV curves (probe always writes CSV;
-gallery and moduli take --format json|csv), deterministic per seed.  All
-work runs in one thread; BOLLOBAS_LAB_THREADS is accepted and ignored.
+gallery and moduli take --format json|csv), deterministic per seed.
 
-JSON input is checked before use: a field of the wrong type or shape, or a
-NaN or infinite number, is a parse error.
+JSON input is read field by field through _field: a missing field, a field
+of the wrong type or shape, or a NaN or infinite number is a parse error
+that names the field.
 
 Exit codes: 0 ok, 2 parse error, 3 unsupported geometry / normalization,
 4 unknown entity, 5 claim failure.
@@ -34,7 +34,8 @@ from .norm_attainment import operator_norm
 from .numerical_radius import numerical_radius
 from .operators import (Adjoint, Dense, Diagonal, Lift, OperatorExpr, RankOne,
                         Scale, identity)
-from .probe import CSV_HEADER, ProbeBudget, _norm_grid, _nu_grid
+from .probe import (CSV_HEADER, ProbeBudget, _check_eps, _norm_grid,
+                    _nu_grid)
 from .sequences import (BoundedTail, ConstantTail, SequenceSpec, ZeroTail,
                         geometric_tail, ratio_to_one_tail)
 from .spaces import INF, Space, modulus_convexity
@@ -47,117 +48,113 @@ EXIT_UNKNOWN = 4
 EXIT_CLAIM = 5
 
 
-def _object(d, what: str) -> dict:
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    return d
+_REQUIRED = object()
+_EXPECTED = {"real": "a finite number", "scalar": "a finite number or [re, im]",
+             "exponent": 'a finite number or "inf"', "flag": "a JSON boolean",
+             "count": "an integer", "vector": "a list of scalars",
+             "matrix": "a list of rows", "object": "a JSON object"}
 
 
-def _list(v, what: str) -> list:
-    if not isinstance(v, list):
-        raise ValueError(f"{what} must be a JSON list, got {v!r}")
-    return v
+def _field(obj, key, kind: str | tuple, where: str, default=_REQUIRED):
+    """obj[key] read as kind, named where.key (where[key] for a list entry)
+    in a parse error: the one place this module checks a JSON value's type.
+
+    A real is a finite number, never a boolean or a string; an exponent may
+    also be "inf", "Infinity" or JSON Infinity.  A scalar is a real or
+    [re, im], a vector a tuple of scalars, a matrix an array of vectors, and
+    a tuple kind lists the strings allowed.  A missing key reads as default,
+    and so does a null one whose default is None."""
+    path = f"{where}[{key}]" if isinstance(key, int) else \
+        f"{where}.{key}" if where else key
+    v = obj[key] if type(obj) is list else obj.get(key, default)
+    if v is _REQUIRED:
+        raise ValueError(f"{path} is missing")
+    if v is default:
+        return v
+    t = type(v)
+    if t is list and kind in ("vector", "matrix"):
+        inner = "scalar" if kind == "vector" else "vector"
+        rows = tuple(_field(v, i, inner, path) for i in range(len(v)))
+        return rows if kind == "vector" else np.array(rows)
+    if t is list and kind == "scalar" and len(v) == 2:
+        return complex(_field(v, 0, "real", path), _field(v, 1, "real", path))
+    if kind == "exponent" and (v in ("inf", "Infinity") if t is str
+                               else t is float and v == INF):
+        return INF
+    if t in (int, float) and kind in ("real", "scalar", "exponent") \
+            and abs(v) <= sys.float_info.max:
+        return float(v)
+    if kind == "count" and (t is int or t is float and v.is_integer()):
+        return int(v)
+    if (kind == "flag" and t is bool or kind == "object" and t is dict
+            or type(kind) is tuple and t is str and v in kind):
+        return v
+    expected = _EXPECTED.get(kind) or "one of " + ", ".join(map(repr, kind))
+    raise ValueError(f"{path} must be {expected}, got {v!r}")
 
 
-def _real(v) -> float:
-    try:
-        x = float(v)
-    except TypeError:
-        raise ValueError(f"expected a number, got {v!r}") from None
-    if not math.isfinite(x):
-        raise ValueError(f"expected a finite number, got {v!r}")
-    return x
+def _load_json(path: str, name: str) -> dict:
+    """The JSON object in the file at path, called name in parse errors."""
+    with open(path) as fh:
+        return _field({name: json.load(fh)}, name, "object", "")
 
 
-def _flag(v, what: str) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"{what} must be a JSON boolean, got {v!r}")
-    return v
+def _parse_space(d: dict, where: str) -> Space:
+    return Space(_field(d, "p", "exponent", where, 2.0),
+                 _field(d, "dim", "count", where),
+                 _field(d, "field", ("real", "complex"), where, "real"))
 
 
-def _count(v, what: str) -> int:
-    if isinstance(v, bool) or not (
-            isinstance(v, int) or isinstance(v, float) and v.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _scalar(v):
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ValueError(f"a complex scalar is [re, im], got {v!r}")
-        return complex(_real(v[0]), _real(v[1]))
-    return _real(v)
-
-
-def _exponent(p) -> float:
-    return INF if p in ("inf", "Infinity", INF) else _real(p)
-
-
-def _parse_space(d) -> Space:
-    d = _object(d, "space")
-    return Space(_exponent(d.get("p", 2.0)), _count(d["dim"], "space dim"),
-                 d.get("field", "real"))
-
-
-def _parse_tail(d):
-    d = _object(d, "tail")
-    kind = d.get("kind", "zero")
+def _parse_tail(d: dict, where: str):
+    kind = _field(d, "kind", ("zero", "constant", "geometric", "ratio-to-one",
+                              "bounded"), where, "zero")
     if kind == "zero":
         return ZeroTail()
     if kind == "constant":
-        return ConstantTail(_scalar(d["value"]))
+        return ConstantTail(_field(d, "value", "scalar", where))
     if kind == "geometric":
-        return geometric_tail(_real(d["c"]), _real(d["r"]))
+        return geometric_tail(_field(d, "c", "real", where),
+                              _field(d, "r", "real", where))
     if kind == "ratio-to-one":
         return ratio_to_one_tail()
-    if kind == "bounded":
-        vals = d.get("unimodular_values")
-        return BoundedTail(
-            sup_modulus=_real(d["sup_modulus"]),
-            sup_attained=_flag(d["sup_attained"], "sup_attained"),
-            unimodular_values=None if vals is None
-            else tuple(_scalar(v) for v in _list(vals, "unimodular_values")),
-            unimodular_finite=_flag(d.get("unimodular_finite", True),
-                                    "unimodular_finite"),
-            sub_unit_sup=_real(d.get("sub_unit_sup", 0.0)))
-    raise ValueError(f"unknown tail kind {kind!r}")
+    return BoundedTail(
+        sup_modulus=_field(d, "sup_modulus", "real", where),
+        sup_attained=_field(d, "sup_attained", "flag", where),
+        unimodular_values=_field(d, "unimodular_values", "vector", where,
+                                 None),
+        unimodular_finite=_field(d, "unimodular_finite", "flag", where, True),
+        sub_unit_sup=_field(d, "sub_unit_sup", "real", where, 0.0))
 
 
-def _parse_seq(d) -> SequenceSpec:
-    d = _object(d, "sequence spec")
+def _parse_seq(d: dict, where: str) -> SequenceSpec:
     return SequenceSpec(
-        prefix=tuple(_scalar(v) for v in _list(d.get("prefix", []), "prefix")),
-        tail=_parse_tail(d.get("tail", {"kind": "zero"})))
+        prefix=_field(d, "prefix", "vector", where, ()),
+        tail=_parse_tail(_field(d, "tail", "object", where, {}),
+                         f"{where}.tail"))
 
 
-def _vector(v, what: str) -> np.ndarray:
-    return np.array([_scalar(x) for x in _list(v, what)])
-
-
-def parse_operator_json(d) -> OperatorExpr:
-    kind = _object(d, "operator")["kind"]
+def parse_operator_json(d: dict, where: str = "operator") -> OperatorExpr:
+    """The operator of a JSON object, as the README describes it."""
+    kind = _field(d, "kind", ("diagonal", "dense", "rank_one", "scale", "lift",
+                              "adjoint"), where)
+    if kind in ("scale", "lift", "adjoint"):
+        child = parse_operator_json(_field(d, "child", "object", where),
+                                    f"{where}.child")
+        if kind == "scale":
+            return Scale(_field(d, "scalar", "scalar", where), child)
+        if kind == "lift":
+            return Lift(child, _field(d, "outer_p", "exponent", where))
+        return Adjoint(child)
+    space_json = _field(d, "space", "object", where)
+    space = _parse_space(space_json, f"{where}.space")
     if kind == "diagonal":
-        space = _parse_space(d["space"])
-        return Diagonal(_parse_seq(d), space)
+        return Diagonal(_parse_seq(d, where), space)
+    cod = _parse_space(_field(d, "codomain", "object", where, space_json),
+                       f"{where}.codomain")
     if kind == "dense":
-        space = _parse_space(d["space"])
-        cod = _parse_space(d["codomain"]) if "codomain" in d else space
-        M = np.array([_vector(row, "matrix row")
-                      for row in _list(d["matrix"], "matrix")])
-        return Dense(M, space, cod)
-    if kind == "rank_one":
-        space = _parse_space(d["space"])
-        cod = _parse_space(d["codomain"]) if "codomain" in d else space
-        return RankOne(_vector(d["y"], "y"), _vector(d["xstar"], "xstar"),
-                       space, cod)
-    if kind == "scale":
-        return Scale(_scalar(d["scalar"]), parse_operator_json(d["child"]))
-    if kind == "lift":
-        return Lift(parse_operator_json(d["child"]), _exponent(d["outer_p"]))
-    if kind == "adjoint":
-        return Adjoint(parse_operator_json(d["child"]))
-    raise ValueError(f"unknown operator kind {kind!r}")
+        return Dense(_field(d, "matrix", "matrix", where), space, cod)
+    return RankOne(np.array(_field(d, "y", "vector", where)),
+                   np.array(_field(d, "xstar", "vector", where)), space, cod)
 
 
 def load_operator(source: str):
@@ -165,9 +162,7 @@ def load_operator(source: str):
     if source.startswith("gallery:"):
         entry = parse_gallery_uri(source)
         return entry.expr, entry
-    with open(source) as fh:
-        data = json.load(fh)
-    return parse_operator_json(data), None
+    return parse_operator_json(_load_json(source, "operator")), None
 
 
 def _emit(text: str, out_path):
@@ -212,20 +207,13 @@ def cmd_member(args) -> int:
         v = projection_member(args.projection, _family_arg(args.family),
                               args.mode if args.mode != "mixed" else "norm")
     else:
-        with open(args.spec) as fh:
-            data = json.load(fh)
-        spec = _parse_seq(data)
+        spec = _parse_seq(_load_json(args.spec, "spec"), "spec")
         fam = _family_arg(args.family)
-        if args.mode == "norm":
-            v = diag_norm_member(spec, fam)
-        elif args.mode == "nu":
-            v = diag_nu_member(spec, fam)
-        elif args.mode == "mixed":
+        if args.mode == "mixed":
             v = diag_mixed_member(spec, fam, _family_arg(args.to_family))
-        elif args.mode == "functional":
-            v = functional_member(spec, fam)
         else:
-            raise ValueError(f"unknown mode {args.mode!r}")
+            v = {"norm": diag_norm_member, "nu": diag_nu_member,
+                 "functional": functional_member}[args.mode](spec, fam)
     _emit(_json_dump(v.to_json()), args.out)
     return EXIT_OK
 
@@ -303,29 +291,37 @@ _ETA_BASES = {
 }
 
 
+def _finite_arg(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return x
+
+
 def _parse_eta(s: str):
     if s in _ETA_BASES:
         return _ETA_BASES[s]()
     if s.startswith("const:"):
-        return eta_const(_real(s.split(":", 1)[1]))
+        return eta_const(_finite_arg(s.split(":", 1)[1]))
     if s.startswith("linear:"):
-        return eta_linear(_real(s.split(":", 1)[1]))
+        return eta_linear(_finite_arg(s.split(":", 1)[1]))
     raise ValueError(f"unknown eta designator {s!r}")
 
 
 def cmd_transfer(args) -> int:
     eta = _parse_eta(args.eta)
-    outer = _exponent(args.outer_p)
+    outer = INF if args.outer_p in ("inf", "Infinity") else \
+        _finite_arg(args.outer_p)
+    grid = _parse_list(args.eps, float)
+    for e in grid:
+        _check_eps(e)
     W = Space(args.w_p, args.dim)
     Z = Space(args.z_p, args.dim)
     T = identity(W) if args.w_p == args.z_p else None
     if args.direction == "nu-to-norm":
         res = lift_nu_implies_norm(T, outer, eta)
-    elif args.direction == "norm-to-nu":
-        res = norm_implies_lift_nu(T, outer, eta, W, Z)
     else:
-        raise ValueError("direction must be nu-to-norm or norm-to-nu")
-    grid = _parse_list(args.eps, float)
+        res = norm_implies_lift_nu(T, outer, eta, W, Z)
     payload = res.describe()
     payload["values"] = [{"epsilon": e, "eta": res.eta_out(e)} for e in grid]
     _emit(_json_dump(payload), args.out)

@@ -93,8 +93,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, np.generic):
+        return _jsonable(obj.item())
     if obj is INF:
         return "inf"
     return obj
@@ -493,11 +493,6 @@ def eta_linear(c: float) -> EtaFunction:
 
 def eta_quadratic(c: float) -> EtaFunction:
     return EtaFunction(lambda e: c * e * e, f"{c}*eps^2")
-
-
-def eta_min(*fs: EtaFunction) -> EtaFunction:
-    return EtaFunction(lambda e: min(f(e) for f in fs),
-                       "min(" + ", ".join(f.formula for f in fs) + ")")
 
 
 def adjoint_eta(eta_T: EtaFunction, target_dual_space: Space) -> EtaFunction:

@@ -737,16 +737,6 @@ class BlockPairStates(NuStatesDescriptor):
             for x_parts, xs_parts in options]
 
 
-class EmptyNuStates(NuStatesDescriptor):
-    """No attaining pairs: no options."""
-
-    def sample(self, rng, count: int = 1):
-        raise GeometryError("cannot sample an empty attaining set")
-
-    def describe(self):
-        return {"kind": "empty"}
-
-
 def nu_attaining_states(T: OperatorExpr, nu_result: Optional[NuResult] = None
                         ) -> NuStatesDescriptor:
     """Attaining-state descriptor for a radius-one operator: a union of pair

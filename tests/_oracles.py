@@ -118,9 +118,8 @@ from bollobas_lab.norm_attainment import \
     subspace_sphere_distance as library_subspace_sphere_distance
 from bollobas_lab import probe
 from bollobas_lab.numerical_radius import (NU_TOL, THETA_GRID,
-                                           DiagonalNuStates, EmptyNuStates,
-                                           ExplicitNuStates, HilbertNuStates,
-                                           _keep_nearer)
+                                           DiagonalNuStates, ExplicitNuStates,
+                                           HilbertNuStates, _keep_nearer)
 from bollobas_lab.operators import to_matrix
 from bollobas_lab.probe import FEAS_TOL, ProbeBudget
 from bollobas_lab.sequences import SequenceSpec, _phase_key, _snap
@@ -574,7 +573,7 @@ def _nearer(dx, dxs, best):
 def nu_pair_distance(desc, x, xstar):
     """NuStatesDescriptor.pair_distance of the flat kinds and of the sum
     descriptors, one pair at a time."""
-    if isinstance(desc, EmptyNuStates):
+    if desc.is_empty:
         return (float("inf"), float("inf"))
     if isinstance(desc, DiagonalNuStates):
         return _diagonal_pair_distance(desc, x, xstar)
@@ -780,7 +779,7 @@ def pair_distance_rows(desc, X, XS):
                          subspace_sphere_distance_rows(XS, B))
     elif isinstance(desc, ExplicitNuStates):
         _explicit_pair_distance_rows(desc, X, XS, best)
-    elif not isinstance(desc, EmptyNuStates):
+    elif not desc.is_empty:
         dual = desc.space.dual()
         for x_parts, xs_parts in _block_pair_parts(desc):
             _keep_nearer(best, block_product_rows(X, desc.space, x_parts),

@@ -1,9 +1,17 @@
+import contextlib
+import copy
+import csv
+import io
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bollobas_lab.cli import build_parser, main
 from bollobas_lab.probe import CSV_HEADER
@@ -55,9 +63,19 @@ def test_malformed_json_exit_two(tmp_path, capsys):
                '"unimodular_finite": 1, "unimodular_values": [1.0]}}'),
     ("norm", '{"kind": "diagonal", "space": {"p": 2, "dim": 3.7}, '
              '"prefix": [1.0]}'),
+    ("member", '{"prefix": [true]}'),
+    ("member", '{"tail": {"kind": "constant", "value": "0.5"}}'),
+    ("member", '{"tail": {"kind": "geometric", "c": 0.5}}'),
+    ("norm", '{"kind": "dense", "space": {"p": 2, "dim": 2}, '
+             '"matrix": [["0", 0], [0, true]]}'),
+    ("norm", '{"kind": "dense", "space": {"p": "2", "dim": 2}, '
+             '"matrix": [[1, 0], [0, 1]]}'),
+    ("norm", '{"kind": "dense", "space": {"p": 2, "dim": 2, "field": 7}, '
+             '"matrix": [[1, 0], [0, 1]]}'),
 ], ids=["matrix-not-a-list", "one-part-complex", "top-level-list",
         "infinite-entry", "nan-prefix", "nan-spec", "string-flag",
-        "number-flag", "fractional-dim"])
+        "number-flag", "fractional-dim", "boolean-prefix", "string-value",
+        "missing-r", "string-matrix-entry", "string-p", "number-field"])
 def test_bad_json_input_exit_two(tmp_path, capsys, command, text):
     f = tmp_path / "input.json"
     f.write_text(text)
@@ -180,6 +198,16 @@ def test_transfer_command(capsys):
     assert all(v["eta"] > 0 for v in data["values"])
 
 
+@pytest.mark.parametrize("direction", ["nu-to-norm", "norm-to-nu"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1,0", "0.5,0", "0.2,-inf"])
+def test_transfer_bad_eps_exit_three(capsys, direction, eps):
+    # a NaN eps printed "epsilon": NaN, which is not JSON, and a negative one
+    # printed a value; both exited 0
+    code, out = run_cli(["transfer", "--direction", direction,
+                         "--outer-p", "1", f"--eps={eps}"], capsys)
+    assert code == 3 and out == ""
+
+
 @pytest.mark.parametrize("eta", ["const:nan", "const:inf", "linear:nan",
                                  "linear:-inf", "const:x"])
 def test_transfer_rejects_a_non_finite_eta(capsys, eta):
@@ -296,3 +324,188 @@ def test_negative_tail_modulus_exit_three(tmp_path, capsys):
     code, out = run_cli(["member", "--spec", str(spec), "--family", "2"],
                         capsys)
     assert code == 3 and out == ""
+
+
+# Every JSON field the README and the inputs above use, by key: its kind as
+# cli._field reads it, and whether the key may be left out.  A tail's kind
+# may be left out (a zero tail); an operator's may not.
+_TAIL_KINDS = ("zero", "constant", "geometric", "ratio-to-one", "bounded")
+_OPERATOR_KINDS = ("diagonal", "dense", "rank_one", "scale", "lift",
+                   "adjoint")
+_KINDS = {
+    "kind": _TAIL_KINDS + _OPERATOR_KINDS, "space": "object",
+    "codomain": "object", "child": "object", "tail": "object",
+    "p": "exponent", "outer_p": "exponent", "dim": "count",
+    "field": ("real", "complex"), "prefix": "vector", "y": "vector",
+    "xstar": "vector", "unimodular_values": "vector", "matrix": "matrix",
+    "value": "scalar", "scalar": "scalar", "c": "real", "r": "real",
+    "sup_modulus": "real", "sub_unit_sup": "real", "sup_attained": "flag",
+    "unimodular_finite": "flag"}
+_OPTIONAL = {"p", "field", "codomain", "prefix", "tail", "unimodular_values",
+             "unimodular_finite", "sub_unit_sup"}
+_NULLABLE = {"unimodular_values"}
+_ENTRY = {"vector": "scalar", "matrix": "vector", "scalar": "real"}
+
+_FIELD_DOCS = [
+    ("operator", {"kind": "diagonal", "space": {"p": 2, "dim": 8},
+                  "prefix": [1.0], "tail": {"kind": "constant", "value": 0.9}}),
+    ("operator", {"kind": "scale", "scalar": 0.5,
+                  "child": {"kind": "dense", "space": {"p": 2, "dim": 2},
+                            "matrix": [[2.0, 0.0], [0.0, 1.0]]}}),
+    ("operator", {"kind": "diagonal", "space": {"p": 2, "dim": 4},
+                  "prefix": [1.0, 1.0, 1.0, 1.0], "tail": {"kind": "zero"}}),
+    ("operator", {"kind": "lift", "outer_p": "inf", "child": {
+        "kind": "adjoint", "child": {
+            "kind": "rank_one", "space": {"p": 2, "dim": 2, "field": "real"},
+            "codomain": {"p": 3, "dim": 2}, "y": [1.0, 0.0],
+            "xstar": [[1.0, 0.0], 0.0]}}}),
+    ("spec", {"prefix": [1.0], "tail": {"kind": "constant", "value": 0.9}}),
+    ("spec", {"prefix": [1.0], "tail": {"kind": "ratio-to-one"}}),
+    ("spec", {"prefix": [1.0], "tail": {"kind": "geometric", "c": 0.5,
+                                         "r": 0.5}}),
+    ("spec", {"prefix": [1.0, [0.0, 1.0]], "tail": {
+        "kind": "bounded", "sup_modulus": 1.0, "sup_attained": False,
+        "unimodular_values": [1.0], "unimodular_finite": True,
+        "sub_unit_sup": 0.5}}),
+]
+
+
+def _walk(value, kind, path=()):
+    """(path, kind, may be left out, may be null) of value and of every
+    field and list entry inside it."""
+    key = path[-1] if path else None
+    optional = key in _OPTIONAL or path[-2:-1] == ("tail",) and key == "kind"
+    yield path, kind, optional, key in _NULLABLE
+    if kind == "object":
+        for k, v in value.items():
+            yield from _walk(v, _KINDS[k], path + (k,))
+    elif kind in _ENTRY and isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _walk(v, _ENTRY[kind], path + (i,))
+
+
+def _finite_pair(v):
+    return len(v) == 2 and all(type(x) in (int, float) and math.isfinite(x)
+                               for x in v)
+
+
+_NUMBERS = st.integers(-10 ** 6, 10 ** 6) | st.floats()
+_LEAVES = st.none() | st.booleans() | _NUMBERS | st.text(max_size=4)
+
+
+def _wrong(kind, json_type):
+    """A strategy for values of json_type that kind refuses, or None when
+    kind takes every value of that type (a list holding a vector's entries
+    is checked entry by entry)."""
+    if json_type == "boolean":
+        return st.booleans() if kind != "flag" else None
+    if json_type == "null":
+        return st.none()
+    if json_type == "string":
+        allowed = kind if isinstance(kind, tuple) else \
+            ("inf", "Infinity") if kind == "exponent" else ()
+        return st.text(max_size=8).filter(lambda v: v not in allowed)
+    if json_type == "list":
+        if kind in ("vector", "matrix"):
+            return None
+        lists = st.lists(_LEAVES, max_size=3)
+        return lists.filter(lambda v: not _finite_pair(v)) \
+            if kind == "scalar" else lists
+    if json_type == "object":
+        return st.dictionaries(st.text(max_size=3), _LEAVES, max_size=2) \
+            if kind != "object" else None
+    if kind in ("real", "scalar", "exponent"):
+        bad = [math.nan, -math.inf] + ([] if kind == "exponent"
+                                       else [math.inf])
+        return st.sampled_from(bad)
+    if kind == "count":
+        return st.integers(-10 ** 6, 10 ** 6).map(lambda n: n + 0.5) \
+            | st.sampled_from([math.nan, math.inf])
+    return _NUMBERS
+
+
+def _field_name(root, path):
+    return root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                          for k in path)
+
+
+def _run_quiet(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("json_type", ["boolean", "string", "null", "list",
+                                       "object", "number", "missing"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_every_wrong_json_field_exit_two(tmp_path_factory, json_type, data):
+    # each field of each input, given a value of a type it does not take or
+    # left out, is one parse error that names it
+    f = tmp_path_factory.mktemp("fields") / "input.json"
+    for root, doc in _FIELD_DOCS:
+        args = ["norm", str(f)] if root == "operator" else \
+            ["member", "--spec", str(f), "--family", "2"]
+        for path, kind, optional, nullable in _walk(doc, "object"):
+            if json_type == "missing":
+                if optional or not path or isinstance(path[-1], int):
+                    continue
+            else:
+                wrong = None if json_type == "null" and nullable \
+                    else _wrong(kind, json_type)
+                if wrong is None:
+                    continue
+                value = data.draw(wrong)
+            bad = copy.deepcopy(doc)
+            if not path:
+                bad = value
+            else:
+                parent = bad
+                for k in path[:-1]:
+                    parent = parent[k]
+                if json_type == "missing":
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+            f.write_text(json.dumps(bad))
+            code, out, err = _run_quiet(args)
+            lines = err.splitlines()
+            name = _field_name(root, path)
+            assert (code, out) == (2, ""), (name, bad)
+            assert len(lines) == 1 and lines[0].startswith("parse error: ")
+            assert name in lines[0], (name, lines[0])
+            if json_type == "missing":
+                assert lines[0] == f"parse error: {name} is missing"
+
+
+def _readme_block(readme, after, fence):
+    start = readme.index(fence, readme.index(after)) + len(fence)
+    return readme[start:readme.index("```", start)]
+
+
+def test_readme_commands_run(tmp_path):
+    # the README's command block, with spec.json the prefix and tail of its
+    # JSON operator example, and norm of that example: each exits 0 and
+    # prints JSON, or CSV where the README asks for it
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as fh:
+        readme = fh.read()
+    operator = json.loads(_readme_block(readme, "## Command line", "```json"))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({k: operator[k] for k in ("prefix", "tail")}))
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(operator))
+    commands = [shlex.split(line)[1:] for line in _readme_block(
+        readme, "## Command line", "```\n").strip().splitlines()]
+    assert commands
+    for args in commands + [["norm", str(op)]]:
+        args = [str(spec) if a == "spec.json" else a for a in args]
+        code, out, err = _run_quiet(args)
+        assert code == 0, (args, err)
+        if args[0] == "probe" or "csv" in args:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1 and all(len(r) == len(rows[0])
+                                         for r in rows), args
+        else:
+            json.loads(out)

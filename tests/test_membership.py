@@ -246,3 +246,15 @@ def test_verdict_json_roundtrip():
     back = json.loads(blob)
     assert back["member"] is False
     assert back["witness_recipe"]["distance_floor"] == 1.0
+
+
+def test_verdict_json_takes_numpy_scalars():
+    # a numpy tail value leaves np.bool_ and np.float64 in the certificate
+    import json
+    spec = SequenceSpec((1.0,), ConstantTail(np.float64(0.5)))
+    back = json.loads(json.dumps(diag_norm_member(spec, 2.0).to_json()))
+    assert back["member"] is True
+    assert back["certificate"]["off_J_sup"] == 0.5
+    spec = SequenceSpec((1.0,), ConstantTail(np.complex128(0.5j)))
+    back = json.loads(json.dumps(diag_norm_member(spec, 2.0).to_json()))
+    assert back["certificate"]["phases"] == [1.0]

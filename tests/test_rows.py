@@ -28,8 +28,9 @@ from bollobas_lab.gallery import CornerNuStates, LiftedRank1NuStates
 from bollobas_lab.norm_attainment import (LiftedNormingSet,
                                           NormingSetDescriptor,
                                           UnionNormingSet, norming_set)
-from bollobas_lab.numerical_radius import (DiagonalNuStates, EmptyNuStates,
+from bollobas_lab.numerical_radius import (DiagonalNuStates,
                                            ExplicitNuStates, HilbertNuStates,
+                                           NuStatesDescriptor,
                                            best_state_functional_rows,
                                            face_sup, face_sup_rows,
                                            nu_attaining_states)
@@ -132,7 +133,7 @@ def _nu_states(rng, space):
     groups = {}
     for n in _subset(rng, d):
         groups.setdefault(int(rng.integers(2)), []).append(n)
-    out = [EmptyNuStates(),
+    out = [NuStatesDescriptor(),
            DiagonalNuStates(space, {k: tuple(v) for k, v in groups.items()})]
     pairs, free_x, free_xs = [], [], []
     for x in _rows(rng, space, 2)[:2]:
